@@ -52,7 +52,8 @@ print(f"{'template':<10} {'mean dose cut':>13} {'dem seats':>10} {'95% CI':>16} 
 for name in ("identity", "ny", "oh", "mi"):
     pairs = counterfactual_doses(codebook, TEMPLATES[name](), prior,
                                  n_draws=25, seed=11)
-    prediction = predict_national(pairs, seat_model, resp_model, covariates, baseline)
+    prediction = predict_national(pairs, seat_model, resp_model, covariates, baseline,
+                                  template=name)
     cut = np.mean([p.d_current - p.d_reformed for p in pairs])
     effect = prediction.total_dem_seat_change
     print(f"{name:<10} {cut:>13.2f} {effect.mean:>+10.2f} "

@@ -22,6 +22,6 @@ from .metrics import (EnsembleSummary, PlanProfile, SwingModel, competitive_shar
 from .nature import CourtContext, GameParameters, PriorSpec, sample_parameters
 from .solver import (ControlAssignment, EquilibriumResult, LeewayScores,
                      OptimizationGrid, brute_force_solve, leeway, leeway_table,
-                     path_table, solve, spearman_stability)
+                     path_table, solve, solve_batch, spearman_stability)
 
 __version__ = "0.1.0"

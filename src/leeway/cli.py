@@ -1,6 +1,6 @@
 """Command-line pipeline: codebook, leeway, paths, metrics, did, counterfactual.
 
-Every run is deterministic given its seed and thread count; output files
+Every run is deterministic given its seed; output files
 begin with a comment line carrying the package version, the seed, and a
 hash of the run configuration. CSV inputs follow the canonical schemas of
 the owning modules.
@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -61,10 +60,6 @@ def _grid(args) -> OptimizationGrid:
     return OptimizationGrid(step=args.grid_step)
 
 
-def _threads(args) -> int:
-    return args.threads if args.threads else (os.cpu_count() or 1)
-
-
 # -- codebook ----------------------------------------------------------------
 
 def _cmd_codebook(args) -> int:
@@ -92,8 +87,7 @@ def _cmd_leeway(args) -> int:
         book = cb.parse_codebook(fh)
     prior = _load_prior(args.priors)
     grid = _grid(args)
-    rows = solver.leeway_table(book, prior, n_draws=args.draws, seed=args.seed,
-                               grid=grid, threads=_threads(args))
+    rows = solver.leeway_table(book, prior, n_draws=args.draws, seed=args.seed, grid=grid)
     if args.format == "json":
         payload = {
             "meta": {"version": __version__, "seed": args.seed,
@@ -116,14 +110,12 @@ def _cmd_leeway(args) -> int:
         _write_text(args.output, out.getvalue())
 
     if args.emit_diagnostics:
-        from .nature import sample_parameters
-        from .solver import ControlAssignment
+        thetas = solver.sample_draws(prior, args.seed, args.draws)
         records = []
         for process, _ in rows:
-            assignment = ControlAssignment.realized(process)
-            for i in range(args.draws):
-                theta = sample_parameters(prior, args.seed, i)
-                res = solver.solve(process, assignment, theta, grid)
+            results = solver.solve_batch(process, solver.ControlAssignment.realized(process),
+                                         thetas, grid)
+            for i, res in enumerate(results):
                 records.append({
                     "state": process.state_id, "cycle": process.cycle, "draw": i,
                     "value": res.value, "path_probs": res.path_probs,
@@ -144,7 +136,7 @@ def _cmd_paths(args) -> int:
         book = cb.parse_codebook(fh)
     prior = _load_prior(args.priors)
     table = solver.path_table(book, prior, n_draws=args.draws, seed=args.seed,
-                              grid=_grid(args), threads=_threads(args))
+                              grid=_grid(args))
     cross = table.cross_tab()
     buckets = ("legislature", "commission", "court")
 
@@ -376,7 +368,8 @@ def _cmd_counterfactual(args) -> int:
 
     pairs = cf.counterfactual_doses(book, template, prior, n_draws=args.draws,
                                     seed=args.seed, grid=_grid(args))
-    prediction = cf.predict_national(pairs, seat_model, resp_model, covariates, baseline)
+    prediction = cf.predict_national(pairs, seat_model, resp_model, covariates, baseline,
+                                     template=args.template)
 
     def summary(effect):
         return {"mean": effect.mean, "ci80": list(effect.ci80), "ci95": list(effect.ci95)}
@@ -422,7 +415,8 @@ def _add_common_solver_args(p):
     p.add_argument("--grid-step", type=float, default=0.05)
     p.add_argument("--priors", help="JSON file of prior overrides")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker threads (default: all cores); results do not depend on it")
+                   help="accepted for compatibility; all draws are solved in one vectorized "
+                        "pass, so neither results nor run time depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:

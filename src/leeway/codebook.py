@@ -219,6 +219,12 @@ def validate(process: StateProcess) -> list[RuleViolation]:
         v.append(RuleViolation("drawer-control-missing",
                                "drawer present but drawer_control is NA"))
 
+    # The post-enactment court machinery conditions on court_review, so a
+    # row with a game has no defined value without it.
+    if process.drawer is not Drawer.NA and process.court_review is CourtReview.NA:
+        v.append(RuleViolation("court-review-missing",
+                               "drawer present but court_review is NA"))
+
     return v
 
 

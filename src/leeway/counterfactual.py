@@ -18,7 +18,7 @@ from .codebook import (Codebook, CourtReview, Drawer, PartyControl, StateProcess
 from .errors import DomainError
 from .inference import EffectSummary, PosteriorDraws, cate_draws
 from .nature import PriorSpec
-from .solver import OptimizationGrid, leeway
+from .solver import ControlAssignment, OptimizationGrid, mean_value, sample_draws
 
 
 class TemplateError(ValueError):
@@ -178,17 +178,24 @@ def counterfactual_doses(codebook: Codebook, template: ReformTemplate,
                          cycle: int = 2020) -> list[DosePair]:
     """Realized leeway before and after reform for every state in a cycle.
 
-    Both doses are computed from the same prior draws, so the identity
-    template reproduces the current dose exactly. Single-district rows
-    carry no dose and are skipped.
+    Each dose is the ``realized`` leeway score of :func:`~leeway.solver.leeway`.
+    Both doses are computed from the same prior draws, so a row the
+    template leaves unchanged (every row under ``identity``) reuses its
+    current dose. Single-district rows carry no dose and are skipped.
     """
+    grid = grid or OptimizationGrid()
+    thetas = sample_draws(prior, seed, n_draws)
+
+    def dose(process: StateProcess) -> float:
+        return mean_value(process, ControlAssignment.realized(process), thetas, grid)
+
     pairs = []
     for row in codebook.for_cycle(cycle):
         if row.drawer is Drawer.NA:
             continue
-        current = leeway(row, prior, n_draws, seed, grid).realized
+        current = dose(row)
         reformed_row = apply_template(row, template)
-        reformed = leeway(reformed_row, prior, n_draws, seed, grid).realized
+        reformed = current if reformed_row == row else dose(reformed_row)
         pairs.append(DosePair(row.state_id, current, reformed))
     return pairs
 
@@ -234,7 +241,7 @@ class NationalPrediction:
 
 def predict_national(dose_pairs: list[DosePair], seat_model: PosteriorDraws,
                      resp_model: PosteriorDraws, covariates: dict,
-                     baseline: Baseline) -> NationalPrediction:
+                     baseline: Baseline, template: str = "") -> NationalPrediction:
     """Aggregate per-state dose-change effects into a national prediction.
 
     Per posterior draw: the seat model's effect (on Republican seats) is
@@ -243,6 +250,8 @@ def predict_national(dose_pairs: list[DosePair], seat_model: PosteriorDraws,
     by district count and divided by 100 to give seats per percentage
     point. The new seats-votes line adds both to the baseline. National
     change is exactly the sum of per-state effects in every draw.
+    ``template`` names the reform the doses came from and is carried into
+    the result.
     """
     if seat_model.n_total != resp_model.n_total:
         raise DomainError("seat and responsiveness models must have matching draws")
@@ -269,7 +278,7 @@ def predict_national(dose_pairs: list[DosePair], seat_model: PosteriorDraws,
     total = EffectSummary.from_draws(dem_change)
     slope_summary = EffectSummary.from_draws(slope)
     return NationalPrediction(
-        template="",
+        template=template,
         total_dem_seat_change=total,
         responsiveness_slope=slope_summary,
         seats_votes_line=(float(intercept.mean()), slope_summary.mean),

@@ -8,7 +8,8 @@ to a veto. Each parameter has a default prior; a draw from the joint prior
 is one complete game specification.
 
 All bias arguments and outputs live on the [-4, 4] scale (positive favors
-Republicans). Every function is vectorized over its bias argument.
+Republicans). Every function is vectorized over its bias argument and over
+a batch of draws (:func:`stack_parameters`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,11 @@ def cauchy_quantile(p):
 
 @dataclass(frozen=True)
 class GameParameters:
-    """One draw of the 19 move-by-nature parameters."""
+    """One draw of the 19 move-by-nature parameters.
+
+    Each field is a float, or for a batch of D draws a (D, 1) column (see
+    :func:`stack_parameters`).
+    """
 
     chal_poss_conf: float
     chal_poss_maybe: float
@@ -76,9 +81,9 @@ class GameParameters:
     def __post_init__(self):
         for name in _UNIT_INTERVAL_PARAMS:
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if not np.all((value >= 0.0) & (value <= 1.0)):
                 raise DomainError(f"{name}={value} outside [0, 1]")
-        if self.out_nonp_bias2 < 0.0 or self.out_nonp_part_adv < 0.0:
+        if np.any(self.out_nonp_bias2 < 0.0) or np.any(self.out_nonp_part_adv < 0.0):
             raise DomainError("folded parameters must be nonnegative")
 
 
@@ -187,6 +192,17 @@ def sample_parameters(prior: PriorSpec, rng_seed: int, draw_index: int) -> GameP
     seq = np.random.SeedSequence(entropy=rng_seed, spawn_key=(draw_index,))
     rng = np.random.Generator(np.random.PCG64(seq))
     return GameParameters(**{name: dist.draw(rng) for name, dist in prior.dists})
+
+
+def stack_parameters(draws: list[GameParameters]) -> GameParameters:
+    """Stack single draws into one batch whose fields are (D, 1) columns.
+
+    Every function below broadcasts a batch against its bias argument, so
+    a (1, G) grid row gives one row of values per draw.
+    """
+    return GameParameters(**{name: np.array([getattr(t, name) for t in draws],
+                                            dtype=float)[:, None]
+                             for name in PARAM_NAMES})
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,21 @@ scale with one symmetric local refinement pass around the best grid point.
 The refinement grid and all tie-breaking rules are mirror-symmetric, so
 relabeling the parties and negating biases negates the equilibrium value
 exactly (in floating point) for states without VRA exposure.
+
+All prior draws of one (process, assignment) are solved as one batch:
+:func:`solve_batch` carries the draws as (D, 1) parameter columns through a
+single vectorized backward induction, with grid optima and tie-breaking
+taken per draw, and its result for each draw is bitwise equal to
+:func:`solve` on that draw alone. The table builders sample their draws
+once per call and share them across every row.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import stats
 
 from . import nature
 from .codebook import (Codebook, Drawer, FinalDrawer, PartyControl,
@@ -31,6 +36,8 @@ from .errors import DomainError, NotApplicable
 from .nature import BIAS_MAX, BIAS_MIN, CourtContext, GameParameters, PriorSpec
 
 STALEMATE = "stalemate"
+
+_BUCKETS = ("legislature", "commission", "court")
 
 _PARTISAN = (PartyControl.DEMOCRATS, PartyControl.REPUBLICANS)
 
@@ -132,20 +139,28 @@ class LeewayScores:
     n_draws: int
 
 
-def _argopt(xs: np.ndarray, values: np.ndarray, party: PartyControl) -> int:
-    """Index of the player's best value; ties go to the most favorable bias.
+def _argopt(values: np.ndarray, party: PartyControl) -> np.ndarray:
+    """Per-row index of the player's best value; ties go to the most favorable bias.
 
-    Republicans take the largest bias among exact ties, Democrats the
-    smallest, which keeps tie-breaking mirror-symmetric.
+    ``values`` has one row per draw. Republicans take the largest bias
+    among exact ties, Democrats the smallest, which keeps tie-breaking
+    mirror-symmetric.
     """
     signed = _sign(party) * values
-    best = signed.max()
-    idx = np.nonzero(signed == best)[0]
-    return int(idx[-1] if party is PartyControl.REPUBLICANS else idx[0])
+    ties = signed == signed.max(axis=1, keepdims=True)
+    if party is PartyControl.REPUBLICANS:
+        return ties.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
+    return np.argmax(ties, axis=1)
 
 
 class _TreeEvaluator:
-    """Vectorized continuation values for one (process, assignment, draw)."""
+    """Vectorized continuation values for one (process, assignment) over D draws.
+
+    The fields of ``theta`` are (D, 1) columns, so every bias argument
+    broadcasts against them: the base grid is a (1, G) row, refinement
+    points are (D, n) with one row per draw, and a per-draw bias is a
+    (D, 1) column. Every value comes back with one row per draw.
+    """
 
     def __init__(self, process: StateProcess, assignment: ControlAssignment,
                  theta: GameParameters, grid: OptimizationGrid):
@@ -160,7 +175,8 @@ class _TreeEvaluator:
         self.assignment = assignment
         self.theta = theta
         self.grid = grid
-        self.base = grid.points()
+        self.n_draws = len(theta.chal_poss_conf)
+        self.base = grid.points()[None, :]
         self.ctx = CourtContext(
             court_review=process.court_review,
             court_control=assignment.court,
@@ -185,9 +201,10 @@ class _TreeEvaluator:
         if process.stalemate2 is not Stalemate2.NA:
             self.chain.append((self._link_kind(process.stalemate2), assignment.stalemate2))
 
-        self._resolver_opt: dict[int, tuple[float, float]] = {}
-        self._round2_propose: Union[tuple[float, float], None] = None
-        self.decisions: dict[str, Union[np.ndarray, None]] = {}
+        # Per-draw optima as (D, 1) columns: (proposal, value).
+        self._resolver_opt: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._round2_propose: Union[tuple[np.ndarray, np.ndarray], None] = None
+        self.decisions: dict[str, np.ndarray] = {}
 
     @staticmethod
     def _veto_node(body, na, control, voters):
@@ -218,24 +235,20 @@ class _TreeEvaluator:
         return nature.stalemate_default(anchor, self.assignment.court,
                                         self.assignment.drawer, self.theta)
 
-    def _resolver_optimum(self, k: int, party: PartyControl) -> tuple[float, float]:
+    def _resolver_optimum(self, k: int, party: PartyControl):
         if k not in self._resolver_opt:
-            x, value = self._optimize(lambda y: self.exp_court(y).value, party)
-            self._resolver_opt[k] = (x, value)
+            self._resolver_opt[k] = self._optimize(lambda y: self.exp_court(y).value, party)
         return self._resolver_opt[k]
 
     def stalemate_value(self, anchor, k: int = 0):
         """Expected value of entering the stalemate chain at link k."""
-        anchor = np.asarray(anchor, dtype=float)
         if k >= len(self.chain):
             return self._default_stalemate(anchor)
         kind, control = self.chain[k]
         if kind in ("court", "unclear"):
             return self._default_stalemate(anchor)
         if control in _PARTISAN:
-            _, value = self._resolver_optimum(k, control)
-            return np.broadcast_to(np.float64(value), anchor.shape).copy() \
-                if anchor.ndim else np.float64(value)
+            return self._resolver_optimum(k, control)[1]
         nonpartisan = self.exp_court(
             nature.stalemate_default(anchor, control, self.assignment.drawer, self.theta)
         ).value
@@ -251,42 +264,36 @@ class _TreeEvaluator:
         round 1; the stalemate chain in round 2). Partisan players veto
         only when that strictly improves their side; ties pass.
         """
-        x = np.asarray(x, dtype=float)
         stage = enact_value
         labels = ("veto1", "veto2")
         q_mem = None
         for index in (1, 0):
             mode, control = self.vetoes[index]
-            if mode == "absent" or mode == "split":
-                decision = None
-            elif mode == "partisan":
+            if mode == "partisan":
                 decision = _sign(control) * (veto_value - stage) > 0.0
                 stage = np.where(decision, veto_value, stage)
-            else:
+                if record_round is not None:
+                    self.decisions[f"{record_round}_{labels[index]}"] = decision
+            elif mode == "prob":
                 if q_mem is None:
                     q_mem = nature.pr_veto_nonpartisan(x, self.theta)
-                decision = None
                 stage = q_mem * veto_value + (1.0 - q_mem) * stage
-            if record_round is not None and mode == "partisan":
-                self.decisions[f"{record_round}_{labels[index]}"] = np.asarray(decision)
         return stage
 
     def round2_plan_value(self, y, record=False):
         """Value of a round-2 proposal y before the drawer's choice."""
-        y = np.asarray(y, dtype=float)
         enact = self.exp_court(y).value
         stale = self.stalemate_value(y)
         return self._veto_cascade(y, enact, stale,
                                   record_round="round2" if record else None)
 
-    def _round2_propose_optimum(self, party: PartyControl) -> tuple[float, float]:
+    def _round2_propose_optimum(self, party: PartyControl):
         if self._round2_propose is None:
             self._round2_propose = self._optimize(self.round2_plan_value, party)
         return self._round2_propose
 
     def round2_value(self, x_prev):
         """Value of the round-2 subgame given the vetoed proposal x_prev."""
-        x_prev = np.asarray(x_prev, dtype=float)
         mode = self.assignment.drawer
         if mode in _PARTISAN:
             _, opt = self._round2_propose_optimum(mode)
@@ -309,27 +316,31 @@ class _TreeEvaluator:
 
     def round1_plan_value(self, x, record=False):
         """Value of a round-1 proposal x before the drawer's choice."""
-        x = np.asarray(x, dtype=float)
         enact = self.exp_court(x).value
         return self._veto_cascade(x, enact, self.round2_value(x),
                                   record_round="round1" if record else None)
 
-    def _optimize(self, fn, party: PartyControl) -> tuple[float, float]:
-        """Grid optimum of fn for the given party, with local refinement."""
-        values = np.asarray(fn(self.base))
-        i = _argopt(self.base, values, party)
-        best_x, best_v = float(self.base[i]), float(values[i])
+    def _optimize(self, fn, party: PartyControl) -> tuple[np.ndarray, np.ndarray]:
+        """Per-draw grid optimum of fn for the given party, with local refinement.
+
+        Returns the optimal proposals and values as (D, 1) columns.
+        """
+        rows = np.arange(self.n_draws)
+        values = fn(self.base)
+        i = _argopt(values, party)
+        best_x, best_v = self.base[0, i], values[rows, i]
         if self.grid.refine:
-            fine = self.grid.refine_points(best_x)
-            fine_values = np.asarray(fn(fine))
-            j = _argopt(fine, fine_values, party)
-            best_x, best_v = float(fine[j]), float(fine_values[j])
-        return best_x, best_v
+            fine = self.grid.refine_points(best_x[:, None])
+            fine_values = fn(fine)
+            j = _argopt(fine_values, party)
+            best_x, best_v = fine[rows, j], fine_values[rows, j]
+        return best_x[:, None], best_v[:, None]
 
     # -- top level ------------------------------------------------------------
 
-    def solve(self) -> EquilibriumResult:
+    def solve(self) -> list[EquilibriumResult]:
         mode = self.assignment.drawer
+        zero = np.zeros((self.n_draws, 1))
 
         # Record partisan veto decision rules on the base grid for the
         # threshold diagnostics before optimizing.
@@ -337,92 +348,106 @@ class _TreeEvaluator:
             self.round2_plan_value(self.base, record=True)
             self.round1_plan_value(self.base, record=True)
 
+        # ``action`` is the round-1 proposal, 0.0 where the drawer stalemates.
+        stalemate = np.zeros((self.n_draws, 1), dtype=bool)
         if mode in _PARTISAN:
             x1, propose_value = self._optimize(self.round1_plan_value, mode)
-            stale_value = float(self.stalemate_value(0.0))
-            if _sign(mode) * (stale_value - propose_value) > 0.0:
-                action, value = STALEMATE, stale_value
-            else:
-                action, value = x1, propose_value
+            stale_value = self.stalemate_value(zero)
+            stalemate = _sign(mode) * (stale_value - propose_value) > 0.0
+            value = np.where(stalemate, stale_value, propose_value)
+            action = np.where(stalemate, 0.0, x1)
         elif mode is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
-            value = float(p * self.stalemate_value(0.0)
-                          + (1.0 - p) * self.round1_plan_value(0.0))
-            action = 0.0
+            value = p * self.stalemate_value(zero) + (1.0 - p) * self.round1_plan_value(zero)
+            action = zero
         else:
-            action, value = 0.0, float(self.round1_plan_value(0.0))
+            action, value = zero, self.round1_plan_value(zero)
 
-        return EquilibriumResult(
-            value=value,
-            path_probs=self._path_probs(action),
-            round2_proposal=self._round2_proposal(action),
-            veto_thresholds=self._thresholds(),
-        )
+        values = value[:, 0]
+        probs = self._path_probs(stalemate, action)
+        proposals = self._round2_proposals(action)
+        thresholds = self._thresholds()
+        return [
+            EquilibriumResult(
+                value=float(values[d]),
+                path_probs={b: float(probs[b][d]) for b in _BUCKETS},
+                round2_proposal=proposals[d],
+                veto_thresholds=thresholds[d],
+            )
+            for d in range(self.n_draws)
+        ]
 
-    def _round2_proposal(self, round1_action):
+    def _round2_proposals(self, x_prev) -> list:
         if all(m == "absent" for m, _ in self.vetoes):
-            return None
-        x_prev = 0.0 if round1_action == STALEMATE else float(round1_action)
+            return [None] * self.n_draws
         mode = self.assignment.drawer
         if mode in _PARTISAN:
             x2, opt = self._round2_propose_optimum(mode)
-            stale = float(self.stalemate_value(x_prev))
-            if _sign(mode) * (stale - opt) > 0.0:
-                return STALEMATE
-            return x2
-        return float(nature.round2_nonpartisan_proposal(x_prev, self._veto_parties(),
-                                                        self.theta))
+            stale = self.stalemate_value(x_prev)
+            to_stalemate = _sign(mode) * (stale - opt) > 0.0
+            return [STALEMATE if s else float(x)
+                    for s, x in zip(to_stalemate[:, 0], x2[:, 0])]
+        proposal = nature.round2_nonpartisan_proposal(x_prev, self._veto_parties(), self.theta)
+        return [float(y) for y in proposal[:, 0]]
 
-    def _thresholds(self) -> dict:
-        out = {}
+    def _thresholds(self) -> list[dict]:
+        out = [{} for _ in range(self.n_draws)]
+        mids = (self.base[0, :-1] + self.base[0, 1:]) / 2.0
         for key in ("round1_veto1", "round1_veto2", "round2_veto1", "round2_veto2"):
             decisions = self.decisions.get(key)
             if decisions is None:
-                out[key] = None
+                for row in out:
+                    row[key] = None
                 continue
-            flips = np.nonzero(decisions[:-1] != decisions[1:])[0]
-            if len(flips) == 0:
-                out[key] = None
-            else:
-                i = int(flips[0])
-                out[key] = float((self.base[i] + self.base[i + 1]) / 2.0)
+            flips = decisions[:, :-1] != decisions[:, 1:]
+            first = np.argmax(flips, axis=1)
+            for row, has_flip, i in zip(out, flips.any(axis=1), first):
+                row[key] = float(mids[i]) if has_flip else None
         return out
 
     # -- equilibrium path accounting -------------------------------------------
 
-    def _path_probs(self, round1_action) -> dict:
-        acc = {"legislature": 0.0, "commission": 0.0, "court": 0.0}
+    def _path_probs(self, stalemate, round1_action) -> dict:
+        """Per-draw mass on each final-drawer bucket, as (D,) arrays.
 
-        def enact(x: float, mass: float, bucket: str):
+        One walk over the tree serves every draw: a branch a draw does not
+        take gets zero mass there, and each branch adds to the buckets in
+        the same order as a walk of that draw alone, so adding +0.0 leaves
+        every draw's sums unchanged. Subtrees with no mass are skipped.
+        """
+        theta = self.theta
+        acc = {b: np.zeros((self.n_draws, 1)) for b in _BUCKETS}
+
+        def enact(x, mass, bucket: str):
             r = self.exp_court(x)
             acc[bucket] += mass * r.pr_survive
             acc["court"] += mass * r.pr_redraw
 
-        def stalemate_walk(anchor: float, mass: float, k: int = 0):
-            if k >= len(self.chain):
+        def stalemate_walk(anchor, mass, k: int = 0):
+            if not np.any(mass):
+                return
+            if k >= len(self.chain) or self.chain[k][0] in ("court", "unclear"):
                 acc["court"] += mass
                 return
             kind, control = self.chain[k]
-            if kind in ("court", "unclear"):
-                acc["court"] += mass
-                return
             bucket = "commission" if kind == "commission" else "legislature"
             if control in _PARTISAN:
                 x_opt, _ = self._resolver_optimum(k, control)
                 enact(x_opt, mass, bucket)
                 return
-            proposal = float(nature.stalemate_default(
-                anchor, control, self.assignment.drawer, self.theta))
+            proposal = nature.stalemate_default(anchor, control, self.assignment.drawer, theta)
             if control is PartyControl.SPLIT:
-                p = self.theta.stale_split_prob
+                p = theta.stale_split_prob
                 stalemate_walk(anchor, mass * p, k + 1)
                 enact(proposal, mass * (1.0 - p), bucket)
             else:
                 enact(proposal, mass, bucket)
 
-        def plan_walk(x: float, mass: float, veto_value: float, on_veto):
+        def plan_walk(x, mass, veto_value, on_veto):
             """Pass proposal x through both veto nodes."""
-            enact_value = float(self.exp_court(x).value)
+            if not np.any(mass):
+                return
+            enact_value = self.exp_court(x).value
             # veto2's accept-continuation is enactment; veto1's is the
             # veto2 stage value.
             mode2, control2 = self.vetoes[1]
@@ -431,70 +456,76 @@ class _TreeEvaluator:
             for index, after in ((0, after_veto2), (1, enact_value)):
                 mode, control = self.vetoes[index]
                 if mode == "partisan":
-                    if _sign(control) * (veto_value - after) > 0.0:
-                        on_veto(x, remaining)
-                        return
+                    vetoed = _sign(control) * (veto_value - after) > 0.0
+                    on_veto(x, np.where(vetoed, remaining, 0.0))
+                    remaining = np.where(vetoed, 0.0, remaining)
                 elif mode == "prob":
-                    q = float(nature.pr_veto_nonpartisan(x, self.theta))
+                    q = nature.pr_veto_nonpartisan(x, theta)
                     on_veto(x, remaining * q)
-                    remaining *= (1.0 - q)
+                    remaining = remaining * (1.0 - q)
             enact(x, remaining, self.drawer_bucket)
 
-        def round2_walk(x_prev: float, mass: float):
+        def round2_walk(x_prev, mass):
+            if not np.any(mass):
+                return
             mode = self.assignment.drawer
             if mode in _PARTISAN:
                 x2, opt = self._round2_propose_optimum(mode)
-                stale = float(self.stalemate_value(x_prev))
-                if _sign(mode) * (stale - opt) > 0.0:
-                    stalemate_walk(x_prev, mass)
-                else:
-                    plan_walk(x2, mass, float(self.stalemate_value(x2)),
-                              lambda y, m: stalemate_walk(y, m))
+                to_stalemate = _sign(mode) * (self.stalemate_value(x_prev) - opt) > 0.0
+                stalemate_walk(x_prev, np.where(to_stalemate, mass, 0.0))
+                plan_walk(x2, np.where(to_stalemate, 0.0, mass), self.stalemate_value(x2),
+                          stalemate_walk)
                 return
-            proposal = float(nature.round2_nonpartisan_proposal(
-                x_prev, self._veto_parties(), self.theta))
+            proposal = nature.round2_nonpartisan_proposal(x_prev, self._veto_parties(), theta)
             if mode is PartyControl.SPLIT:
-                p = self.theta.stale_split_prob
+                p = theta.stale_split_prob
                 stalemate_walk(x_prev, mass * p)
-                mass *= (1.0 - p)
-            plan_walk(proposal, mass, float(self.stalemate_value(proposal)),
-                      lambda y, m: stalemate_walk(y, m))
+                mass = mass * (1.0 - p)
+            plan_walk(proposal, mass, self.stalemate_value(proposal), stalemate_walk)
 
-        def round1_plan(x: float, mass: float):
-            plan_walk(x, mass, float(self.round2_value(x)),
-                      lambda y, m: round2_walk(y, m))
-
-        mode = self.assignment.drawer
-        if round1_action == STALEMATE:
-            stalemate_walk(0.0, 1.0)
-        elif mode is PartyControl.SPLIT:
-            p = self.theta.stale_split_prob
-            stalemate_walk(0.0, p)
-            round1_plan(0.0, 1.0 - p)
+        zero = np.zeros((self.n_draws, 1))
+        if self.assignment.drawer is PartyControl.SPLIT:
+            p = theta.stale_split_prob
+            stalemate_walk(zero, p)
+            first_mass = 1.0 - p
         else:
-            round1_plan(float(round1_action), 1.0)
-        return acc
+            stalemate_walk(zero, np.where(stalemate, 1.0, 0.0))
+            first_mass = np.where(stalemate, 0.0, 1.0)
+        plan_walk(round1_action, first_mass, self.round2_value(round1_action), round2_walk)
+        return {b: acc[b][:, 0] for b in _BUCKETS}
 
     def _stage_value(self, mode, control, x, accept, veto):
         if mode in ("absent", "split"):
             return accept
         if mode == "partisan":
-            return veto if _sign(control) * (veto - accept) > 0.0 else accept
-        q = float(nature.pr_veto_nonpartisan(x, self.theta))
+            return np.where(_sign(control) * (veto - accept) > 0.0, veto, accept)
+        q = nature.pr_veto_nonpartisan(x, self.theta)
         return q * veto + (1.0 - q) * accept
+
+
+def solve_batch(process: StateProcess, assignment: ControlAssignment,
+                thetas: GameParameters,
+                grid: OptimizationGrid | None = None) -> list[EquilibriumResult]:
+    """Solve one state's game for a batch of draws in one vectorized pass.
+
+    ``thetas`` holds D draws as (D, 1) columns (see
+    :func:`~leeway.nature.stack_parameters`); the result has one entry per
+    draw, equal to what :func:`solve` gives for that draw alone.
+    """
+    grid = grid or OptimizationGrid()
+    return _TreeEvaluator(process, assignment, thetas, grid).solve()
 
 
 def solve(process: StateProcess, assignment: ControlAssignment,
           theta: GameParameters, grid: OptimizationGrid | None = None) -> EquilibriumResult:
-    """Solve one state's game by backward induction.
+    """Solve one state's game by backward induction for one draw.
 
-    Raises NotApplicable for single-district (drawer=NA) processes and
+    The one-draw case of :func:`solve_batch`. Raises NotApplicable for single-district (drawer=NA) processes and
     DomainError for malformed assignments. A production grid has at least
     81 points (default 161); coarser grids are accepted for verification
     against the brute-force oracle.
     """
-    grid = grid or OptimizationGrid()
-    return _TreeEvaluator(process, assignment, theta, grid).solve()
+    return solve_batch(process, assignment, nature.stack_parameters([theta]), grid)[0]
 
 
 def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
@@ -595,6 +626,31 @@ def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
     return round1(0.0)
 
 
+def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
+    """Draws 0 .. n_draws-1 of the prior as one batch for :func:`solve_batch`."""
+    if n_draws < 1:
+        raise DomainError("n_draws must be at least 1")
+    return nature.stack_parameters([nature.sample_parameters(prior, seed, i)
+                                    for i in range(n_draws)])
+
+
+def mean_value(process: StateProcess, assignment: ControlAssignment,
+               thetas: GameParameters, grid: OptimizationGrid) -> float:
+    """Equilibrium value averaged over a batch of draws."""
+    values = np.array([r.value for r in solve_batch(process, assignment, thetas, grid)])
+    return float(values.mean())
+
+
+def _leeway_scores(process: StateProcess, thetas: GameParameters,
+                   grid: OptimizationGrid) -> LeewayScores:
+    uniform = ControlAssignment.uniform(process, PartyControl.DEMOCRATS)
+    return LeewayScores(
+        realized=mean_value(process, ControlAssignment.realized(process), thetas, grid),
+        maximum=abs(mean_value(process, uniform, thetas, grid)),
+        n_draws=len(thetas.chal_poss_conf),
+    )
+
+
 def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,
            seed: int = 0, grid: OptimizationGrid | None = None) -> LeewayScores:
     """Prior-averaged equilibrium scores for one process.
@@ -604,39 +660,24 @@ def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,
     every partisan node to the Democrats (reported unsigned). Single
     district processes raise NotApplicable.
     """
-    if n_draws < 1:
-        raise DomainError("n_draws must be at least 1")
+    thetas = sample_draws(prior, seed, n_draws)
     if process.drawer is Drawer.NA:
         raise NotApplicable(f"{process.key}: single-district state has no leeway score")
-    grid = grid or OptimizationGrid()
-    realized = ControlAssignment.realized(process)
-    uniform = ControlAssignment.uniform(process, PartyControl.DEMOCRATS)
-    realized_values = np.empty(n_draws)
-    uniform_values = np.empty(n_draws)
-    for i in range(n_draws):
-        theta = nature.sample_parameters(prior, seed, i)
-        realized_values[i] = solve(process, realized, theta, grid).value
-        uniform_values[i] = solve(process, uniform, theta, grid).value
-    return LeewayScores(
-        realized=float(realized_values.mean()),
-        maximum=float(abs(uniform_values.mean())),
-        n_draws=n_draws,
-    )
+    return _leeway_scores(process, thetas, grid or OptimizationGrid())
 
 
 def leeway_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
                  seed: int = 0, grid: OptimizationGrid | None = None,
                  threads: int = 1) -> list[tuple[StateProcess, LeewayScores]]:
-    """Leeway scores for every solvable row, in codebook order."""
-    rows = [r for r in codebook if r.drawer is not Drawer.NA]
+    """Leeway scores for every solvable row, in codebook order.
 
-    def work(row):
-        return row, leeway(row, prior, n_draws, seed, grid)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, rows))
-    return [work(r) for r in rows]
+    All rows share one batch of draws. ``threads`` is accepted and ignored:
+    the draws of a row are solved in one vectorized pass.
+    """
+    grid = grid or OptimizationGrid()
+    thetas = sample_draws(prior, seed, n_draws)
+    return [(row, _leeway_scores(row, thetas, grid))
+            for row in codebook if row.drawer is not Drawer.NA]
 
 
 _ACTUAL_BUCKET = {
@@ -647,8 +688,6 @@ _ACTUAL_BUCKET = {
     FinalDrawer.COURT_D_REMEDY: "court",
     FinalDrawer.COURT_R_REMEDY: "court",
 }
-
-_BUCKETS = ("legislature", "commission", "court")
 
 
 @dataclass(frozen=True)
@@ -680,31 +719,23 @@ def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
     A surviving enacted plan counts toward its proposing institution;
     court redraws, VRA remedies, and court or unclear stalemate
     resolutions count toward the court; commission and legislative
-    stalemate resolvers count toward their institution.
+    stalemate resolvers count toward their institution. ``threads`` is
+    accepted and ignored.
     """
     grid = grid or OptimizationGrid()
     rows = list(codebook)
-
-    def work(row):
+    thetas = sample_draws(prior, seed, n_draws)
+    state_probs = {}
+    for row in rows:
         if row.drawer is Drawer.NA:
             raise NotApplicable(f"{row.key}: cannot build path table over single-district rows")
-        assignment = ControlAssignment.realized(row)
         pooled = {b: 0.0 for b in _BUCKETS}
-        for i in range(n_draws):
-            theta = nature.sample_parameters(prior, seed, i)
-            probs = solve(row, assignment, theta, grid).path_probs
+        for result in solve_batch(row, ControlAssignment.realized(row), thetas, grid):
             for b in _BUCKETS:
-                pooled[b] += probs[b]
-        return row.key, {b: pooled[b] / n_draws for b in _BUCKETS}
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, rows))
-    else:
-        results = [work(r) for r in rows]
-
+                pooled[b] += result.path_probs[b]
+        state_probs[row.key] = {b: pooled[b] / n_draws for b in _BUCKETS}
     return PathTable(
-        state_probs=dict(results),
+        state_probs=state_probs,
         actual={r.key: _ACTUAL_BUCKET[r.final_drawer] for r in rows},
     )
 
@@ -712,20 +743,14 @@ def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
 def equilibrium_matrix(codebook: Codebook, prior: PriorSpec, n_draws: int,
                        seed: int = 0, grid: OptimizationGrid | None = None,
                        threads: int = 1) -> np.ndarray:
-    """Realized equilibrium values, shape (n_draws, n_states)."""
+    """Realized equilibrium values, shape (n_draws, n_states).
+
+    ``threads`` is accepted and ignored.
+    """
     grid = grid or OptimizationGrid()
-    rows = [r for r in codebook if r.drawer is not Drawer.NA]
-
-    def work(row):
-        assignment = ControlAssignment.realized(row)
-        return [solve(row, assignment, nature.sample_parameters(prior, seed, i), grid).value
-                for i in range(n_draws)]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(work, rows))
-    else:
-        columns = [work(r) for r in rows]
+    thetas = sample_draws(prior, seed, n_draws)
+    columns = [[r.value for r in solve_batch(row, ControlAssignment.realized(row), thetas, grid)]
+               for row in codebook if row.drawer is not Drawer.NA]
     return np.array(columns).T
 
 
@@ -735,6 +760,8 @@ def pairwise_spearman_mean(matrix: np.ndarray) -> float:
     Ties are handled by average ranks. Rows with no variation carry no
     ranking information; pairs involving them are skipped.
     """
+    from scipy import stats  # deferred: importing scipy.stats costs about a second
+
     n = matrix.shape[0]
     if n < 2:
         raise DomainError("need at least 2 draws")

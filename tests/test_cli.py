@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +73,19 @@ class TestCodebookCommand:
 
     def test_usage_error_exit_2(self):
         assert main(["codebook"]) == 2
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second to import and only rank stability
+    # needs it, so it is loaded on first use.
+    import leeway
+    src = os.path.dirname(os.path.dirname(leeway.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, leeway.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestDeterminism:

@@ -125,6 +125,16 @@ class TestValidate:
         rules = [v.rule for v in validate(process)]
         assert "court-control-missing" in rules
 
+    def test_court_review_required_when_drawn(self):
+        process = make_process(court_review=CourtReview.NA,
+                               court_control=PartyControl.NA)
+        rules = [v.rule for v in validate(process)]
+        assert rules == ["court-review-missing"]
+        with pytest.raises(InvariantViolation) as err:
+            parse_codebook(serialize_codebook(Codebook((process,))))
+        assert err.value.rule == "court-review-missing"
+        assert err.value.row == ("ZZ", 2020)
+
     def test_single_district_row_valid(self):
         process = make_process(
             drawer=Drawer.NA, drawer_control=PartyControl.NA,

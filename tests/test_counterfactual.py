@@ -196,6 +196,12 @@ class TestPredictNational:
             predict_national([DosePair("ZZ", 1.0, 0.0)], model, model, COVS,
                              Baseline(215.0, 8.0))
 
+    def test_template_name_carried(self):
+        model = slope_only_model([0.3, 0.4])
+        pairs = [DosePair("AA", 1.0, 0.0)]
+        assert predict_national(pairs, model, model, COVS, Baseline(215.0, 8.0),
+                                template="mi").template == "mi"
+
     def test_mismatched_models_rejected(self):
         a = slope_only_model([0.3, 0.4])
         b = slope_only_model([0.3])

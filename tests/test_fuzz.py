@@ -7,13 +7,15 @@ checks the solver's invariants and its agreement with the brute-force
 oracle on every one of them.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer,
-                             PartyControl, StateProcess, Stalemate1, Stalemate2,
-                             Veto1, Veto2, parse_codebook, serialize_codebook,
-                             validate)
+                             InvariantViolation, PartyControl, StateProcess,
+                             Stalemate1, Stalemate2, Veto1, Veto2, parse_codebook,
+                             serialize_codebook, validate)
 from leeway.nature import PriorSpec, sample_parameters
 from leeway.solver import (ControlAssignment, OptimizationGrid, brute_force_solve,
                            solve)
@@ -86,6 +88,19 @@ def test_round_trip_on_generated_codebook(processes):
     book = Codebook(tuple(processes))
     text = serialize_codebook(book)
     assert parse_codebook(text) == book
+
+
+def test_missing_court_review_rejected_at_parse(processes):
+    # A drawn row without court_review cannot be solved, so it must not
+    # validate: the solver would fail on it only mid-run.
+    for process in processes:
+        unsolvable = dataclasses.replace(process, state_id=f"N{process.state_id}",
+                                         court_review=CourtReview.NA)
+        assert [v.rule for v in validate(unsolvable)] == ["court-review-missing"], process
+        with pytest.raises(InvariantViolation) as err:
+            parse_codebook(serialize_codebook(Codebook((process, unsolvable))))
+        assert err.value.rule == "court-review-missing"
+        assert err.value.row == unsolvable.key
 
 
 def test_solver_bounds_and_mass_conservation(processes):

@@ -7,11 +7,12 @@ from leeway.codebook import (CourtReview, Drawer, FinalDrawer, PartyControl,
                              Stalemate1, Stalemate2, Veto1, Veto2,
                              load_fixture_codebook)
 from leeway.errors import DomainError, NotApplicable
-from leeway.nature import GameParameters, PriorSpec, exp_court, CourtContext, sample_parameters
-from leeway.solver import (STALEMATE, ControlAssignment, OptimizationGrid,
+from leeway.nature import (GameParameters, PriorSpec, exp_court, CourtContext,
+                           sample_parameters, stack_parameters)
+from leeway.solver import (STALEMATE, ControlAssignment, OptimizationGrid, _argopt,
                            brute_force_solve, equilibrium_matrix, leeway,
                            leeway_table, pairwise_spearman_mean, path_table, solve,
-                           spearman_stability)
+                           solve_batch, spearman_stability)
 
 from test_codebook import make_process
 
@@ -116,6 +117,38 @@ class TestSolveExamples:
             total = sum(result.path_probs.values())
             assert total == pytest.approx(1.0, abs=1e-9)
             assert all(0.0 <= p <= 1.0 for p in result.path_probs.values())
+
+
+class TestBatch:
+    def test_batch_equals_per_draw_solve_on_fixture(self):
+        thetas = [sample_parameters(PRIOR, 61, i) for i in range(7)]
+        batch = stack_parameters(thetas)
+        for row in FIXTURE:
+            if row.drawer is Drawer.NA:
+                continue
+            for assignment in (realized(row),
+                               ControlAssignment.uniform(row, PartyControl.DEMOCRATS),
+                               ControlAssignment.uniform(row, PartyControl.REPUBLICANS)):
+                results = solve_batch(row, assignment, batch)
+                assert len(results) == len(thetas)
+                for theta, got in zip(thetas, results):
+                    want = solve(row, assignment, theta)
+                    assert got.value == want.value, row.key
+                    assert got.path_probs == want.path_probs, row.key
+                    assert got.round2_proposal == want.round2_proposal, row.key
+                    assert got.veto_thresholds == want.veto_thresholds, row.key
+
+    def test_argopt_breaks_ties_per_row(self):
+        # Row 0 ties at its maximum (indices 1 and 3), row 1 at its
+        # minimum (indices 0 and 2).
+        values = np.array([[0.0, 2.0, 1.0, 2.0, -1.0],
+                           [-3.0, 1.0, -3.0, 0.5, 2.0]])
+        rep = _argopt(values, PartyControl.REPUBLICANS)
+        dem = _argopt(values, PartyControl.DEMOCRATS)
+        assert rep.tolist() == [3, 4]  # last among ties at the maximum
+        assert dem.tolist() == [4, 0]  # first among ties at the minimum
+        assert _argopt(-values, PartyControl.DEMOCRATS).tolist() == [1, 4]
+        assert _argopt(-values, PartyControl.REPUBLICANS).tolist() == [4, 2]
 
 
 class TestBruteForce:
