@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -53,7 +54,32 @@ def _load_prior(path: str | None) -> PriorSpec:
     if path is None:
         return PriorSpec.default()
     with open(path, encoding="utf-8") as fh:
-        return PriorSpec.from_json(fh.read())
+        text = fh.read()
+    try:
+        return PriorSpec.from_json(text)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+
+
+def _read_table(path: str) -> tuple[list[str] | None, list[tuple[int, dict]]]:
+    """The header of a CSV file and its records paired with their file lines.
+
+    Lines starting with '#' are comments and are skipped.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        numbered = [(i, ln) for i, ln in enumerate(fh, 1) if not ln.startswith("#")]
+    reader = csv.DictReader(ln for _, ln in numbered)
+    fields = reader.fieldnames
+    return fields, [(numbered[reader.line_num - 1][0], r) for r in reader]
+
+
+def _cell(path: str, line: int, record: dict, key: str, kind=float):
+    """Convert one CSV cell, or raise DomainError naming its file and line."""
+    try:
+        return kind(record[key])
+    except (TypeError, ValueError):
+        raise DomainError(f"{path}, line {line}: {key}={record[key]!r} is not "
+                          f"a valid {kind.__name__}") from None
 
 
 def _grid(args) -> OptimizationGrid:
@@ -169,20 +195,19 @@ def _cmd_paths(args) -> int:
 def _read_plans(path: str) -> list[tuple[tuple[str, int], metrics.PlanProfile]]:
     groups: dict[tuple[str, int], list[tuple[float, float | None]]] = {}
     order: list[tuple[str, int]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(io.StringIO("".join(lines)))
+    fields, records = _read_table(path)
     expected = {"state", "cycle", "district", "rep_share"}
-    if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-        raise DomainError(f"plan file must have columns {sorted(expected)}")
-    has_turnout = "turnout" in reader.fieldnames
-    for record in reader:
-        key = (record["state"], int(record["cycle"]))
+    if fields is None or not expected.issubset(fields):
+        raise DomainError(f"{path}: plan file must have columns {sorted(expected)}")
+    has_turnout = "turnout" in fields
+    for line, record in records:
+        key = (record["state"], _cell(path, line, record, "cycle", int))
         if key not in groups:
             groups[key] = []
             order.append(key)
-        turnout = float(record["turnout"]) if has_turnout and record["turnout"] else None
-        groups[key].append((float(record["rep_share"]), turnout))
+        turnout = (_cell(path, line, record, "turnout")
+                   if has_turnout and record["turnout"] else None)
+        groups[key].append((_cell(path, line, record, "rep_share"), turnout))
     plans = []
     for key in order:
         shares = tuple(s for s, _ in groups[key])
@@ -194,11 +219,14 @@ def _read_plans(path: str) -> list[tuple[tuple[str, int], metrics.PlanProfile]]:
 
 def _read_ensemble(path: str) -> dict:
     table = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    for record in csv.DictReader(io.StringIO("".join(lines))):
-        key = (record["state"], int(record["cycle"]), record["metric"])
-        table[key] = metrics.EnsembleSummary(float(record["mean"]), float(record["sd"]))
+    fields, records = _read_table(path)
+    expected = {"state", "cycle", "metric", "mean", "sd"}
+    if fields is None or not expected.issubset(fields):
+        raise DomainError(f"{path}: ensemble file must have columns {sorted(expected)}")
+    for line, record in records:
+        key = (record["state"], _cell(path, line, record, "cycle", int), record["metric"])
+        table[key] = metrics.EnsembleSummary(_cell(path, line, record, "mean"),
+                                             _cell(path, line, record, "sd"))
     return table
 
 
@@ -246,51 +274,71 @@ _DID_COLUMNS = ("state", "dY0", "dY1", "d0", "d1", "dem08", "south", "log_seats"
 
 
 def read_did_rows(path: str) -> list[DidRow]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(io.StringIO("".join(lines)))
-    if reader.fieldnames is None or tuple(reader.fieldnames) != _DID_COLUMNS:
-        raise DomainError(f"did input must have columns {','.join(_DID_COLUMNS)}")
-    rows = []
-    for r in reader:
-        rows.append(DidRow(
-            state_id=r["state"], dy0=float(r["dY0"]), dy1=float(r["dY1"]),
-            d0=float(r["d0"]), d1=float(r["d1"]), dem08=float(r["dem08"]),
-            south=float(r["south"]), log_seats=float(r["log_seats"]),
-            delta_seats=float(r["delta_seats"]), log_corrupt=float(r["log_corrupt"]),
-            initiative=float(r["initiative"]),
-        ))
-    return rows
+    fields, records = _read_table(path)
+    if fields is None or tuple(fields) != _DID_COLUMNS:
+        raise DomainError(f"{path}: did input must have columns {','.join(_DID_COLUMNS)}")
+    return [DidRow(r["state"], *(_cell(path, line, r, c) for c in _DID_COLUMNS[1:]))
+            for line, r in records]
+
+
+# Rows per write in save_draws_csv: large enough to amortize the write
+# call, small enough that the file never sits in memory as one string.
+_WRITE_CHUNK_ROWS = 2000
 
 
 def save_draws_csv(draws: PosteriorDraws, path: str, header: str = ""):
-    out = io.StringIO()
-    if header:
-        out.write(header)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["chain", "draw", *draws.column_names, "sigma"])
+    """Write draws chain-major, one row per draw, floats as ``repr``."""
     chains, n, _ = draws.coefficients.shape
-    for c in range(chains):
-        for t in range(n):
-            writer.writerow([c, t, *(_fmt(v) for v in draws.coefficients[c, t]),
-                             _fmt(draws.sigma[c, t])])
-    _write_text(path, out.getvalue())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header)
+        fh.write(",".join(["chain", "draw", *draws.column_names, "sigma"]) + "\n")
+        for c in range(chains):
+            rows = np.column_stack([draws.coefficients[c], draws.sigma[c]]).tolist()
+            for start in range(0, n, _WRITE_CHUNK_ROWS):
+                fh.write("".join(
+                    f"{c},{t},{','.join(map(repr, row))}\n"
+                    for t, row in enumerate(rows[start:start + _WRITE_CHUNK_ROWS], start)))
 
 
 def load_draws_csv(path: str) -> PosteriorDraws:
-    """Rebuild PosteriorDraws from a saved draw file (diagnostics recomputed)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("".join(lines)))
-    header = next(reader)
+    """Rebuild PosteriorDraws from a saved draw file (diagnostics recomputed).
+
+    Rows may come in any order; each chain keeps its rows in file order.
+    Raises DomainError naming the file for a malformed header, a bad row,
+    a bad chain id, chains of unequal length or fewer than 4 draws per chain.
+    """
     expected = ["chain", "draw", *inference.COLUMN_NAMES, "sigma"]
-    if header != expected:
-        raise DomainError("draws file does not match the model's column layout")
-    by_chain: dict[int, list[list[float]]] = {}
-    for cells in reader:
-        by_chain.setdefault(int(cells[0]), []).append([float(v) for v in cells[2:]])
-    chain_ids = sorted(by_chain)
-    data = np.array([by_chain[c] for c in chain_ids])
+    with open(path, encoding="utf-8", newline="") as fh:
+        line = fh.readline()
+        while line.startswith("#"):
+            line = fh.readline()
+        if next(csv.reader([line]), None) != expected:
+            raise DomainError(f"{path}: draws file does not match the model's column layout")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        except ValueError:
+            raise DomainError(f"{path}: {_bad_draw_row(path, len(expected))}") from None
+    if data.size == 0:
+        raise DomainError(f"{path}: draws file has a header but no draw rows")
+    if data.shape[1] != len(expected):
+        raise DomainError(f"{path}: draw rows have {data.shape[1]} cells, "
+                          f"expected {len(expected)}")
+    chain = data[:, 0]
+    bad = ~(np.isfinite(chain) & (chain >= 0) & (chain == np.floor(chain)))
+    if bad.any():
+        raise DomainError(f"{path}: chain id {chain[bad][0]!r} is not a "
+                          "non-negative integer")
+    ids, counts = np.unique(chain, return_counts=True)
+    if np.any(counts != counts[0]):
+        lengths = ", ".join(f"chain {int(i)}: {k}" for i, k in zip(ids, counts))
+        raise DomainError(f"{path}: chains have unequal lengths ({lengths} draws)")
+    if counts[0] < 4:
+        raise DomainError(f"{path}: {counts[0]} draws per chain; split R-hat "
+                          "needs at least 4")
+    order = np.argsort(chain, kind="stable")
+    data = data[order, 2:].reshape(len(ids), counts[0], len(expected) - 2)
     coefficients = data[:, :, :-1]
     sigma = data[:, :, -1]
     rhat, ess = {}, {}
@@ -301,6 +349,25 @@ def load_draws_csv(path: str) -> PosteriorDraws:
                                         accept_coefficients=(), accept_sigma=())
     return PosteriorDraws(coefficients=coefficients, sigma=sigma,
                           column_names=inference.COLUMN_NAMES, diagnostics=diagnostics)
+
+
+def _bad_draw_row(path: str, width: int) -> str:
+    """Name the first draw row that numpy could not parse, by file line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = [(i, ln.split("#")[0].strip()) for i, ln in enumerate(fh, 1)
+                 if not ln.startswith("#")]
+    for lineno, text in lines[1:]:
+        if not text:
+            continue
+        cells = text.split(",")
+        if len(cells) != width:
+            return f"line {lineno}: {len(cells)} cells, expected {width}"
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                return f"line {lineno}: cell {cell!r} is not a number"
+    return "draw rows could not be parsed"
 
 
 def _cmd_did(args) -> int:
@@ -334,19 +401,29 @@ def _cmd_did(args) -> int:
 def _read_covariates(path: str) -> dict:
     expected = ("state", "dem08", "south", "log_seats", "delta_seats",
                 "log_corrupt", "initiative", "n_districts")
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(io.StringIO("".join(lines)))
-    if reader.fieldnames is None or tuple(reader.fieldnames) != expected:
-        raise DomainError(f"covariates file must have columns {','.join(expected)}")
-    table = {}
-    for r in reader:
-        table[r["state"]] = cf.StateCovariates(
-            dem08=float(r["dem08"]), south=float(r["south"]),
-            log_seats=float(r["log_seats"]), delta_seats=float(r["delta_seats"]),
-            log_corrupt=float(r["log_corrupt"]), initiative=float(r["initiative"]),
-            n_districts=int(r["n_districts"]))
-    return table
+    fields, records = _read_table(path)
+    if fields is None or tuple(fields) != expected:
+        raise DomainError(f"{path}: covariates file must have columns {','.join(expected)}")
+    return {r["state"]: cf.StateCovariates(
+                *(_cell(path, line, r, c) for c in expected[1:-1]),
+                n_districts=_cell(path, line, r, "n_districts", int))
+            for line, r in records}
+
+
+def _read_baseline(path: str) -> cf.Baseline:
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        raw = json.loads(text)
+        return cf.Baseline(dem_seats=float(raw["dem_seats"]),
+                           slope_seats_per_pp=float(raw["slope_seats_per_pp"]))
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{path}: not valid JSON ({exc})") from None
+    except KeyError as exc:
+        raise DomainError(f"{path}: baseline is missing key {exc}") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{path}: baseline must be an object with numeric "
+                          "dem_seats and slope_seats_per_pp") from None
 
 
 def _cmd_counterfactual(args) -> int:
@@ -361,10 +438,7 @@ def _cmd_counterfactual(args) -> int:
             raise ConvergenceError(f"{label} model draws fail convergence thresholds",
                                    model.diagnostics)
     covariates = _read_covariates(args.covariates)
-    with open(args.baseline, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    baseline = cf.Baseline(dem_seats=float(raw["dem_seats"]),
-                           slope_seats_per_pp=float(raw["slope_seats_per_pp"]))
+    baseline = _read_baseline(args.baseline)
 
     pairs = cf.counterfactual_doses(book, template, prior, n_draws=args.draws,
                                     seed=args.seed, grid=_grid(args))
@@ -491,7 +565,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CodebookError, DomainError, NotApplicable, cf.TemplateError,
-            ConvergenceError, OSError, KeyError, ValueError) as exc:
+            ConvergenceError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

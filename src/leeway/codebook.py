@@ -328,6 +328,9 @@ def _read_records(source) -> list[dict[str, str]]:
     for cells in reader:
         if not cells:
             continue
+        if len(cells) != len(COLUMNS):
+            raise CodebookError(f"row {tuple(cells[:2])!r}: {len(cells)} cells, "
+                                f"expected {len(COLUMNS)}")
         records.append(dict(zip(COLUMNS, cells)))
     return records
 

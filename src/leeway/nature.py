@@ -146,6 +146,34 @@ _DEFAULT_PRIORS: dict[str, Dist] = {
 }
 
 
+# Support of each prior kind, narrowest first; the supports are nested, so
+# a kind fits a parameter iff it comes no later than the parameter's
+# default kind.
+_SUPPORTS = {"beta": "[0, 1]", "folded_normal": "[0, inf)", "normal": "the real line"}
+
+
+def _checked_override(name: str, spec) -> Dist:
+    if not isinstance(spec, dict) or "dist" not in spec or "params" not in spec:
+        raise DomainError(f"{name}: override must be {{\"dist\": ..., \"params\": [a, b]}}")
+    kind, params = spec["dist"], spec["params"]
+    if not isinstance(kind, str) or kind not in _SUPPORTS:
+        raise DomainError(f"{name}: unknown distribution kind {kind!r}")
+    if (not isinstance(params, list) or len(params) != 2
+            or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
+                       and math.isfinite(p) for p in params)):
+        raise DomainError(f"{name}: params must be two finite numbers, got {params!r}")
+    a, b = float(params[0]), float(params[1])
+    if kind == "beta" and not (a > 0.0 and b > 0.0):
+        raise DomainError(f"{name}: beta shape parameters must be positive, got {params!r}")
+    if kind != "beta" and not b > 0.0:
+        raise DomainError(f"{name}: {kind} scale must be positive, got {b!r}")
+    default = _DEFAULT_PRIORS[name].kind
+    if list(_SUPPORTS).index(kind) > list(_SUPPORTS).index(default):
+        raise DomainError(f"{name}: a {kind} prior has support {_SUPPORTS[kind]}, "
+                          f"outside the parameter's {_SUPPORTS[default]}")
+    return Dist(kind, a, b)
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """The joint prior over GameParameters, one Dist per parameter.
@@ -162,15 +190,26 @@ class PriorSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "PriorSpec":
-        return cls.default().with_overrides(json.loads(text))
+        try:
+            overrides = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"prior overrides are not valid JSON ({exc})") from None
+        if not isinstance(overrides, dict):
+            raise DomainError("prior overrides must be a JSON object")
+        return cls.default().with_overrides(overrides)
 
     def with_overrides(self, overrides: dict) -> "PriorSpec":
+        """Replace the priors of the named parameters.
+
+        Each override is checked here rather than at the first draw that
+        goes out of range: the kind must be known, its shape or scale
+        parameters positive, and its support inside the parameter's.
+        """
         table = dict(self.dists)
         for name, spec in overrides.items():
             if name not in table:
                 raise DomainError(f"unknown parameter {name!r}")
-            a, b = spec["params"]
-            table[name] = Dist(spec["dist"], float(a), float(b))
+            table[name] = _checked_override(name, spec)
         return PriorSpec(tuple((name, table[name]) for name in PARAM_NAMES))
 
     def __getitem__(self, name: str) -> Dist:

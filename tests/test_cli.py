@@ -8,9 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from leeway.cli import main
+from leeway import cli
+from leeway.cli import load_draws_csv, main, save_draws_csv
 from leeway.codebook import Codebook, load_fixture_codebook, serialize_codebook
-from leeway.inference import design_row
+from leeway.errors import DomainError
+from leeway.inference import (COLUMN_NAMES, Diagnostics, PosteriorDraws, _rhat_ess,
+                              design_row)
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +292,219 @@ class TestCounterfactualCommand:
                      "--baseline", base, "--draws", "3", "--seed", "3",
                      "--output", str(tmp_path / "o.json")]) == 1
         assert "missing covariates" in capsys.readouterr().err
+
+
+def random_draws(chains, n, seed=0, decades=5):
+    """Draws with full-precision floats spread over +-``decades`` powers of ten."""
+    rng = np.random.default_rng(seed)
+    coefficients = rng.normal(size=(chains, n, len(COLUMN_NAMES)))
+    coefficients *= 10.0 ** rng.integers(-decades, decades, size=coefficients.shape)
+    coefficients[0, 0, :3] = (-0.0, 5e-324, 0.1)
+    sigma = rng.gamma(2.0, size=(chains, n))
+    return PosteriorDraws(coefficients=coefficients, sigma=sigma, column_names=COLUMN_NAMES,
+                          diagnostics=Diagnostics({}, {}, (), ()))
+
+
+def reference_draw_file(draws, header):
+    """The draw file format, written one cell at a time."""
+    lines = [header, ",".join(["chain", "draw", *draws.column_names, "sigma"]) + "\n"]
+    chains, n, _ = draws.coefficients.shape
+    for c in range(chains):
+        for t in range(n):
+            cells = [str(c), str(t), *(repr(float(v)) for v in draws.coefficients[c, t]),
+                     repr(float(draws.sigma[c, t]))]
+            lines.append(",".join(cells) + "\n")
+    return "".join(lines).encode()
+
+
+def draw_file_lines(path):
+    text = path.read_text()
+    body = [ln for ln in text.splitlines(keepends=True) if not ln.startswith("#")]
+    return body[0], body[1:]
+
+
+class TestDrawFiles:
+    def test_round_trip_is_bitwise(self, tmp_path):
+        draws = random_draws(3, 40)
+        path = tmp_path / "d.csv"
+        save_draws_csv(draws, str(path), "# header\n")
+        loaded = load_draws_csv(str(path))
+        assert loaded.coefficients.tobytes() == draws.coefficients.tobytes()
+        assert loaded.sigma.tobytes() == draws.sigma.tobytes()
+        assert loaded.column_names == COLUMN_NAMES
+        for j, name in enumerate(COLUMN_NAMES):
+            rhat, ess = _rhat_ess(draws.coefficients[:, :, j])
+            assert (loaded.diagnostics.rhat[name], loaded.diagnostics.ess[name]) == (rhat, ess)
+        assert (loaded.diagnostics.rhat["sigma"],
+                loaded.diagnostics.ess["sigma"]) == _rhat_ess(draws.sigma)
+
+    def test_bytes_match_reference_writer(self, tmp_path):
+        # more rows per chain than one write chunk, so chunk seams are covered
+        draws = random_draws(2, 2003, seed=1, decades=300)
+        path = tmp_path / "d.csv"
+        header = "# leeway v0 seed=1 config=abc\n"
+        save_draws_csv(draws, str(path), header)
+        assert read(path) == reference_draw_file(draws, header)
+
+    def test_interleaved_chains_load_like_sorted(self, tmp_path):
+        draws = random_draws(3, 30, seed=2)
+        path = tmp_path / "d.csv"
+        save_draws_csv(draws, str(path), "# header\n")
+        header, rows = draw_file_lines(path)
+        # round-robin over chains, highest chain first, keeping each chain's order
+        by_chain = [rows[c * 30:(c + 1) * 30] for c in (2, 1, 0)]
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text("# header\n" + header + "".join(
+            line for t in range(30) for line in (*(chain[t] for chain in by_chain),
+                                                  "# a comment line\n")))
+        a, b = load_draws_csv(str(path)), load_draws_csv(str(mixed))
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        assert a.sigma.tobytes() == b.sigma.tobytes()
+        assert a.diagnostics == b.diagnostics
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "d.csv"
+        save_draws_csv(random_draws(2, 6, seed=3), str(path), "# header\n")
+        return path
+
+    def rewrite(self, path, edit):
+        header, rows = draw_file_lines(path)
+        path.write_text("# header\n" + header + "".join(edit(rows)))
+
+    def assert_rejected(self, path, message):
+        with pytest.raises(DomainError, match=message) as err:
+            load_draws_csv(str(path))
+        assert str(path) in str(err.value)
+
+    def test_unequal_chains_rejected(self, saved):
+        self.rewrite(saved, lambda rows: rows[:-1])
+        self.assert_rejected(saved, r"unequal lengths \(chain 0: 6, chain 1: 5 draws\)")
+
+    def test_header_without_rows_rejected(self, saved):
+        self.rewrite(saved, lambda rows: [])
+        self.assert_rejected(saved, "no draw rows")
+
+    def test_too_few_draws_per_chain_rejected(self, saved):
+        # split R-hat halves each chain, and a half needs two draws
+        self.rewrite(saved, lambda rows: rows[:3] + rows[6:9])
+        self.assert_rejected(saved, "3 draws per chain")
+
+    @pytest.mark.parametrize("chain", ["0.5", "-1", "nan"])
+    def test_bad_chain_id_rejected(self, saved, chain):
+        self.rewrite(saved, lambda rows: [chain + rows[0][1:], *rows[1:]])
+        self.assert_rejected(saved, "is not a non-negative integer")
+
+    def test_short_row_rejected(self, saved):
+        self.rewrite(saved, lambda rows: [*rows[:3], rows[3].rsplit(",", 1)[0] + "\n",
+                                          *rows[4:]])
+        self.assert_rejected(saved, "line 6: 18 cells, expected 19")
+
+    def test_every_row_short_rejected(self, saved):
+        self.rewrite(saved, lambda rows: [r.rsplit(",", 1)[0] + "\n" for r in rows])
+        self.assert_rejected(saved, "18 cells, expected 19")
+
+    def test_unparseable_cell_rejected(self, saved):
+        self.rewrite(saved, lambda rows: [*rows[:4], "0,x," + rows[4].split(",", 2)[2],
+                                          *rows[5:]])
+        self.assert_rejected(saved, "line 7: cell 'x' is not a number")
+
+    def test_wrong_header_rejected(self, saved):
+        saved.write_text(saved.read_text().replace(",sigma\n", ",scale\n"))
+        self.assert_rejected(saved, "column layout")
+
+    def test_bad_draw_file_exits_1(self, small_codebook, inputs, saved, tmp_path, capsys):
+        self.rewrite(saved, lambda rows: rows[:-1])
+        cov, base = inputs
+        assert main(["counterfactual", "--template", "mi",
+                     "--codebook", small_codebook, "--seat-model", str(saved),
+                     "--resp-model", str(saved), "--covariates", cov,
+                     "--baseline", base, "--draws", "2", "--seed", "3",
+                     "--output", str(tmp_path / "o.json")]) == 1
+        assert "unequal lengths" in capsys.readouterr().err
+
+
+class TestDataErrorsExit1:
+    """Bad input exits 1 with its file and line named; a bug is not a data error."""
+
+    def test_internal_key_error_propagates(self, small_codebook, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+        monkeypatch.setattr(cli.solver, "leeway_table", broken)
+        with pytest.raises(KeyError):
+            main(["leeway", "--codebook", small_codebook, "--draws", "2",
+                  "--output", str(tmp_path / "l.csv")])
+
+    def test_plan_cell(self, tmp_path, capsys):
+        plans = tmp_path / "plans.csv"
+        plans.write_text("# comment\nstate,cycle,district,rep_share\n"
+                         "NH,2020,1,0.5\nNH,2020,2,half\n")
+        assert main(["metrics", "--plans", str(plans),
+                     "--output", str(tmp_path / "m.csv")]) == 1
+        assert f"{plans}, line 4: rep_share='half'" in capsys.readouterr().err
+
+    def test_plan_cycle(self, tmp_path, capsys):
+        plans = tmp_path / "plans.csv"
+        plans.write_text("state,cycle,district,rep_share\nNH,2020.5,1,0.5\n")
+        assert main(["metrics", "--plans", str(plans),
+                     "--output", str(tmp_path / "m.csv")]) == 1
+        assert "line 2: cycle='2020.5' is not a valid int" in capsys.readouterr().err
+
+    def test_ensemble_cell_and_columns(self, tmp_path, capsys):
+        plans = tmp_path / "plans.csv"
+        plans.write_text("state,cycle,district,rep_share\nNH,2020,1,0.5\n")
+        ensemble = tmp_path / "ens.csv"
+        for text, message in (
+                ("state,cycle,metric,mean,sd\nNH,2020,competitive_share,0.2\n",
+                 "line 2: sd=None"),
+                ("state,cycle,metric,mean\n", "ensemble file must have columns")):
+            ensemble.write_text(text)
+            assert main(["metrics", "--plans", str(plans), "--ensemble", str(ensemble),
+                         "--output", str(tmp_path / "m.csv")]) == 1
+            assert message in capsys.readouterr().err
+
+    def test_did_cell(self, did_input, tmp_path, capsys):
+        lines = open(did_input).read().splitlines(keepends=True)
+        lines[3] = lines[3].replace(",", ",?", 1)
+        bad = tmp_path / "did.csv"
+        bad.write_text("".join(lines))
+        assert main(["did", "--input", str(bad), "--output-draws", str(tmp_path / "d.csv"),
+                     "--output-diagnostics", str(tmp_path / "d.json")]) == 1
+        assert f"{bad}, line 4: dY0='?" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("covariates,baseline,message", [
+        ("AL,0.39,1,1.95,0,1.2,0,seven\n", None, "line 2: n_districts='seven'"),
+        (None, '{"dem_seats": 213.5}', "baseline is missing key 'slope_seats_per_pp'"),
+        (None, '{"dem_seats": 213.5,', "not valid JSON"),
+        (None, '[213.5, 7.8]', "numeric dem_seats"),
+        (None, '{"dem_seats": "many", "slope_seats_per_pp": 7.8}', "numeric dem_seats"),
+    ])
+    def test_counterfactual_inputs(self, small_codebook, fitted_model, inputs, tmp_path,
+                                   capsys, covariates, baseline, message):
+        cov, base = inputs
+        if covariates is not None:
+            cov = tmp_path / "cov.csv"
+            cov.write_text("state,dem08,south,log_seats,delta_seats,log_corrupt,"
+                           "initiative,n_districts\n" + covariates)
+        if baseline is not None:
+            base = tmp_path / "base.json"
+            base.write_text(baseline)
+        assert main(["counterfactual", "--template", "mi",
+                     "--codebook", small_codebook, "--seat-model", fitted_model,
+                     "--resp-model", fitted_model, "--covariates", str(cov),
+                     "--baseline", str(base), "--draws", "2", "--seed", "3",
+                     "--output", str(tmp_path / "o.json")]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"stale_slope": {"dist": "normal", "params": [0.1, 0.05]}}', "support"),
+        ('{"stale_slope": {"dist": "beta"}}', "override must be"),
+        ('{"stale_slope": ', "not valid JSON"),
+    ])
+    def test_prior_file(self, small_codebook, tmp_path, capsys, text, message):
+        priors = tmp_path / "priors.json"
+        priors.write_text(text)
+        assert main(["leeway", "--codebook", small_codebook, "--draws", "2",
+                     "--priors", str(priors), "--output", str(tmp_path / "l.csv")]) == 1
+        err = capsys.readouterr().err
+        assert str(priors) in err and message in err

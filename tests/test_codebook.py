@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from leeway.codebook import (Codebook, CourtReview, Drawer, DuplicateKey,
+from leeway.codebook import (Codebook, CodebookError, CourtReview, Drawer, DuplicateKey,
                              FinalDrawer, InvariantViolation, PartyControl,
                              StateProcess, Stalemate1, Stalemate2,
                              UnknownColumn, UnknownEnumLiteral, Veto1, Veto2,
@@ -84,6 +84,11 @@ class TestParse:
     def test_comment_lines_skipped(self):
         text = f"# leeway v0 seed=1 config=x\n{HEADER}\n{AL_ROW}\n"
         assert len(parse_codebook(text)) == 1
+
+    @pytest.mark.parametrize("row", [AL_ROW.rsplit(",", 1)[0], AL_ROW + ",no"])
+    def test_row_with_wrong_cell_count(self, row):
+        with pytest.raises(CodebookError, match=r"row \('AL', '2020'\): 1[57] cells, expected 16"):
+            parse_codebook(f"{HEADER}\n{row}\n")
 
 
 class TestValidate:

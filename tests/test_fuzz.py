@@ -4,7 +4,9 @@ A seeded generator builds structurally valid state processes covering
 branch combinations the bundled fixture does not reach (voter vetoes on
 commissions, staff resolvers, split-on-split chains, and so on), then
 checks the solver's invariants and its agreement with the brute-force
-oracle on every one of them.
+oracle on every one of them. A second generator draws every cell from all
+of its literals, NA included, to check that whatever ``validate`` accepts
+the solver can solve.
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer,
                              serialize_codebook, validate)
 from leeway.nature import PriorSpec, sample_parameters
 from leeway.solver import (ControlAssignment, OptimizationGrid, brute_force_solve,
-                           solve)
+                           sample_draws, solve, solve_batch)
 
 PRIOR = PriorSpec.default()
 COARSE = OptimizationGrid(step=2.0, refine=False)
@@ -73,6 +75,23 @@ def random_process(rng: np.random.Generator, index: int) -> StateProcess:
     )
 
 
+def unconstrained_process(rng: np.random.Generator, index: int) -> StateProcess:
+    def pick(enum_cls):
+        members = tuple(enum_cls)
+        return members[rng.integers(len(members))]
+
+    return StateProcess(
+        state_id=f"U{index:04d}", cycle=2020,
+        drawer=pick(Drawer), drawer_control=pick(PartyControl),
+        veto1=pick(Veto1), veto1_control=pick(PartyControl),
+        veto2=pick(Veto2), veto2_control=pick(PartyControl),
+        court_review=pick(CourtReview), court_control=pick(PartyControl),
+        stalemate1=pick(Stalemate1), stalemate1_control=pick(PartyControl),
+        stalemate2=pick(Stalemate2), stalemate2_control=pick(PartyControl),
+        final_drawer=pick(FinalDrawer), preclearance=bool(rng.integers(2)),
+    )
+
+
 @pytest.fixture(scope="module")
 def processes():
     rng = np.random.default_rng(777)
@@ -101,6 +120,21 @@ def test_missing_court_review_rejected_at_parse(processes):
             parse_codebook(serialize_codebook(Codebook((process, unsolvable))))
         assert err.value.rule == "court-review-missing"
         assert err.value.row == unsolvable.key
+
+
+def test_every_row_that_validates_solves(processes):
+    rng = np.random.default_rng(782)
+    candidates = [*processes, *(unconstrained_process(rng, i) for i in range(2000))]
+    # Single-district rows (drawer=NA) validate but have no game by design.
+    accepted = [p for p in candidates if validate(p) == [] and p.drawer is not Drawer.NA]
+    assert len(accepted) >= len(processes) + 100  # the loose generator reaches valid rows
+    thetas = sample_draws(PRIOR, 782, 3)
+    for process in accepted:
+        for assignment in (ControlAssignment.realized(process),
+                           ControlAssignment.uniform(process, PartyControl.DEMOCRATS),
+                           ControlAssignment.uniform(process, PartyControl.REPUBLICANS)):
+            values = [r.value for r in solve_batch(process, assignment, thetas)]
+            assert len(values) == 3 and all(-4.0 <= v <= 4.0 for v in values), process
 
 
 def test_solver_bounds_and_mass_conservation(processes):

@@ -72,6 +72,43 @@ class TestSampling:
     def test_prior_has_19_entries(self):
         assert len(PRIOR.dists) == 19
 
+    def test_override_kinds_within_support_accepted(self):
+        spec = PRIOR.with_overrides({
+            "out_nonp_bias2": {"dist": "beta", "params": [2, 5]},
+            "veto_nonp_shift": {"dist": "folded_normal", "params": [0, 1.5]},
+            "vra_out_breakeven": {"dist": "normal", "params": [-1, 2]},
+        })
+        assert spec["out_nonp_bias2"] == ("beta", 2.0, 5.0)
+        assert spec["veto_nonp_shift"].kind == "folded_normal"
+
+    @pytest.mark.parametrize("name,spec,message", [
+        ("stale_slope", {"dist": "gamma", "params": [1, 1]}, "unknown distribution kind"),
+        ("stale_slope", {"dist": ["beta"], "params": [1, 1]}, "unknown distribution kind"),
+        ("stale_slope", {"dist": "beta", "params": [0, 1]}, "shape parameters must be positive"),
+        ("stale_slope", {"dist": "beta", "params": [2, -1]}, "shape parameters must be positive"),
+        ("veto_nonp_shift", {"dist": "normal", "params": [0.5, 0]}, "scale must be positive"),
+        ("out_nonp_bias2", {"dist": "folded_normal", "params": [0, -0.5]},
+         "scale must be positive"),
+        ("stale_slope", {"dist": "normal", "params": [0.1, 0.05]}, "outside the parameter's"),
+        ("chal_poss_conf", {"dist": "folded_normal", "params": [0, 0.1]},
+         "outside the parameter's"),
+        ("out_nonp_bias2", {"dist": "normal", "params": [0, 0.5]}, "outside the parameter's"),
+        ("stale_slope", {"dist": "beta", "params": [1]}, "two finite numbers"),
+        ("stale_slope", {"dist": "beta", "params": [1, "2"]}, "two finite numbers"),
+        ("stale_slope", {"dist": "beta", "params": [1, float("nan")]}, "two finite numbers"),
+        ("stale_slope", {"params": [1, 1]}, "override must be"),
+        ("stale_slope", [1, 1], "override must be"),
+    ])
+    def test_bad_override_rejected_at_load(self, name, spec, message):
+        with pytest.raises(DomainError, match=message):
+            PRIOR.with_overrides({name: spec})
+
+    def test_from_json_rejects_malformed_text(self):
+        with pytest.raises(DomainError, match="not valid JSON"):
+            PriorSpec.from_json('{"stale_slope": ')
+        with pytest.raises(DomainError, match="JSON object"):
+            PriorSpec.from_json("[]")
+
 
 class TestChallengePossible:
     def test_yes(self):
