@@ -42,7 +42,7 @@ print()
 # ---------------------------------------------------------------------------
 print("Leeway scores over 100 prior draws")
 print(f"  {'state':<6} {'cycle':<6} {'realized':>9} {'maximum':>9}")
-rows = leeway_table(codebook, prior, n_draws=100, seed=0, threads=4)
+rows = leeway_table(codebook, prior, n_draws=100, seed=0)
 for process, scores in rows:
     print(f"  {process.state_id:<6} {process.cycle:<6} "
           f"{scores.realized:>+9.3f} {scores.maximum:>9.3f}")
@@ -61,5 +61,5 @@ print()
 # 3. The scores barely depend on the exact parameter draw: state rankings
 #    are nearly identical across draws from the prior.
 # ---------------------------------------------------------------------------
-rho = spearman_stability(codebook, prior, n_draws=50, seed=0, threads=4)
+rho = spearman_stability(codebook, prior, n_draws=50, seed=0)
 print(f"Average pairwise rank correlation across 50 draws: {rho:.3f}")

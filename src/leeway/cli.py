@@ -112,8 +112,17 @@ def _cmd_leeway(args) -> int:
     with open(args.codebook, "rb") as fh:
         book = cb.parse_codebook(fh)
     prior = _load_prior(args.priors)
-    grid = _grid(args)
-    rows = solver.leeway_table(book, prior, n_draws=args.draws, seed=args.seed, grid=grid)
+    rows, records = [], []
+    for process, scores, results in solver._scored_rows(book, prior, args.draws,
+                                                        args.seed, _grid(args)):
+        rows.append((process, scores))
+        if args.emit_diagnostics:
+            records.extend({
+                "state": process.state_id, "cycle": process.cycle, "draw": i,
+                "value": res.value, "path_probs": res.path_probs,
+                "round2_proposal": res.round2_proposal,
+                "veto_thresholds": res.veto_thresholds,
+            } for i, res in enumerate(results))
     if args.format == "json":
         payload = {
             "meta": {"version": __version__, "seed": args.seed,
@@ -136,18 +145,6 @@ def _cmd_leeway(args) -> int:
         _write_text(args.output, out.getvalue())
 
     if args.emit_diagnostics:
-        thetas = solver.sample_draws(prior, args.seed, args.draws)
-        records = []
-        for process, _ in rows:
-            results = solver.solve_batch(process, solver.ControlAssignment.realized(process),
-                                         thetas, grid)
-            for i, res in enumerate(results):
-                records.append({
-                    "state": process.state_id, "cycle": process.cycle, "draw": i,
-                    "value": res.value, "path_probs": res.path_probs,
-                    "round2_proposal": res.round2_proposal,
-                    "veto_thresholds": res.veto_thresholds,
-                })
         payload = {"meta": {"version": __version__, "seed": args.seed,
                             "config": _config_hash(args)},
                    "draws": records}

@@ -314,10 +314,13 @@ def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000
     only during warmup and is frozen afterward. Raises ConvergenceError
     when split R-hat >= 1.05 or ESS <= 400 for any parameter, unless
     ``enforce_diagnostics`` is off; production fits should use at least
-    1000 post-warmup draws on 2 or more chains.
+    1000 post-warmup draws on 2 or more chains. Fewer than 4 draws per
+    chain raise DomainError: split R-hat needs 2 draws in each half.
     """
-    if n_draws < 1 or n_chains < 1 or warmup < 1:
-        raise DomainError("n_draws, n_chains, and warmup must be positive")
+    if n_chains < 1 or warmup < 1:
+        raise DomainError("n_chains and warmup must be positive")
+    if n_draws < 4:
+        raise DomainError(f"{n_draws} draws per chain; split R-hat needs at least 4")
     X, y = design.X, design.y
     chains_beta = np.empty((n_chains, n_draws, _N_COLUMNS))
     chains_sigma = np.empty((n_chains, n_draws))

@@ -110,7 +110,10 @@ class Dist(NamedTuple):
         if self.kind == "normal":
             return self.a
         if self.kind == "folded_normal":
-            return self.b * math.sqrt(2.0 / math.pi)
+            # E|X| for X ~ N(a, b^2); at a = 0 the terms reduce to b * sqrt(2/pi).
+            return (self.b * math.sqrt(2.0 / math.pi)
+                    * math.exp(-self.a ** 2 / (2.0 * self.b ** 2))
+                    + self.a * math.erf(self.a / (self.b * math.sqrt(2.0))))
         raise DomainError(f"unknown distribution kind {self.kind!r}")
 
     def draw(self, rng: np.random.Generator) -> float:

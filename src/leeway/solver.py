@@ -20,6 +20,15 @@ single vectorized backward induction, with grid optima and tie-breaking
 taken per draw, and its result for each draw is bitwise equal to
 :func:`solve` on that draw alone. The table builders sample their draws
 once per call and share them across every row.
+
+The tree is written once, as one method per node kind: the stalemate
+chain, a proposal passing the veto players, and the round-2 subgame. Each
+returns the node's value; handed a column of equilibrium-path mass, the
+same call also routes that mass to the final-drawer buckets. The grid
+optimizer calls the nodes for values; one walk from the root along the
+chosen actions then yields the path probabilities. Partisan veto
+decisions are recorded wherever a proposal is evaluated on the base grid,
+which gives the veto thresholds.
 """
 
 from __future__ import annotations
@@ -154,7 +163,7 @@ def _argopt(values: np.ndarray, party: PartyControl) -> np.ndarray:
 
 
 class _TreeEvaluator:
-    """Vectorized continuation values for one (process, assignment) over D draws.
+    """The game tree of one (process, assignment), evaluated over D draws at once.
 
     The fields of ``theta`` are (D, 1) columns, so every bias argument
     broadcasts against them: the base grid is a (1, G) row, refinement
@@ -204,7 +213,10 @@ class _TreeEvaluator:
         # Per-draw optima as (D, 1) columns: (proposal, value).
         self._resolver_opt: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._round2_propose: Union[tuple[np.ndarray, np.ndarray], None] = None
+        # Partisan veto decisions on the base grid, for the threshold diagnostics.
         self.decisions: dict[str, np.ndarray] = {}
+        # Equilibrium-path mass per final-drawer bucket.
+        self.acc = {b: np.zeros((self.n_draws, 1)) for b in _BUCKETS}
 
     @staticmethod
     def _veto_node(body, na, control, voters):
@@ -226,7 +238,15 @@ class _TreeEvaluator:
             Stalemate2.LEGISLATURE: "legislature",
         }[body]
 
-    # -- continuation values -------------------------------------------------
+    # -- game-tree nodes -----------------------------------------------------
+    #
+    # Each node method returns the node's value with one row per draw. Given
+    # a ``mass`` column, it also adds the draws' equilibrium-path mass to the
+    # final-drawer buckets in ``self.acc``, in play order; the default mass
+    # of 0.0 evaluates the value alone, and a subtree with no mass is not
+    # walked. A branch a draw does not take carries +0.0 mass for that
+    # draw, so one walk over all draws leaves each draw's sums as a walk of
+    # that draw alone would.
 
     def exp_court(self, x):
         return nature.exp_court(x, self.ctx, self.theta)
@@ -235,90 +255,122 @@ class _TreeEvaluator:
         return nature.stalemate_default(anchor, self.assignment.court,
                                         self.assignment.drawer, self.theta)
 
+    def _settle(self, court, mass, bucket: str):
+        """Route mass through the court machinery of an enacted plan."""
+        if np.any(mass):
+            self.acc[bucket] += mass * court.pr_survive
+            self.acc["court"] += mass * court.pr_redraw
+
     def _resolver_optimum(self, k: int, party: PartyControl):
         if k not in self._resolver_opt:
             self._resolver_opt[k] = self._optimize(lambda y: self.exp_court(y).value, party)
         return self._resolver_opt[k]
 
-    def stalemate_value(self, anchor, k: int = 0):
-        """Expected value of entering the stalemate chain at link k."""
-        if k >= len(self.chain):
+    def stalemate(self, anchor, mass=0.0, k: int = 0):
+        """Value of entering the stalemate chain at link k.
+
+        A split link goes on down the chain with the split probability,
+        and that mass is routed before the mass of its own enactment.
+        """
+        if k >= len(self.chain) or self.chain[k][0] in ("court", "unclear"):
+            if np.any(mass):
+                self.acc["court"] += mass
             return self._default_stalemate(anchor)
         kind, control = self.chain[k]
-        if kind in ("court", "unclear"):
-            return self._default_stalemate(anchor)
+        bucket = "commission" if kind == "commission" else "legislature"
         if control in _PARTISAN:
-            return self._resolver_optimum(k, control)[1]
-        nonpartisan = self.exp_court(
-            nature.stalemate_default(anchor, control, self.assignment.drawer, self.theta)
-        ).value
+            x_opt, value = self._resolver_optimum(k, control)
+            if np.any(mass):
+                self._settle(self.exp_court(x_opt), mass, bucket)
+            return value
+        proposal = nature.stalemate_default(anchor, control, self.assignment.drawer, self.theta)
         if control is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
-            return p * self.stalemate_value(anchor, k + 1) + (1.0 - p) * nonpartisan
-        return nonpartisan
+            rest = self.stalemate(anchor, mass * p, k + 1)
+            court = self.exp_court(proposal)
+            self._settle(court, mass * (1.0 - p), bucket)
+            return p * rest + (1.0 - p) * court.value
+        court = self.exp_court(proposal)
+        self._settle(court, mass, bucket)
+        return court.value
 
-    def _veto_cascade(self, x, enact_value, veto_value, record_round=None):
-        """Value after the veto players react to a proposal x.
+    def plan(self, x, round_: int, mass=0.0):
+        """Value of a round-1 or round-2 proposal x after the veto players react.
 
-        ``veto_value`` is what a veto leads to (the round-2 subgame in
-        round 1; the stalemate chain in round 2). Partisan players veto
-        only when that strictly improves their side; ties pass.
+        A veto leads to the round-2 subgame in round 1 and to the stalemate
+        chain in round 2. Partisan players veto only when that strictly
+        improves their side; ties pass. Mass goes to veto1's subtree, then
+        to veto2's, then to the enacted plan. Partisan veto decisions on the
+        base grid are kept for the threshold diagnostics.
         """
-        stage = enact_value
-        labels = ("veto1", "veto2")
-        q_mem = None
+        subgame = self.round2 if round_ == 1 else self.stalemate
+        court = self.exp_court(x)
+        veto_value = subgame(x)
+        stage = court.value
+        decided, q = {}, None
         for index in (1, 0):
             mode, control = self.vetoes[index]
             if mode == "partisan":
-                decision = _sign(control) * (veto_value - stage) > 0.0
-                stage = np.where(decision, veto_value, stage)
-                if record_round is not None:
-                    self.decisions[f"{record_round}_{labels[index]}"] = decision
+                decided[index] = _sign(control) * (veto_value - stage) > 0.0
+                stage = np.where(decided[index], veto_value, stage)
+                if x is self.base:
+                    self.decisions[f"round{round_}_veto{index + 1}"] = decided[index]
             elif mode == "prob":
-                if q_mem is None:
-                    q_mem = nature.pr_veto_nonpartisan(x, self.theta)
-                stage = q_mem * veto_value + (1.0 - q_mem) * stage
+                if q is None:
+                    q = nature.pr_veto_nonpartisan(x, self.theta)
+                stage = q * veto_value + (1.0 - q) * stage
+        if np.any(mass):
+            for index in (0, 1):
+                mode = self.vetoes[index][0]
+                if mode == "partisan":
+                    vetoed = np.where(decided[index], mass, 0.0)
+                    mass = np.where(decided[index], 0.0, mass)
+                elif mode == "prob":
+                    vetoed, mass = mass * q, mass * (1.0 - q)
+                else:
+                    continue
+                if np.any(vetoed):
+                    subgame(x, vetoed)
+            self._settle(court, mass, self.drawer_bucket)
         return stage
 
-    def round2_plan_value(self, y, record=False):
-        """Value of a round-2 proposal y before the drawer's choice."""
-        enact = self.exp_court(y).value
-        stale = self.stalemate_value(y)
-        return self._veto_cascade(y, enact, stale,
-                                  record_round="round2" if record else None)
+    def _choice(self, stale, propose):
+        """A partisan drawer stalemates only where that strictly improves its side.
 
-    def _round2_propose_optimum(self, party: PartyControl):
+        Returns the draws that stalemate and the value of the drawer's choice.
+        """
+        stalemates = _sign(self.assignment.drawer) * (stale - propose) > 0.0
+        return stalemates, np.where(stalemates, stale, propose)
+
+    def _partisan_round2(self, x_prev):
+        """Best round-2 proposal of a partisan drawer, where it stalemates instead, and the value."""
         if self._round2_propose is None:
-            self._round2_propose = self._optimize(self.round2_plan_value, party)
-        return self._round2_propose
+            self._round2_propose = self._optimize(lambda y: self.plan(y, 2),
+                                                  self.assignment.drawer)
+        x2, opt = self._round2_propose
+        stalemates, value = self._choice(self.stalemate(x_prev), opt)
+        return x2, stalemates, value
 
-    def round2_value(self, x_prev):
+    def round2(self, x_prev, mass=0.0):
         """Value of the round-2 subgame given the vetoed proposal x_prev."""
         mode = self.assignment.drawer
         if mode in _PARTISAN:
-            _, opt = self._round2_propose_optimum(mode)
-            stale = self.stalemate_value(x_prev)
-            if mode is PartyControl.REPUBLICANS:
-                return np.maximum(opt, stale)
-            return np.minimum(opt, stale)
-        proposal = nature.round2_nonpartisan_proposal(x_prev, self._veto_parties(),
-                                                      self.theta)
-        plan = self.round2_plan_value(proposal)
+            x2, stalemates, value = self._partisan_round2(x_prev)
+            if np.any(mass):
+                self.stalemate(x_prev, np.where(stalemates, mass, 0.0))
+                self.plan(x2, 2, np.where(stalemates, 0.0, mass))
+            return value
+        proposal = nature.round2_nonpartisan_proposal(x_prev, self._veto_parties(), self.theta)
         if mode is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
-            return p * self.stalemate_value(x_prev) + (1.0 - p) * plan
-        return plan
+            stale = self.stalemate(x_prev, mass * p)
+            return p * stale + (1.0 - p) * self.plan(proposal, 2, mass * (1.0 - p))
+        return self.plan(proposal, 2, mass)
 
     def _veto_parties(self):
         first = self.assignment.veto1 if self.vetoes[0][0] != "absent" else None
         second = self.assignment.veto2 if self.vetoes[1][0] != "absent" else None
         return (first, second)
-
-    def round1_plan_value(self, x, record=False):
-        """Value of a round-1 proposal x before the drawer's choice."""
-        enact = self.exp_court(x).value
-        return self._veto_cascade(x, enact, self.round2_value(x),
-                                  record_round="round1" if record else None)
 
     def _optimize(self, fn, party: PartyControl) -> tuple[np.ndarray, np.ndarray]:
         """Per-draw grid optimum of fn for the given party, with local refinement.
@@ -342,35 +394,33 @@ class _TreeEvaluator:
         mode = self.assignment.drawer
         zero = np.zeros((self.n_draws, 1))
 
-        # Record partisan veto decision rules on the base grid for the
-        # threshold diagnostics before optimizing.
-        if any(m == "partisan" for m, _ in self.vetoes):
-            self.round2_plan_value(self.base, record=True)
-            self.round1_plan_value(self.base, record=True)
-
         # ``action`` is the round-1 proposal, 0.0 where the drawer stalemates.
-        stalemate = np.zeros((self.n_draws, 1), dtype=bool)
         if mode in _PARTISAN:
-            x1, propose_value = self._optimize(self.round1_plan_value, mode)
-            stale_value = self.stalemate_value(zero)
-            stalemate = _sign(mode) * (stale_value - propose_value) > 0.0
-            value = np.where(stalemate, stale_value, propose_value)
-            action = np.where(stalemate, 0.0, x1)
-        elif mode is PartyControl.SPLIT:
-            p = self.theta.stale_split_prob
-            value = p * self.stalemate_value(zero) + (1.0 - p) * self.round1_plan_value(zero)
-            action = zero
+            x1, propose_value = self._optimize(lambda x: self.plan(x, 1), mode)
+            stalemates, value = self._choice(self.stalemate(zero), propose_value)
+            action = np.where(stalemates, 0.0, x1)
+            self.stalemate(zero, np.where(stalemates, 1.0, 0.0))
+            self.plan(action, 1, np.where(stalemates, 0.0, 1.0))
         else:
-            action, value = zero, self.round1_plan_value(zero)
+            # The optimizer never visits the base grid here, so evaluate it
+            # once for the threshold diagnostics.
+            if any(m == "partisan" for m, _ in self.vetoes):
+                self.plan(self.base, 2)
+                self.plan(self.base, 1)
+            action = zero
+            if mode is PartyControl.SPLIT:
+                p = self.theta.stale_split_prob
+                value = p * self.stalemate(zero, p) + (1.0 - p) * self.plan(zero, 1, 1.0 - p)
+            else:
+                value = self.plan(zero, 1, 1.0)
 
         values = value[:, 0]
-        probs = self._path_probs(stalemate, action)
         proposals = self._round2_proposals(action)
         thresholds = self._thresholds()
         return [
             EquilibriumResult(
                 value=float(values[d]),
-                path_probs={b: float(probs[b][d]) for b in _BUCKETS},
+                path_probs={b: float(self.acc[b][d, 0]) for b in _BUCKETS},
                 round2_proposal=proposals[d],
                 veto_thresholds=thresholds[d],
             )
@@ -380,13 +430,10 @@ class _TreeEvaluator:
     def _round2_proposals(self, x_prev) -> list:
         if all(m == "absent" for m, _ in self.vetoes):
             return [None] * self.n_draws
-        mode = self.assignment.drawer
-        if mode in _PARTISAN:
-            x2, opt = self._round2_propose_optimum(mode)
-            stale = self.stalemate_value(x_prev)
-            to_stalemate = _sign(mode) * (stale - opt) > 0.0
+        if self.assignment.drawer in _PARTISAN:
+            x2, stalemates, _ = self._partisan_round2(x_prev)
             return [STALEMATE if s else float(x)
-                    for s, x in zip(to_stalemate[:, 0], x2[:, 0])]
+                    for s, x in zip(stalemates[:, 0], x2[:, 0])]
         proposal = nature.round2_nonpartisan_proposal(x_prev, self._veto_parties(), self.theta)
         return [float(y) for y in proposal[:, 0]]
 
@@ -404,103 +451,6 @@ class _TreeEvaluator:
             for row, has_flip, i in zip(out, flips.any(axis=1), first):
                 row[key] = float(mids[i]) if has_flip else None
         return out
-
-    # -- equilibrium path accounting -------------------------------------------
-
-    def _path_probs(self, stalemate, round1_action) -> dict:
-        """Per-draw mass on each final-drawer bucket, as (D,) arrays.
-
-        One walk over the tree serves every draw: a branch a draw does not
-        take gets zero mass there, and each branch adds to the buckets in
-        the same order as a walk of that draw alone, so adding +0.0 leaves
-        every draw's sums unchanged. Subtrees with no mass are skipped.
-        """
-        theta = self.theta
-        acc = {b: np.zeros((self.n_draws, 1)) for b in _BUCKETS}
-
-        def enact(x, mass, bucket: str):
-            r = self.exp_court(x)
-            acc[bucket] += mass * r.pr_survive
-            acc["court"] += mass * r.pr_redraw
-
-        def stalemate_walk(anchor, mass, k: int = 0):
-            if not np.any(mass):
-                return
-            if k >= len(self.chain) or self.chain[k][0] in ("court", "unclear"):
-                acc["court"] += mass
-                return
-            kind, control = self.chain[k]
-            bucket = "commission" if kind == "commission" else "legislature"
-            if control in _PARTISAN:
-                x_opt, _ = self._resolver_optimum(k, control)
-                enact(x_opt, mass, bucket)
-                return
-            proposal = nature.stalemate_default(anchor, control, self.assignment.drawer, theta)
-            if control is PartyControl.SPLIT:
-                p = theta.stale_split_prob
-                stalemate_walk(anchor, mass * p, k + 1)
-                enact(proposal, mass * (1.0 - p), bucket)
-            else:
-                enact(proposal, mass, bucket)
-
-        def plan_walk(x, mass, veto_value, on_veto):
-            """Pass proposal x through both veto nodes."""
-            if not np.any(mass):
-                return
-            enact_value = self.exp_court(x).value
-            # veto2's accept-continuation is enactment; veto1's is the
-            # veto2 stage value.
-            mode2, control2 = self.vetoes[1]
-            after_veto2 = self._stage_value(mode2, control2, x, enact_value, veto_value)
-            remaining = mass
-            for index, after in ((0, after_veto2), (1, enact_value)):
-                mode, control = self.vetoes[index]
-                if mode == "partisan":
-                    vetoed = _sign(control) * (veto_value - after) > 0.0
-                    on_veto(x, np.where(vetoed, remaining, 0.0))
-                    remaining = np.where(vetoed, 0.0, remaining)
-                elif mode == "prob":
-                    q = nature.pr_veto_nonpartisan(x, theta)
-                    on_veto(x, remaining * q)
-                    remaining = remaining * (1.0 - q)
-            enact(x, remaining, self.drawer_bucket)
-
-        def round2_walk(x_prev, mass):
-            if not np.any(mass):
-                return
-            mode = self.assignment.drawer
-            if mode in _PARTISAN:
-                x2, opt = self._round2_propose_optimum(mode)
-                to_stalemate = _sign(mode) * (self.stalemate_value(x_prev) - opt) > 0.0
-                stalemate_walk(x_prev, np.where(to_stalemate, mass, 0.0))
-                plan_walk(x2, np.where(to_stalemate, 0.0, mass), self.stalemate_value(x2),
-                          stalemate_walk)
-                return
-            proposal = nature.round2_nonpartisan_proposal(x_prev, self._veto_parties(), theta)
-            if mode is PartyControl.SPLIT:
-                p = theta.stale_split_prob
-                stalemate_walk(x_prev, mass * p)
-                mass = mass * (1.0 - p)
-            plan_walk(proposal, mass, self.stalemate_value(proposal), stalemate_walk)
-
-        zero = np.zeros((self.n_draws, 1))
-        if self.assignment.drawer is PartyControl.SPLIT:
-            p = theta.stale_split_prob
-            stalemate_walk(zero, p)
-            first_mass = 1.0 - p
-        else:
-            stalemate_walk(zero, np.where(stalemate, 1.0, 0.0))
-            first_mass = np.where(stalemate, 0.0, 1.0)
-        plan_walk(round1_action, first_mass, self.round2_value(round1_action), round2_walk)
-        return {b: acc[b][:, 0] for b in _BUCKETS}
-
-    def _stage_value(self, mode, control, x, accept, veto):
-        if mode in ("absent", "split"):
-            return accept
-        if mode == "partisan":
-            return np.where(_sign(control) * (veto - accept) > 0.0, veto, accept)
-        q = nature.pr_veto_nonpartisan(x, self.theta)
-        return q * veto + (1.0 - q) * accept
 
 
 def solve_batch(process: StateProcess, assignment: ControlAssignment,
@@ -520,10 +470,11 @@ def solve(process: StateProcess, assignment: ControlAssignment,
           theta: GameParameters, grid: OptimizationGrid | None = None) -> EquilibriumResult:
     """Solve one state's game by backward induction for one draw.
 
-    The one-draw case of :func:`solve_batch`. Raises NotApplicable for single-district (drawer=NA) processes and
-    DomainError for malformed assignments. A production grid has at least
-    81 points (default 161); coarser grids are accepted for verification
-    against the brute-force oracle.
+    The one-draw case of :func:`solve_batch`. Raises NotApplicable for
+    single-district (drawer=NA) processes and DomainError for malformed
+    assignments. Use a grid of at least 81 points for production results
+    (the default has 161); coarser grids serve verification against the
+    brute-force oracle.
     """
     return solve_batch(process, assignment, nature.stack_parameters([theta]), grid)[0]
 
@@ -637,18 +588,24 @@ def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
 def mean_value(process: StateProcess, assignment: ControlAssignment,
                thetas: GameParameters, grid: OptimizationGrid) -> float:
     """Equilibrium value averaged over a batch of draws."""
-    values = np.array([r.value for r in solve_batch(process, assignment, thetas, grid)])
-    return float(values.mean())
+    return _mean(solve_batch(process, assignment, thetas, grid))
 
 
-def _leeway_scores(process: StateProcess, thetas: GameParameters,
-                   grid: OptimizationGrid) -> LeewayScores:
+def _mean(results: list[EquilibriumResult]) -> float:
+    return float(np.array([r.value for r in results]).mean())
+
+
+def _leeway_scores(process: StateProcess, thetas: GameParameters, grid: OptimizationGrid
+                   ) -> tuple[LeewayScores, list[EquilibriumResult]]:
+    """A process's scores and its realized solve, which the scores average."""
+    realized = solve_batch(process, ControlAssignment.realized(process), thetas, grid)
     uniform = ControlAssignment.uniform(process, PartyControl.DEMOCRATS)
-    return LeewayScores(
-        realized=mean_value(process, ControlAssignment.realized(process), thetas, grid),
-        maximum=abs(mean_value(process, uniform, thetas, grid)),
+    scores = LeewayScores(
+        realized=_mean(realized),
+        maximum=abs(_mean(solve_batch(process, uniform, thetas, grid))),
         n_draws=len(thetas.chal_poss_conf),
     )
+    return scores, realized
 
 
 def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,
@@ -663,21 +620,32 @@ def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,
     thetas = sample_draws(prior, seed, n_draws)
     if process.drawer is Drawer.NA:
         raise NotApplicable(f"{process.key}: single-district state has no leeway score")
-    return _leeway_scores(process, thetas, grid or OptimizationGrid())
+    return _leeway_scores(process, thetas, grid or OptimizationGrid())[0]
 
 
-def leeway_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
-                 seed: int = 0, grid: OptimizationGrid | None = None,
-                 threads: int = 1) -> list[tuple[StateProcess, LeewayScores]]:
-    """Leeway scores for every solvable row, in codebook order.
+def _scored_rows(codebook: Codebook, prior: PriorSpec, n_draws: int, seed: int,
+                 grid: OptimizationGrid | None):
+    """Yield (row, scores, realized solve) for every solvable row, in codebook order.
 
-    All rows share one batch of draws. ``threads`` is accepted and ignored:
-    the draws of a row are solved in one vectorized pass.
+    All rows share one batch of draws; the realized results are the ones
+    the ``realized`` score averages.
     """
     grid = grid or OptimizationGrid()
     thetas = sample_draws(prior, seed, n_draws)
-    return [(row, _leeway_scores(row, thetas, grid))
-            for row in codebook if row.drawer is not Drawer.NA]
+    for row in codebook:
+        if row.drawer is not Drawer.NA:
+            yield (row, *_leeway_scores(row, thetas, grid))
+
+
+def leeway_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
+                 seed: int = 0, grid: OptimizationGrid | None = None
+                 ) -> list[tuple[StateProcess, LeewayScores]]:
+    """Leeway scores for every solvable row, in codebook order.
+
+    All rows share one batch of draws.
+    """
+    return [(row, scores)
+            for row, scores, _ in _scored_rows(codebook, prior, n_draws, seed, grid)]
 
 
 _ACTUAL_BUCKET = {
@@ -712,15 +680,13 @@ class PathTable:
 
 
 def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
-               seed: int = 0, grid: OptimizationGrid | None = None,
-               threads: int = 1) -> PathTable:
+               seed: int = 0, grid: OptimizationGrid | None = None) -> PathTable:
     """Pooled final-drawer path probabilities for every codebook row.
 
     A surviving enacted plan counts toward its proposing institution;
     court redraws, VRA remedies, and court or unclear stalemate
     resolutions count toward the court; commission and legislative
-    stalemate resolvers count toward their institution. ``threads`` is
-    accepted and ignored.
+    stalemate resolvers count toward their institution.
     """
     grid = grid or OptimizationGrid()
     rows = list(codebook)
@@ -741,12 +707,8 @@ def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
 
 
 def equilibrium_matrix(codebook: Codebook, prior: PriorSpec, n_draws: int,
-                       seed: int = 0, grid: OptimizationGrid | None = None,
-                       threads: int = 1) -> np.ndarray:
-    """Realized equilibrium values, shape (n_draws, n_states).
-
-    ``threads`` is accepted and ignored.
-    """
+                       seed: int = 0, grid: OptimizationGrid | None = None) -> np.ndarray:
+    """Realized equilibrium values, shape (n_draws, n_states)."""
     grid = grid or OptimizationGrid()
     thetas = sample_draws(prior, seed, n_draws)
     columns = [[r.value for r in solve_batch(row, ControlAssignment.realized(row), thetas, grid)]
@@ -776,12 +738,11 @@ def pairwise_spearman_mean(matrix: np.ndarray) -> float:
 
 
 def spearman_stability(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
-                       seed: int = 0, grid: OptimizationGrid | None = None,
-                       threads: int = 1) -> float:
+                       seed: int = 0, grid: OptimizationGrid | None = None) -> float:
     """Average pairwise rank correlation of state equilibria across draws."""
     if n_draws < 2:
         raise DomainError("stability requires at least 2 draws")
-    matrix = equilibrium_matrix(codebook, prior, n_draws, seed, grid, threads)
+    matrix = equilibrium_matrix(codebook, prior, n_draws, seed, grid)
     if matrix.shape[1] < 5:
         raise DomainError("stability requires at least 5 states")
     return pairwise_spearman_mean(matrix)

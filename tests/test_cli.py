@@ -1,16 +1,19 @@
 import csv
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from leeway import cli
+from leeway import cli, solver
 from leeway.cli import load_draws_csv, main, save_draws_csv
-from leeway.codebook import Codebook, load_fixture_codebook, serialize_codebook
+from leeway.codebook import (Codebook, Drawer, load_fixture_codebook, parse_codebook,
+                             serialize_codebook)
 from leeway.errors import DomainError
 from leeway.inference import (COLUMN_NAMES, Diagnostics, PosteriorDraws, _rhat_ess,
                               design_row)
@@ -152,6 +155,50 @@ class TestLeewayCommand:
         assert {"state", "cycle", "draw", "value", "path_probs",
                 "round2_proposal", "veto_thresholds"} <= set(record)
 
+    def test_diagnostics_reuse_the_realized_solve(self, small_codebook, tmp_path,
+                                                  monkeypatch):
+        # One realized and one all-Democratic solve per row: the diagnostics
+        # are written from the realized solve the scores already made.
+        calls = []
+        real = solver.solve_batch
+
+        def counting(process, assignment, *args, **kwargs):
+            calls.append(process.key)
+            return real(process, assignment, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_batch", counting)
+        assert main(["leeway", "--codebook", small_codebook, "--draws", "2", "--seed", "2",
+                     "--output", str(tmp_path / "l.csv"),
+                     "--emit-diagnostics", str(tmp_path / "d.json")]) == 0
+        with open(small_codebook, "rb") as fh:
+            solvable = [r.key for r in parse_codebook(fh) if r.drawer is not Drawer.NA]
+        assert sorted(calls) == sorted(solvable * 2)
+
+
+# SHA-256 of `leeway --emit-diagnostics` JSON and `paths --per-state` CSV on the
+# fixture at 6 draws, seed 7, without the config hash and the header comment,
+# which name the input paths. The fixture reaches both ways of recording veto
+# thresholds: partisan drawers (AL, WI) and split or nonpartisan drawers with
+# a partisan veto (IA, MN-2020, NY, OH-2020, VA-2010).
+_GOLDEN_DIAGNOSTICS = "29b924517bef4eaa9c0ef37c547d16792d0af715e7cff3144adc545e72a00625"
+_GOLDEN_PER_STATE = "f0291cd01ab3c2b0115d05041ea43228e69ad55a968ee51538e44efc538d3d1f"
+
+
+def test_solver_outputs_match_golden_digests(tmp_path):
+    fixture = tmp_path / "fixture.csv"
+    fixture.write_text(serialize_codebook(load_fixture_codebook()))
+    diag, per_state = tmp_path / "d.json", tmp_path / "p.csv"
+    common = ["--codebook", str(fixture), "--draws", "6", "--seed", "7"]
+    assert main(["leeway", *common, "--output", str(tmp_path / "l.csv"),
+                 "--emit-diagnostics", str(diag)]) == 0
+    assert main(["paths", *common, "--output", str(tmp_path / "x.csv"),
+                 "--per-state", str(per_state)]) == 0
+    body = re.sub(rb'"config": "[0-9a-f]*"', b'"config": ""', read(diag))
+    assert hashlib.sha256(body).hexdigest() == _GOLDEN_DIAGNOSTICS
+    rows = b"".join(ln for ln in read(per_state).splitlines(keepends=True)
+                    if not ln.startswith(b"#"))
+    assert hashlib.sha256(rows).hexdigest() == _GOLDEN_PER_STATE
+
 
 class TestMetricsCommand:
     def test_values_and_adjustment(self, tmp_path):
@@ -201,6 +248,13 @@ class TestDidCommand:
                      "--output-diagnostics", str(tmp_path / "x.json")])
         assert code == 1
         assert "converge" in capsys.readouterr().err
+
+    def test_too_few_draws_exits_1(self, did_input, tmp_path, capsys):
+        code = main(["did", "--input", did_input, "--seed", "5", "--draws", "1",
+                     "--output-draws", str(tmp_path / "x.csv"),
+                     "--output-diagnostics", str(tmp_path / "x.json")])
+        assert code == 1
+        assert "split R-hat needs at least 4" in capsys.readouterr().err
 
     def test_byte_identical_rerun(self, did_input, tmp_path):
         blobs = []
@@ -430,7 +484,7 @@ class TestDataErrorsExit1:
     def test_internal_key_error_propagates(self, small_codebook, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")
-        monkeypatch.setattr(cli.solver, "leeway_table", broken)
+        monkeypatch.setattr(cli.solver, "solve_batch", broken)
         with pytest.raises(KeyError):
             main(["leeway", "--codebook", small_codebook, "--draws", "2",
                   "--output", str(tmp_path / "l.csv")])

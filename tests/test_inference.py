@@ -142,6 +142,16 @@ class TestSampler:
             fit_posterior(design, prior, n_draws=100, n_chains=2, seed=0)
         assert min(err.value.diagnostics.ess.values()) <= 400
 
+    @pytest.mark.parametrize("n_draws", [1, 3])
+    def test_too_few_draws_rejected(self, n_draws):
+        # Split R-hat needs 2 draws in each half of a chain.
+        rows = synth_rows(20, constant_effect_beta(), 0.05, np.random.default_rng(11))
+        design = build_design(rows)
+        prior = PriorConfig.from_design(design)
+        with pytest.raises(DomainError, match="at least 4"):
+            fit_posterior(design, prior, n_draws=n_draws, n_chains=2, seed=0,
+                          enforce_diagnostics=False)
+
     def test_posterior_contraction(self):
         beta = constant_effect_beta()
         small = build_design(synth_rows(87, beta, 0.05, np.random.default_rng(11)))

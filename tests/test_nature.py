@@ -5,7 +5,7 @@ import pytest
 
 from leeway.codebook import CourtReview, PartyControl
 from leeway.errors import DomainError
-from leeway.nature import (CourtContext, GameParameters, PriorSpec, cauchy_cdf,
+from leeway.nature import (CourtContext, Dist, GameParameters, PriorSpec, cauchy_cdf,
                            cauchy_quantile, court_outcome, exp_court, pr_chal_if_poss,
                            pr_chal_poss, pr_intervene, pr_veto_nonpartisan,
                            quartic_g, round2_nonpartisan_proposal, sample_parameters,
@@ -62,6 +62,27 @@ class TestSampling:
     def test_folded_normal_mean_matches_closed_form(self):
         draws = [sample_parameters(PRIOR, 7, i).out_nonp_part_adv for i in range(10000)]
         assert np.mean(draws) == pytest.approx(0.4 * math.sqrt(2 / math.pi), abs=0.01)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.5), (1.0, 0.5), (-1.0, 0.5), (0.3, 2.0),
+                                     (-2.5, 0.4), (4.0, 1.0)])
+    def test_folded_normal_mean_with_location(self, a, b):
+        # E|X| for X ~ N(a, b^2) by quadrature over +-12 sd.
+        x = np.linspace(a - 12 * b, a + 12 * b, 200001)
+        density = np.exp(-0.5 * ((x - a) / b) ** 2) / (b * math.sqrt(2 * math.pi))
+        expected = np.sum(np.abs(x) * density) * (x[1] - x[0])
+        assert Dist("folded_normal", a, b).mean() == pytest.approx(expected, abs=1e-6)
+
+    def test_folded_normal_mean_against_draws(self):
+        rng = np.random.default_rng(3)
+        dist = Dist("folded_normal", 1.0, 0.5)
+        draws = [dist.draw(rng) for _ in range(20000)]
+        assert dist.mean() == pytest.approx(np.mean(draws), abs=0.01)
+
+    def test_default_prior_means_unchanged(self):
+        # Every default folded normal has location 0, where the mean is b * sqrt(2/pi).
+        mean = PRIOR.mean()
+        assert mean.out_nonp_bias2 == 0.5 * math.sqrt(2.0 / math.pi)
+        assert mean.out_nonp_part_adv == 0.4 * math.sqrt(2.0 / math.pi)
 
     def test_override_changes_one_prior(self):
         spec = PRIOR.with_overrides({"stale_slope": {"dist": "beta", "params": [1, 1]}})

@@ -235,6 +235,13 @@ class TestInvariants:
 
 
 class TestLeeway:
+    def test_table_matches_per_row_scores(self):
+        table = leeway_table(FIXTURE, PRIOR, n_draws=3, seed=1)
+        solvable = [row for row in FIXTURE if row.drawer is not Drawer.NA]
+        assert [row for row, _ in table] == solvable
+        for row, scores in table:
+            assert scores == leeway(row, PRIOR, n_draws=3, seed=1)
+
     def test_michigan_maximum_zero(self):
         scores = leeway(FIXTURE.get("MI", 2020), PRIOR, n_draws=30, seed=9)
         assert scores.maximum == 0.0
@@ -268,15 +275,6 @@ class TestLeeway:
                                final_drawer=FinalDrawer.NA)
         with pytest.raises(NotApplicable):
             leeway(process, PRIOR, n_draws=1)
-
-    def test_table_threads_agree(self):
-        rows = [FIXTURE.get("AL", 2020), FIXTURE.get("MI", 2020),
-                FIXTURE.get("KS", 2020)]
-        from leeway.codebook import Codebook
-        book = Codebook(tuple(rows))
-        serial = leeway_table(book, PRIOR, n_draws=5, seed=1, threads=1)
-        parallel = leeway_table(book, PRIOR, n_draws=5, seed=1, threads=8)
-        assert serial == parallel
 
 
 class TestPathTable:
