@@ -4,7 +4,7 @@ One row per state: simulation-adjusted outcomes in both cycles, the leeway
 dose in each cycle, and six fixed covariates. The response is the change in
 the adjusted outcome; the model regresses it on the dose change, the
 baseline dose, the covariates, and dose-change interactions, with weakly
-informative priors sampled by adaptive Metropolis-within-Gibbs.
+informative priors sampled by exact Gibbs sampling with no adaptation.
 
 Here the data are simulated with a known constant marginal effect so the
 whole chain - design, sampler, diagnostics, effect queries - can be watched
@@ -40,7 +40,7 @@ draws = fit_posterior(design, prior, seed=7)
 diag = draws.diagnostics
 print(f"sampler: max split R-hat {max(diag.rhat.values()):.3f}, "
       f"min ESS {min(diag.ess.values()):.0f}, "
-      f"coefficient acceptance ~{np.mean(diag.accept_coefficients):.2f}")
+      f"sigma acceptance ~{np.mean(diag.accept_sigma):.2f}")
 print()
 
 # ---------------------------------------------------------------------------

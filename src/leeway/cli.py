@@ -338,14 +338,9 @@ def load_draws_csv(path: str) -> PosteriorDraws:
     data = data[order, 2:].reshape(len(ids), counts[0], len(expected) - 2)
     coefficients = data[:, :, :-1]
     sigma = data[:, :, -1]
-    rhat, ess = {}, {}
-    for j, name in enumerate(inference.COLUMN_NAMES):
-        rhat[name], ess[name] = inference._rhat_ess(coefficients[:, :, j])
-    rhat["sigma"], ess["sigma"] = inference._rhat_ess(sigma)
-    diagnostics = inference.Diagnostics(rhat=rhat, ess=ess,
-                                        accept_coefficients=(), accept_sigma=())
     return PosteriorDraws(coefficients=coefficients, sigma=sigma,
-                          column_names=inference.COLUMN_NAMES, diagnostics=diagnostics)
+                          column_names=inference.COLUMN_NAMES,
+                          diagnostics=inference._diagnostics(coefficients, sigma))
 
 
 def _bad_draw_row(path: str, width: int) -> str:
@@ -371,26 +366,34 @@ def _cmd_did(args) -> int:
     rows = read_did_rows(args.input)
     design = inference.build_design(rows)
     prior = inference.PriorConfig.from_design(design, sigma_y=args.sigma_y)
-    draws = inference.fit_posterior(design, prior, n_draws=args.draws,
-                                    n_chains=args.chains, seed=args.seed)
+    try:
+        draws = inference.fit_posterior(design, prior, n_draws=args.draws,
+                                        n_chains=args.chains, seed=args.seed)
+    except ConvergenceError as exc:
+        _write_did_diagnostics(args, exc.diagnostics, None)
+        raise
     save_draws_csv(draws, args.output_draws, _header_comment(args, args.seed))
+    est = inference.acr(draws, rows)
     diag = draws.diagnostics
+    _write_did_diagnostics(args, diag, {
+        "mean": est.effect.mean, "ci80": list(est.effect.ci80),
+        "ci95": list(est.effect.ci95), "standardized_mean": est.standardized.mean})
+    print(f"fit ok: max rhat {max(diag.rhat.values()):.4f}, "
+          f"min ess {min(diag.ess.values()):.0f}")
+    return 0
+
+
+def _write_did_diagnostics(args, diag, acr) -> None:
+    """Write the sampler diagnostics; ``acr`` is None for a fit that failed them."""
     payload = {
         "meta": {"version": __version__, "seed": args.seed,
                  "config": _config_hash(args), "outcome_label": args.outcome_label},
         "rhat": diag.rhat, "ess": diag.ess,
         "accept_coefficients": list(diag.accept_coefficients),
         "accept_sigma": list(diag.accept_sigma),
-        "acr": None,
+        "acr": acr,
     }
-    est = inference.acr(draws, rows)
-    payload["acr"] = {"mean": est.effect.mean, "ci80": list(est.effect.ci80),
-                      "ci95": list(est.effect.ci95),
-                      "standardized_mean": est.standardized.mean}
     _write_text(args.output_diagnostics, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    print(f"fit ok: max rhat {max(diag.rhat.values()):.4f}, "
-          f"min ess {min(diag.ess.values()):.0f}")
-    return 0
 
 
 # -- counterfactual ----------------------------------------------------------

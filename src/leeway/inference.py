@@ -5,9 +5,11 @@ cycles, the leeway dose in each cycle, and six fixed covariates. The
 response is the change in the adjusted outcome; predictors are the dose
 change, the baseline dose, the covariates, and the interaction of the dose
 change with the baseline dose and with each covariate. A Gaussian linear
-model with weakly informative priors is sampled by adaptive random-walk
-Metropolis-within-Gibbs (coefficients jointly, residual scale on the log
-scale), and treatment-effect queries are answered per posterior draw.
+model with weakly informative priors is sampled by exact Gibbs sampling
+with no adaptation (the coefficients from their Gaussian conditional in a
+whitened basis, the residual scale by an independence Metropolis-Hastings
+step from its conditional without the prior), and treatment-effect queries
+are answered per posterior draw.
 """
 
 from __future__ import annotations
@@ -192,84 +194,77 @@ class PosteriorDraws:
         return self.coefficients.shape[0] * self.coefficients.shape[1]
 
 
-def _log_posterior(beta, eta, X, y, prior_prec, rate):
-    n = X.shape[0]
-    lp = -0.5 * float(beta @ (prior_prec * beta)) - rate * np.exp(eta) + eta
-    if n:
-        resid = y - X @ beta
-        lp += -n * eta - 0.5 * float(resid @ resid) * np.exp(-2.0 * eta)
-    return lp
+_BLOCK_STEPS = 1000  # sampler steps whose random numbers are drawn at once
 
 
-def _conditional_chol(XtX, prior_prec, sigma):
-    prec = XtX / sigma**2 + np.diag(prior_prec)
-    return np.linalg.cholesky(np.linalg.inv(prec))
+def _gibbs(X, y, prior: PriorConfig, n_draws, warmup, rngs):
+    """Exact Gibbs sampling of all chains in one (chains, p) batch.
 
-
-def _run_chain(X, y, prior: PriorConfig, n_draws, warmup, rng):
+    With S = diag(coefficient sds) and S X'X S = V diag(lam) V', the
+    coefficients are beta = S V w, where w has a standard normal prior and,
+    given sigma, independent normal coordinates with mean b / (lam + s2) and
+    variance s2 / (lam + s2), for b = V'S X'y and s2 = sigma^2. Sigma is
+    updated by independence Metropolis-Hastings: the proposal sigma'^-2 ~
+    Gamma((n-1)/2, rate RSS/2) is sigma's conditional without its
+    Exponential prior, so the acceptance ratio is exp(-rate (sigma' - sigma)).
+    Returns the coefficients, sigma and each chain's sigma acceptance rate.
+    """
     n, p = X.shape
     sds = np.asarray(prior.coefficient_sds)
-    prior_prec = 1.0 / sds**2
     rate = prior.residual_rate
-    XtX = X.T @ X if n else np.zeros((p, p))
-    Xty = X.T @ y if n else np.zeros(p)
+    XS = X * sds
+    lam, V = np.linalg.eigh(XS.T @ XS)
+    lam = np.maximum(lam, 0.0)  # rounding can leave a zero eigenvalue negative
+    M = XS @ V
+    b = M.T @ y
+    # The proposal's density in sigma is sigma^-(2 shape + 1) exp(-RSS / (2 sigma^2)),
+    # so the ratio gains (sigma' / sigma)^power, with power 0 at shape (n-1)/2.
+    # With n < 2 that is no Gamma shape and shape 1 is used; with n = 0
+    # sigma's conditional is its prior, drawn exactly.
+    shape = (n - 1) / 2 if n >= 2 else 1.0
+    power = 2.0 * shape + 1.0 - n
 
-    sigma = prior.sigma_y
-    eta = np.log(sigma)
-    # Penalized least squares start, with the conditional covariance as the
-    # random-walk preconditioner (refreshed during warmup as sigma moves).
-    prec0 = XtX / sigma**2 + np.diag(prior_prec)
-    beta = np.linalg.solve(prec0, Xty / sigma**2)
-    L = _conditional_chol(XtX, prior_prec, sigma)
-
-    scale_b = 2.38 / np.sqrt(p)
-    scale_e = 0.5
-    lp = _log_posterior(beta, eta, X, y, prior_prec, rate)
-
-    def beta_step(scale):
-        nonlocal beta, lp
-        prop = beta + scale * (L @ rng.standard_normal(p))
-        lp_prop = _log_posterior(prop, eta, X, y, prior_prec, rate)
-        ratio = min(1.0, np.exp(min(0.0, lp_prop - lp)))
-        if rng.random() < ratio:
-            beta, lp = prop, lp_prop
-        return ratio
-
-    def eta_step(scale):
-        nonlocal eta, lp
-        prop = eta + scale * rng.standard_normal()
-        lp_prop = _log_posterior(beta, prop, X, y, prior_prec, rate)
-        ratio = min(1.0, np.exp(min(0.0, lp_prop - lp)))
-        if rng.random() < ratio:
-            eta, lp = prop, lp_prop
-        return ratio
-
-    for t in range(warmup):
-        gamma = (t + 1) ** -0.6
-        scale_b *= np.exp(gamma * (beta_step(scale_b) - 0.28))
-        scale_e *= np.exp(gamma * (eta_step(scale_e) - 0.44))
-        if (t + 1) % 200 == 0:
-            L = _conditional_chol(XtX, prior_prec, np.exp(eta))
-            lp = _log_posterior(beta, eta, X, y, prior_prec, rate)
-
-    betas = np.empty((n_draws, p))
-    sigmas = np.empty(n_draws)
-    acc_b = 0.0
-    acc_e = 0.0
-    for t in range(n_draws):
-        acc_b += beta_step(scale_b)
-        acc_e += eta_step(scale_e)
-        betas[t] = beta
-        sigmas[t] = np.exp(eta)
-    return betas, sigmas, acc_b / n_draws, acc_e / n_draws
+    n_chains = len(rngs)
+    coefficients = np.empty((n_chains, n_draws, p))
+    sigmas = np.empty((n_chains, n_draws))
+    accepted = np.zeros(n_chains)
+    sigma = np.full(n_chains, prior.sigma_y)
+    for start in range(0, warmup + n_draws, _BLOCK_STEPS):
+        steps = min(_BLOCK_STEPS, warmup + n_draws - start)
+        z = np.stack([rng.standard_normal((steps, p)) for rng in rngs], axis=1)
+        gamma = np.stack([rng.standard_gamma(shape, steps) for rng in rngs], axis=1)
+        # Accept where log-ratio > -E for E ~ Exponential(1), i.e. u < ratio.
+        expo = np.stack([rng.standard_exponential(steps) for rng in rngs], axis=1)
+        for i in range(steps):
+            s2 = (sigma * sigma)[:, None]
+            denom = lam + s2
+            w = (b + np.sqrt(s2 * denom) * z[i]) / denom
+            if n:
+                resid = y - w @ M.T
+                proposal = np.sqrt(np.einsum("ij,ij->i", resid, resid) / (2.0 * gamma[i]))
+                log_ratio = rate * (sigma - proposal)
+                if power:
+                    log_ratio += power * np.log(proposal / sigma)
+                accept = log_ratio > -expo[i]
+            else:
+                proposal = gamma[i] / rate
+                accept = np.ones(n_chains, dtype=bool)
+            sigma = np.where(accept, proposal, sigma)
+            t = start + i - warmup
+            if t >= 0:
+                coefficients[:, t] = w
+                sigmas[:, t] = sigma
+                accepted += accept
+    SV = sds[:, None] * V
+    for c in range(n_chains):
+        coefficients[c] = coefficients[c] @ SV.T
+    return coefficients, sigmas, accepted / n_draws
 
 
-def _autocovariance(x):
-    n = len(x)
-    centered = x - x.mean()
-    size = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(centered, size)
-    return np.fft.irfft(f * np.conjugate(f), size)[:n].real / n
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c at least n: a length numpy's FFT handles fast."""
+    return min(k << ((n - 1) // k).bit_length()
+               for k in (3**i * 5**j for i in range(12) for j in range(9)))
 
 
 def _rhat_ess(chains: np.ndarray) -> tuple[float, float]:
@@ -289,20 +284,28 @@ def _rhat_ess(chains: np.ndarray) -> tuple[float, float]:
         return float("inf"), 0.0  # chains frozen at different values
     rhat = float(np.sqrt(var_plus / w))
 
-    acov = np.stack([_autocovariance(splits[j]) for j in range(n_seq)])
+    size = _fft_length(2 * length - 1)
+    f = np.fft.rfft(splits - means[:, None], size, axis=1)
+    acov = np.fft.irfft(f.real**2 + f.imag**2, size, axis=1)[:, :length] / length
     rho = 1.0 - (w - acov.mean(axis=0)) / var_plus
     # Geyer initial monotone positive sequence on paired sums.
-    tau = 0.0
-    prev = np.inf
-    for k in range(0, length - 1, 2):
-        pair = rho[k] + rho[k + 1]
-        if pair <= 0.0:
-            break
-        pair = min(pair, prev)
-        tau += pair
-        prev = pair
+    pairs = rho[:2 * (length // 2)].reshape(-1, 2).sum(axis=1)
+    nonpositive = np.flatnonzero(pairs <= 0.0)
+    stop = nonpositive[0] if nonpositive.size else len(pairs)
+    tau = float(np.minimum.accumulate(pairs[:stop]).sum())
     tau = max(2.0 * tau - 1.0, 1.0)
     return rhat, float(n_seq * length / tau)
+
+
+def _diagnostics(coefficients: np.ndarray, sigma: np.ndarray,
+                 accept_coefficients=(), accept_sigma=()) -> Diagnostics:
+    """Split R-hat and ESS of every coefficient and of sigma, per chain layout."""
+    rhat, ess = {}, {}
+    for j, name in enumerate(COLUMN_NAMES):
+        rhat[name], ess[name] = _rhat_ess(coefficients[:, :, j])
+    rhat["sigma"], ess["sigma"] = _rhat_ess(sigma)
+    return Diagnostics(rhat=rhat, ess=ess, accept_coefficients=tuple(accept_coefficients),
+                       accept_sigma=tuple(accept_sigma))
 
 
 def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000,
@@ -310,39 +313,27 @@ def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000
                   enforce_diagnostics: bool = True) -> PosteriorDraws:
     """Sample the posterior; deterministic in (seed, n_chains, n_draws).
 
-    Adaptation (proposal scales and the coefficient preconditioner) runs
-    only during warmup and is frozen afterward. Raises ConvergenceError
-    when split R-hat >= 1.05 or ESS <= 400 for any parameter, unless
-    ``enforce_diagnostics`` is off; production fits should use at least
-    1000 post-warmup draws on 2 or more chains. Fewer than 4 draws per
-    chain raise DomainError: split R-hat needs 2 draws in each half.
+    Exact Gibbs sampling with no adaptation: the coefficients are drawn
+    from their Gaussian conditional and sigma by an independence
+    Metropolis-Hastings step whose proposal is its conditional without the
+    prior. The first ``warmup`` steps of each chain are discarded. Raises
+    ConvergenceError when split R-hat >= 1.05 or ESS <= 400 for any
+    parameter, unless ``enforce_diagnostics`` is off; production fits
+    should use at least 1000 post-warmup draws on 2 or more chains. Fewer
+    than 4 draws per chain raise DomainError: split R-hat needs 2 draws in
+    each half.
     """
     if n_chains < 1 or warmup < 1:
         raise DomainError("n_chains and warmup must be positive")
     if n_draws < 4:
         raise DomainError(f"{n_draws} draws per chain; split R-hat needs at least 4")
-    X, y = design.X, design.y
-    chains_beta = np.empty((n_chains, n_draws, _N_COLUMNS))
-    chains_sigma = np.empty((n_chains, n_draws))
-    acc_b, acc_e = [], []
-    for c in range(n_chains):
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(c,))
-        rng = np.random.Generator(np.random.PCG64(seq))
-        betas, sigmas, ab, ae = _run_chain(X, y, prior, n_draws, warmup, rng)
-        chains_beta[c] = betas
-        chains_sigma[c] = sigmas
-        acc_b.append(ab)
-        acc_e.append(ae)
-
-    rhat, ess = {}, {}
-    for j, name in enumerate(COLUMN_NAMES):
-        rhat[name], ess[name] = _rhat_ess(chains_beta[:, :, j])
-    rhat["sigma"], ess["sigma"] = _rhat_ess(chains_sigma)
-
-    diagnostics = Diagnostics(rhat=rhat, ess=ess,
-                              accept_coefficients=tuple(acc_b),
-                              accept_sigma=tuple(acc_e))
-    draws = PosteriorDraws(coefficients=chains_beta, sigma=chains_sigma,
+    rngs = [np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(c,)))) for c in range(n_chains)]
+    coefficients, sigma, accept_sigma = _gibbs(design.X, design.y, prior, n_draws,
+                                               warmup, rngs)
+    diagnostics = _diagnostics(coefficients, sigma, accept_coefficients=(1.0,) * n_chains,
+                               accept_sigma=accept_sigma.tolist())
+    draws = PosteriorDraws(coefficients=coefficients, sigma=sigma,
                            column_names=COLUMN_NAMES, diagnostics=diagnostics)
     if enforce_diagnostics and not diagnostics.passes():
         worst_rhat, worst_ess = diagnostics.worst()

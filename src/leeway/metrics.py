@@ -15,11 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import ndtr
 
 from .errors import DomainError
 
 _PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def ndtr(z):
+    """Standard normal CDF, elementwise."""
+    from scipy import special  # deferred: most of the package's import time otherwise
+    return special.ndtr(z)
+
 
 # Total swing scale chosen so a 60/40 district counts as exactly 0.14
 # competitive seats; it also puts a state of two 50/50 districts at

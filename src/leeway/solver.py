@@ -201,6 +201,7 @@ class _TreeEvaluator:
                             voters=process.veto1 is Veto1.VOTERS),
             self._veto_node(process.veto2, Veto2.NA, assignment.veto2, voters=False),
         ]
+        self.can_veto = any(mode in ("partisan", "prob") for mode, _ in self.vetoes)
 
         # Stalemate chain links with a body; court/unclear links resolve
         # terminally, so anything after them is unreachable.
@@ -301,10 +302,14 @@ class _TreeEvaluator:
         chain in round 2. Partisan players veto only when that strictly
         improves their side; ties pass. Mass goes to veto1's subtree, then
         to veto2's, then to the enacted plan. Partisan veto decisions on the
-        base grid are kept for the threshold diagnostics.
+        base grid are kept for the threshold diagnostics. With no node that
+        can veto (each absent or split), the subgame is not evaluated.
         """
-        subgame = self.round2 if round_ == 1 else self.stalemate
         court = self.exp_court(x)
+        if not self.can_veto:
+            self._settle(court, mass, self.drawer_bucket)
+            return court.value
+        subgame = self.round2 if round_ == 1 else self.stalemate
         veto_value = subgame(x)
         stage = court.value
         decided, q = {}, None

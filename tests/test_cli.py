@@ -83,15 +83,17 @@ class TestCodebookCommand:
 
 def test_import_does_not_load_scipy_stats():
     # scipy.stats costs about a second to import and only rank stability
-    # needs it, so it is loaded on first use.
+    # needs it, and scipy.special most of the rest of the import, so both
+    # are loaded on first use.
     import leeway
     src = os.path.dirname(os.path.dirname(leeway.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, leeway.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, leeway.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestDeterminism:
@@ -248,6 +250,11 @@ class TestDidCommand:
                      "--output-diagnostics", str(tmp_path / "x.json")])
         assert code == 1
         assert "converge" in capsys.readouterr().err
+        # The diagnostics of the failed fit are still written; no draws are.
+        diagnostics = json.loads(read(tmp_path / "x.json"))
+        assert min(diagnostics["ess"].values()) <= 400
+        assert diagnostics["acr"] is None
+        assert not (tmp_path / "x.csv").exists()
 
     def test_too_few_draws_exits_1(self, did_input, tmp_path, capsys):
         code = main(["did", "--input", did_input, "--seed", "5", "--draws", "1",

@@ -4,8 +4,8 @@ import pytest
 from leeway.errors import DomainError
 from leeway.inference import (COLUMN_NAMES, ConvergenceError, DesignMatrix, Diagnostics,
                               DidRow, PosteriorDraws, PriorConfig, SingularDesign,
-                              acr, build_design, cate, cate_draws, design_row,
-                              dose_response_curve, fit_posterior)
+                              _fft_length, _rhat_ess, acr, build_design, cate, cate_draws,
+                              design_row, dose_response_curve, fit_posterior)
 
 
 def synth_rows(n, beta, noise_sd, rng):
@@ -163,6 +163,128 @@ class TestSampler:
         sd_large = fit_posterior(large, prior_large, n_draws=4000, n_chains=2, seed=2,
                                  enforce_diagnostics=False).flat[:, 1].std()
         assert 0.4 <= sd_large / sd_small <= 0.6
+
+
+def quadrature_posterior(design, prior, n_grid=4000):
+    """Posterior means of sigma and beta by the midpoint rule over sigma.
+
+    Integrating beta out, y | sigma ~ N(0, sigma^2 I + X S^2 X'), so
+    p(sigma | y) is that density times the Exponential prior; given sigma,
+    beta has the conjugate normal mean. The grid ends at 40 prior means.
+    """
+    X, y = design.X, design.y
+    sds = np.asarray(prior.coefficient_sds)
+    sigma = (np.arange(n_grid) + 0.5) * (40.0 / prior.residual_rate / n_grid)
+    cov = (X * sds**2) @ X.T + sigma[:, None, None] ** 2 * np.eye(len(y))
+    _, logdet = np.linalg.slogdet(cov)
+    quad = y @ np.linalg.solve(cov, np.broadcast_to(y[:, None], (n_grid, len(y), 1)))[..., 0].T
+    log_post = -0.5 * logdet - 0.5 * quad - prior.residual_rate * sigma
+    weight = np.exp(log_post - log_post.max())
+    weight /= weight.sum()
+    prec = X.T @ X / sigma[:, None, None] ** 2 + np.diag(1.0 / sds**2)
+    beta_given_sigma = np.linalg.solve(prec, (X.T @ y / sigma[:, None] ** 2)[..., None])[..., 0]
+    return weight @ sigma, weight @ beta_given_sigma
+
+
+class TestOracle:
+    @pytest.mark.parametrize("n_rows", [1, 20])
+    def test_means_match_quadrature(self, n_rows):
+        rows = synth_rows(20, constant_effect_beta(), 0.5, np.random.default_rng(23))
+        full = build_design(rows)
+        design = DesignMatrix(X=full.X[:n_rows], y=full.y[:n_rows])
+        prior = PriorConfig.from_design(full)
+        draws = fit_posterior(design, prior, n_draws=5000, n_chains=4, seed=3)
+        sigma_mean, beta_mean = quadrature_posterior(design, prior)
+        ess = draws.diagnostics.ess
+        mcse = draws.sigma_flat.std() / np.sqrt(ess["sigma"])
+        assert abs(draws.sigma_flat.mean() - sigma_mean) < 4 * mcse
+        for j, name in enumerate(COLUMN_NAMES):
+            mcse = draws.flat[:, j].std() / np.sqrt(ess[name])
+            assert abs(draws.flat[:, j].mean() - beta_mean[j]) < 4 * mcse, name
+
+    def test_acceptance_rates(self):
+        rows = synth_rows(30, constant_effect_beta(), 0.05, np.random.default_rng(24))
+        design = build_design(rows)
+        draws = fit_posterior(design, PriorConfig.from_design(design), n_draws=2000,
+                              n_chains=3, seed=1)
+        assert draws.diagnostics.accept_coefficients == (1.0, 1.0, 1.0)
+        assert all(0.9 < a <= 1.0 for a in draws.diagnostics.accept_sigma)
+
+
+def scalar_rhat_ess(chains):
+    """Split R-hat and ESS with one FFT per split chain and a Python Geyer loop."""
+    m, n = chains.shape
+    half = n // 2
+    splits = chains[:, :2 * half].reshape(2 * m, half)
+    n_seq, length = splits.shape
+    means = splits.mean(axis=1)
+    variances = splits.var(axis=1, ddof=1)
+    w = variances.mean()
+    b = length * means.var(ddof=1)
+    var_plus = (length - 1) / length * w + b / length
+    if var_plus == 0.0:
+        return 1.0, float(n_seq * length)
+    if w == 0.0:
+        return float("inf"), 0.0
+    rhat = float(np.sqrt(var_plus / w))
+
+    def autocovariance(x):
+        size = 1 << (2 * len(x) - 1).bit_length()
+        f = np.fft.rfft(x - x.mean(), size)
+        return np.fft.irfft(f * np.conjugate(f), size)[:len(x)].real / len(x)
+
+    acov = np.stack([autocovariance(splits[j]) for j in range(n_seq)])
+    rho = 1.0 - (w - acov.mean(axis=0)) / var_plus
+    tau, prev = 0.0, np.inf
+    for k in range(0, length - 1, 2):
+        pair = rho[k] + rho[k + 1]
+        if pair <= 0.0:
+            break
+        pair = min(pair, prev)
+        tau += pair
+        prev = pair
+    tau = max(2.0 * tau - 1.0, 1.0)
+    return rhat, float(n_seq * length / tau)
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("shape", [(4, 1000), (3, 257), (2, 4), (1, 9), (4, 5003)])
+    @pytest.mark.parametrize("phi", [0.0, 0.9, -0.5])
+    def test_matches_scalar_formula(self, shape, phi):
+        rng = np.random.default_rng([*shape, round(10 * phi) + 10])
+        noise = rng.standard_normal(shape)
+        chains = np.empty(shape)
+        chains[:, 0] = noise[:, 0]
+        for t in range(1, shape[1]):
+            chains[:, t] = phi * chains[:, t - 1] + noise[:, t]
+        chains += rng.normal(0.0, 0.1, (shape[0], 1))
+        got = _rhat_ess(chains)
+        want = scalar_rhat_ess(chains)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_constant_chains(self):
+        chains = np.full((4, 100), 2.5)
+        assert _rhat_ess(chains) == scalar_rhat_ess(chains) == (1.0, 400.0)
+
+    def test_frozen_chains(self):
+        chains = np.repeat(np.array([[1.0], [2.0], [1.0]]), 50, axis=1)
+        assert _rhat_ess(chains) == scalar_rhat_ess(chains) == (float("inf"), 0.0)
+
+    def test_ess_never_exceeds_draws(self):
+        # Antithetic chains have an integrated time below 1, which is clamped.
+        chains = np.tile([1.0, -1.0], (2, 100)) + np.random.default_rng(0).normal(0, 1e-3, (2, 200))
+        assert _rhat_ess(chains)[1] <= 400.0
+
+    def test_fft_length_is_5_smooth_and_minimal(self):
+        def smooth(k):
+            for q in (2, 3, 5):
+                while k % q == 0:
+                    k //= q
+            return k == 1
+        for n in range(1, 3000):
+            got = _fft_length(n)
+            assert got >= n and smooth(got)
+            assert not any(smooth(k) for k in range(n, got))
 
 
 class TestQueries:

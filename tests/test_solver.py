@@ -10,7 +10,7 @@ from leeway.errors import DomainError, NotApplicable
 from leeway.nature import (GameParameters, PriorSpec, exp_court, CourtContext,
                            sample_parameters, stack_parameters)
 from leeway.solver import (STALEMATE, ControlAssignment, OptimizationGrid, _argopt,
-                           brute_force_solve, equilibrium_matrix, leeway,
+                           _TreeEvaluator, brute_force_solve, equilibrium_matrix, leeway,
                            leeway_table, pairwise_spearman_mean, path_table, solve,
                            solve_batch, spearman_stability)
 
@@ -137,6 +137,26 @@ class TestBatch:
                     assert got.path_probs == want.path_probs, row.key
                     assert got.round2_proposal == want.round2_proposal, row.key
                     assert got.veto_thresholds == want.veto_thresholds, row.key
+
+    def test_no_veto_subgame_without_a_veto(self, monkeypatch):
+        # With every veto node absent or split, a proposal is never vetoed,
+        # so the round-2 subgame is never evaluated.
+        calls = []
+        monkeypatch.setattr(_TreeEvaluator, "round2",
+                            lambda self, *args: calls.append(args) or 0.0)
+        batch = stack_parameters([sample_parameters(PRIOR, 62, i) for i in range(3)])
+        solved = 0
+        for row in FIXTURE:
+            if row.drawer is Drawer.NA:
+                continue
+            for assignment in (realized(row),
+                               ControlAssignment.uniform(row, PartyControl.DEMOCRATS)):
+                if _TreeEvaluator(row, assignment, batch, OptimizationGrid()).can_veto:
+                    continue
+                solve_batch(row, assignment, batch)
+                solved += 1
+        assert solved > 0
+        assert calls == []
 
     def test_argopt_breaks_ties_per_row(self):
         # Row 0 ties at its maximum (indices 1 and 3), row 1 at its
