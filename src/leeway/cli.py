@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import warnings
 
@@ -113,8 +114,8 @@ def _cmd_leeway(args) -> int:
         book = cb.parse_codebook(fh)
     prior = _load_prior(args.priors)
     rows, records = [], []
-    for process, scores, results in solver._scored_rows(book, prior, args.draws,
-                                                        args.seed, _grid(args)):
+    for process, scores, solved in solver._scored_rows(book, prior, args.draws,
+                                                       args.seed, _grid(args)):
         rows.append((process, scores))
         if args.emit_diagnostics:
             records.extend({
@@ -122,7 +123,7 @@ def _cmd_leeway(args) -> int:
                 "value": res.value, "path_probs": res.path_probs,
                 "round2_proposal": res.round2_proposal,
                 "veto_thresholds": res.veto_thresholds,
-            } for i, res in enumerate(results))
+            } for i, res in enumerate(map(solved.result, range(solved.n_draws))))
     if args.format == "json":
         payload = {
             "meta": {"version": __version__, "seed": args.seed,
@@ -302,7 +303,8 @@ def load_draws_csv(path: str) -> PosteriorDraws:
 
     Rows may come in any order; each chain keeps its rows in file order.
     Raises DomainError naming the file for a malformed header, a bad row,
-    a bad chain id, chains of unequal length or fewer than 4 draws per chain.
+    a bad chain id, a non-finite cell, chains of unequal length or fewer
+    than 4 draws per chain.
     """
     expected = ["chain", "draw", *inference.COLUMN_NAMES, "sigma"]
     with open(path, encoding="utf-8", newline="") as fh:
@@ -327,6 +329,8 @@ def load_draws_csv(path: str) -> PosteriorDraws:
     if bad.any():
         raise DomainError(f"{path}: chain id {chain[bad][0]!r} is not a "
                           "non-negative integer")
+    if not np.isfinite(data).all():
+        raise DomainError(f"{path}: {_bad_draw_row(path, len(expected))}")
     ids, counts = np.unique(chain, return_counts=True)
     if np.any(counts != counts[0]):
         lengths = ", ".join(f"chain {int(i)}: {k}" for i, k in zip(ids, counts))
@@ -344,7 +348,7 @@ def load_draws_csv(path: str) -> PosteriorDraws:
 
 
 def _bad_draw_row(path: str, width: int) -> str:
-    """Name the first draw row that numpy could not parse, by file line."""
+    """Name the first draw row with a cell that is missing, not a number or not finite."""
     with open(path, encoding="utf-8", newline="") as fh:
         lines = [(i, ln.split("#")[0].strip()) for i, ln in enumerate(fh, 1)
                  if not ln.startswith("#")]
@@ -356,9 +360,11 @@ def _bad_draw_row(path: str, width: int) -> str:
             return f"line {lineno}: {len(cells)} cells, expected {width}"
         for cell in cells:
             try:
-                float(cell)
+                value = float(cell)
             except ValueError:
                 return f"line {lineno}: cell {cell!r} is not a number"
+            if not math.isfinite(value):
+                return f"line {lineno}: cell {cell!r} is not finite"
     return "draw rows could not be parsed"
 
 

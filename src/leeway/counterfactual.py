@@ -18,7 +18,7 @@ from .codebook import (Codebook, CourtReview, Drawer, PartyControl, StateProcess
 from .errors import DomainError
 from .inference import EffectSummary, PosteriorDraws, cate_draws
 from .nature import PriorSpec
-from .solver import ControlAssignment, OptimizationGrid, mean_value, sample_draws
+from .solver import ControlAssignment, OptimizationGrid, sample_draws, solve_batch
 
 
 class TemplateError(ValueError):
@@ -187,7 +187,8 @@ def counterfactual_doses(codebook: Codebook, template: ReformTemplate,
     thetas = sample_draws(prior, seed, n_draws)
 
     def dose(process: StateProcess) -> float:
-        return mean_value(process, ControlAssignment.realized(process), thetas, grid)
+        solved = solve_batch(process, ControlAssignment.realized(process), thetas, grid)
+        return float(solved.values.mean())
 
     pairs = []
     for row in codebook.for_cycle(cycle):

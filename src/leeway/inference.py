@@ -164,7 +164,9 @@ class Diagnostics:
     accept_sigma: tuple
 
     def worst(self) -> tuple[float, float]:
-        return max(self.rhat.values()), min(self.ess.values())
+        """Largest R-hat and smallest ESS; a NaN in either is the worst."""
+        return (float(np.max(list(self.rhat.values()))),
+                float(np.min(list(self.ess.values()))))
 
     def passes(self, rhat_max: float = 1.05, ess_min: float = 400.0) -> bool:
         worst_rhat, worst_ess = self.worst()

@@ -17,9 +17,9 @@ exactly (in floating point) for states without VRA exposure.
 All prior draws of one (process, assignment) are solved as one batch:
 :func:`solve_batch` carries the draws as (D, 1) parameter columns through a
 single vectorized backward induction, with grid optima and tie-breaking
-taken per draw, and its result for each draw is bitwise equal to
-:func:`solve` on that draw alone. The table builders sample their draws
-once per call and share them across every row.
+taken per draw, and returns the solved tree as per-draw arrays; its
+``result(d)`` is bitwise equal to :func:`solve` on draw d alone. The table
+builders sample their draws once per call and share them across every row.
 
 The tree is written once, as one method per node kind: the stalemate
 chain, a proposal passing the veto players, and the round-2 subgame. Each
@@ -28,11 +28,12 @@ same call also routes that mass to the final-drawer buckets. The grid
 optimizer calls the nodes for values; one walk from the root along the
 chosen actions then yields the path probabilities. Partisan veto
 decisions are recorded wherever a proposal is evaluated on the base grid,
-which gives the veto thresholds.
+which gives the veto thresholds; they are worked out when first read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -47,6 +48,8 @@ from .nature import BIAS_MAX, BIAS_MIN, CourtContext, GameParameters, PriorSpec
 STALEMATE = "stalemate"
 
 _BUCKETS = ("legislature", "commission", "court")
+
+_THRESHOLD_KEYS = ("round1_veto1", "round1_veto2", "round2_veto1", "round2_veto2")
 
 _PARTISAN = (PartyControl.DEMOCRATS, PartyControl.REPUBLICANS)
 
@@ -395,7 +398,8 @@ class _TreeEvaluator:
 
     # -- top level ------------------------------------------------------------
 
-    def solve(self) -> list[EquilibriumResult]:
+    def solve(self) -> "_TreeEvaluator":
+        """Solve every draw and fill the per-draw arrays; returns self."""
         mode = self.assignment.drawer
         zero = np.zeros((self.n_draws, 1))
 
@@ -407,11 +411,6 @@ class _TreeEvaluator:
             self.stalemate(zero, np.where(stalemates, 1.0, 0.0))
             self.plan(action, 1, np.where(stalemates, 0.0, 1.0))
         else:
-            # The optimizer never visits the base grid here, so evaluate it
-            # once for the threshold diagnostics.
-            if any(m == "partisan" for m, _ in self.vetoes):
-                self.plan(self.base, 2)
-                self.plan(self.base, 1)
             action = zero
             if mode is PartyControl.SPLIT:
                 p = self.theta.stale_split_prob
@@ -419,53 +418,62 @@ class _TreeEvaluator:
             else:
                 value = self.plan(zero, 1, 1.0)
 
-        values = value[:, 0]
-        proposals = self._round2_proposals(action)
-        thresholds = self._thresholds()
-        return [
-            EquilibriumResult(
-                value=float(values[d]),
-                path_probs={b: float(self.acc[b][d, 0]) for b in _BUCKETS},
-                round2_proposal=proposals[d],
-                veto_thresholds=thresholds[d],
-            )
-            for d in range(self.n_draws)
-        ]
+        self.values = value[:, 0]
+        self.path_probs = np.hstack([self.acc[b] for b in _BUCKETS])
+        x2, stalemates = np.full_like(zero, np.nan), np.zeros_like(zero, dtype=bool)
+        if any(m != "absent" for m, _ in self.vetoes):
+            if mode in _PARTISAN:
+                x2, stalemates, _ = self._partisan_round2(action)
+            else:
+                x2 = nature.round2_nonpartisan_proposal(action, self._veto_parties(), self.theta)
+        self.round2_proposal, self.stalemates = x2[:, 0], stalemates[:, 0]
+        return self
 
-    def _round2_proposals(self, x_prev) -> list:
-        if all(m == "absent" for m, _ in self.vetoes):
-            return [None] * self.n_draws
-        if self.assignment.drawer in _PARTISAN:
-            x2, stalemates, _ = self._partisan_round2(x_prev)
-            return [STALEMATE if s else float(x)
-                    for s, x in zip(stalemates[:, 0], x2[:, 0])]
-        proposal = nature.round2_nonpartisan_proposal(x_prev, self._veto_parties(), self.theta)
-        return [float(y) for y in proposal[:, 0]]
+    @functools.cached_property
+    def veto_thresholds(self) -> np.ndarray:
+        """(D, 4) midpoint of the first base-grid cell where each partisan veto flips.
 
-    def _thresholds(self) -> list[dict]:
-        out = [{} for _ in range(self.n_draws)]
+        Columns in ``_THRESHOLD_KEYS`` order, NaN where none. A drawer that is
+        not partisan never visits the base grid, so its passes run here.
+        """
+        if (self.assignment.drawer not in _PARTISAN
+                and any(m == "partisan" for m, _ in self.vetoes)):
+            self.plan(self.base, 2)
+            self.plan(self.base, 1)
+        out = np.full((self.n_draws, len(_THRESHOLD_KEYS)), np.nan)
         mids = (self.base[0, :-1] + self.base[0, 1:]) / 2.0
-        for key in ("round1_veto1", "round1_veto2", "round2_veto1", "round2_veto2"):
-            decisions = self.decisions.get(key)
-            if decisions is None:
-                for row in out:
-                    row[key] = None
-                continue
-            flips = decisions[:, :-1] != decisions[:, 1:]
-            first = np.argmax(flips, axis=1)
-            for row, has_flip, i in zip(out, flips.any(axis=1), first):
-                row[key] = float(mids[i]) if has_flip else None
+        for col, key in enumerate(_THRESHOLD_KEYS):
+            if key in self.decisions:
+                flips = self.decisions[key][:, :-1] != self.decisions[key][:, 1:]
+                out[:, col] = np.where(flips.any(axis=1), mids[np.argmax(flips, axis=1)], np.nan)
         return out
+
+    def result(self, d: int) -> EquilibriumResult:
+        """Draw d of a solved tree, with NaN as None and a drawer stalemate as STALEMATE."""
+        def scalar(x):
+            return None if np.isnan(x) else float(x)
+
+        thresholds = self.veto_thresholds[d]
+        return EquilibriumResult(
+            value=float(self.values[d]),
+            path_probs={b: float(p) for b, p in zip(_BUCKETS, self.path_probs[d])},
+            round2_proposal=STALEMATE if self.stalemates[d] else scalar(self.round2_proposal[d]),
+            veto_thresholds={k: scalar(t) for k, t in zip(_THRESHOLD_KEYS, thresholds)},
+        )
 
 
 def solve_batch(process: StateProcess, assignment: ControlAssignment,
                 thetas: GameParameters,
-                grid: OptimizationGrid | None = None) -> list[EquilibriumResult]:
+                grid: OptimizationGrid | None = None) -> _TreeEvaluator:
     """Solve one state's game for a batch of draws in one vectorized pass.
 
     ``thetas`` holds D draws as (D, 1) columns (see
-    :func:`~leeway.nature.stack_parameters`); the result has one entry per
-    draw, equal to what :func:`solve` gives for that draw alone.
+    :func:`~leeway.nature.stack_parameters`). The solved tree holds
+    ``values`` (D,), ``path_probs`` (D, 3) in bucket order,
+    ``round2_proposal`` (D,), NaN where no veto node exists, and
+    ``stalemates`` (D,); ``veto_thresholds`` (D, 4), NaN where there is no
+    threshold, is worked out on first read. ``result(d)`` is :func:`solve`
+    on draw d alone.
     """
     grid = grid or OptimizationGrid()
     return _TreeEvaluator(process, assignment, thetas, grid).solve()
@@ -481,7 +489,7 @@ def solve(process: StateProcess, assignment: ControlAssignment,
     (the default has 161); coarser grids serve verification against the
     brute-force oracle.
     """
-    return solve_batch(process, assignment, nature.stack_parameters([theta]), grid)[0]
+    return solve_batch(process, assignment, nature.stack_parameters([theta]), grid).result(0)
 
 
 def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
@@ -590,24 +598,14 @@ def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
                                     for i in range(n_draws)])
 
 
-def mean_value(process: StateProcess, assignment: ControlAssignment,
-               thetas: GameParameters, grid: OptimizationGrid) -> float:
-    """Equilibrium value averaged over a batch of draws."""
-    return _mean(solve_batch(process, assignment, thetas, grid))
-
-
-def _mean(results: list[EquilibriumResult]) -> float:
-    return float(np.array([r.value for r in results]).mean())
-
-
 def _leeway_scores(process: StateProcess, thetas: GameParameters, grid: OptimizationGrid
-                   ) -> tuple[LeewayScores, list[EquilibriumResult]]:
+                   ) -> tuple[LeewayScores, _TreeEvaluator]:
     """A process's scores and its realized solve, which the scores average."""
     realized = solve_batch(process, ControlAssignment.realized(process), thetas, grid)
     uniform = ControlAssignment.uniform(process, PartyControl.DEMOCRATS)
     scores = LeewayScores(
-        realized=_mean(realized),
-        maximum=abs(_mean(solve_batch(process, uniform, thetas, grid))),
+        realized=float(realized.values.mean()),
+        maximum=abs(float(solve_batch(process, uniform, thetas, grid).values.mean())),
         n_draws=len(thetas.chal_poss_conf),
     )
     return scores, realized
@@ -632,8 +630,8 @@ def _scored_rows(codebook: Codebook, prior: PriorSpec, n_draws: int, seed: int,
                  grid: OptimizationGrid | None):
     """Yield (row, scores, realized solve) for every solvable row, in codebook order.
 
-    All rows share one batch of draws; the realized results are the ones
-    the ``realized`` score averages.
+    All rows share one batch of draws, and the ``realized`` score averages
+    the realized solve.
     """
     grid = grid or OptimizationGrid()
     thetas = sample_draws(prior, seed, n_draws)
@@ -700,11 +698,9 @@ def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
     for row in rows:
         if row.drawer is Drawer.NA:
             raise NotApplicable(f"{row.key}: cannot build path table over single-district rows")
-        pooled = {b: 0.0 for b in _BUCKETS}
-        for result in solve_batch(row, ControlAssignment.realized(row), thetas, grid):
-            for b in _BUCKETS:
-                pooled[b] += result.path_probs[b]
-        state_probs[row.key] = {b: pooled[b] / n_draws for b in _BUCKETS}
+        solved = solve_batch(row, ControlAssignment.realized(row), thetas, grid)
+        pooled = solved.path_probs.sum(axis=0)  # row by row, as a per-draw loop adds
+        state_probs[row.key] = {b: float(p) / n_draws for b, p in zip(_BUCKETS, pooled)}
     return PathTable(
         state_probs=state_probs,
         actual={r.key: _ACTUAL_BUCKET[r.final_drawer] for r in rows},
@@ -716,9 +712,9 @@ def equilibrium_matrix(codebook: Codebook, prior: PriorSpec, n_draws: int,
     """Realized equilibrium values, shape (n_draws, n_states)."""
     grid = grid or OptimizationGrid()
     thetas = sample_draws(prior, seed, n_draws)
-    columns = [[r.value for r in solve_batch(row, ControlAssignment.realized(row), thetas, grid)]
+    columns = [solve_batch(row, ControlAssignment.realized(row), thetas, grid).values
                for row in codebook if row.drawer is not Drawer.NA]
-    return np.array(columns).T
+    return np.array(columns, dtype=float).reshape(len(columns), n_draws).T
 
 
 def pairwise_spearman_mean(matrix: np.ndarray) -> float:

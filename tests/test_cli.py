@@ -470,6 +470,12 @@ class TestDrawFiles:
                                           *rows[5:]])
         self.assert_rejected(saved, "line 7: cell 'x' is not a number")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, saved, cell):
+        self.rewrite(saved, lambda rows: [*rows[:4], rows[4].rsplit(",", 1)[0] + f",{cell}\n",
+                                          *rows[5:]])
+        self.assert_rejected(saved, f"line 7: cell '{cell}' is not finite")
+
     def test_wrong_header_rejected(self, saved):
         saved.write_text(saved.read_text().replace(",sigma\n", ",scale\n"))
         self.assert_rejected(saved, "column layout")
@@ -532,6 +538,22 @@ class TestDataErrorsExit1:
         assert main(["did", "--input", str(bad), "--output-draws", str(tmp_path / "d.csv"),
                      "--output-diagnostics", str(tmp_path / "d.json")]) == 1
         assert f"{bad}, line 4: dY0='?" in capsys.readouterr().err
+
+    def test_non_finite_draw_exits_1(self, small_codebook, inputs, tmp_path, capsys):
+        # A nan log_seats coefficient used to load with passing diagnostics.
+        draws = random_draws(4, 1000, seed=4, decades=1)
+        draws.coefficients[2, 500, COLUMN_NAMES.index("log_seats")] = float("nan")
+        path = tmp_path / "nan.csv"
+        save_draws_csv(draws, str(path), "# header\n")
+        cov, base = inputs
+        assert main(["counterfactual", "--template", "mi",
+                     "--codebook", small_codebook, "--seat-model", str(path),
+                     "--resp-model", str(path), "--covariates", cov,
+                     "--baseline", base, "--draws", "2", "--seed", "3",
+                     "--output", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        # two header lines, then chain 2's draw 500 after 2 x 1,000 rows
+        assert str(path) in err and "line 2503: cell 'nan' is not finite" in err
 
     @pytest.mark.parametrize("covariates,baseline,message", [
         ("AL,0.39,1,1.95,0,1.2,0,seven\n", None, "line 2: n_districts='seven'"),

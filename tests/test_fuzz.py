@@ -133,7 +133,7 @@ def test_every_row_that_validates_solves(processes):
         for assignment in (ControlAssignment.realized(process),
                            ControlAssignment.uniform(process, PartyControl.DEMOCRATS),
                            ControlAssignment.uniform(process, PartyControl.REPUBLICANS)):
-            values = [r.value for r in solve_batch(process, assignment, thetas)]
+            values = solve_batch(process, assignment, thetas).values
             assert len(values) == 3 and all(-4.0 <= v <= 4.0 for v in values), process
 
 

@@ -286,6 +286,18 @@ class TestDiagnostics:
             assert got >= n and smooth(got)
             assert not any(smooth(k) for k in range(n, got))
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_worst_fails_on_nan(self, position):
+        # A NaN fails the run wherever it sits among the parameters.
+        rhat = [1.001, 1.002, 1.003]
+        ess = [3000.0, 2000.0, 4000.0]
+        rhat[position] = ess[position] = float("nan")
+        diag = Diagnostics(rhat=dict(zip("abc", rhat)), ess=dict(zip("abc", ess)),
+                           accept_coefficients=(), accept_sigma=())
+        worst_rhat, worst_ess = diag.worst()
+        assert np.isnan(worst_rhat) and np.isnan(worst_ess)
+        assert not diag.passes()
+
 
 class TestQueries:
     def test_cate_zero_at_equal_doses(self):

@@ -129,14 +129,31 @@ class TestBatch:
             for assignment in (realized(row),
                                ControlAssignment.uniform(row, PartyControl.DEMOCRATS),
                                ControlAssignment.uniform(row, PartyControl.REPUBLICANS)):
-                results = solve_batch(row, assignment, batch)
-                assert len(results) == len(thetas)
-                for theta, got in zip(thetas, results):
-                    want = solve(row, assignment, theta)
+                solved = solve_batch(row, assignment, batch)
+                assert solved.values.shape == (len(thetas),)
+                for d, theta in enumerate(thetas):
+                    got, want = solved.result(d), solve(row, assignment, theta)
                     assert got.value == want.value, row.key
                     assert got.path_probs == want.path_probs, row.key
                     assert got.round2_proposal == want.round2_proposal, row.key
                     assert got.veto_thresholds == want.veto_thresholds, row.key
+
+    def test_veto_thresholds_are_worked_out_when_read(self):
+        # IA 2020: a nonpartisan commission draws and the partisan governor
+        # and legislature can veto, so the base grid is evaluated only for
+        # the thresholds.
+        row = FIXTURE.get("IA", 2020)
+        batch = stack_parameters([sample_parameters(PRIOR, 63, i) for i in range(4)])
+        solved = solve_batch(row, realized(row), batch)
+        assert solved.decisions == {}
+        thresholds = solved.veto_thresholds
+        assert thresholds.shape == (4, 4)
+        assert set(solved.decisions) == {"round1_veto1", "round1_veto2",
+                                         "round2_veto1", "round2_veto2"}
+        for d in range(4):
+            want = solve(row, realized(row), sample_parameters(PRIOR, 63, d))
+            assert solved.result(d).veto_thresholds == want.veto_thresholds
+            assert any(t is not None for t in want.veto_thresholds.values())
 
     def test_no_veto_subgame_without_a_veto(self, monkeypatch):
         # With every veto node absent or split, a proposal is never vetoed,
@@ -329,6 +346,21 @@ class TestPathTable:
         assert probs["legislature"] == pytest.approx(np.mean(survive), abs=1e-9)
         assert probs["legislature"] > 0.8
 
+    def test_pooled_in_draw_order(self):
+        # 20 draws is past numpy's pairwise-summation block, which the
+        # golden digests at 6 draws cannot see: the pooled mass must equal
+        # the sequential sum over draws of one-draw solves, bitwise.
+        n_draws = 20
+        table = path_table(FIXTURE, PRIOR, n_draws=n_draws, seed=23)
+        thetas = [sample_parameters(PRIOR, 23, i) for i in range(n_draws)]
+        for row in FIXTURE:
+            pooled = dict.fromkeys(("legislature", "commission", "court"), 0.0)
+            for theta in thetas:
+                for bucket, p in solve(row, realized(row), theta).path_probs.items():
+                    pooled[bucket] += p
+            want = {bucket: total / n_draws for bucket, total in pooled.items()}
+            assert table.state_probs[row.key] == want, row.key
+
     def test_modal_buckets(self):
         table = path_table(FIXTURE, PRIOR, n_draws=10, seed=21)
         assert table.modal(("MI", 2020)) == "commission"
@@ -353,3 +385,15 @@ class TestSpearman:
     def test_requires_enough_draws(self):
         with pytest.raises(DomainError):
             spearman_stability(FIXTURE, PRIOR, n_draws=1)
+
+    def test_codebook_without_solvable_rows(self):
+        from leeway.codebook import Codebook
+        process = make_process(drawer=Drawer.NA, drawer_control=PartyControl.NA,
+                               court_review=CourtReview.NA,
+                               court_control=PartyControl.NA,
+                               stalemate1=Stalemate1.NA,
+                               final_drawer=FinalDrawer.NA)
+        book = Codebook((process,))
+        assert equilibrium_matrix(book, PRIOR, n_draws=3).shape == (3, 0)
+        with pytest.raises(DomainError, match="at least 5 states"):
+            spearman_stability(book, PRIOR, n_draws=3)
