@@ -47,6 +47,16 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
+def _write_csv(path: str, header: str, columns, rows):
+    """Write the header comment line, the column names and the rows as one CSV file."""
+    out = io.StringIO()
+    out.write(header)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    _write_text(path, out.getvalue())
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -75,12 +85,18 @@ def _read_table(path: str) -> tuple[list[str] | None, list[tuple[int, dict]]]:
 
 
 def _cell(path: str, line: int, record: dict, key: str, kind=float):
-    """Convert one CSV cell, or raise DomainError naming its file and line."""
+    """Convert one CSV cell, or raise DomainError naming its file and line.
+
+    A float cell must be finite.
+    """
     try:
-        return kind(record[key])
+        value = kind(record[key])
     except (TypeError, ValueError):
         raise DomainError(f"{path}, line {line}: {key}={record[key]!r} is not "
                           f"a valid {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise DomainError(f"{path}, line {line}: {key}={record[key]!r} is not finite")
+    return value
 
 
 def _grid(args) -> OptimizationGrid:
@@ -135,15 +151,10 @@ def _cmd_leeway(args) -> int:
         }
         _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        out = io.StringIO()
-        out.write(_header_comment(args, args.seed))
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["state", "cycle", "realized_leeway", "maximum_leeway",
-                         "n_draws", "seed"])
-        for process, scores in rows:
-            writer.writerow([process.state_id, process.cycle, _fmt(scores.realized),
-                             _fmt(scores.maximum), scores.n_draws, args.seed])
-        _write_text(args.output, out.getvalue())
+        _write_csv(args.output, _header_comment(args, args.seed),
+                   ["state", "cycle", "realized_leeway", "maximum_leeway", "n_draws", "seed"],
+                   ([p.state_id, p.cycle, _fmt(s.realized), _fmt(s.maximum), s.n_draws,
+                     args.seed] for p, s in rows))
 
     if args.emit_diagnostics:
         payload = {"meta": {"version": __version__, "seed": args.seed,
@@ -162,29 +173,18 @@ def _cmd_paths(args) -> int:
     table = solver.path_table(book, prior, n_draws=args.draws, seed=args.seed,
                               grid=_grid(args))
     cross = table.cross_tab()
-    buckets = ("legislature", "commission", "court")
+    buckets = solver._BUCKETS
+    header = _header_comment(args, args.seed)
 
-    out = io.StringIO()
-    out.write(_header_comment(args, args.seed))
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["final_drawer", *buckets, "total"])
-    for row_bucket in buckets:
-        cells = [cross[row_bucket][c] for c in buckets]
-        writer.writerow([row_bucket, *(_fmt(c) for c in cells), _fmt(sum(cells))])
-    totals = [sum(cross[r][c] for r in buckets) for c in buckets]
-    writer.writerow(["total", *(_fmt(t) for t in totals), _fmt(sum(totals))])
-    _write_text(args.output, out.getvalue())
-
+    rows = [[r, *(cross[r][c] for c in buckets)] for r in buckets]
+    rows.append(["total", *(sum(cross[r][c] for r in buckets) for c in buckets)])
+    _write_csv(args.output, header, ["final_drawer", *buckets, "total"],
+               ([label, *map(_fmt, cells), _fmt(sum(cells))] for label, *cells in rows))
     if args.per_state:
-        out = io.StringIO()
-        out.write(_header_comment(args, args.seed))
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["state", "cycle", "p_legislature", "p_commission",
-                         "p_court", "modal", "actual"])
-        for (state, cycle), probs in table.state_probs.items():
-            writer.writerow([state, cycle, *(_fmt(probs[b]) for b in buckets),
-                             table.modal((state, cycle)), table.actual[(state, cycle)]])
-        _write_text(args.per_state, out.getvalue())
+        _write_csv(args.per_state, header,
+                   ["state", "cycle", *(f"p_{b}" for b in buckets), "modal", "actual"],
+                   ([*key, *(_fmt(probs[b]) for b in buckets), table.modal(key),
+                     table.actual[key]] for key, probs in table.state_probs.items()))
     return 0
 
 
@@ -229,17 +229,14 @@ def _read_ensemble(path: str) -> dict:
 
 
 def _cmd_metrics(args) -> int:
-    if args.sigma_national and args.sigma_district:
+    if args.sigma_national or args.sigma_district:
         model = metrics.SwingModel(args.sigma_national, args.sigma_district)
     else:
         model = metrics.SwingModel.calibrated()
     plans = _read_plans(args.plans)
     ensemble = _read_ensemble(args.ensemble) if args.ensemble else {}
 
-    out = io.StringIO()
-    out.write(_header_comment(args, "-"))
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["state", "cycle", "metric", "value"])
+    rows = []
     for (state, cycle), plan in plans:
         baseline_vote = float(np.average(plan.shares, weights=plan.weights))
         values = {
@@ -251,17 +248,18 @@ def _cmd_metrics(args) -> int:
             "dilution_asymmetry": metrics.dilution_asymmetry(plan),
         }
         for name, value in values.items():
-            writer.writerow([state, cycle, name, _fmt(value)])
+            rows.append([state, cycle, name, _fmt(value)])
             summary = ensemble.get((state, cycle, name))
             if summary is not None:
                 adjusted = metrics.simulation_adjust(value, summary)
-                writer.writerow([state, cycle, f"{name}_sim_diff", _fmt(adjusted.difference)])
-                writer.writerow([state, cycle, f"{name}_abs_sim_diff",
-                                 _fmt(adjusted.abs_difference)])
+                rows.append([state, cycle, f"{name}_sim_diff", _fmt(adjusted.difference)])
+                rows.append([state, cycle, f"{name}_abs_sim_diff",
+                             _fmt(adjusted.abs_difference)])
                 if adjusted.z_score is not None:
-                    writer.writerow([state, cycle, f"{name}_sim_z", _fmt(adjusted.z_score)])
-                    writer.writerow([state, cycle, f"{name}_abs_sim_z", _fmt(adjusted.abs_z)])
-    _write_text(args.output, out.getvalue())
+                    rows.append([state, cycle, f"{name}_sim_z", _fmt(adjusted.z_score)])
+                    rows.append([state, cycle, f"{name}_abs_sim_z", _fmt(adjusted.abs_z)])
+    _write_csv(args.output, _header_comment(args, "-"), ["state", "cycle", "metric", "value"],
+               rows)
     return 0
 
 
@@ -421,8 +419,8 @@ def _read_baseline(path: str) -> cf.Baseline:
         text = fh.read()
     try:
         raw = json.loads(text)
-        return cf.Baseline(dem_seats=float(raw["dem_seats"]),
-                           slope_seats_per_pp=float(raw["slope_seats_per_pp"]))
+        baseline = cf.Baseline(dem_seats=float(raw["dem_seats"]),
+                               slope_seats_per_pp=float(raw["slope_seats_per_pp"]))
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: not valid JSON ({exc})") from None
     except KeyError as exc:
@@ -430,6 +428,9 @@ def _read_baseline(path: str) -> cf.Baseline:
     except (TypeError, ValueError):
         raise DomainError(f"{path}: baseline must be an object with numeric "
                           "dem_seats and slope_seats_per_pp") from None
+    if not (math.isfinite(baseline.dem_seats) and math.isfinite(baseline.slope_seats_per_pp)):
+        raise DomainError(f"{path}: baseline dem_seats and slope_seats_per_pp must be finite")
+    return baseline
 
 
 def _cmd_counterfactual(args) -> int:
@@ -464,26 +465,17 @@ def _cmd_counterfactual(args) -> int:
     }
     _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
+    header = _header_comment(args, args.seed)
     if args.doses_csv:
-        out = io.StringIO()
-        out.write(_header_comment(args, args.seed))
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["state", "d_current", "d_reformed", "seat_effect_mean"])
-        for pair in pairs:
-            effect = prediction.state_seat_effects[pair.state_id]
-            writer.writerow([pair.state_id, _fmt(pair.d_current),
-                             _fmt(pair.d_reformed), _fmt(effect.mean)])
-        _write_text(args.doses_csv, out.getvalue())
-
+        _write_csv(args.doses_csv, header,
+                   ["state", "d_current", "d_reformed", "seat_effect_mean"],
+                   ([p.state_id, _fmt(p.d_current), _fmt(p.d_reformed),
+                     _fmt(prediction.state_seat_effects[p.state_id].mean)] for p in pairs))
     if args.line_samples:
-        out = io.StringIO()
-        out.write(_header_comment(args, args.seed))
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["draw", "intercept_seats", "slope_seats_per_pp"])
         intercepts = baseline.dem_seats + prediction.seat_change_draws
-        for i, (icpt, slope) in enumerate(zip(intercepts, prediction.slope_draws)):
-            writer.writerow([i, _fmt(icpt), _fmt(slope)])
-        _write_text(args.line_samples, out.getvalue())
+        _write_csv(args.line_samples, header, ["draw", "intercept_seats", "slope_seats_per_pp"],
+                   ([i, _fmt(icpt), _fmt(slope)]
+                    for i, (icpt, slope) in enumerate(zip(intercepts, prediction.slope_draws))))
     return 0
 
 

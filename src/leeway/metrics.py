@@ -78,8 +78,10 @@ class SwingModel:
     sigma_district: float
 
     def __post_init__(self):
-        if self.sigma_national <= 0.0 or self.sigma_district <= 0.0:
-            raise DomainError("swing standard deviations must be positive")
+        if not all(0.0 < s < math.inf for s in (self.sigma_national, self.sigma_district)):
+            raise DomainError("swing standard deviations must be positive and finite, got "
+                              f"sigma_national={self.sigma_national!r}, "
+                              f"sigma_district={self.sigma_district!r}")
 
     @property
     def sigma_total(self) -> float:

@@ -8,8 +8,11 @@ to a veto. Each parameter has a default prior; a draw from the joint prior
 is one complete game specification.
 
 All bias arguments and outputs live on the [-4, 4] scale (positive favors
-Republicans). Every function is vectorized over its bias argument and over
-a batch of draws (:func:`stack_parameters`).
+Republicans). Every function is numpy in, numpy out: it broadcasts its bias
+argument against the parameter fields, which are floats for one draw or
+(D, 1) columns for a batch of draws (:func:`stack_parameters`), so a (1, G)
+grid row gives one row of values per draw. A scalar bias is the 0-d case of
+the same code: it gives numpy scalars (or a 0-d array), never Python floats.
 """
 
 from __future__ import annotations
@@ -36,6 +39,18 @@ def clamp_bias(x):
     return np.clip(x, BIAS_MIN, BIAS_MAX)
 
 
+def party_sign(control) -> float:
+    """+1 for Republicans and -1 for Democrats, the direction each pushes the bias.
+
+    0 for anything else: nonpartisan, split, uncontrolled, or absent (None).
+    """
+    if control is PartyControl.REPUBLICANS:
+        return 1.0
+    if control is PartyControl.DEMOCRATS:
+        return -1.0
+    return 0.0
+
+
 def cauchy_cdf(x):
     """CDF of the standard Cauchy distribution, F(x) = arctan(x)/pi + 1/2."""
     return np.arctan(x) / np.pi + 0.5
@@ -43,11 +58,9 @@ def cauchy_cdf(x):
 
 def cauchy_quantile(p):
     """Inverse of :func:`cauchy_cdf`; defined on the open interval (0, 1)."""
-    p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise DomainError("cauchy_quantile requires p in (0, 1)")
-    out = np.tan(np.pi * (p - 0.5))
-    return float(out) if out.ndim == 0 else out
+    return np.tan(np.pi * (p - 0.5))
 
 
 @dataclass(frozen=True)
@@ -237,11 +250,7 @@ def sample_parameters(prior: PriorSpec, rng_seed: int, draw_index: int) -> GameP
 
 
 def stack_parameters(draws: list[GameParameters]) -> GameParameters:
-    """Stack single draws into one batch whose fields are (D, 1) columns.
-
-    Every function below broadcasts a batch against its bias argument, so
-    a (1, G) grid row gives one row of values per draw.
-    """
+    """Stack single draws into one batch whose fields are (D, 1) columns."""
     return GameParameters(**{name: np.array([getattr(t, name) for t in draws],
                                             dtype=float)[:, None]
                              for name in PARAM_NAMES})
@@ -254,7 +263,6 @@ class CourtContext:
     court_review: CourtReview
     court_control: PartyControl
     preclearance: bool
-    initial_drawer_party: PartyControl
 
 
 def pr_chal_poss(ctx: CourtContext, theta: GameParameters) -> float:
@@ -287,9 +295,7 @@ def quartic_g(x, a):
     The asymmetry parameter a in [0, 1] tilts the curve so that it grows
     faster on the positive side; a=0 makes it even.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.square(x) * (0.7 + a * _QUARTIC_C * x + np.square(0.2 * x))
-    return float(out) if out.ndim == 0 else out
+    return np.square(x) * (0.7 + a * _QUARTIC_C * x + np.square(0.2 * x))
 
 
 def pr_intervene(x, ctx: CourtContext, theta: GameParameters):
@@ -318,15 +324,8 @@ def court_outcome(x, ctx: CourtContext, theta: GameParameters):
     out_nonp_bias2 at x=2), plus a constant lean of out_nonp_part_adv
     toward the party controlling the court.
     """
-    if ctx.court_control is PartyControl.DEMOCRATS:
-        lean = -1.0
-    elif ctx.court_control is PartyControl.REPUBLICANS:
-        lean = 1.0
-    else:
-        lean = 0.0
-    raw = (theta.out_nonp_bias2 / math.atan(1.0)) * np.arctan(np.asarray(x, dtype=float) / 2.0)
-    out = clamp_bias(raw + lean * theta.out_nonp_part_adv)
-    return float(out) if out.ndim == 0 else out
+    raw = (theta.out_nonp_bias2 / math.atan(1.0)) * np.arctan(x / 2.0)
+    return clamp_bias(raw + party_sign(ctx.court_control) * theta.out_nonp_part_adv)
 
 
 def vra_process(x, ctx: CourtContext, theta: GameParameters):
@@ -339,18 +338,13 @@ def vra_process(x, ctx: CourtContext, theta: GameParameters):
     intervention probability is the challenge probability times
     vra_interv_prob.
     """
-    x = np.asarray(x, dtype=float)
     remedy = clamp_bias(theta.vra_out_slope * (x - theta.vra_out_breakeven)
                         + theta.vra_out_breakeven)
     if not ctx.preclearance:
-        prob = np.zeros_like(x)
-    else:
-        a = cauchy_quantile(theta.vra_chal_prob_bias0)
-        b = (cauchy_quantile(theta.vra_chal_prob_bias2) - a) / 2.0
-        prob = cauchy_cdf(a + b * x)
-    if prob.ndim == 0:
-        return float(prob), float(remedy)
-    return prob, remedy
+        return np.zeros_like(x, dtype=float), remedy
+    a = cauchy_quantile(theta.vra_chal_prob_bias0)
+    b = (cauchy_quantile(theta.vra_chal_prob_bias2) - a) / 2.0
+    return cauchy_cdf(a + b * x), remedy
 
 
 class ExpCourt(NamedTuple):
@@ -368,18 +362,13 @@ def exp_court(x, ctx: CourtContext, theta: GameParameters) -> ExpCourt:
     (the VRA remedy), and survival (x itself). The two returned masses sum
     to one.
     """
-    x = np.asarray(x, dtype=float)
     p_int = pr_chal_poss(ctx, theta) * pr_chal_if_poss(x, theta) * pr_intervene(x, ctx, theta)
     vra_prob, vra_remedy = vra_process(x, ctx, theta)
-    p_vra = np.asarray(vra_prob) * theta.vra_interv_prob
+    p_vra = vra_prob * theta.vra_interv_prob
     value = (p_int * court_outcome(x, ctx, theta)
              + (1.0 - p_int) * p_vra * vra_remedy
              + (1.0 - p_int) * (1.0 - p_vra) * x)
-    redraw = p_int + (1.0 - p_int) * p_vra
-    survive = (1.0 - p_int) * (1.0 - p_vra)
-    if value.ndim == 0:
-        return ExpCourt(float(value), float(redraw), float(survive))
-    return ExpCourt(value, redraw, survive)
+    return ExpCourt(value, p_int + (1.0 - p_int) * p_vra, (1.0 - p_int) * (1.0 - p_vra))
 
 
 def stalemate_default(x, resolver_control: PartyControl, drawer_party: PartyControl,
@@ -390,30 +379,13 @@ def stalemate_default(x, resolver_control: PartyControl, drawer_party: PartyCont
     with a partisan offset keyed to the resolving court when that court is
     partisan, otherwise to the partisan initial drawer, otherwise zero.
     """
-    keyed = resolver_control
-    if keyed not in (PartyControl.DEMOCRATS, PartyControl.REPUBLICANS):
-        keyed = drawer_party
-    if keyed is PartyControl.DEMOCRATS:
-        offset = -theta.out_nonp_part_adv
-    elif keyed is PartyControl.REPUBLICANS:
-        offset = theta.out_nonp_part_adv
-    else:
-        offset = 0.0
-    out = clamp_bias(theta.stale_slope * np.asarray(x, dtype=float) + offset)
-    return float(out) if out.ndim == 0 else out
+    lean = party_sign(resolver_control) or party_sign(drawer_party)
+    return clamp_bias(theta.stale_slope * x + lean * theta.out_nonp_part_adv)
 
 
 def pr_veto_nonpartisan(x, theta: GameParameters):
     """Veto probability for nonpartisan, voter, or uncontrolled veto points."""
     return theta.veto_nonp_prob_max * pr_chal_if_poss(x, theta)
-
-
-def _party_weight(control) -> float:
-    if control is PartyControl.REPUBLICANS:
-        return 1.0
-    if control is PartyControl.DEMOCRATS:
-        return -1.0
-    return 0.0  # nonpartisan, split, uncontrolled, or absent
 
 
 def round2_nonpartisan_proposal(x_prev, veto_parties, theta: GameParameters):
@@ -425,6 +397,5 @@ def round2_nonpartisan_proposal(x_prev, veto_parties, theta: GameParameters):
     partisan. Clamped to the bias scale.
     """
     first, second = veto_parties
-    weight = (_party_weight(first) + _party_weight(second)) / 2.0
-    out = clamp_bias(np.asarray(x_prev, dtype=float) + weight * theta.veto_nonp_shift)
-    return float(out) if out.ndim == 0 else out
+    weight = (party_sign(first) + party_sign(second)) / 2.0
+    return clamp_bias(x_prev + weight * theta.veto_nonp_shift)

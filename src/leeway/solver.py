@@ -54,10 +54,6 @@ _THRESHOLD_KEYS = ("round1_veto1", "round1_veto2", "round2_veto1", "round2_veto2
 _PARTISAN = (PartyControl.DEMOCRATS, PartyControl.REPUBLICANS)
 
 
-def _sign(party: PartyControl) -> float:
-    return 1.0 if party is PartyControl.REPUBLICANS else -1.0
-
-
 @dataclass(frozen=True)
 class ControlAssignment:
     """Party control of each decision node in the game tree."""
@@ -114,7 +110,7 @@ class OptimizationGrid:
     refine_factor: int = 20
 
     def __post_init__(self):
-        if self.step <= 0 or self.step > (BIAS_MAX - BIAS_MIN) / 2:
+        if not 0 < self.step <= (BIAS_MAX - BIAS_MIN) / 2:
             raise DomainError(f"grid step {self.step} out of range")
         if self.refine_factor < 2:
             raise DomainError("refine_factor must be at least 2")
@@ -158,7 +154,7 @@ def _argopt(values: np.ndarray, party: PartyControl) -> np.ndarray:
     among exact ties, Democrats the smallest, which keeps tie-breaking
     mirror-symmetric.
     """
-    signed = _sign(party) * values
+    signed = nature.party_sign(party) * values
     ties = signed == signed.max(axis=1, keepdims=True)
     if party is PartyControl.REPUBLICANS:
         return ties.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
@@ -180,7 +176,7 @@ class _TreeEvaluator:
             raise NotApplicable(f"{process.key}: single-district state has no game")
         if not isinstance(assignment, ControlAssignment):
             raise DomainError("assignment must be a ControlAssignment")
-        if process.drawer is not Drawer.NA and assignment.drawer is PartyControl.NA:
+        if assignment.drawer is PartyControl.NA:
             raise DomainError("drawer node has no controlling coding")
 
         self.process = process
@@ -193,7 +189,6 @@ class _TreeEvaluator:
             court_review=process.court_review,
             court_control=assignment.court,
             preclearance=process.preclearance,
-            initial_drawer_party=assignment.drawer,
         )
         self.drawer_bucket = ("legislature" if process.drawer is Drawer.LEGISLATURE
                               else "commission")
@@ -255,10 +250,6 @@ class _TreeEvaluator:
     def exp_court(self, x):
         return nature.exp_court(x, self.ctx, self.theta)
 
-    def _default_stalemate(self, anchor):
-        return nature.stalemate_default(anchor, self.assignment.court,
-                                        self.assignment.drawer, self.theta)
-
     def _settle(self, court, mass, bucket: str):
         """Route mass through the court machinery of an enacted plan."""
         if np.any(mass):
@@ -279,7 +270,8 @@ class _TreeEvaluator:
         if k >= len(self.chain) or self.chain[k][0] in ("court", "unclear"):
             if np.any(mass):
                 self.acc["court"] += mass
-            return self._default_stalemate(anchor)
+            return nature.stalemate_default(anchor, self.assignment.court,
+                                            self.assignment.drawer, self.theta)
         kind, control = self.chain[k]
         bucket = "commission" if kind == "commission" else "legislature"
         if control in _PARTISAN:
@@ -319,7 +311,7 @@ class _TreeEvaluator:
         for index in (1, 0):
             mode, control = self.vetoes[index]
             if mode == "partisan":
-                decided[index] = _sign(control) * (veto_value - stage) > 0.0
+                decided[index] = nature.party_sign(control) * (veto_value - stage) > 0.0
                 stage = np.where(decided[index], veto_value, stage)
                 if x is self.base:
                     self.decisions[f"round{round_}_veto{index + 1}"] = decided[index]
@@ -347,7 +339,7 @@ class _TreeEvaluator:
 
         Returns the draws that stalemate and the value of the drawer's choice.
         """
-        stalemates = _sign(self.assignment.drawer) * (stale - propose) > 0.0
+        stalemates = nature.party_sign(self.assignment.drawer) * (stale - propose) > 0.0
         return stalemates, np.where(stalemates, stale, propose)
 
     def _partisan_round2(self, x_prev):
@@ -507,8 +499,7 @@ def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
     if process.drawer is Drawer.NA:
         raise NotApplicable(f"{process.key}: single-district state has no game")
 
-    ctx = CourtContext(process.court_review, assignment.court,
-                       process.preclearance, assignment.drawer)
+    ctx = CourtContext(process.court_review, assignment.court, process.preclearance)
     theta_ = theta
 
     def enacted(x: float) -> float:
@@ -552,7 +543,7 @@ def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
             # Both options enumerated; the player keeps the better one,
             # accepting on ties.
             options = [accept, veto]
-            signed = [_sign(control) * v for v in options]
+            signed = [nature.party_sign(control) * v for v in options]
             return options[1] if signed[1] > signed[0] else options[0]
         q = float(nature.pr_veto_nonpartisan(x, theta_))
         return q * veto + (1.0 - q) * accept

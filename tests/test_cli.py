@@ -230,6 +230,17 @@ class TestMetricsCommand:
         out = tmp_path / "m.csv"
         assert main(["metrics", "--plans", str(plans), "--output", str(out)]) == 0
 
+    @pytest.mark.parametrize("flag", ["--sigma-national", "--sigma-district"])
+    def test_lone_sigma_flag_exits_1(self, tmp_path, capsys, flag):
+        # The other scale stays at its default of 0, which the swing model rejects.
+        plans = tmp_path / "plans.csv"
+        plans.write_text("state,cycle,district,rep_share\nNH,2020,1,0.5\n")
+        out = tmp_path / "m.csv"
+        assert main(["metrics", "--plans", str(plans), flag, "0.5",
+                     "--output", str(out)]) == 1
+        assert "=0.0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDidCommand:
     def test_fit_and_outputs(self, did_input, tmp_path):
@@ -578,6 +589,46 @@ class TestDataErrorsExit1:
                      "--baseline", str(base), "--draws", "2", "--seed", "3",
                      "--output", str(tmp_path / "o.json")]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["plans", "ensemble", "did", "covariates", "baseline"])
+    def test_non_finite_number(self, small_codebook, did_input, fitted_model, inputs,
+                               tmp_path, capsys, reader):
+        cov, base = inputs
+        bad = tmp_path / "bad"
+        plans = tmp_path / "plans.csv"
+        plans.write_text("state,cycle,district,rep_share\nNH,2020,1,0.5\n")
+        metrics_argv = ["metrics", "--output", str(tmp_path / "m.csv"), "--plans"]
+        cf_argv = ["counterfactual", "--template", "mi", "--codebook", small_codebook,
+                   "--seat-model", fitted_model, "--resp-model", fitted_model,
+                   "--draws", "2", "--output", str(tmp_path / "o.json")]
+        did_lines = open(did_input).read().splitlines(keepends=True)
+        did_lines[3] = did_lines[3].replace(",0.0,", ",inf,", 1)  # dY0 is 0.0 on every row
+        text, argv, message = {
+            "plans": ("state,cycle,district,rep_share,turnout\nNH,2020,1,0.5,nan\n",
+                      [*metrics_argv, str(bad)], "line 2: turnout='nan' is not finite"),
+            "ensemble": ("state,cycle,metric,mean,sd\nNH,2020,competitive_share,0.2,nan\n",
+                         [*metrics_argv, str(plans), "--ensemble", str(bad)],
+                         "line 2: sd='nan' is not finite"),
+            "did": ("".join(did_lines),
+                    ["did", "--input", str(bad), "--output-draws", str(tmp_path / "d.csv"),
+                     "--output-diagnostics", str(tmp_path / "d.json")],
+                    "line 4: dY0='inf' is not finite"),
+            "covariates": (open(cov).read().replace(",1.95,", ",-inf,"),
+                           [*cf_argv, "--covariates", str(bad), "--baseline", base],
+                           "line 2: log_seats='-inf' is not finite"),
+            "baseline": ('{"dem_seats": NaN, "slope_seats_per_pp": 7.8}',
+                         [*cf_argv, "--covariates", cov, "--baseline", str(bad)],
+                         "dem_seats and slope_seats_per_pp must be finite"),
+        }[reader]
+        bad.write_text(text)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
+    def test_nan_grid_step(self, small_codebook, tmp_path, capsys):
+        assert main(["leeway", "--codebook", small_codebook, "--grid-step", "nan",
+                     "--output", str(tmp_path / "l.csv")]) == 1
+        assert "grid step nan out of range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
         ('{"stale_slope": {"dist": "normal", "params": [0.1, 0.05]}}', "support"),

@@ -9,7 +9,8 @@ from leeway.nature import (CourtContext, Dist, GameParameters, PriorSpec, cauchy
                            cauchy_quantile, court_outcome, exp_court, pr_chal_if_poss,
                            pr_chal_poss, pr_intervene, pr_veto_nonpartisan,
                            quartic_g, round2_nonpartisan_proposal, sample_parameters,
-                           stalemate_default, vra_process)
+                           stack_parameters, stalemate_default, vra_process)
+from leeway.solver import OptimizationGrid
 
 PRIOR = PriorSpec.default()
 MEAN = PRIOR.mean()
@@ -19,10 +20,9 @@ _POS = np.arange(1, 41) * 0.1
 GRID = np.concatenate([-_POS[::-1], [0.0], _POS])
 
 
-def ctx(review=CourtReview.YES, court=PartyControl.NONPARTISANS, preclearance=False,
-        drawer=PartyControl.REPUBLICANS) -> CourtContext:
-    return CourtContext(court_review=review, court_control=court,
-                        preclearance=preclearance, initial_drawer_party=drawer)
+def ctx(review=CourtReview.YES, court=PartyControl.NONPARTISANS,
+        preclearance=False) -> CourtContext:
+    return CourtContext(court_review=review, court_control=court, preclearance=preclearance)
 
 
 class TestCauchy:
@@ -358,3 +358,51 @@ class TestPartyMirror:
                 vra_process(GRID, ctx(preclearance=True), theta)[0],
             ):
                 assert np.all((values >= 0.0) & (values <= 1.0))
+
+
+def _primitive_calls():
+    """(name, f(x, theta)) for every primitive of a bias, over contexts reaching each branch."""
+    D, R, NP, SPLIT = (PartyControl.DEMOCRATS, PartyControl.REPUBLICANS,
+                       PartyControl.NONPARTISANS, PartyControl.SPLIT)
+    calls = [
+        ("cauchy_quantile", lambda x, t: cauchy_quantile(t.chal_prob_bias2 * cauchy_cdf(x))),
+        ("pr_chal_if_poss", pr_chal_if_poss),
+        ("quartic_g", lambda x, t: quartic_g(x, t.interv_asym)),
+        ("pr_veto_nonpartisan", pr_veto_nonpartisan),
+    ]
+    for court in (D, R, SPLIT):
+        for pre in (False, True):
+            c = ctx(CourtReview.MAYBE, court, pre)
+            tag = f"{court.name}-preclearance={pre}"
+            calls += [
+                (f"pr_intervene-{tag}", lambda x, t, c=c: pr_intervene(x, c, t)),
+                (f"court_outcome-{tag}", lambda x, t, c=c: court_outcome(x, c, t)),
+                (f"vra_process-{tag}", lambda x, t, c=c: vra_process(x, c, t)),
+                (f"exp_court-{tag}", lambda x, t, c=c: exp_court(x, c, t)),
+            ]
+    for resolver, drawer in ((R, D), (NP, D), (SPLIT, NP)):
+        calls.append((f"stalemate_default-{resolver.name}-{drawer.name}",
+                      lambda x, t, r=resolver, d=drawer: stalemate_default(x, r, d, t)))
+    for parties in ((R, R), (D, None), (D, R)):
+        tag = "-".join(p.name if p else "absent" for p in parties)
+        calls.append((f"round2_nonpartisan_proposal-{tag}",
+                      lambda x, t, v=parties: round2_nonpartisan_proposal(x, v, t)))
+    return calls
+
+
+def _stacked(out):
+    """One array from a primitive's value or tuple of values, draws on the second-last axis."""
+    return np.stack(np.broadcast_arrays(*out)) if isinstance(out, tuple) else out
+
+
+def test_batch_rows_equal_single_draws_bitwise():
+    # The solver's 161-point grid as a (1, G) row against five (D, 1) draws.
+    grid = OptimizationGrid().points()
+    draws = [sample_parameters(PRIOR, 41, i) for i in range(5)]
+    batch = stack_parameters(draws)
+    for name, fn in _primitive_calls():
+        rows = _stacked(fn(grid[None, :], batch))
+        for d, theta in enumerate(draws):
+            single = _stacked(fn(grid, theta))
+            assert rows[..., d, :].shape == single.shape, name
+            assert rows[..., d, :].tobytes() == single.tobytes(), (name, d)

@@ -45,8 +45,9 @@ class TestGrid:
         assert np.array_equal(left, -right[::-1])
 
     def test_bad_step_rejected(self):
-        with pytest.raises(DomainError):
-            OptimizationGrid(step=0.0)
+        for step in (0.0, -0.05, 4.5, float("nan")):
+            with pytest.raises(DomainError, match=f"grid step {step} out of range"):
+                OptimizationGrid(step=step)
 
 
 class TestAssignment:
@@ -260,14 +261,14 @@ class TestInvariants:
     def test_decisions_invariant_to_positive_scaling(self):
         # Optimal choices depend only on value comparisons: scaling every
         # continuation by a positive constant never flips a comparison.
-        from leeway.solver import _sign
+        from leeway.nature import party_sign
         rng = np.random.default_rng(1)
         for _ in range(200):
             accept, veto = rng.normal(size=2)
             scale = rng.uniform(0.1, 10.0)
             for party in (PartyControl.REPUBLICANS, PartyControl.DEMOCRATS):
-                base = _sign(party) * (veto - accept) > 0
-                scaled = _sign(party) * (scale * veto - scale * accept) > 0
+                base = party_sign(party) * (veto - accept) > 0
+                scaled = party_sign(party) * (scale * veto - scale * accept) > 0
                 assert base == scaled
 
 
@@ -290,8 +291,7 @@ class TestLeeway:
         scores = leeway(process, PRIOR, n_draws=40, seed=13, grid=grid)
         # oracle: per draw, the optimum of the post-enactment expectation
         # over the same grid (no veto or stalemate branch binds)
-        ctx = CourtContext(process.court_review, process.court_control,
-                           process.preclearance, process.drawer_control)
+        ctx = CourtContext(process.court_review, process.court_control, process.preclearance)
         points = grid.points()
         expected = np.mean([exp_court(points, ctx, sample_parameters(PRIOR, 13, i)).value.max()
                             for i in range(40)])
@@ -334,8 +334,7 @@ class TestPathTable:
         table = path_table(book, PRIOR, n_draws=n_draws, seed=33, grid=grid)
         probs = table.state_probs[("KS", 2020)]
 
-        ctx = CourtContext(process.court_review, process.court_control,
-                           process.preclearance, process.drawer_control)
+        ctx = CourtContext(process.court_review, process.court_control, process.preclearance)
         points = grid.points()
         survive = []
         for i in range(n_draws):
