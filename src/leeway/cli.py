@@ -84,10 +84,11 @@ def _read_table(path: str) -> tuple[list[str] | None, list[tuple[int, dict]]]:
     return fields, [(numbered[reader.line_num - 1][0], r) for r in reader]
 
 
-def _cell(path: str, line: int, record: dict, key: str, kind=float):
+def _cell(path: str, line: int, record: dict, key: str, kind=float, rule=None):
     """Convert one CSV cell, or raise DomainError naming its file and line.
 
-    A float cell must be finite.
+    A float cell must be finite. ``rule`` is an optional (test, requirement)
+    pair, such as ``_POSITIVE``, that the value must also pass.
     """
     try:
         value = kind(record[key])
@@ -96,7 +97,22 @@ def _cell(path: str, line: int, record: dict, key: str, kind=float):
                           f"a valid {kind.__name__}") from None
     if kind is float and not math.isfinite(value):
         raise DomainError(f"{path}, line {line}: {key}={record[key]!r} is not finite")
+    if rule is not None and not rule[0](value):
+        raise DomainError(f"{path}, line {line}: {key}={record[key]!r} {rule[1]}")
     return value
+
+
+_SHARE = (lambda v: 0.0 < v < 1.0, "must lie strictly inside (0, 1)")
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0.0, "must be nonnegative")
+
+
+def _first_line(path: str, seen: dict, key: tuple, line: int, what: str):
+    """Record the line of a key, or raise DomainError naming both lines of a repeat."""
+    if key in seen:
+        raise DomainError(f"{path}, lines {seen[key]} and {line}: duplicate {what} "
+                          f"{','.join(map(str, key))}")
+    seen[key] = line
 
 
 def _grid(args) -> OptimizationGrid:
@@ -192,39 +208,40 @@ def _cmd_paths(args) -> int:
 
 def _read_plans(path: str) -> list[tuple[tuple[str, int], metrics.PlanProfile]]:
     groups: dict[tuple[str, int], list[tuple[float, float | None]]] = {}
-    order: list[tuple[str, int]] = []
     fields, records = _read_table(path)
     expected = {"state", "cycle", "district", "rep_share"}
     if fields is None or not expected.issubset(fields):
         raise DomainError(f"{path}: plan file must have columns {sorted(expected)}")
     has_turnout = "turnout" in fields
+    seen: dict = {}
     for line, record in records:
         key = (record["state"], _cell(path, line, record, "cycle", int))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        turnout = (_cell(path, line, record, "turnout")
+        _first_line(path, seen, (*key, record["district"]), line, "district")
+        turnout = (_cell(path, line, record, "turnout", rule=_POSITIVE)
                    if has_turnout and record["turnout"] else None)
-        groups[key].append((_cell(path, line, record, "rep_share"), turnout))
+        groups.setdefault(key, []).append(
+            (_cell(path, line, record, "rep_share", rule=_SHARE), turnout))
     plans = []
-    for key in order:
-        shares = tuple(s for s, _ in groups[key])
-        turnouts = tuple(t for _, t in groups[key])
+    for key, cells in groups.items():
+        shares = tuple(s for s, _ in cells)
+        turnouts = tuple(t for _, t in cells)
         weights = turnouts if all(t is not None for t in turnouts) else None
         plans.append((key, metrics.PlanProfile(shares, weights)))
     return plans
 
 
 def _read_ensemble(path: str) -> dict:
-    table = {}
+    table, seen = {}, {}
     fields, records = _read_table(path)
     expected = {"state", "cycle", "metric", "mean", "sd"}
     if fields is None or not expected.issubset(fields):
         raise DomainError(f"{path}: ensemble file must have columns {sorted(expected)}")
     for line, record in records:
         key = (record["state"], _cell(path, line, record, "cycle", int), record["metric"])
-        table[key] = metrics.EnsembleSummary(_cell(path, line, record, "mean"),
-                                             _cell(path, line, record, "sd"))
+        _first_line(path, seen, key, line, "metric")
+        table[key] = metrics.EnsembleSummary(
+            _cell(path, line, record, "mean"),
+            _cell(path, line, record, "sd", rule=_NONNEGATIVE))
     return table
 
 

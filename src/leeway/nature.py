@@ -13,10 +13,18 @@ argument against the parameter fields, which are floats for one draw or
 (D, 1) columns for a batch of draws (:func:`stack_parameters`), so a (1, G)
 grid row gives one row of values per draw. A scalar bias is the 0-d case of
 the same code: it gives numpy scalars (or a 0-d array), never Python floats.
+
+The terms that do not depend on the bias are properties of
+:class:`GameParameters`, worked out on first read and kept with the draw
+batch: the (a, b) coefficients of the challenge, intervention and VRA
+curves, the remedy scale and the partisan lean. All rows and control
+assignments solved over one batch share them, so the Cauchy quantiles and
+their domain checks run once per batch rather than on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -63,6 +71,12 @@ def cauchy_quantile(p):
     return np.tan(np.pi * (p - 0.5))
 
 
+def _cauchy_curve(p0, p_span, span: float):
+    """(a, b) such that F(a + b h) is p0 at h = 0 and p_span at h = span."""
+    a = cauchy_quantile(p0)
+    return a, (cauchy_quantile(p_span) - a) / span
+
+
 @dataclass(frozen=True)
 class GameParameters:
     """One draw of the 19 move-by-nature parameters.
@@ -98,6 +112,35 @@ class GameParameters:
                 raise DomainError(f"{name}={value} outside [0, 1]")
         if np.any(self.out_nonp_bias2 < 0.0) or np.any(self.out_nonp_part_adv < 0.0):
             raise DomainError("folded parameters must be nonnegative")
+
+    # Bias-independent terms, kept in the instance __dict__ on first read. No
+    # exception is cached, so a probability outside (0, 1) raises DomainError
+    # on every read; the VRA curve is read only for precleared states.
+
+    @functools.cached_property
+    def chal_curve(self):
+        """(a, b) of the challenge curve of :func:`pr_chal_if_poss`."""
+        return _cauchy_curve(self.chal_prob_bias0, self.chal_prob_bias2, 4.0)
+
+    @functools.cached_property
+    def interv_curve(self):
+        """(a, b) of the intervention curve of :func:`pr_intervene`."""
+        return _cauchy_curve(self.interv_prob_bias0, self.interv_prob_bias2, 4.0)
+
+    @functools.cached_property
+    def vra_curve(self):
+        """(a, b) of the VRA challenge curve of :func:`vra_process`."""
+        return _cauchy_curve(self.vra_chal_prob_bias0, self.vra_chal_prob_bias2, 2.0)
+
+    @functools.cached_property
+    def remedy_scale(self):
+        """Slope of the court remedy in arctan(x / 2), through out_nonp_bias2 at x=2."""
+        return self.out_nonp_bias2 / math.atan(1.0)
+
+    @functools.cached_property
+    def party_lean(self) -> dict:
+        """out_nonp_part_adv toward each side, keyed by :func:`party_sign`."""
+        return {sign: sign * self.out_nonp_part_adv for sign in (-1.0, 0.0, 1.0)}
 
 
 PARAM_NAMES = tuple(f.name for f in fields(GameParameters))
@@ -284,8 +327,7 @@ def pr_chal_if_poss(x, theta: GameParameters):
     |x|=2. U-shaped and even in x: extreme plans from either side invite
     challenges.
     """
-    a = cauchy_quantile(theta.chal_prob_bias0)
-    b = (cauchy_quantile(theta.chal_prob_bias2) - a) / 4.0
+    a, b = theta.chal_curve
     return cauchy_cdf(a + b * np.square(x))
 
 
@@ -306,8 +348,7 @@ def pr_intervene(x, ctx: CourtContext, theta: GameParameters):
     Republican-leaning plans (h(x) = g(x; asym)) and vice versa
     (h(x) = g(-x; asym)); other courts use the symmetric h(x) = x^2.
     """
-    a = cauchy_quantile(theta.interv_prob_bias0)
-    b = (cauchy_quantile(theta.interv_prob_bias2) - a) / 4.0
+    a, b = theta.interv_curve
     if ctx.court_control is PartyControl.DEMOCRATS:
         h = quartic_g(x, theta.interv_asym)
     elif ctx.court_control is PartyControl.REPUBLICANS:
@@ -324,8 +365,8 @@ def court_outcome(x, ctx: CourtContext, theta: GameParameters):
     out_nonp_bias2 at x=2), plus a constant lean of out_nonp_part_adv
     toward the party controlling the court.
     """
-    raw = (theta.out_nonp_bias2 / math.atan(1.0)) * np.arctan(x / 2.0)
-    return clamp_bias(raw + party_sign(ctx.court_control) * theta.out_nonp_part_adv)
+    raw = theta.remedy_scale * np.arctan(x / 2.0)
+    return clamp_bias(raw + theta.party_lean[party_sign(ctx.court_control)])
 
 
 def vra_process(x, ctx: CourtContext, theta: GameParameters):
@@ -342,8 +383,7 @@ def vra_process(x, ctx: CourtContext, theta: GameParameters):
                         + theta.vra_out_breakeven)
     if not ctx.preclearance:
         return np.zeros_like(x, dtype=float), remedy
-    a = cauchy_quantile(theta.vra_chal_prob_bias0)
-    b = (cauchy_quantile(theta.vra_chal_prob_bias2) - a) / 2.0
+    a, b = theta.vra_curve
     return cauchy_cdf(a + b * x), remedy
 
 
@@ -380,7 +420,7 @@ def stalemate_default(x, resolver_control: PartyControl, drawer_party: PartyCont
     partisan, otherwise to the partisan initial drawer, otherwise zero.
     """
     lean = party_sign(resolver_control) or party_sign(drawer_party)
-    return clamp_bias(theta.stale_slope * x + lean * theta.out_nonp_part_adv)
+    return clamp_bias(theta.stale_slope * x + theta.party_lean[lean])
 
 
 def pr_veto_nonpartisan(x, theta: GameParameters):

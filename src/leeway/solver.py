@@ -28,7 +28,9 @@ same call also routes that mass to the final-drawer buckets. The grid
 optimizer calls the nodes for values; one walk from the root along the
 chosen actions then yields the path probabilities. Partisan veto
 decisions are recorded wherever a proposal is evaluated on the base grid,
-which gives the veto thresholds; they are worked out when first read.
+which gives the veto thresholds; they are worked out when first read. The
+round-1, round-2 and resolver optimizers all evaluate the court machinery
+on the same base grid, so the tree computes it once and keeps it.
 """
 
 from __future__ import annotations
@@ -161,6 +163,11 @@ def _argopt(values: np.ndarray, party: PartyControl) -> np.ndarray:
     return np.argmax(ties, axis=1)
 
 
+def _carries(mass) -> bool:
+    """Whether any draw carries path mass; the value-only walk passes the float 0.0."""
+    return mass != 0.0 if isinstance(mass, float) else mass.any()
+
+
 class _TreeEvaluator:
     """The game tree of one (process, assignment), evaluated over D draws at once.
 
@@ -248,11 +255,18 @@ class _TreeEvaluator:
     # that draw alone would.
 
     def exp_court(self, x):
+        if x is self.base:
+            return self._base_court
         return nature.exp_court(x, self.ctx, self.theta)
+
+    @functools.cached_property
+    def _base_court(self):
+        """The court machinery on the base grid, shared by every grid optimizer of the tree."""
+        return nature.exp_court(self.base, self.ctx, self.theta)
 
     def _settle(self, court, mass, bucket: str):
         """Route mass through the court machinery of an enacted plan."""
-        if np.any(mass):
+        if _carries(mass):
             self.acc[bucket] += mass * court.pr_survive
             self.acc["court"] += mass * court.pr_redraw
 
@@ -268,7 +282,7 @@ class _TreeEvaluator:
         and that mass is routed before the mass of its own enactment.
         """
         if k >= len(self.chain) or self.chain[k][0] in ("court", "unclear"):
-            if np.any(mass):
+            if _carries(mass):
                 self.acc["court"] += mass
             return nature.stalemate_default(anchor, self.assignment.court,
                                             self.assignment.drawer, self.theta)
@@ -276,7 +290,7 @@ class _TreeEvaluator:
         bucket = "commission" if kind == "commission" else "legislature"
         if control in _PARTISAN:
             x_opt, value = self._resolver_optimum(k, control)
-            if np.any(mass):
+            if _carries(mass):
                 self._settle(self.exp_court(x_opt), mass, bucket)
             return value
         proposal = nature.stalemate_default(anchor, control, self.assignment.drawer, self.theta)
@@ -319,7 +333,7 @@ class _TreeEvaluator:
                 if q is None:
                     q = nature.pr_veto_nonpartisan(x, self.theta)
                 stage = q * veto_value + (1.0 - q) * stage
-        if np.any(mass):
+        if _carries(mass):
             for index in (0, 1):
                 mode = self.vetoes[index][0]
                 if mode == "partisan":
@@ -329,7 +343,7 @@ class _TreeEvaluator:
                     vetoed, mass = mass * q, mass * (1.0 - q)
                 else:
                     continue
-                if np.any(vetoed):
+                if _carries(vetoed):
                     subgame(x, vetoed)
             self._settle(court, mass, self.drawer_bucket)
         return stage
@@ -356,7 +370,7 @@ class _TreeEvaluator:
         mode = self.assignment.drawer
         if mode in _PARTISAN:
             x2, stalemates, value = self._partisan_round2(x_prev)
-            if np.any(mass):
+            if _carries(mass):
                 self.stalemate(x_prev, np.where(stalemates, mass, 0.0))
                 self.plan(x2, 2, np.where(stalemates, 0.0, mass))
             return value

@@ -178,15 +178,23 @@ class TestLeewayCommand:
 
 
 # SHA-256 of `leeway --emit-diagnostics` JSON and `paths --per-state` CSV on the
-# fixture at 6 draws, seed 7, without the config hash and the header comment,
-# which name the input paths. The fixture reaches both ways of recording veto
-# thresholds: partisan drawers (AL, WI) and split or nonpartisan drawers with
-# a partisan veto (IA, MN-2020, NY, OH-2020, VA-2010).
+# fixture at 6 draws, seed 7, and of a `counterfactual --doses-csv` CSV on the
+# small codebook and fitted model at 6 draws, seed 7, without the config hash
+# and the header comments, which name the input paths. The fixture reaches both
+# ways of recording veto thresholds: partisan drawers (AL, WI) and split or
+# nonpartisan drawers with a partisan veto (IA, MN-2020, NY, OH-2020, VA-2010).
 _GOLDEN_DIAGNOSTICS = "29b924517bef4eaa9c0ef37c547d16792d0af715e7cff3144adc545e72a00625"
 _GOLDEN_PER_STATE = "f0291cd01ab3c2b0115d05041ea43228e69ad55a968ee51538e44efc538d3d1f"
+_GOLDEN_DOSES = "e231a8c33f4e962aff50f8dbf43c8eb99d65979f9fe3e86804e6bead0bbbafb1"
 
 
-def test_solver_outputs_match_golden_digests(tmp_path):
+def _body(path) -> bytes:
+    """A CSV output without its header comment."""
+    return b"".join(ln for ln in read(path).splitlines(keepends=True)
+                    if not ln.startswith(b"#"))
+
+
+def test_solver_outputs_match_golden_digests(tmp_path, small_codebook, fitted_model, inputs):
     fixture = tmp_path / "fixture.csv"
     fixture.write_text(serialize_codebook(load_fixture_codebook()))
     diag, per_state = tmp_path / "d.json", tmp_path / "p.csv"
@@ -197,9 +205,14 @@ def test_solver_outputs_match_golden_digests(tmp_path):
                  "--per-state", str(per_state)]) == 0
     body = re.sub(rb'"config": "[0-9a-f]*"', b'"config": ""', read(diag))
     assert hashlib.sha256(body).hexdigest() == _GOLDEN_DIAGNOSTICS
-    rows = b"".join(ln for ln in read(per_state).splitlines(keepends=True)
-                    if not ln.startswith(b"#"))
-    assert hashlib.sha256(rows).hexdigest() == _GOLDEN_PER_STATE
+    assert hashlib.sha256(_body(per_state)).hexdigest() == _GOLDEN_PER_STATE
+    cov, base = inputs
+    doses = tmp_path / "doses.csv"
+    assert main(["counterfactual", "--template", "ny", "--codebook", small_codebook,
+                 "--seat-model", fitted_model, "--resp-model", fitted_model,
+                 "--covariates", cov, "--baseline", base, "--draws", "6", "--seed", "7",
+                 "--output", str(tmp_path / "cf.json"), "--doses-csv", str(doses)]) == 0
+    assert hashlib.sha256(_body(doses)).hexdigest() == _GOLDEN_DOSES
 
 
 class TestMetricsCommand:
@@ -540,6 +553,48 @@ class TestDataErrorsExit1:
             assert main(["metrics", "--plans", str(plans), "--ensemble", str(ensemble),
                          "--output", str(tmp_path / "m.csv")]) == 1
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plan,ensemble,message", [
+        ("rep_share\nNH,2020,1,1.0\n", None,
+         "line 2: rep_share='1.0' must lie strictly inside (0, 1)"),
+        ("rep_share,turnout\nNH,2020,1,0.5,2\nNH,2020,2,0.4,-1\n", None,
+         "line 3: turnout='-1' must be positive"),
+        ("rep_share\nNH,2020,1,0.5\n", "NH,2020,competitive_share,0.2,-1\n",
+         "line 2: sd='-1' must be nonnegative"),
+    ], ids=["rep_share", "turnout", "sd"])
+    def test_metrics_value_out_of_range(self, tmp_path, capsys, plan, ensemble, message):
+        plans = tmp_path / "plans.csv"
+        plans.write_text("state,cycle,district," + plan)
+        argv = ["metrics", "--plans", str(plans), "--output", str(tmp_path / "m.csv")]
+        bad = plans
+        if ensemble is not None:
+            bad = tmp_path / "ens.csv"
+            bad.write_text("state,cycle,metric,mean,sd\n" + ensemble)
+            argv += ["--ensemble", str(bad)]
+        assert main(argv) == 1
+        assert f"{bad}, {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["plans", "ensemble"])
+    def test_duplicate_rows(self, tmp_path, capsys, reader):
+        # A repeated district used to count as one more district, and a
+        # repeated ensemble metric silently replaced the first.
+        plans = tmp_path / "plans.csv"
+        plans.write_text("state,cycle,district,rep_share\nNH,2020,1,0.5\nNH,2020,2,0.4\n"
+                         "TX,2020,1,0.6\n")
+        argv = ["metrics", "--plans", str(plans), "--output", str(tmp_path / "m.csv")]
+        if reader == "plans":
+            bad, message = plans, "lines 2 and 5: duplicate district NH,2020,1"
+            plans.write_text(plans.read_text() + "NH,2020,1,0.5\n")
+        else:
+            bad = tmp_path / "ens.csv"
+            message = "lines 2 and 4: duplicate metric TX,2020,competitive_share"
+            bad.write_text("state,cycle,metric,mean,sd\nTX,2020,competitive_share,0.2,0.1\n"
+                           "NH,2020,competitive_share,0.2,0.1\n"
+                           "TX,2020,competitive_share,0.9,0.1\n")
+            argv += ["--ensemble", str(bad)]
+        assert main(argv) == 1
+        assert f"{bad}, {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_did_cell(self, did_input, tmp_path, capsys):
         lines = open(did_input).read().splitlines(keepends=True)

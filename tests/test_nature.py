@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -240,7 +241,7 @@ class TestVra:
 
 class TestExpCourt:
     def test_collapses_without_any_challenge_channel(self):
-        theta = GameParameters(**{**MEAN.__dict__, "chal_poss_conf": 1.0})
+        theta = dataclasses.replace(MEAN, chal_poss_conf=1.0)
         result = exp_court(1.3, ctx(CourtReview.NO, preclearance=False), theta)
         assert result.value == 1.3
         assert result.pr_survive == 1.0
@@ -270,6 +271,72 @@ class TestExpCourt:
                 r = exp_court(GRID, ctx(CourtReview.MAYBE, PartyControl.DEMOCRATS,
                                         preclearance), theta)
                 assert np.all(np.abs(r.pr_redraw + r.pr_survive - 1.0) < 1e-12)
+
+
+def _inline_formulas(x, c, theta):
+    """exp_court, pr_veto_nonpartisan and stalemate_default written out in full.
+
+    Every term is recomputed on each call, as the primitives did before their
+    bias-independent terms became properties of the draw batch. Returns the
+    value, redraw and survival masses, the nonpartisan veto probability and
+    the stalemate default keyed to the court.
+    """
+    def quantile(p):
+        return np.tan(np.pi * (p - 0.5))
+
+    def cdf(v):
+        return np.arctan(v) / np.pi + 0.5
+
+    sign = {PartyControl.DEMOCRATS: -1.0, PartyControl.REPUBLICANS: 1.0}.get(c.court_control, 0.0)
+    a = quantile(theta.chal_prob_bias0)
+    b = (quantile(theta.chal_prob_bias2) - a) / 4.0
+    p_chal = cdf(a + b * np.square(x))
+    a = quantile(theta.interv_prob_bias0)
+    b = (quantile(theta.interv_prob_bias2) - a) / 4.0
+    k = math.sqrt(4.0 * (2.0 * 0.7) * (12.0 * 0.2**2)) / 6.0
+    if sign == 0.0:
+        h = np.square(x)
+    else:
+        z = x if sign < 0.0 else np.negative(x)
+        h = np.square(z) * (0.7 + theta.interv_asym * k * z + np.square(0.2 * z))
+    p_intervene = theta.interv_prob_max * cdf(a + b * h)
+    possible = {CourtReview.YES: theta.chal_poss_conf, CourtReview.MAYBE: theta.chal_poss_maybe,
+                CourtReview.NO: 1.0 - theta.chal_poss_conf}[c.court_review]
+    p_int = possible * p_chal * p_intervene
+    outcome = np.clip((theta.out_nonp_bias2 / math.atan(1.0)) * np.arctan(x / 2.0)
+                      + sign * theta.out_nonp_part_adv, -4.0, 4.0)
+    remedy = np.clip(theta.vra_out_slope * (x - theta.vra_out_breakeven)
+                     + theta.vra_out_breakeven, -4.0, 4.0)
+    if c.preclearance:
+        a = quantile(theta.vra_chal_prob_bias0)
+        b = (quantile(theta.vra_chal_prob_bias2) - a) / 2.0
+        vra_prob = cdf(a + b * x)
+    else:
+        vra_prob = np.zeros_like(x, dtype=float)
+    p_vra = vra_prob * theta.vra_interv_prob
+    value = (p_int * outcome + (1.0 - p_int) * p_vra * remedy
+             + (1.0 - p_int) * (1.0 - p_vra) * x)
+    stale = np.clip(theta.stale_slope * x + sign * theta.out_nonp_part_adv, -4.0, 4.0)
+    return (value, p_int + (1.0 - p_int) * p_vra, (1.0 - p_int) * (1.0 - p_vra),
+            theta.veto_nonp_prob_max * p_chal, stale)
+
+
+def test_primitives_match_inline_formulas_bitwise():
+    # A 5-draw batch on the 161-point base grid, through every court review,
+    # court control and preclearance branch.
+    x = OptimizationGrid().points()[None, :]
+    batch = stack_parameters([sample_parameters(PRIOR, 41, i) for i in range(5)])
+    for review in (CourtReview.YES, CourtReview.MAYBE, CourtReview.NO):
+        for court in PartyControl:
+            for preclearance in (False, True):
+                c = ctx(review, court, preclearance)
+                court_ = exp_court(x, c, batch)
+                got = (court_.value, court_.pr_redraw, court_.pr_survive,
+                       pr_veto_nonpartisan(x, batch),
+                       stalemate_default(x, court, PartyControl.NONPARTISANS, batch))
+                for g, want in zip(got, _inline_formulas(x, c, batch)):
+                    assert g.shape == want.shape == (5, 161)
+                    assert g.tobytes() == want.tobytes(), (review, court, preclearance)
 
 
 class TestStalemateDefault:
@@ -302,7 +369,7 @@ class TestNonpartisanVeto:
         assert pr_veto_nonpartisan(4.0, MEAN) > pr_veto_nonpartisan(1.0, MEAN)
 
     def test_zero_max_kills_vetoes(self):
-        theta = GameParameters(**{**MEAN.__dict__, "veto_nonp_prob_max": 0.0})
+        theta = dataclasses.replace(MEAN, veto_nonp_prob_max=0.0)
         assert np.all(pr_veto_nonpartisan(GRID, theta) == 0.0)
 
 

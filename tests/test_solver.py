@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from leeway import nature
 from leeway.codebook import (CourtReview, Drawer, FinalDrawer, PartyControl,
                              Stalemate1, Stalemate2, Veto1, Veto2,
                              load_fixture_codebook)
@@ -11,8 +12,8 @@ from leeway.nature import (GameParameters, PriorSpec, exp_court, CourtContext,
                            sample_parameters, stack_parameters)
 from leeway.solver import (STALEMATE, ControlAssignment, OptimizationGrid, _argopt,
                            _TreeEvaluator, brute_force_solve, equilibrium_matrix, leeway,
-                           leeway_table, pairwise_spearman_mean, path_table, solve,
-                           solve_batch, spearman_stability)
+                           leeway_table, pairwise_spearman_mean, path_table,
+                           sample_draws, solve, solve_batch, spearman_stability)
 
 from test_codebook import make_process
 
@@ -175,6 +176,62 @@ class TestBatch:
                 solved += 1
         assert solved > 0
         assert calls == []
+
+    def test_cauchy_quantiles_once_per_batch(self, monkeypatch):
+        # The curve coefficients depend only on the draws: two quantiles for
+        # each of the challenge, intervention and VRA curves, shared by
+        # every row and assignment solved over the batch.
+        calls = []
+        real = nature.cauchy_quantile
+        monkeypatch.setattr(nature, "cauchy_quantile", lambda p: calls.append(p) or real(p))
+        batch = sample_draws(PRIOR, 64, 5)
+        row = FIXTURE.get("AL", 2020)  # precleared, so the VRA curve is read
+        solve_batch(row, realized(row), batch)
+        assert len(calls) == 6
+        for row in FIXTURE:
+            if row.drawer is not Drawer.NA:
+                solve_batch(row, ControlAssignment.uniform(row, PartyControl.DEMOCRATS), batch)
+        assert len(calls) == 6
+
+    def test_base_grid_court_evaluated_once_per_tree(self, monkeypatch):
+        # IN 2020: a Republican legislature drafts behind a Republican
+        # governor's veto and a Republican commission resolves stalemates,
+        # so the round-1, round-2 and resolver optimizers all start on the
+        # base grid.
+        base = OptimizationGrid().points()[None, :]
+        calls = []
+        real = nature.exp_court
+
+        def counting(x, ctx, theta):
+            calls.append(np.shape(x) == base.shape and np.array_equal(x, base))
+            return real(x, ctx, theta)
+
+        monkeypatch.setattr(nature, "exp_court", counting)
+        batch = sample_draws(PRIOR, 65, 4)
+        per_tree = {}
+        for row in FIXTURE:
+            if row.drawer is Drawer.NA:
+                continue
+            for assignment in (realized(row),
+                               ControlAssignment.uniform(row, PartyControl.DEMOCRATS)):
+                calls.clear()
+                solve_batch(row, assignment, batch).veto_thresholds
+                per_tree[row.key, assignment] = sum(calls)
+        assert per_tree[("IN", 2020), realized(FIXTURE.get("IN", 2020))] == 1
+        assert max(per_tree.values()) == 1
+
+    def test_vra_curve_read_only_for_precleared_rows(self):
+        # A VRA challenge probability of 0 is outside the Cauchy curve's
+        # domain. Only a precleared state reads that curve.
+        draws = sample_draws(PRIOR, 66, 3)
+        batch = dataclasses.replace(draws, vra_chal_prob_bias0=np.zeros((3, 1)))
+        precleared, exempt = FIXTURE.get("AL", 2020), FIXTURE.get("WI", 2020)
+        with pytest.raises(DomainError, match="cauchy_quantile"):
+            solve_batch(precleared, realized(precleared), batch)
+        solved = solve_batch(exempt, realized(exempt), batch)
+        assert np.array_equal(solved.values, solve_batch(exempt, realized(exempt), draws).values)
+        with pytest.raises(DomainError, match="cauchy_quantile"):
+            solve_batch(precleared, realized(precleared), batch)
 
     def test_argopt_breaks_ties_per_row(self):
         # Row 0 ties at its maximum (indices 1 and 3), row 1 at its
