@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+import traceback
 import warnings
 
 import numpy as np
@@ -152,10 +153,10 @@ def _cmd_leeway(args) -> int:
         if args.emit_diagnostics:
             records.extend({
                 "state": process.state_id, "cycle": process.cycle, "draw": i,
-                "value": res.value, "path_probs": res.path_probs,
-                "round2_proposal": res.round2_proposal,
-                "veto_thresholds": res.veto_thresholds,
-            } for i, res in enumerate(map(solved.result, range(solved.n_draws))))
+                "value": value, "path_probs": paths, "round2_proposal": round2,
+                "veto_thresholds": thresholds,
+            } for i, (value, paths, round2, thresholds)
+                in enumerate(zip(*solved.result_columns())))
     if args.format == "json":
         payload = {
             "meta": {"version": __version__, "seed": args.seed,
@@ -571,7 +572,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of a run that ends in an uncaught exception: a bug, not a data
+# error (1) or a usage error (2).
+EXIT_BUG = 3
+
+
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code; an uncaught exception propagates."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -585,5 +592,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> None:
+    """The ``leeway`` command: :func:`main`, or the traceback and EXIT_BUG on a bug."""
+    try:
+        code = main()
+    except Exception:
+        traceback.print_exc()
+        code = EXIT_BUG
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

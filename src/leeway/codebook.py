@@ -274,19 +274,25 @@ _ENUM_BY_COLUMN = {
 }
 
 
+# Each enum's members by lowercased literal: enum cells match case-insensitively.
+_MEMBERS = {enum_cls: {member.value.lower(): member for member in enum_cls}
+            for enum_cls in _ENUM_BY_COLUMN.values()}
+
+_CYCLE_LITERALS = frozenset(str(c) for c in CYCLES)
+
+
 def _parse_enum(enum_cls, raw, row_key, column):
-    # Enum cells match variant literals case-insensitively.
-    for member in enum_cls:
-        if member.value.lower() == raw.strip().lower():
-            return member
-    raise UnknownEnumLiteral(row_key, column, raw)
+    member = _MEMBERS[enum_cls].get(raw.strip().lower())
+    if member is None:
+        raise UnknownEnumLiteral(row_key, column, raw)
+    return member
 
 
 def _parse_row(record: dict[str, str]) -> StateProcess:
     row_key = (record.get("state", "?"), record.get("cycle", "?"))
 
     raw_cycle = record["cycle"].strip()
-    if raw_cycle not in {str(c) for c in CYCLES}:
+    if raw_cycle not in _CYCLE_LITERALS:
         raise UnknownEnumLiteral(row_key, "cycle", raw_cycle)
 
     raw_pre = record["preclearance"].strip().lower()

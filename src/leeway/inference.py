@@ -329,6 +329,8 @@ def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000
         raise DomainError("n_chains and warmup must be positive")
     if n_draws < 4:
         raise DomainError(f"{n_draws} draws per chain; split R-hat needs at least 4")
+    if seed < 0:
+        raise DomainError(f"seed {seed} is negative; a seed must be a non-negative integer")
     rngs = [np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(c,)))) for c in range(n_chains)]
     coefficients, sigma, accept_sigma = _gibbs(design.X, design.y, prior, n_draws,

@@ -19,7 +19,9 @@ The terms that do not depend on the bias are properties of
 batch: the (a, b) coefficients of the challenge, intervention and VRA
 curves, the remedy scale and the partisan lean. All rows and control
 assignments solved over one batch share them, so the Cauchy quantiles and
-their domain checks run once per batch rather than on every call.
+their domain checks run once per batch rather than on every call. For a
+state without preclearance the VRA channel carries no mass, so
+:func:`exp_court` leaves out its remedy and its terms.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ _QUARTIC_C = math.sqrt(4.0 * (2.0 * 0.7) * (12.0 * 0.2**2)) / 6.0
 
 
 def clamp_bias(x):
-    return np.clip(x, BIAS_MIN, BIAS_MAX)
+    # The bits of np.clip without its Python wrapper, which costs more than
+    # the clipping on arrays this small.
+    return np.minimum(np.maximum(x, BIAS_MIN), BIAS_MAX)
 
 
 def party_sign(control) -> float:
@@ -278,6 +282,21 @@ class PriorSpec:
         return GameParameters(**{name: dist.mean() for name, dist in self.dists})
 
 
+def _prior_draw(prior: PriorSpec, rng_seed: int, draw_index: int) -> list[float]:
+    """One draw of the joint prior, its values in ``prior.dists`` order.
+
+    Each (rng_seed, draw_index) has its own stream. The values are not
+    range-checked here; the GameParameters built from them checks them.
+    """
+    if rng_seed < 0:
+        raise DomainError(f"seed {rng_seed} is negative; a seed must be a non-negative integer")
+    if draw_index < 0:
+        raise DomainError("draw_index must be nonnegative")
+    seq = np.random.SeedSequence(entropy=rng_seed, spawn_key=(draw_index,))
+    rng = np.random.Generator(np.random.PCG64(seq))
+    return [dist.draw(rng) for _, dist in prior.dists]
+
+
 def sample_parameters(prior: PriorSpec, rng_seed: int, draw_index: int) -> GameParameters:
     """Draw one GameParameters from the joint prior.
 
@@ -285,11 +304,8 @@ def sample_parameters(prior: PriorSpec, rng_seed: int, draw_index: int) -> GameP
     across draw indices, so draws can be generated in any order or in
     parallel and always agree.
     """
-    if draw_index < 0:
-        raise DomainError("draw_index must be nonnegative")
-    seq = np.random.SeedSequence(entropy=rng_seed, spawn_key=(draw_index,))
-    rng = np.random.Generator(np.random.PCG64(seq))
-    return GameParameters(**{name: dist.draw(rng) for name, dist in prior.dists})
+    values = _prior_draw(prior, rng_seed, draw_index)
+    return GameParameters(**{name: v for (name, _), v in zip(prior.dists, values)})
 
 
 def stack_parameters(draws: list[GameParameters]) -> GameParameters:
@@ -400,15 +416,20 @@ def exp_court(x, ctx: CourtContext, theta: GameParameters) -> ExpCourt:
 
     Mixture over: partisan-challenge redraw (court_outcome), VRA redraw
     (the VRA remedy), and survival (x itself). The two returned masses sum
-    to one.
+    to one. Without preclearance the VRA terms, all zero, are left out; the
+    bits are those of the full mixture, except that a zero value at a bias
+    of -0.0 can come out with the other sign.
     """
     p_int = pr_chal_poss(ctx, theta) * pr_chal_if_poss(x, theta) * pr_intervene(x, ctx, theta)
+    p_keep = 1.0 - p_int
+    redrawn = p_int * court_outcome(x, ctx, theta)
+    if not ctx.preclearance:
+        return ExpCourt(redrawn + p_keep * x, p_int, p_keep)
     vra_prob, vra_remedy = vra_process(x, ctx, theta)
     p_vra = vra_prob * theta.vra_interv_prob
-    value = (p_int * court_outcome(x, ctx, theta)
-             + (1.0 - p_int) * p_vra * vra_remedy
-             + (1.0 - p_int) * (1.0 - p_vra) * x)
-    return ExpCourt(value, p_int + (1.0 - p_int) * p_vra, (1.0 - p_int) * (1.0 - p_vra))
+    via_vra = p_keep * p_vra
+    survive = p_keep * (1.0 - p_vra)
+    return ExpCourt(redrawn + via_vra * vra_remedy + survive * x, p_int + via_vra, survive)
 
 
 def stalemate_default(x, resolver_control: PartyControl, drawer_party: PartyControl,

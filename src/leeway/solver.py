@@ -55,6 +55,9 @@ _THRESHOLD_KEYS = ("round1_veto1", "round1_veto2", "round2_veto1", "round2_veto2
 
 _PARTISAN = (PartyControl.DEMOCRATS, PartyControl.REPUBLICANS)
 
+# Finest grid step (8,001 points): finer grids need more memory than a solve should.
+MIN_GRID_STEP = 0.001
+
 
 @dataclass(frozen=True)
 class ControlAssignment:
@@ -112,7 +115,7 @@ class OptimizationGrid:
     refine_factor: int = 20
 
     def __post_init__(self):
-        if not 0 < self.step <= (BIAS_MAX - BIAS_MIN) / 2:
+        if not MIN_GRID_STEP <= self.step <= (BIAS_MAX - BIAS_MIN) / 2:
             raise DomainError(f"grid step {self.step} out of range")
         if self.refine_factor < 2:
             raise DomainError("refine_factor must be at least 2")
@@ -127,7 +130,7 @@ class OptimizationGrid:
     def refine_points(self, center: float) -> np.ndarray:
         offsets = np.arange(-self.refine_factor, self.refine_factor + 1) * (
             self.step / self.refine_factor)
-        return np.clip(center + offsets, BIAS_MIN, BIAS_MAX)
+        return nature.clamp_bias(center + offsets)
 
 
 @dataclass(frozen=True)
@@ -454,18 +457,26 @@ class _TreeEvaluator:
                 out[:, col] = np.where(flips.any(axis=1), mids[np.argmax(flips, axis=1)], np.nan)
         return out
 
+    def result_columns(self, draws: slice = slice(None)) -> tuple[list, list, list, list]:
+        """The :class:`EquilibriumResult` fields of the given draws as Python lists.
+
+        One list per field, in field order, with NaN as None and a drawer
+        stalemate as STALEMATE. Each array is converted with one ``tolist``.
+        """
+        def nan_to_none(a):
+            return np.where(np.isnan(a), None, a)
+
+        round2 = np.where(self.stalemates[draws], STALEMATE,
+                          nan_to_none(self.round2_proposal[draws]))
+        return (self.values[draws].tolist(),
+                [dict(zip(_BUCKETS, row)) for row in self.path_probs[draws].tolist()],
+                round2.tolist(),
+                [dict(zip(_THRESHOLD_KEYS, row))
+                 for row in nan_to_none(self.veto_thresholds[draws]).tolist()])
+
     def result(self, d: int) -> EquilibriumResult:
         """Draw d of a solved tree, with NaN as None and a drawer stalemate as STALEMATE."""
-        def scalar(x):
-            return None if np.isnan(x) else float(x)
-
-        thresholds = self.veto_thresholds[d]
-        return EquilibriumResult(
-            value=float(self.values[d]),
-            path_probs={b: float(p) for b, p in zip(_BUCKETS, self.path_probs[d])},
-            round2_proposal=STALEMATE if self.stalemates[d] else scalar(self.round2_proposal[d]),
-            veto_thresholds={k: scalar(t) for k, t in zip(_THRESHOLD_KEYS, thresholds)},
-        )
+        return EquilibriumResult(*(column[0] for column in self.result_columns(slice(d, d + 1))))
 
 
 def solve_batch(process: StateProcess, assignment: ControlAssignment,
@@ -479,7 +490,8 @@ def solve_batch(process: StateProcess, assignment: ControlAssignment,
     ``round2_proposal`` (D,), NaN where no veto node exists, and
     ``stalemates`` (D,); ``veto_thresholds`` (D, 4), NaN where there is no
     threshold, is worked out on first read. ``result(d)`` is :func:`solve`
-    on draw d alone.
+    on draw d alone, and ``result_columns()`` gives the same fields for
+    every draw as lists.
     """
     grid = grid or OptimizationGrid()
     return _TreeEvaluator(process, assignment, thetas, grid).solve()
@@ -596,11 +608,17 @@ def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
 
 
 def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
-    """Draws 0 .. n_draws-1 of the prior as one batch for :func:`solve_batch`."""
+    """Draws 0 .. n_draws-1 of the prior as one batch for :func:`solve_batch`.
+
+    Bitwise equal to stacking :func:`~leeway.nature.sample_parameters` for
+    each draw, but the values go straight into (D, 1) columns and the batch
+    is range-checked once.
+    """
     if n_draws < 1:
         raise DomainError("n_draws must be at least 1")
-    return nature.stack_parameters([nature.sample_parameters(prior, seed, i)
-                                    for i in range(n_draws)])
+    table = np.array([nature._prior_draw(prior, seed, i) for i in range(n_draws)], dtype=float)
+    return GameParameters(**{name: column[:, None]
+                             for (name, _), column in zip(prior.dists, table.T.copy())})
 
 
 def _leeway_scores(process: StateProcess, thetas: GameParameters, grid: OptimizationGrid

@@ -81,19 +81,45 @@ class TestCodebookCommand:
         assert main(["codebook"]) == 2
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second to import and only rank stability
-    # needs it, and scipy.special most of the rest of the import, so both
-    # are loaded on first use.
+def _python(*args, check=False) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this leeway package."""
     import leeway
     src = os.path.dirname(os.path.dirname(leeway.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=check, env=env)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second to import and only rank stability
+    # needs it, and scipy.special most of the rest of the import, so both
+    # are loaded on first use.
     code = ("import sys, leeway.cli; "
             "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
+    out = _python("-c", code, check=True)
     assert out.stdout.strip() == "False False"
+
+
+def test_command_exit_codes(small_codebook, tmp_path):
+    # The command exits 1 on a data error and 2 on a usage error. A bug is
+    # neither: it prints the traceback and exits EXIT_BUG.
+    missing = str(tmp_path / "missing.csv")
+    out = _python("-m", "leeway.cli", "leeway", "--codebook", missing, "--output", missing)
+    assert out.returncode == 1 and "Traceback" not in out.stderr
+    assert _python("-m", "leeway.cli", "leeway").returncode == 2
+    argv = ["leeway", "leeway", "--codebook", small_codebook, "--draws", "2",
+            "--output", str(tmp_path / "l.csv")]
+    code = ("import runpy, sys\n"
+            "from leeway import solver\n"
+            "def broken(*args, **kwargs):\n"
+            "    raise KeyError('internal')\n"
+            "solver.solve_batch = broken\n"
+            f"sys.argv = {argv!r}\n"
+            "runpy.run_module('leeway.cli', run_name='__main__')\n")
+    out = _python("-c", code)
+    assert out.returncode == cli.EXIT_BUG == 3
+    assert "Traceback" in out.stderr and "KeyError: 'internal'" in out.stderr
 
 
 class TestDeterminism:
@@ -175,6 +201,17 @@ class TestLeewayCommand:
         with open(small_codebook, "rb") as fh:
             solvable = [r.key for r in parse_codebook(fh) if r.drawer is not Drawer.NA]
         assert sorted(calls) == sorted(solvable * 2)
+
+    def test_diagnostics_make_no_result_call(self, small_codebook, tmp_path, monkeypatch):
+        # The records come from the solved arrays, not from one result() per draw.
+        def result(self, d):
+            raise AssertionError("result() called")
+
+        monkeypatch.setattr(solver._TreeEvaluator, "result", result)
+        assert main(["leeway", "--codebook", small_codebook, "--draws", "3", "--seed", "2",
+                     "--output", str(tmp_path / "l.csv"),
+                     "--emit-diagnostics", str(tmp_path / "d.json")]) == 0
+        assert len(json.loads((tmp_path / "d.json").read_text())["draws"]) == 15
 
 
 # SHA-256 of `leeway --emit-diagnostics` JSON and `paths --per-state` CSV on the
@@ -684,6 +721,29 @@ class TestDataErrorsExit1:
         assert main(["leeway", "--codebook", small_codebook, "--grid-step", "nan",
                      "--output", str(tmp_path / "l.csv")]) == 1
         assert "grid step nan out of range" in capsys.readouterr().err
+
+    def test_tiny_grid_step(self, small_codebook, tmp_path, capsys):
+        # A step of 1e-9 would ask for a grid of 8 billion points.
+        assert main(["leeway", "--codebook", small_codebook, "--grid-step", "1e-9",
+                     "--output", str(tmp_path / "l.csv")]) == 1
+        assert "grid step 1e-09 out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["leeway", "paths", "did", "counterfactual"])
+    def test_negative_seed(self, command, small_codebook, did_input, fitted_model, inputs,
+                           tmp_path, capsys):
+        cov, base = inputs
+        argv = {
+            "leeway": ["--codebook", small_codebook, "--output", str(tmp_path / "l.csv")],
+            "paths": ["--codebook", small_codebook, "--output", str(tmp_path / "p.csv")],
+            "did": ["--input", did_input, "--output-draws", str(tmp_path / "d.csv"),
+                    "--output-diagnostics", str(tmp_path / "d.json")],
+            "counterfactual": ["--template", "mi", "--codebook", small_codebook,
+                               "--seat-model", fitted_model, "--resp-model", fitted_model,
+                               "--covariates", cov, "--baseline", base,
+                               "--output", str(tmp_path / "cf.json")],
+        }[command]
+        assert main([command, *argv, "--seed", "-1"]) == 1
+        assert "seed -1 is negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
         ('{"stale_slope": {"dist": "normal", "params": [0.1, 0.05]}}', "support"),

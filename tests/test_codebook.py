@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from leeway.codebook import (Codebook, CodebookError, CourtReview, Drawer, DuplicateKey,
-                             FinalDrawer, InvariantViolation, PartyControl,
+from leeway.codebook import (_ENUM_BY_COLUMN, Codebook, CodebookError, CourtReview,
+                             Drawer, DuplicateKey, FinalDrawer, InvariantViolation,
+                             PartyControl, _parse_enum,
                              StateProcess, Stalemate1, Stalemate2,
                              UnknownColumn, UnknownEnumLiteral, Veto1, Veto2,
                              lint_codebook, load_fixture_codebook, parse_codebook,
@@ -187,6 +188,18 @@ class TestLint:
         text = f"{HEADER}\n{AL_ROW}\n{AL_ROW}\n"
         issues = lint_codebook(text)
         assert (("AL", "2020"), "duplicate-key") in issues
+
+
+def test_parse_enum_ignores_case_and_padding():
+    key = ("ZZ", "2020")
+    for column, enum_cls in _ENUM_BY_COLUMN.items():
+        for member in enum_cls:
+            for raw in (member.value, f"  {member.value.upper()}\t", member.value.swapcase()):
+                assert _parse_enum(enum_cls, raw, key, column) is member
+    for raw in ("Monarch", "", "Governor", "Democrat"):
+        with pytest.raises(UnknownEnumLiteral) as err:
+            _parse_enum(Drawer, raw, key, "drawer")
+        assert (err.value.row, err.value.column, err.value.value) == (key, "drawer", raw)
 
 
 def test_codebook_rejects_duplicates_directly():

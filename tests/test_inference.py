@@ -152,6 +152,13 @@ class TestSampler:
             fit_posterior(design, prior, n_draws=n_draws, n_chains=2, seed=0,
                           enforce_diagnostics=False)
 
+    def test_negative_seed_rejected(self):
+        rows = synth_rows(20, constant_effect_beta(), 0.05, np.random.default_rng(11))
+        design = build_design(rows)
+        with pytest.raises(DomainError, match="seed -1"):
+            fit_posterior(design, PriorConfig.from_design(design), n_draws=8, n_chains=2,
+                          seed=-1)
+
     def test_posterior_contraction(self):
         beta = constant_effect_beta()
         small = build_design(synth_rows(87, beta, 0.05, np.random.default_rng(11)))

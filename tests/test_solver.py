@@ -46,9 +46,11 @@ class TestGrid:
         assert np.array_equal(left, -right[::-1])
 
     def test_bad_step_rejected(self):
-        for step in (0.0, -0.05, 4.5, float("nan")):
+        # Below 0.001 a grid would take more memory than a solve should.
+        for step in (0.0, -0.05, 4.5, float("nan"), 1e-9, 0.0009):
             with pytest.raises(DomainError, match=f"grid step {step} out of range"):
                 OptimizationGrid(step=step)
+        assert len(OptimizationGrid(step=0.001).points()) == 8001
 
 
 class TestAssignment:
@@ -233,6 +235,46 @@ class TestBatch:
         with pytest.raises(DomainError, match="cauchy_quantile"):
             solve_batch(precleared, realized(precleared), batch)
 
+    def test_result_columns_equal_per_draw_results(self):
+        # The columns the diagnostics are written from must equal result(d)
+        # and the arrays read one draw at a time, with NaN as None and a
+        # drawer stalemate as STALEMATE. No fixture row stalemates in round
+        # 2; a Democratic drawer facing a Republican governor, with a court
+        # breaking stalemates, does.
+        batch = sample_draws(PRIOR, 61, 6)
+        rows = [row for row in FIXTURE if row.drawer is not Drawer.NA]
+        rows.append(make_process(drawer_control=PartyControl.DEMOCRATS, veto1=Veto1.GOVERNOR,
+                                 veto1_control=PartyControl.REPUBLICANS,
+                                 stalemate1=Stalemate1.COURT, court_review=CourtReview.YES,
+                                 court_control=PartyControl.DEMOCRATS))
+
+        def scalar(x):
+            return None if np.isnan(x) else float(x)
+
+        seen = set()
+        for process in (*rows, *(row.mirrored() for row in rows)):
+            for assignment in (realized(process),
+                               ControlAssignment.uniform(process, PartyControl.DEMOCRATS),
+                               ControlAssignment.uniform(process, PartyControl.REPUBLICANS)):
+                solved = solve_batch(process, assignment, batch)
+                columns = solved.result_columns()
+                assert [len(column) for column in columns] == [6] * 4
+                for d, fields in enumerate(zip(*columns)):
+                    value, paths, round2, thresholds = fields
+                    want_round2 = (STALEMATE if solved.stalemates[d]
+                                   else scalar(solved.round2_proposal[d]))
+                    assert type(value) is float and value == solved.values[d]
+                    assert paths == dict(zip(("legislature", "commission", "court"),
+                                             map(float, solved.path_probs[d])))
+                    assert type(round2) is type(want_round2) and round2 == want_round2
+                    assert thresholds == {key: scalar(t) for key, t in zip(
+                        ("round1_veto1", "round1_veto2", "round2_veto1", "round2_veto2"),
+                        solved.veto_thresholds[d])}
+                    assert dataclasses.astuple(solved.result(d)) == fields, process.key
+                    seen.add("stalemate" if round2 == STALEMATE else type(round2))
+                    seen.update(type(t) for t in thresholds.values())
+        assert seen == {"stalemate", float, type(None)}
+
     def test_argopt_breaks_ties_per_row(self):
         # Row 0 ties at its maximum (indices 1 and 3), row 1 at its
         # minimum (indices 0 and 2).
@@ -244,6 +286,37 @@ class TestBatch:
         assert dem.tolist() == [4, 0]  # first among ties at the minimum
         assert _argopt(-values, PartyControl.DEMOCRATS).tolist() == [1, 4]
         assert _argopt(-values, PartyControl.REPUBLICANS).tolist() == [4, 2]
+
+
+class TestSampleDraws:
+    @pytest.mark.parametrize("prior", [
+        PRIOR,
+        PRIOR.with_overrides({"stale_slope": {"dist": "beta", "params": [2.0, 2.0]},
+                              "veto_nonp_shift": {"dist": "folded_normal",
+                                                  "params": [0.5, 0.2]}}),
+        PriorSpec(tuple(reversed(PRIOR.dists))),
+    ], ids=["default", "override", "reordered"])
+    def test_bitwise_equal_to_stacked_single_draws(self, prior):
+        batch = sample_draws(prior, 71, 9)
+        want = stack_parameters([sample_parameters(prior, 71, i) for i in range(9)])
+        for name in nature.PARAM_NAMES:
+            got, expected = getattr(batch, name), getattr(want, name)
+            assert got.shape == expected.shape == (9, 1) and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes(), name
+
+    def test_batch_checked_once(self, monkeypatch):
+        checks = []
+        real = GameParameters.__post_init__
+        monkeypatch.setattr(GameParameters, "__post_init__",
+                            lambda self: checks.append(1) or real(self))
+        sample_draws(PRIOR, 71, 9)
+        assert len(checks) == 1
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed -1"):
+            sample_draws(PRIOR, -1, 3)
+        with pytest.raises(DomainError, match="seed -1"):
+            sample_parameters(PRIOR, -1, 0)
 
 
 class TestBruteForce:
