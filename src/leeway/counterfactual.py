@@ -18,7 +18,7 @@ from .codebook import (Codebook, CourtReview, Drawer, PartyControl, StateProcess
 from .errors import DomainError
 from .inference import EffectSummary, PosteriorDraws, cate_draws
 from .nature import PriorSpec
-from .solver import ControlAssignment, OptimizationGrid, sample_draws, solve_batch
+from .solver import BatchContext, OptimizationGrid
 
 
 class TemplateError(ValueError):
@@ -179,26 +179,18 @@ def counterfactual_doses(codebook: Codebook, template: ReformTemplate,
     """Realized leeway before and after reform for every state in a cycle.
 
     Each dose is the ``realized`` leeway score of :func:`~leeway.solver.leeway`.
-    Both doses are computed from the same prior draws, so a row the
-    template leaves unchanged (every row under ``identity``) reuses its
-    current dose. Single-district rows carry no dose and are skipped.
+    One per-call :class:`~leeway.solver.BatchContext` solves each distinct
+    tree once over the same prior draws, so a reformed row whose tree
+    matches a row already solved (every row under ``identity``) reuses that
+    solve. Single-district rows carry no dose and are skipped.
     """
-    grid = grid or OptimizationGrid()
-    thetas = sample_draws(prior, seed, n_draws)
+    batch = BatchContext(prior, seed, n_draws, grid)
 
     def dose(process: StateProcess) -> float:
-        solved = solve_batch(process, ControlAssignment.realized(process), thetas, grid)
-        return float(solved.values.mean())
+        return float(batch.realized(process).values.mean())
 
-    pairs = []
-    for row in codebook.for_cycle(cycle):
-        if row.drawer is Drawer.NA:
-            continue
-        current = dose(row)
-        reformed_row = apply_template(row, template)
-        reformed = current if reformed_row == row else dose(reformed_row)
-        pairs.append(DosePair(row.state_id, current, reformed))
-    return pairs
+    return [DosePair(row.state_id, dose(row), dose(apply_template(row, template)))
+            for row in codebook.for_cycle(cycle) if row.drawer is not Drawer.NA]
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,10 @@ All prior draws of one (process, assignment) are solved as one batch:
 :func:`solve_batch` carries the draws as (D, 1) parameter columns through a
 single vectorized backward induction, with grid optima and tie-breaking
 taken per draw, and returns the solved tree as per-draw arrays; its
-``result(d)`` is bitwise equal to :func:`solve` on draw d alone. The table
-builders sample their draws once per call and share them across every row.
+``result(d)`` is bitwise equal to :func:`solve` on draw d alone. The tree
+reads only a :class:`TreeKey` of the (process, assignment), and many rows
+share one. Each table builder opens one per-call :class:`BatchContext`,
+which samples the draws once and solves each distinct tree once.
 
 The tree is written once, as one method per node kind: the stalemate
 chain, a proposal passing the veto players, and the round-2 subgame. Each
@@ -107,6 +109,54 @@ class ControlAssignment:
 
 
 @dataclass(frozen=True)
+class TreeKey:
+    """What the game tree of one (process, assignment) reads, and nothing else.
+
+    Rows with equal keys have bitwise-equal solves, so a batch solves each
+    key once. The key leaves out the state, cycle and final drawer, the
+    control of an absent veto node, and every stalemate link from the first
+    court or unclear link on, which ends the chain whatever follows.
+    """
+
+    drawer: str        # the drawer's bucket: "legislature" or "commission"
+    drawer_control: PartyControl
+    vetoes: tuple      # (mode, control) per veto node in play order, mode one of
+                       # absent | partisan | split | prob; control None when absent
+    chain: tuple       # (kind, control) per stalemate link that has a body; past
+                       # the last one, the court resolves
+    court: CourtContext
+
+    @classmethod
+    def of(cls, process: StateProcess, assignment: ControlAssignment) -> "TreeKey":
+        """The key of a process under an assignment; raises for a row with no game."""
+        if process.drawer is Drawer.NA:
+            raise NotApplicable(f"{process.key}: single-district state has no game")
+        if not isinstance(assignment, ControlAssignment):
+            raise DomainError(f"{process.key}: assignment must be a ControlAssignment")
+        if assignment.drawer is PartyControl.NA:
+            raise DomainError(f"{process.key}: drawer node has no controlling coding")
+        chain = []
+        for body, na, control in ((process.stalemate1, Stalemate1.NA, assignment.stalemate1),
+                                  (process.stalemate2, Stalemate2.NA, assignment.stalemate2)):
+            if body is na:
+                continue
+            kind = _TreeEvaluator._link_kind(body)
+            if kind in ("court", "unclear"):
+                break
+            chain.append((kind, control))
+        return cls(
+            drawer="legislature" if process.drawer is Drawer.LEGISLATURE else "commission",
+            drawer_control=assignment.drawer,
+            vetoes=(_TreeEvaluator._veto_node(process.veto1, Veto1.NA, assignment.veto1,
+                                              voters=process.veto1 is Veto1.VOTERS),
+                    _TreeEvaluator._veto_node(process.veto2, Veto2.NA, assignment.veto2,
+                                              voters=False)),
+            chain=tuple(chain),
+            court=CourtContext(process.court_review, assignment.court, process.preclearance),
+        )
+
+
+@dataclass(frozen=True)
 class OptimizationGrid:
     """Uniform bias grid plus an optional local refinement pass."""
 
@@ -126,6 +176,13 @@ class OptimizationGrid:
         n_half = round(BIAS_MAX / self.step)
         pos = np.arange(1, n_half + 1) * (BIAS_MAX / n_half)
         return np.concatenate([-pos[::-1], [0.0], pos])
+
+    @functools.cached_property
+    def base(self) -> np.ndarray:
+        """:meth:`points` as one read-only (1, G) row, shared by every tree solved on this grid."""
+        row = self.points()[None, :]
+        row.flags.writeable = False
+        return row
 
     def refine_points(self, center: float) -> np.ndarray:
         offsets = np.arange(-self.refine_factor, self.refine_factor + 1) * (
@@ -172,7 +229,7 @@ def _carries(mass) -> bool:
 
 
 class _TreeEvaluator:
-    """The game tree of one (process, assignment), evaluated over D draws at once.
+    """The game tree of one :class:`TreeKey`, evaluated over D draws at once.
 
     The fields of ``theta`` are (D, 1) columns, so every bias argument
     broadcasts against them: the base grid is a (1, G) row, refinement
@@ -180,44 +237,14 @@ class _TreeEvaluator:
     (D, 1) column. Every value comes back with one row per draw.
     """
 
-    def __init__(self, process: StateProcess, assignment: ControlAssignment,
-                 theta: GameParameters, grid: OptimizationGrid):
-        if process.drawer is Drawer.NA:
-            raise NotApplicable(f"{process.key}: single-district state has no game")
-        if not isinstance(assignment, ControlAssignment):
-            raise DomainError("assignment must be a ControlAssignment")
-        if assignment.drawer is PartyControl.NA:
-            raise DomainError("drawer node has no controlling coding")
-
-        self.process = process
-        self.assignment = assignment
+    def __init__(self, key: TreeKey, theta: GameParameters, grid: OptimizationGrid):
+        self.key = key
         self.theta = theta
         self.grid = grid
         self.n_draws = len(theta.chal_poss_conf)
-        self.base = grid.points()[None, :]
-        self.ctx = CourtContext(
-            court_review=process.court_review,
-            court_control=assignment.court,
-            preclearance=process.preclearance,
-        )
-        self.drawer_bucket = ("legislature" if process.drawer is Drawer.LEGISLATURE
-                              else "commission")
-
-        # Veto nodes in play order. mode: absent | partisan | split | prob.
-        self.vetoes = [
-            self._veto_node(process.veto1, Veto1.NA, assignment.veto1,
-                            voters=process.veto1 is Veto1.VOTERS),
-            self._veto_node(process.veto2, Veto2.NA, assignment.veto2, voters=False),
-        ]
-        self.can_veto = any(mode in ("partisan", "prob") for mode, _ in self.vetoes)
-
-        # Stalemate chain links with a body; court/unclear links resolve
-        # terminally, so anything after them is unreachable.
-        self.chain = []
-        if process.stalemate1 is not Stalemate1.NA:
-            self.chain.append((self._link_kind(process.stalemate1), assignment.stalemate1))
-        if process.stalemate2 is not Stalemate2.NA:
-            self.chain.append((self._link_kind(process.stalemate2), assignment.stalemate2))
+        self.base = grid.base
+        self.can_veto = any(mode in ("partisan", "prob") for mode, _ in key.vetoes)
+        self.veto_parties = tuple(control for _, control in key.vetoes)
 
         # Per-draw optima as (D, 1) columns: (proposal, value).
         self._resolver_opt: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -230,7 +257,7 @@ class _TreeEvaluator:
     @staticmethod
     def _veto_node(body, na, control, voters):
         if body is na:
-            return ("absent", control)
+            return ("absent", None)
         if voters or control in (PartyControl.NONPARTISANS, PartyControl.NA):
             return ("prob", control)
         if control is PartyControl.SPLIT:
@@ -260,12 +287,12 @@ class _TreeEvaluator:
     def exp_court(self, x):
         if x is self.base:
             return self._base_court
-        return nature.exp_court(x, self.ctx, self.theta)
+        return nature.exp_court(x, self.key.court, self.theta)
 
     @functools.cached_property
     def _base_court(self):
         """The court machinery on the base grid, shared by every grid optimizer of the tree."""
-        return nature.exp_court(self.base, self.ctx, self.theta)
+        return nature.exp_court(self.base, self.key.court, self.theta)
 
     def _settle(self, court, mass, bucket: str):
         """Route mass through the court machinery of an enacted plan."""
@@ -284,19 +311,19 @@ class _TreeEvaluator:
         A split link goes on down the chain with the split probability,
         and that mass is routed before the mass of its own enactment.
         """
-        if k >= len(self.chain) or self.chain[k][0] in ("court", "unclear"):
+        if k >= len(self.key.chain):
             if _carries(mass):
                 self.acc["court"] += mass
-            return nature.stalemate_default(anchor, self.assignment.court,
-                                            self.assignment.drawer, self.theta)
-        kind, control = self.chain[k]
+            return nature.stalemate_default(anchor, self.key.court.court_control,
+                                            self.key.drawer_control, self.theta)
+        kind, control = self.key.chain[k]
         bucket = "commission" if kind == "commission" else "legislature"
         if control in _PARTISAN:
             x_opt, value = self._resolver_optimum(k, control)
             if _carries(mass):
                 self._settle(self.exp_court(x_opt), mass, bucket)
             return value
-        proposal = nature.stalemate_default(anchor, control, self.assignment.drawer, self.theta)
+        proposal = nature.stalemate_default(anchor, control, self.key.drawer_control, self.theta)
         if control is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
             rest = self.stalemate(anchor, mass * p, k + 1)
@@ -319,14 +346,14 @@ class _TreeEvaluator:
         """
         court = self.exp_court(x)
         if not self.can_veto:
-            self._settle(court, mass, self.drawer_bucket)
+            self._settle(court, mass, self.key.drawer)
             return court.value
         subgame = self.round2 if round_ == 1 else self.stalemate
         veto_value = subgame(x)
         stage = court.value
         decided, q = {}, None
         for index in (1, 0):
-            mode, control = self.vetoes[index]
+            mode, control = self.key.vetoes[index]
             if mode == "partisan":
                 decided[index] = nature.party_sign(control) * (veto_value - stage) > 0.0
                 stage = np.where(decided[index], veto_value, stage)
@@ -338,7 +365,7 @@ class _TreeEvaluator:
                 stage = q * veto_value + (1.0 - q) * stage
         if _carries(mass):
             for index in (0, 1):
-                mode = self.vetoes[index][0]
+                mode = self.key.vetoes[index][0]
                 if mode == "partisan":
                     vetoed = np.where(decided[index], mass, 0.0)
                     mass = np.where(decided[index], 0.0, mass)
@@ -348,7 +375,7 @@ class _TreeEvaluator:
                     continue
                 if _carries(vetoed):
                     subgame(x, vetoed)
-            self._settle(court, mass, self.drawer_bucket)
+            self._settle(court, mass, self.key.drawer)
         return stage
 
     def _choice(self, stale, propose):
@@ -356,38 +383,33 @@ class _TreeEvaluator:
 
         Returns the draws that stalemate and the value of the drawer's choice.
         """
-        stalemates = nature.party_sign(self.assignment.drawer) * (stale - propose) > 0.0
+        stalemates = nature.party_sign(self.key.drawer_control) * (stale - propose) > 0.0
         return stalemates, np.where(stalemates, stale, propose)
 
     def _partisan_round2(self, x_prev):
         """Best round-2 proposal of a partisan drawer, where it stalemates instead, and the value."""
         if self._round2_propose is None:
             self._round2_propose = self._optimize(lambda y: self.plan(y, 2),
-                                                  self.assignment.drawer)
+                                                  self.key.drawer_control)
         x2, opt = self._round2_propose
         stalemates, value = self._choice(self.stalemate(x_prev), opt)
         return x2, stalemates, value
 
     def round2(self, x_prev, mass=0.0):
         """Value of the round-2 subgame given the vetoed proposal x_prev."""
-        mode = self.assignment.drawer
+        mode = self.key.drawer_control
         if mode in _PARTISAN:
             x2, stalemates, value = self._partisan_round2(x_prev)
             if _carries(mass):
                 self.stalemate(x_prev, np.where(stalemates, mass, 0.0))
                 self.plan(x2, 2, np.where(stalemates, 0.0, mass))
             return value
-        proposal = nature.round2_nonpartisan_proposal(x_prev, self._veto_parties(), self.theta)
+        proposal = nature.round2_nonpartisan_proposal(x_prev, self.veto_parties, self.theta)
         if mode is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
             stale = self.stalemate(x_prev, mass * p)
             return p * stale + (1.0 - p) * self.plan(proposal, 2, mass * (1.0 - p))
         return self.plan(proposal, 2, mass)
-
-    def _veto_parties(self):
-        first = self.assignment.veto1 if self.vetoes[0][0] != "absent" else None
-        second = self.assignment.veto2 if self.vetoes[1][0] != "absent" else None
-        return (first, second)
 
     def _optimize(self, fn, party: PartyControl) -> tuple[np.ndarray, np.ndarray]:
         """Per-draw grid optimum of fn for the given party, with local refinement.
@@ -409,7 +431,7 @@ class _TreeEvaluator:
 
     def solve(self) -> "_TreeEvaluator":
         """Solve every draw and fill the per-draw arrays; returns self."""
-        mode = self.assignment.drawer
+        mode = self.key.drawer_control
         zero = np.zeros((self.n_draws, 1))
 
         # ``action`` is the round-1 proposal, 0.0 where the drawer stalemates.
@@ -430,11 +452,11 @@ class _TreeEvaluator:
         self.values = value[:, 0]
         self.path_probs = np.hstack([self.acc[b] for b in _BUCKETS])
         x2, stalemates = np.full_like(zero, np.nan), np.zeros_like(zero, dtype=bool)
-        if any(m != "absent" for m, _ in self.vetoes):
+        if any(m != "absent" for m, _ in self.key.vetoes):
             if mode in _PARTISAN:
                 x2, stalemates, _ = self._partisan_round2(action)
             else:
-                x2 = nature.round2_nonpartisan_proposal(action, self._veto_parties(), self.theta)
+                x2 = nature.round2_nonpartisan_proposal(action, self.veto_parties, self.theta)
         self.round2_proposal, self.stalemates = x2[:, 0], stalemates[:, 0]
         return self
 
@@ -445,8 +467,8 @@ class _TreeEvaluator:
         Columns in ``_THRESHOLD_KEYS`` order, NaN where none. A drawer that is
         not partisan never visits the base grid, so its passes run here.
         """
-        if (self.assignment.drawer not in _PARTISAN
-                and any(m == "partisan" for m, _ in self.vetoes)):
+        if (self.key.drawer_control not in _PARTISAN
+                and any(m == "partisan" for m, _ in self.key.vetoes)):
             self.plan(self.base, 2)
             self.plan(self.base, 1)
         out = np.full((self.n_draws, len(_THRESHOLD_KEYS)), np.nan)
@@ -493,8 +515,8 @@ def solve_batch(process: StateProcess, assignment: ControlAssignment,
     on draw d alone, and ``result_columns()`` gives the same fields for
     every draw as lists.
     """
-    grid = grid or OptimizationGrid()
-    return _TreeEvaluator(process, assignment, thetas, grid).solve()
+    return _TreeEvaluator(TreeKey.of(process, assignment), thetas,
+                          grid or OptimizationGrid()).solve()
 
 
 def solve(process: StateProcess, assignment: ControlAssignment,
@@ -621,17 +643,31 @@ def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
                              for (name, _), column in zip(prior.dists, table.T.copy())})
 
 
-def _leeway_scores(process: StateProcess, thetas: GameParameters, grid: OptimizationGrid
-                   ) -> tuple[LeewayScores, _TreeEvaluator]:
-    """A process's scores and its realized solve, which the scores average."""
-    realized = solve_batch(process, ControlAssignment.realized(process), thetas, grid)
-    uniform = ControlAssignment.uniform(process, PartyControl.DEMOCRATS)
-    scores = LeewayScores(
-        realized=float(realized.values.mean()),
-        maximum=abs(float(solve_batch(process, uniform, thetas, grid).values.mean())),
-        n_draws=len(thetas.chal_poss_conf),
-    )
-    return scores, realized
+class BatchContext:
+    """One library call's prior draws and grid, solving each distinct tree once.
+
+    Rows whose (process, assignment) share a :class:`TreeKey` share one
+    solved tree. The per-row checks of :meth:`TreeKey.of` run on every row.
+    A kept tree drops its base-grid court, the largest array it holds;
+    ``veto_thresholds`` rebuilds it, with the same bits, where it needs it.
+    """
+
+    def __init__(self, prior: PriorSpec, seed: int, n_draws: int,
+                 grid: OptimizationGrid | None):
+        self.grid = grid or OptimizationGrid()
+        self.thetas = sample_draws(prior, seed, n_draws)
+        self.trees: dict[TreeKey, _TreeEvaluator] = {}
+
+    def solve(self, process: StateProcess, assignment: ControlAssignment) -> _TreeEvaluator:
+        key = TreeKey.of(process, assignment)
+        if key not in self.trees:
+            tree = solve_batch(process, assignment, self.thetas, self.grid)
+            vars(tree).pop("_base_court", None)
+            self.trees[key] = tree
+        return self.trees[key]
+
+    def realized(self, process: StateProcess) -> _TreeEvaluator:
+        return self.solve(process, ControlAssignment.realized(process))
 
 
 def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,
@@ -641,26 +677,28 @@ def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,
     ``realized`` averages the equilibrium under the coded party control;
     ``maximum`` is the magnitude of the average equilibrium after handing
     every partisan node to the Democrats (reported unsigned). Single
-    district processes raise NotApplicable.
+    district processes raise NotApplicable before any draw is sampled.
     """
-    thetas = sample_draws(prior, seed, n_draws)
     if process.drawer is Drawer.NA:
         raise NotApplicable(f"{process.key}: single-district state has no leeway score")
-    return _leeway_scores(process, thetas, grid or OptimizationGrid())[0]
+    return leeway_table(Codebook((process,)), prior, n_draws, seed, grid)[0][1]
 
 
 def _scored_rows(codebook: Codebook, prior: PriorSpec, n_draws: int, seed: int,
                  grid: OptimizationGrid | None):
     """Yield (row, scores, realized solve) for every solvable row, in codebook order.
 
-    All rows share one batch of draws, and the ``realized`` score averages
+    All rows share one batch context, and the ``realized`` score averages
     the realized solve.
     """
-    grid = grid or OptimizationGrid()
-    thetas = sample_draws(prior, seed, n_draws)
+    batch = BatchContext(prior, seed, n_draws, grid)
     for row in codebook:
         if row.drawer is not Drawer.NA:
-            yield (row, *_leeway_scores(row, thetas, grid))
+            realized = batch.realized(row)
+            uniform = batch.solve(row, ControlAssignment.uniform(row, PartyControl.DEMOCRATS))
+            yield row, LeewayScores(realized=float(realized.values.mean()),
+                                    maximum=abs(float(uniform.values.mean())),
+                                    n_draws=n_draws), realized
 
 
 def leeway_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
@@ -668,7 +706,7 @@ def leeway_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
                  ) -> list[tuple[StateProcess, LeewayScores]]:
     """Leeway scores for every solvable row, in codebook order.
 
-    All rows share one batch of draws.
+    All rows share one batch context.
     """
     return [(row, scores)
             for row, scores, _ in _scored_rows(codebook, prior, n_draws, seed, grid)]
@@ -714,29 +752,25 @@ def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
     resolutions count toward the court; commission and legislative
     stalemate resolvers count toward their institution.
     """
-    grid = grid or OptimizationGrid()
-    rows = list(codebook)
-    thetas = sample_draws(prior, seed, n_draws)
-    state_probs = {}
-    for row in rows:
+    for row in codebook:
         if row.drawer is Drawer.NA:
             raise NotApplicable(f"{row.key}: cannot build path table over single-district rows")
-        solved = solve_batch(row, ControlAssignment.realized(row), thetas, grid)
-        pooled = solved.path_probs.sum(axis=0)  # row by row, as a per-draw loop adds
+    batch = BatchContext(prior, seed, n_draws, grid)
+    state_probs = {}
+    for row in codebook:
+        pooled = batch.realized(row).path_probs.sum(axis=0)  # row by row, as a per-draw loop adds
         state_probs[row.key] = {b: float(p) / n_draws for b, p in zip(_BUCKETS, pooled)}
     return PathTable(
         state_probs=state_probs,
-        actual={r.key: _ACTUAL_BUCKET[r.final_drawer] for r in rows},
+        actual={r.key: _ACTUAL_BUCKET[r.final_drawer] for r in codebook},
     )
 
 
 def equilibrium_matrix(codebook: Codebook, prior: PriorSpec, n_draws: int,
                        seed: int = 0, grid: OptimizationGrid | None = None) -> np.ndarray:
     """Realized equilibrium values, shape (n_draws, n_states)."""
-    grid = grid or OptimizationGrid()
-    thetas = sample_draws(prior, seed, n_draws)
-    columns = [solve_batch(row, ControlAssignment.realized(row), thetas, grid).values
-               for row in codebook if row.drawer is not Drawer.NA]
+    batch = BatchContext(prior, seed, n_draws, grid)
+    columns = [batch.realized(row).values for row in codebook if row.drawer is not Drawer.NA]
     return np.array(columns, dtype=float).reshape(len(columns), n_draws).T
 
 

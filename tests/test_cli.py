@@ -12,8 +12,8 @@ import pytest
 
 from leeway import cli, solver
 from leeway.cli import load_draws_csv, main, save_draws_csv
-from leeway.codebook import (Codebook, Drawer, load_fixture_codebook, parse_codebook,
-                             serialize_codebook)
+from leeway.codebook import (Codebook, Drawer, PartyControl, load_fixture_codebook,
+                             parse_codebook, serialize_codebook)
 from leeway.errors import DomainError
 from leeway.inference import (COLUMN_NAMES, Diagnostics, PosteriorDraws, _rhat_ess,
                               design_row)
@@ -185,13 +185,14 @@ class TestLeewayCommand:
 
     def test_diagnostics_reuse_the_realized_solve(self, small_codebook, tmp_path,
                                                   monkeypatch):
-        # One realized and one all-Democratic solve per row: the diagnostics
-        # are written from the realized solve the scores already made.
+        # One solve per distinct tree of the realized and all-Democratic
+        # assignments: the diagnostics are written from the realized solve the
+        # scores already made.
         calls = []
         real = solver.solve_batch
 
         def counting(process, assignment, *args, **kwargs):
-            calls.append(process.key)
+            calls.append(solver.TreeKey.of(process, assignment))
             return real(process, assignment, *args, **kwargs)
 
         monkeypatch.setattr(solver, "solve_batch", counting)
@@ -199,8 +200,11 @@ class TestLeewayCommand:
                      "--output", str(tmp_path / "l.csv"),
                      "--emit-diagnostics", str(tmp_path / "d.json")]) == 0
         with open(small_codebook, "rb") as fh:
-            solvable = [r.key for r in parse_codebook(fh) if r.drawer is not Drawer.NA]
-        assert sorted(calls) == sorted(solvable * 2)
+            solvable = [r for r in parse_codebook(fh) if r.drawer is not Drawer.NA]
+        trees = {solver.TreeKey.of(row, assignment) for row in solvable for assignment in (
+            solver.ControlAssignment.realized(row),
+            solver.ControlAssignment.uniform(row, PartyControl.DEMOCRATS))}
+        assert len(calls) == len(trees) and set(calls) == trees
 
     def test_diagnostics_make_no_result_call(self, small_codebook, tmp_path, monkeypatch):
         # The records come from the solved arrays, not from one result() per draw.
@@ -632,6 +636,19 @@ class TestDataErrorsExit1:
         assert main(argv) == 1
         assert f"{bad}, {message}" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
+
+    def test_single_district_row_fails_paths_before_any_solve(self, tmp_path, capsys,
+                                                             monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli.solver, "solve_batch", lambda *args: solves.append(args))
+        book = tmp_path / "book.csv"
+        book.write_text(serialize_codebook(load_fixture_codebook())
+                        + "WY,2020," + "NA," * 13 + "no\n")
+        assert main(["paths", "--codebook", str(book), "--draws", "2",
+                     "--output", str(tmp_path / "p.csv")]) == 1
+        assert ("('WY', 2020): cannot build path table over single-district rows"
+                in capsys.readouterr().err)
+        assert solves == []
 
     def test_did_cell(self, did_input, tmp_path, capsys):
         lines = open(did_input).read().splitlines(keepends=True)

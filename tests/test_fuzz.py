@@ -19,7 +19,7 @@ from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer,
                              Stalemate1, Stalemate2, Veto1, Veto2, parse_codebook,
                              serialize_codebook, validate)
 from leeway.nature import PriorSpec, sample_parameters
-from leeway.solver import (ControlAssignment, OptimizationGrid, brute_force_solve,
+from leeway.solver import (ControlAssignment, OptimizationGrid, TreeKey, brute_force_solve,
                            sample_draws, solve, solve_batch)
 
 PRIOR = PriorSpec.default()
@@ -179,3 +179,89 @@ def test_control_monotonicity(processes):
         vd = solve(process, ControlAssignment.uniform(process, PartyControl.DEMOCRATS),
                    theta).value
         assert vr >= vx >= vd, process
+
+
+def _next(options, current):
+    return options[(options.index(current) + 1) % len(options)]
+
+
+def read_field_variants(p: StateProcess) -> list[StateProcess]:
+    """Variants of p that each change one field its game tree reads."""
+    replace = dataclasses.replace
+    commission = (Stalemate1.COMMISSION, Stalemate1.COMMISSION_STAFF)
+    out = [
+        replace(p, drawer=_next((Drawer.LEGISLATURE, Drawer.COMMISSION), p.drawer)),
+        replace(p, drawer_control=_next(_PARTIES, p.drawer_control)),
+        replace(p, court_review=_next((CourtReview.YES, CourtReview.MAYBE, CourtReview.NO),
+                                      p.court_review)),
+        replace(p, preclearance=not p.preclearance),
+    ]
+    if p.court_control in _PARTIES:
+        out.append(replace(p, court_control=_next(_PARTIES, p.court_control)))
+    if p.veto1 in (Veto1.LEGISLATURE, Veto1.GOVERNOR):
+        out.append(replace(p, veto1_control=_next(_PARTIES, p.veto1_control)))
+    if p.veto1 is not Veto1.NA and p.veto2 is Veto2.NA:
+        out.append(replace(p, veto1=Veto1.NA, veto1_control=PartyControl.NA))
+    if p.veto2 is Veto2.GOVERNOR:
+        out.append(replace(p, veto2_control=_next(_PARTIES, p.veto2_control)))
+    if p.stalemate1 in commission:
+        out.append(replace(p, stalemate1_control=_next(_PARTIES, p.stalemate1_control)))
+        out.append(replace(p, stalemate1=Stalemate1.COURT))
+        if p.stalemate2 is Stalemate2.LEGISLATURE:
+            out.append(replace(p, stalemate2_control=_next(_PARTIES, p.stalemate2_control)))
+    return out
+
+
+def unread_field_twin(p: StateProcess) -> StateProcess:
+    """A copy of p that differs only in fields its game tree does not read."""
+    replace = dataclasses.replace
+    twin = replace(p, state_id=f"T{p.state_id}", cycle=p.cycle - 10,
+                   final_drawer=_next(tuple(FinalDrawer), p.final_drawer))
+    if p.veto1 in (Veto1.LEGISLATURE, Veto1.GOVERNOR):
+        twin = replace(twin, veto1=_next((Veto1.LEGISLATURE, Veto1.GOVERNOR), p.veto1))
+    if p.stalemate1 in (Stalemate1.COMMISSION, Stalemate1.COMMISSION_STAFF):
+        twin = replace(twin, stalemate1=_next((Stalemate1.COMMISSION,
+                                                Stalemate1.COMMISSION_STAFF), p.stalemate1))
+    elif p.stalemate1 in (Stalemate1.COURT, Stalemate1.UNCLEAR):
+        # Nothing after a court or unclear link is reached.
+        twin = replace(twin, stalemate1=_next((Stalemate1.COURT, Stalemate1.UNCLEAR),
+                                               p.stalemate1),
+                       stalemate2=_next(tuple(Stalemate2), p.stalemate2),
+                       stalemate2_control=(PartyControl.NA if p.stalemate2 is not Stalemate2.NA
+                                           else PartyControl.REPUBLICANS))
+    return twin
+
+
+def test_read_fields_change_the_tree_key(processes):
+    for process in processes:
+        key = TreeKey.of(process, ControlAssignment.realized(process))
+        for variant in read_field_variants(process):
+            assert TreeKey.of(variant, ControlAssignment.realized(variant)) != key, variant
+
+
+def test_equal_tree_keys_solve_bitwise_equal(processes):
+    # Rows sharing a key, whether twins differing in unread fields, read-field
+    # variants or independent draws, must solve to the same bits, so the table
+    # builders may solve each key once.
+    thetas = sample_draws(PRIOR, 783, 3)
+    pool = [*processes, *map(unread_field_twin, processes),
+            *(v for p in processes for v in read_field_variants(p))]
+    pool = [p for p in pool if validate(p) == []]
+    groups = {}
+    for process in pool:
+        for assignment in (ControlAssignment.realized(process),
+                           ControlAssignment.uniform(process, PartyControl.DEMOCRATS),
+                           ControlAssignment.uniform(process, PartyControl.REPUBLICANS)):
+            groups.setdefault(TreeKey.of(process, assignment), []).append((process, assignment))
+    shared = [members for members in groups.values()
+              if len({process.key for process, _ in members}) > 1]
+    assert len(shared) >= 300
+    for members in shared:
+        want = None
+        for process, assignment in members:
+            solved = solve_batch(process, assignment, thetas)
+            got = [a.tobytes() for a in (solved.values, solved.path_probs,
+                                         solved.round2_proposal, solved.stalemates,
+                                         solved.veto_thresholds)]
+            want = want or got
+            assert got == want, (members[0][0], process)

@@ -3,17 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from leeway import nature
-from leeway.codebook import (CourtReview, Drawer, FinalDrawer, PartyControl,
+from leeway import nature, solver
+from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer, PartyControl,
                              Stalemate1, Stalemate2, Veto1, Veto2,
                              load_fixture_codebook)
+from leeway.counterfactual import TEMPLATES, apply_template, counterfactual_doses
 from leeway.errors import DomainError, NotApplicable
 from leeway.nature import (GameParameters, PriorSpec, exp_court, CourtContext,
                            sample_parameters, stack_parameters)
-from leeway.solver import (STALEMATE, ControlAssignment, OptimizationGrid, _argopt,
-                           _TreeEvaluator, brute_force_solve, equilibrium_matrix, leeway,
-                           leeway_table, pairwise_spearman_mean, path_table,
-                           sample_draws, solve, solve_batch, spearman_stability)
+from leeway.solver import (STALEMATE, BatchContext, ControlAssignment, OptimizationGrid,
+                           TreeKey, _argopt, _TreeEvaluator, brute_force_solve,
+                           equilibrium_matrix, leeway, leeway_table, pairwise_spearman_mean,
+                           path_table, sample_draws, solve, solve_batch, spearman_stability)
 
 from test_codebook import make_process
 
@@ -172,7 +173,7 @@ class TestBatch:
                 continue
             for assignment in (realized(row),
                                ControlAssignment.uniform(row, PartyControl.DEMOCRATS)):
-                if _TreeEvaluator(row, assignment, batch, OptimizationGrid()).can_veto:
+                if _TreeEvaluator(TreeKey.of(row, assignment), batch, OptimizationGrid()).can_veto:
                     continue
                 solve_batch(row, assignment, batch)
                 solved += 1
@@ -495,6 +496,87 @@ class TestPathTable:
         assert table.modal(("MI", 2020)) == "commission"
         assert table.modal(("IN", 2020)) == "legislature"
         assert table.actual[("NC", 2020)] == "court"
+
+
+class TestBatchContext:
+    """One context per table call solves each distinct tree once."""
+
+    # The benchmark's scores codebook: the fixture plus the party mirror of
+    # every row without preclearance.
+    BOOK = Codebook((*FIXTURE, *(dataclasses.replace(row.mirrored(), state_id=row.state_id + "_M")
+                                 for row in FIXTURE if not row.preclearance)))
+
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
+        keys, real = [], solver.solve_batch
+
+        def counting(process, assignment, *args):
+            keys.append(TreeKey.of(process, assignment))
+            return real(process, assignment, *args)
+
+        monkeypatch.setattr(solver, "solve_batch", counting)
+        return keys
+
+    def test_one_solve_per_distinct_tree(self, monkeypatch):
+        keys = self.count_solves(monkeypatch)
+        leeway_table(self.BOOK, PRIOR, n_draws=2, seed=101)
+        assert set(keys) == {TreeKey.of(row, assignment) for row in self.BOOK for assignment in
+                             (realized(row), ControlAssignment.uniform(row, PartyControl.DEMOCRATS))}
+        assert len(keys) == len(set(keys)) == 41  # of 88 (row, assignment) pairs
+
+        keys.clear()
+        path_table(self.BOOK, PRIOR, n_draws=2, seed=101)
+        assert set(keys) == {TreeKey.of(row, realized(row)) for row in self.BOOK}
+        assert len(keys) == len(set(keys)) == 30  # of 44 rows
+
+        for name, count in {"mi": 16, "ny": 28, "oh": 27, "identity": 15}.items():
+            keys.clear()
+            counterfactual_doses(FIXTURE, TEMPLATES[name](), PRIOR, n_draws=2, seed=101)
+            assert set(keys) == {TreeKey.of(process, realized(process))
+                                 for row in FIXTURE.for_cycle(2020)
+                                 for process in (row, apply_template(row, TEMPLATES[name]()))}
+            assert len(keys) == len(set(keys)) == count, name
+
+    def test_shared_tree_equals_per_draw_solves(self):
+        # In IA 2020 a nonpartisan commission draws behind partisan vetoes and
+        # a partisan commission breaks stalemates. Its solve evaluates the
+        # base-grid court, the kept tree drops it, and reading the veto
+        # thresholds rebuilds it. Its twin differs only in fields the tree
+        # does not read.
+        ia = FIXTURE.get("IA", 2020)
+        twin = dataclasses.replace(ia, state_id="IA_T", final_drawer=FinalDrawer.COURT_MASTER)
+        batch = BatchContext(PRIOR, 67, 4, None)
+        owners = {}
+        for row in (*self.BOOK, twin):
+            for assignment in (realized(row), ControlAssignment.uniform(row, PartyControl.DEMOCRATS)):
+                owners.setdefault(TreeKey.of(row, assignment), []).append((row, assignment))
+                batch.solve(row, assignment)
+        ia_key = TreeKey.of(ia, realized(ia))
+        assert [row.key for row, _ in owners[ia_key]] == [("IA", 2020), ("IA_T", 2020)]
+        assert "_base_court" in vars(solve_batch(ia, realized(ia), batch.thetas))
+        assert "_base_court" not in vars(batch.trees[ia_key])
+
+        thetas = [sample_parameters(PRIOR, 67, d) for d in range(4)]
+        shared = [key for key, members in owners.items() if len(members) > 1]
+        assert len(shared) >= 10
+        for key in shared:
+            columns = list(zip(*batch.trees[key].result_columns()))
+            for row, assignment in owners[key]:
+                want = [dataclasses.astuple(solve(row, assignment, theta)) for theta in thetas]
+                assert columns == want, row.key
+
+    def test_single_district_rows_rejected_before_sampling(self, monkeypatch):
+        calls = []
+        for name in ("sample_draws", "solve_batch"):
+            monkeypatch.setattr(solver, name, lambda *args, name=name: calls.append(name))
+        single = make_process(state_id="WY", drawer=Drawer.NA, drawer_control=PartyControl.NA,
+                              court_review=CourtReview.NA, court_control=PartyControl.NA,
+                              stalemate1=Stalemate1.NA, final_drawer=FinalDrawer.NA)
+        with pytest.raises(NotApplicable, match="cannot build path table over single-district"):
+            path_table(Codebook((*FIXTURE, single)), PRIOR, n_draws=2)
+        with pytest.raises(NotApplicable, match="single-district state has no leeway score"):
+            leeway(single, PRIOR, n_draws=2)
+        assert calls == []
 
 
 class TestSpearman:
