@@ -5,11 +5,10 @@ cycles, the leeway dose in each cycle, and six fixed covariates. The
 response is the change in the adjusted outcome; predictors are the dose
 change, the baseline dose, the covariates, and the interaction of the dose
 change with the baseline dose and with each covariate. A Gaussian linear
-model with weakly informative priors is sampled by exact Gibbs sampling
-with no adaptation (the coefficients from their Gaussian conditional in a
-whitened basis, the residual scale by an independence Metropolis-Hastings
-step from its conditional without the prior), and treatment-effect queries
-are answered per posterior draw.
+model with weakly informative priors is sampled by independent draws
+(the residual scale from its closed-form marginal posterior on a log grid,
+then the coefficients from their Gaussian conditional in a whitened basis),
+and treatment-effect queries are answered per posterior draw.
 """
 
 from __future__ import annotations
@@ -117,6 +116,12 @@ def build_design(rows: list[DidRow]) -> DesignMatrix:
     return DesignMatrix(X=X, y=y)
 
 
+def _check_scale(name: str, value: float) -> None:
+    """Reject a prior scale that is not finite and positive (NaN included)."""
+    if not 0.0 < value < np.inf:
+        raise DomainError(f"prior scale {name}={float(value)} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class PriorConfig:
     """Per-coefficient normal prior scales plus the residual-scale prior rate.
@@ -131,16 +136,18 @@ class PriorConfig:
     residual_rate: float
 
     def __post_init__(self):
-        if self.sigma_y <= 0 or self.residual_rate <= 0:
-            raise DomainError("prior scales must be positive")
         if len(self.coefficient_sds) != _N_COLUMNS:
             raise DomainError(f"need {_N_COLUMNS} coefficient sds")
-        if any(s <= 0 for s in self.coefficient_sds):
-            raise DomainError("coefficient sds must be positive")
+        _check_scale("sigma_y", self.sigma_y)
+        _check_scale("residual_rate", self.residual_rate)
+        for name, sd in zip(COLUMN_NAMES, self.coefficient_sds):
+            _check_scale(f"{name} sd", sd)
 
     @classmethod
     def from_design(cls, design: DesignMatrix, sigma_y: float | None = None) -> "PriorConfig":
-        if sigma_y is None:
+        if sigma_y is not None:
+            _check_scale("sigma_y", sigma_y)
+        else:
             sigma_y = float(design.y.std(ddof=1)) if design.n > 1 else 1.0
             if sigma_y == 0.0:
                 warnings.warn("response sd is zero; using 1.0", SingularDesign, stacklevel=2)
@@ -196,71 +203,67 @@ class PosteriorDraws:
         return self.coefficients.shape[0] * self.coefficients.shape[1]
 
 
-_BLOCK_STEPS = 1000  # sampler steps whose random numbers are drawn at once
+_SIGMA_GRID = 4097  # points of each pass of the log-sigma grid
 
 
-def _gibbs(X, y, prior: PriorConfig, n_draws, warmup, rngs):
-    """Exact Gibbs sampling of all chains in one (chains, p) batch.
+def _sample(X, y, prior: PriorConfig, n_draws, rngs):
+    """Independent posterior draws of the coefficients and sigma, one chain per rng.
 
-    With S = diag(coefficient sds) and S X'X S = V diag(lam) V', the
-    coefficients are beta = S V w, where w has a standard normal prior and,
-    given sigma, independent normal coordinates with mean b / (lam + s2) and
-    variance s2 / (lam + s2), for b = V'S X'y and s2 = sigma^2. Sigma is
-    updated by independence Metropolis-Hastings: the proposal sigma'^-2 ~
-    Gamma((n-1)/2, rate RSS/2) is sigma's conditional without its
-    Exponential prior, so the acceptance ratio is exp(-rate (sigma' - sigma)).
-    Returns the coefficients, sigma and each chain's sigma acceptance rate.
+    With S = diag(coefficient sds), S X'X S = V diag(lam) V', b = V'S X'y and
+    s2 = sigma^2, the coefficients are S V w, where w | sigma has independent
+    normal coordinates of mean b / (lam + s2) and variance s2 / (lam + s2).
+    Integrating w out gives sigma's marginal posterior, drawn by inverse CDF
+    on a log-sigma grid (Gelman et al., BDA 3e, ch. 14):
+
+        log p(sigma | y) = log p(sigma) - 1/2 sum log(s2 + lam) - (n - p) log sigma
+                           - (y'y - sum b^2 / (s2 + lam)) / (2 s2).
     """
     n, p = X.shape
     sds = np.asarray(prior.coefficient_sds)
-    rate = prior.residual_rate
     XS = X * sds
     lam, V = np.linalg.eigh(XS.T @ XS)
-    lam = np.maximum(lam, 0.0)  # rounding can leave a zero eigenvalue negative
-    M = XS @ V
-    b = M.T @ y
-    # The proposal's density in sigma is sigma^-(2 shape + 1) exp(-RSS / (2 sigma^2)),
-    # so the ratio gains (sigma' / sigma)^power, with power 0 at shape (n-1)/2.
-    # With n < 2 that is no Gamma shape and shape 1 is used; with n = 0
-    # sigma's conditional is its prior, drawn exactly.
-    shape = (n - 1) / 2 if n >= 2 else 1.0
-    power = 2.0 * shape + 1.0 - n
+    b = V.T @ (XS.T @ y)
+    # Where lam is zero up to rounding (n < p, or collinear columns), the data
+    # say nothing and b is rounding noise; kept, it would blow up as sigma -> 0.
+    null = lam <= lam[-1] * max(n, p) * np.finfo(float).eps
+    lam[null] = b[null] = 0.0
+    # y'y - sum b^2 / (s2 + lam) = rss + s2 sum c / (s2 + lam) with c = b^2 / lam,
+    # which has no cancellation at small sigma.
+    c = b[~null] ** 2 / lam[~null]
+    rss = max(float(y @ y) - c.sum(), 0.0)
 
-    n_chains = len(rngs)
-    coefficients = np.empty((n_chains, n_draws, p))
-    sigmas = np.empty((n_chains, n_draws))
-    accepted = np.zeros(n_chains)
-    sigma = np.full(n_chains, prior.sigma_y)
-    for start in range(0, warmup + n_draws, _BLOCK_STEPS):
-        steps = min(_BLOCK_STEPS, warmup + n_draws - start)
-        z = np.stack([rng.standard_normal((steps, p)) for rng in rngs], axis=1)
-        gamma = np.stack([rng.standard_gamma(shape, steps) for rng in rngs], axis=1)
-        # Accept where log-ratio > -E for E ~ Exponential(1), i.e. u < ratio.
-        expo = np.stack([rng.standard_exponential(steps) for rng in rngs], axis=1)
-        for i in range(steps):
-            s2 = (sigma * sigma)[:, None]
-            denom = lam + s2
-            w = (b + np.sqrt(s2 * denom) * z[i]) / denom
-            if n:
-                resid = y - w @ M.T
-                proposal = np.sqrt(np.einsum("ij,ij->i", resid, resid) / (2.0 * gamma[i]))
-                log_ratio = rate * (sigma - proposal)
-                if power:
-                    log_ratio += power * np.log(proposal / sigma)
-                accept = log_ratio > -expo[i]
-            else:
-                proposal = gamma[i] / rate
-                accept = np.ones(n_chains, dtype=bool)
-            sigma = np.where(accept, proposal, sigma)
-            t = start + i - warmup
-            if t >= 0:
-                coefficients[:, t] = w
-                sigmas[:, t] = sigma
-                accepted += accept
+    def log_density(t):
+        """log p(sigma | y) plus the Jacobian t at t = log sigma, up to a constant."""
+        s2 = np.exp(2.0 * t)
+        return (-prior.residual_rate * np.exp(t) - (n - p - 1) * t - 0.5 * rss / s2
+                - 0.5 * np.log(s2[:, None] + lam).sum(axis=1)
+                - 0.5 * (c / (s2[:, None] + lam[~null])).sum(axis=1))
+
+    # A first pass from e^-40 to e^40 prior means finds where the density is
+    # within e^-40 of its peak; the second pass spans that region.
+    t = np.linspace(-40.0, 40.0, _SIGMA_GRID) - np.log(prior.residual_rate)
+    log_p = log_density(t)
+    if not np.isfinite(log_p.max()):  # NaN, or no finite point: scales out of float range
+        raise DomainError("the residual sd's posterior is not finite on its grid")
+    kept = np.flatnonzero(log_p >= log_p.max() - 40.0)
+    t = np.linspace(*t[np.clip([kept[0] - 1, kept[-1] + 1], 0, _SIGMA_GRID - 1)], _SIGMA_GRID)
+    log_p = log_density(t)
+    density = np.exp(log_p - log_p.max())
+    cdf = np.concatenate([[0.0], np.cumsum(density[1:] + density[:-1])])  # trapezoid rule
+
     SV = sds[:, None] * V
-    for c in range(n_chains):
-        coefficients[c] = coefficients[c] @ SV.T
-    return coefficients, sigmas, accepted / n_draws
+    coefficients = np.empty((len(rngs), n_draws, p))
+    sigmas = np.empty((len(rngs), n_draws))
+    for k, rng in enumerate(rngs):
+        sigmas[k] = np.exp(np.interp(rng.random(n_draws) * cdf[-1], cdf, t))
+        s2 = sigmas[k][:, None] ** 2
+        denom = lam + s2
+        w = rng.standard_normal(out=coefficients[k])  # in place: one (draws, p) array fewer
+        w *= np.sqrt(s2 * denom)
+        w += b
+        w /= denom
+        coefficients[k] = w @ SV.T
+    return coefficients, sigmas
 
 
 def _fft_length(n: int) -> int:
@@ -311,32 +314,28 @@ def _diagnostics(coefficients: np.ndarray, sigma: np.ndarray,
 
 
 def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000,
-                  n_chains: int = 4, seed: int = 0, warmup: int = 1000,
+                  n_chains: int = 4, seed: int = 0,
                   enforce_diagnostics: bool = True) -> PosteriorDraws:
     """Sample the posterior; deterministic in (seed, n_chains, n_draws).
 
-    Exact Gibbs sampling with no adaptation: the coefficients are drawn
-    from their Gaussian conditional and sigma by an independence
-    Metropolis-Hastings step whose proposal is its conditional without the
-    prior. The first ``warmup`` steps of each chain are discarded. Raises
+    Every draw is independent, with no warm-up and no acceptance step: sigma
+    from its marginal posterior, then the coefficients given sigma. Raises
     ConvergenceError when split R-hat >= 1.05 or ESS <= 400 for any
-    parameter, unless ``enforce_diagnostics`` is off; production fits
-    should use at least 1000 post-warmup draws on 2 or more chains. Fewer
-    than 4 draws per chain raise DomainError: split R-hat needs 2 draws in
-    each half.
+    parameter, unless ``enforce_diagnostics`` is off; production fits should
+    use at least 1000 draws on 2 or more chains. Fewer than 4 draws per
+    chain raise DomainError: split R-hat needs 2 draws in each half.
     """
-    if n_chains < 1 or warmup < 1:
-        raise DomainError("n_chains and warmup must be positive")
+    if n_chains < 1:
+        raise DomainError(f"{n_chains} chains; a fit needs at least 1")
     if n_draws < 4:
         raise DomainError(f"{n_draws} draws per chain; split R-hat needs at least 4")
     if seed < 0:
         raise DomainError(f"seed {seed} is negative; a seed must be a non-negative integer")
     rngs = [np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(c,)))) for c in range(n_chains)]
-    coefficients, sigma, accept_sigma = _gibbs(design.X, design.y, prior, n_draws,
-                                               warmup, rngs)
+    coefficients, sigma = _sample(design.X, design.y, prior, n_draws, rngs)
     diagnostics = _diagnostics(coefficients, sigma, accept_coefficients=(1.0,) * n_chains,
-                               accept_sigma=accept_sigma.tolist())
+                               accept_sigma=(1.0,) * n_chains)
     draws = PosteriorDraws(coefficients=coefficients, sigma=sigma,
                            column_names=COLUMN_NAMES, diagnostics=diagnostics)
     if enforce_diagnostics and not diagnostics.passes():

@@ -471,6 +471,7 @@ class _TreeEvaluator:
                 and any(m == "partisan" for m, _ in self.key.vetoes)):
             self.plan(self.base, 2)
             self.plan(self.base, 1)
+            vars(self).pop("_base_court", None)
         out = np.full((self.n_draws, len(_THRESHOLD_KEYS)), np.nan)
         mids = (self.base[0, :-1] + self.base[0, 1:]) / 2.0
         for col, key in enumerate(_THRESHOLD_KEYS):
@@ -649,7 +650,8 @@ class BatchContext:
     Rows whose (process, assignment) share a :class:`TreeKey` share one
     solved tree. The per-row checks of :meth:`TreeKey.of` run on every row.
     A kept tree drops its base-grid court, the largest array it holds;
-    ``veto_thresholds`` rebuilds it, with the same bits, where it needs it.
+    ``veto_thresholds`` rebuilds it, with the same bits, where it needs it
+    and drops it again.
     """
 
     def __init__(self, prior: PriorSpec, seed: int, n_draws: int,

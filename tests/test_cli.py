@@ -224,9 +224,10 @@ class TestLeewayCommand:
 # and the header comments, which name the input paths. The fixture reaches both
 # ways of recording veto thresholds: partisan drawers (AL, WI) and split or
 # nonpartisan drawers with a partisan veto (IA, MN-2020, NY, OH-2020, VA-2010).
+# The doses digest also covers the posterior draws of the `did` fit it reads.
 _GOLDEN_DIAGNOSTICS = "29b924517bef4eaa9c0ef37c547d16792d0af715e7cff3144adc545e72a00625"
 _GOLDEN_PER_STATE = "f0291cd01ab3c2b0115d05041ea43228e69ad55a968ee51538e44efc538d3d1f"
-_GOLDEN_DOSES = "e231a8c33f4e962aff50f8dbf43c8eb99d65979f9fe3e86804e6bead0bbbafb1"
+_GOLDEN_DOSES = "02666d06be2a7c1621fe8f931b5ad69d89a852813932fd468c20a9ae02ee9f83"
 
 
 def _body(path) -> bytes:
@@ -327,6 +328,16 @@ class TestDidCommand:
                      "--output-diagnostics", str(tmp_path / "x.json")])
         assert code == 1
         assert "split R-hat needs at least 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, bad", [("nan", "sigma_y=nan"),
+                                            ("1e308", "intercept sd=inf")])
+    def test_non_finite_prior_scale_exits_1(self, did_input, tmp_path, capsys, value, bad):
+        # 2.5 x 1e308, the intercept's prior sd, overflows to inf.
+        code = main(["did", "--input", did_input, "--sigma-y", value,
+                     "--output-draws", str(tmp_path / "x.csv"),
+                     "--output-diagnostics", str(tmp_path / "x.json")])
+        assert code == 1
+        assert f"prior scale {bad} must be finite and positive" in capsys.readouterr().err
 
     def test_byte_identical_rerun(self, did_input, tmp_path):
         blobs = []

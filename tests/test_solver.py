@@ -564,6 +564,10 @@ class TestBatchContext:
             for row, assignment in owners[key]:
                 want = [dataclasses.astuple(solve(row, assignment, theta)) for theta in thetas]
                 assert columns == want, row.key
+        # No kept tree holds a base-grid court once its thresholds are read.
+        for tree in batch.trees.values():
+            tree.result_columns()
+        assert not [key for key, tree in batch.trees.items() if "_base_court" in vars(tree)]
 
     def test_single_district_rows_rejected_before_sampling(self, monkeypatch):
         calls = []
