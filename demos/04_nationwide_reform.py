@@ -28,7 +28,7 @@ def synthetic_model(mean_effect, sd, n_draws=400, seed=0):
     rng = np.random.default_rng(seed)
     matrix = np.zeros((n_draws, 16))
     matrix[:, 1] = rng.normal(mean_effect, sd, n_draws)
-    diag = Diagnostics(rhat={}, ess={}, accept_coefficients=(), accept_sigma=())
+    diag = Diagnostics(rhat={}, ess={})
     return PosteriorDraws(coefficients=matrix[None], sigma=np.ones((1, n_draws)),
                           column_names=COLUMN_NAMES, diagnostics=diag)
 
@@ -50,7 +50,7 @@ baseline = Baseline(dem_seats=213.0, slope_seats_per_pp=7.8)
 
 print(f"{'template':<10} {'mean dose cut':>13} {'dem seats':>10} {'95% CI':>16} {'slope':>7}")
 for name in ("identity", "ny", "oh", "mi"):
-    pairs = counterfactual_doses(codebook, TEMPLATES[name](), prior,
+    pairs = counterfactual_doses(codebook, TEMPLATES[name], prior,
                                  n_draws=25, seed=11)
     prediction = predict_national(pairs, seat_model, resp_model, covariates, baseline,
                                   template=name)

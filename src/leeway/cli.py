@@ -411,8 +411,6 @@ def _write_did_diagnostics(args, diag, acr) -> None:
         "meta": {"version": __version__, "seed": args.seed,
                  "config": _config_hash(args), "outcome_label": args.outcome_label},
         "rhat": diag.rhat, "ess": diag.ess,
-        "accept_coefficients": list(diag.accept_coefficients),
-        "accept_sigma": list(diag.accept_sigma),
         "acr": acr,
     }
     _write_text(args.output_diagnostics, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -455,7 +453,7 @@ def _cmd_counterfactual(args) -> int:
     with open(args.codebook, "rb") as fh:
         book = cb.parse_codebook(fh)
     prior = _load_prior(args.priors)
-    template = cf.TEMPLATES[args.template]()
+    template = cf.TEMPLATES[args.template]
     seat_model = load_draws_csv(args.seat_model)
     resp_model = load_draws_csv(args.resp_model)
     for label, model in (("seat", seat_model), ("responsiveness", resp_model)):

@@ -10,11 +10,12 @@ aggregate into a national seats-votes line around the 50% vote share.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .codebook import (Codebook, CourtReview, Drawer, PartyControl, StateProcess,
-                       Stalemate1, Stalemate2, Veto1, Veto2)
+                       Stalemate1, Stalemate2, Veto1, Veto2, validate)
 from .errors import DomainError
 from .inference import EffectSummary, PosteriorDraws, cate_draws
 from .nature import PriorSpec
@@ -59,92 +60,71 @@ def _governor_control(process: StateProcess) -> PartyControl:
     return PartyControl.SPLIT
 
 
+def _michigan(process: StateProcess) -> dict:
+    """Nonpartisan commission, no vetoes, nonpartisan court review."""
+    return {
+        "drawer": Drawer.COMMISSION,
+        "drawer_control": PartyControl.NONPARTISANS,
+        "veto1": Veto1.NA, "veto1_control": PartyControl.NA,
+        "veto2": Veto2.NA, "veto2_control": PartyControl.NA,
+        "stalemate1": Stalemate1.COMMISSION,
+        "stalemate1_control": PartyControl.NONPARTISANS,
+        "stalemate2": Stalemate2.NA, "stalemate2_control": PartyControl.NA,
+        "court_review": CourtReview.YES,
+        "court_control": PartyControl.NONPARTISANS,
+    }
+
+
+def _new_york(process: StateProcess) -> dict:
+    """Nonpartisan commission drawer behind legislature and governor vetoes at current control."""
+    return {
+        "drawer": Drawer.COMMISSION,
+        "drawer_control": PartyControl.NONPARTISANS,
+        "veto1": Veto1.LEGISLATURE,
+        "veto1_control": _legislature_control(process),
+        "veto2": Veto2.GOVERNOR,
+        "veto2_control": _governor_control(process),
+        "stalemate1": Stalemate1.UNCLEAR,
+        "stalemate1_control": PartyControl.NA,
+        "stalemate2": Stalemate2.NA, "stalemate2_control": PartyControl.NA,
+    }
+
+
+def _ohio(process: StateProcess) -> dict:
+    """Legislature under a bipartisan supermajority requirement, governor veto,
+    bipartisan backup commission, then the current legislative majority."""
+    return {
+        "drawer": Drawer.LEGISLATURE,
+        "drawer_control": PartyControl.SPLIT,
+        "veto1": Veto1.GOVERNOR,
+        "veto1_control": _governor_control(process),
+        "veto2": Veto2.NA, "veto2_control": PartyControl.NA,
+        "stalemate1": Stalemate1.COMMISSION,
+        "stalemate1_control": PartyControl.SPLIT,
+        "stalemate2": Stalemate2.LEGISLATURE,
+        "stalemate2_control": _legislature_control(process),
+    }
+
+
 @dataclass(frozen=True)
 class ReformTemplate:
-    """Named set of field overrides applied to a StateProcess.
+    """A named rewrite of a StateProcess: ``overrides_for(process)`` gives the new fields.
 
-    Built-ins: ``identity`` (no change); ``mi`` (nonpartisan commission, no
-    vetoes, nonpartisan court review); ``ny`` (nonpartisan commission
-    drawer behind legislature and governor vetoes at current party
-    control); ``oh`` (legislature drawing under a bipartisan supermajority
-    requirement, governor veto, bipartisan backup commission, then the
-    current legislative majority). Preclearance is never touched: reforms
-    change procedure, not VRA exposure.
+    The built-ins are in :data:`TEMPLATES`: ``identity`` (no change), ``mi``,
+    ``ny`` and ``oh``. Preclearance is never touched: reforms change
+    procedure, not VRA exposure.
     """
 
     name: str
-    static_overrides: tuple = ()
-
-    @classmethod
-    def identity(cls) -> "ReformTemplate":
-        return cls("identity")
-
-    @classmethod
-    def michigan(cls) -> "ReformTemplate":
-        return cls("mi")
-
-    @classmethod
-    def new_york(cls) -> "ReformTemplate":
-        return cls("ny")
-
-    @classmethod
-    def ohio(cls) -> "ReformTemplate":
-        return cls("oh")
-
-    @classmethod
-    def custom(cls, overrides: dict) -> "ReformTemplate":
-        return cls("custom", tuple(sorted(overrides.items())))
-
-    def overrides_for(self, process: StateProcess) -> dict:
-        if self.name == "identity":
-            return {}
-        if self.name == "mi":
-            return {
-                "drawer": Drawer.COMMISSION,
-                "drawer_control": PartyControl.NONPARTISANS,
-                "veto1": Veto1.NA, "veto1_control": PartyControl.NA,
-                "veto2": Veto2.NA, "veto2_control": PartyControl.NA,
-                "stalemate1": Stalemate1.COMMISSION,
-                "stalemate1_control": PartyControl.NONPARTISANS,
-                "stalemate2": Stalemate2.NA, "stalemate2_control": PartyControl.NA,
-                "court_review": CourtReview.YES,
-                "court_control": PartyControl.NONPARTISANS,
-            }
-        if self.name == "ny":
-            return {
-                "drawer": Drawer.COMMISSION,
-                "drawer_control": PartyControl.NONPARTISANS,
-                "veto1": Veto1.LEGISLATURE,
-                "veto1_control": _legislature_control(process),
-                "veto2": Veto2.GOVERNOR,
-                "veto2_control": _governor_control(process),
-                "stalemate1": Stalemate1.UNCLEAR,
-                "stalemate1_control": PartyControl.NA,
-                "stalemate2": Stalemate2.NA, "stalemate2_control": PartyControl.NA,
-            }
-        if self.name == "oh":
-            return {
-                "drawer": Drawer.LEGISLATURE,
-                "drawer_control": PartyControl.SPLIT,
-                "veto1": Veto1.GOVERNOR,
-                "veto1_control": _governor_control(process),
-                "veto2": Veto2.NA, "veto2_control": PartyControl.NA,
-                "stalemate1": Stalemate1.COMMISSION,
-                "stalemate1_control": PartyControl.SPLIT,
-                "stalemate2": Stalemate2.LEGISLATURE,
-                "stalemate2_control": _legislature_control(process),
-            }
-        if self.name == "custom":
-            return dict(self.static_overrides)
-        raise DomainError(f"unknown template {self.name!r}")
+    overrides_for: Callable[[StateProcess], dict]
 
 
-TEMPLATES = {
-    "identity": ReformTemplate.identity,
-    "mi": ReformTemplate.michigan,
-    "ny": ReformTemplate.new_york,
-    "oh": ReformTemplate.ohio,
-}
+TEMPLATES = {template.name: template for template in (
+    ReformTemplate("identity", lambda p: {}),
+    ReformTemplate("mi", _michigan),
+    ReformTemplate("ny", _new_york),
+    ReformTemplate("oh", _ohio),
+)}
 
 
 def apply_template(process: StateProcess, template: ReformTemplate) -> StateProcess:
@@ -153,8 +133,6 @@ def apply_template(process: StateProcess, template: ReformTemplate) -> StateProc
     The result must pass validation; a failure raises TemplateError naming
     the broken rule. Applying a template twice equals applying it once.
     """
-    from .codebook import validate
-
     if process.drawer is Drawer.NA:
         raise DomainError(f"{process.key}: cannot reform a single-district state")
     reformed = replace(process, **template.overrides_for(process))

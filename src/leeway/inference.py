@@ -167,8 +167,6 @@ class PriorConfig:
 class Diagnostics:
     rhat: dict
     ess: dict
-    accept_coefficients: tuple
-    accept_sigma: tuple
 
     def worst(self) -> tuple[float, float]:
         """Largest R-hat and smallest ESS; a NaN in either is the worst."""
@@ -221,7 +219,11 @@ def _sample(X, y, prior: PriorConfig, n_draws, rngs):
     n, p = X.shape
     sds = np.asarray(prior.coefficient_sds)
     XS = X * sds
-    lam, V = np.linalg.eigh(XS.T @ XS)
+    gram = XS.T @ XS
+    if not np.isfinite(gram).all():
+        raise DomainError(f"prior scale sigma_y={float(prior.sigma_y)} must be finite and "
+                          "positive, and small enough that S X'X S is finite")
+    lam, V = np.linalg.eigh(gram)
     b = V.T @ (XS.T @ y)
     # Where lam is zero up to rounding (n < p, or collinear columns), the data
     # say nothing and b is rounding noise; kept, it would blow up as sigma -> 0.
@@ -263,6 +265,9 @@ def _sample(X, y, prior: PriorConfig, n_draws, rngs):
         w += b
         w /= denom
         coefficients[k] = w @ SV.T
+    if not (np.isfinite(coefficients).all() and np.isfinite(sigmas).all()):
+        raise DomainError(f"prior scale sigma_y={float(prior.sigma_y)} must be finite and "
+                          "positive, and small enough that every posterior draw is finite")
     return coefficients, sigmas
 
 
@@ -302,15 +307,13 @@ def _rhat_ess(chains: np.ndarray) -> tuple[float, float]:
     return rhat, float(n_seq * length / tau)
 
 
-def _diagnostics(coefficients: np.ndarray, sigma: np.ndarray,
-                 accept_coefficients=(), accept_sigma=()) -> Diagnostics:
+def _diagnostics(coefficients: np.ndarray, sigma: np.ndarray) -> Diagnostics:
     """Split R-hat and ESS of every coefficient and of sigma, per chain layout."""
     rhat, ess = {}, {}
     for j, name in enumerate(COLUMN_NAMES):
         rhat[name], ess[name] = _rhat_ess(coefficients[:, :, j])
     rhat["sigma"], ess["sigma"] = _rhat_ess(sigma)
-    return Diagnostics(rhat=rhat, ess=ess, accept_coefficients=tuple(accept_coefficients),
-                       accept_sigma=tuple(accept_sigma))
+    return Diagnostics(rhat=rhat, ess=ess)
 
 
 def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000,
@@ -333,9 +336,9 @@ def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000
         raise DomainError(f"seed {seed} is negative; a seed must be a non-negative integer")
     rngs = [np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(c,)))) for c in range(n_chains)]
-    coefficients, sigma = _sample(design.X, design.y, prior, n_draws, rngs)
-    diagnostics = _diagnostics(coefficients, sigma, accept_coefficients=(1.0,) * n_chains,
-                               accept_sigma=(1.0,) * n_chains)
+    with np.errstate(over="ignore", invalid="ignore"):  # _sample names an overflowing scale
+        coefficients, sigma = _sample(design.X, design.y, prior, n_draws, rngs)
+    diagnostics = _diagnostics(coefficients, sigma)
     draws = PosteriorDraws(coefficients=coefficients, sigma=sigma,
                            column_names=COLUMN_NAMES, diagnostics=diagnostics)
     if enforce_diagnostics and not diagnostics.passes():

@@ -60,6 +60,9 @@ _PARTISAN = (PartyControl.DEMOCRATS, PartyControl.REPUBLICANS)
 # Finest grid step (8,001 points): finer grids need more memory than a solve should.
 MIN_GRID_STEP = 0.001
 
+# Points per grid step in the local refinement around a grid optimum.
+_REFINE_FACTOR = 20
+
 
 @dataclass(frozen=True)
 class ControlAssignment:
@@ -108,6 +111,25 @@ class ControlAssignment:
         )
 
 
+def _veto_node(body, na, control, voters):
+    if body is na:
+        return ("absent", None)
+    if voters or control in (PartyControl.NONPARTISANS, PartyControl.NA):
+        return ("prob", control)
+    if control is PartyControl.SPLIT:
+        return ("split", control)
+    return ("partisan", control)
+
+
+_LINK_KIND = {
+    Stalemate1.COURT: "court", Stalemate2.COURT: "court",
+    Stalemate1.UNCLEAR: "unclear", Stalemate2.UNCLEAR: "unclear",
+    Stalemate1.COMMISSION: "commission",
+    Stalemate1.COMMISSION_STAFF: "commission",
+    Stalemate2.LEGISLATURE: "legislature",
+}
+
+
 @dataclass(frozen=True)
 class TreeKey:
     """What the game tree of one (process, assignment) reads, and nothing else.
@@ -140,17 +162,16 @@ class TreeKey:
                                   (process.stalemate2, Stalemate2.NA, assignment.stalemate2)):
             if body is na:
                 continue
-            kind = _TreeEvaluator._link_kind(body)
+            kind = _LINK_KIND[body]
             if kind in ("court", "unclear"):
                 break
             chain.append((kind, control))
         return cls(
             drawer="legislature" if process.drawer is Drawer.LEGISLATURE else "commission",
             drawer_control=assignment.drawer,
-            vetoes=(_TreeEvaluator._veto_node(process.veto1, Veto1.NA, assignment.veto1,
-                                              voters=process.veto1 is Veto1.VOTERS),
-                    _TreeEvaluator._veto_node(process.veto2, Veto2.NA, assignment.veto2,
-                                              voters=False)),
+            vetoes=(_veto_node(process.veto1, Veto1.NA, assignment.veto1,
+                               voters=process.veto1 is Veto1.VOTERS),
+                    _veto_node(process.veto2, Veto2.NA, assignment.veto2, voters=False)),
             chain=tuple(chain),
             court=CourtContext(process.court_review, assignment.court, process.preclearance),
         )
@@ -162,13 +183,10 @@ class OptimizationGrid:
 
     step: float = 0.05
     refine: bool = True
-    refine_factor: int = 20
 
     def __post_init__(self):
         if not MIN_GRID_STEP <= self.step <= (BIAS_MAX - BIAS_MIN) / 2:
             raise DomainError(f"grid step {self.step} out of range")
-        if self.refine_factor < 2:
-            raise DomainError("refine_factor must be at least 2")
 
     def points(self) -> np.ndarray:
         # Built symmetrically around zero so that mirrored problems are
@@ -185,8 +203,7 @@ class OptimizationGrid:
         return row
 
     def refine_points(self, center: float) -> np.ndarray:
-        offsets = np.arange(-self.refine_factor, self.refine_factor + 1) * (
-            self.step / self.refine_factor)
+        offsets = np.arange(-_REFINE_FACTOR, _REFINE_FACTOR + 1) * (self.step / _REFINE_FACTOR)
         return nature.clamp_bias(center + offsets)
 
 
@@ -253,26 +270,6 @@ class _TreeEvaluator:
         self.decisions: dict[str, np.ndarray] = {}
         # Equilibrium-path mass per final-drawer bucket.
         self.acc = {b: np.zeros((self.n_draws, 1)) for b in _BUCKETS}
-
-    @staticmethod
-    def _veto_node(body, na, control, voters):
-        if body is na:
-            return ("absent", None)
-        if voters or control in (PartyControl.NONPARTISANS, PartyControl.NA):
-            return ("prob", control)
-        if control is PartyControl.SPLIT:
-            return ("split", control)
-        return ("partisan", control)
-
-    @staticmethod
-    def _link_kind(body) -> str:
-        return {
-            Stalemate1.COURT: "court", Stalemate2.COURT: "court",
-            Stalemate1.UNCLEAR: "unclear", Stalemate2.UNCLEAR: "unclear",
-            Stalemate1.COMMISSION: "commission",
-            Stalemate1.COMMISSION_STAFF: "commission",
-            Stalemate2.LEGISLATURE: "legislature",
-        }[body]
 
     # -- game-tree nodes -----------------------------------------------------
     #
@@ -540,7 +537,8 @@ def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
     An independent scalar re-implementation of the game: every drawer
     action and veto decision is enumerated with plain loops and the
     expectations are summed directly, with no grid refinement and no shared
-    traversal code with :func:`solve`. Used as a verification oracle.
+    traversal code with :func:`solve`; it reads the node rules off the
+    codebook enums itself, not from the tree key. Used as a verification oracle.
     """
     points = [float(p) for p in coarse_grid.points()]
     if len(points) > 9:
@@ -554,18 +552,16 @@ def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
     def enacted(x: float) -> float:
         return float(nature.exp_court(x, ctx, theta_).value)
 
-    chain = []
-    if process.stalemate1 is not Stalemate1.NA:
-        chain.append((_TreeEvaluator._link_kind(process.stalemate1), assignment.stalemate1))
-    if process.stalemate2 is not Stalemate2.NA:
-        chain.append((_TreeEvaluator._link_kind(process.stalemate2), assignment.stalemate2))
+    chain = [(body, control) for body, control in ((process.stalemate1, assignment.stalemate1),
+                                                   (process.stalemate2, assignment.stalemate2))
+             if body not in (Stalemate1.NA, Stalemate2.NA)]
 
     def stalemate(anchor: float, k: int = 0) -> float:
         if k >= len(chain):
             return float(nature.stalemate_default(anchor, assignment.court,
                                                   assignment.drawer, theta_))
-        kind, control = chain[k]
-        if kind in ("court", "unclear"):
+        body, control = chain[k]
+        if body in (Stalemate1.COURT, Stalemate1.UNCLEAR, Stalemate2.COURT, Stalemate2.UNCLEAR):
             return float(nature.stalemate_default(anchor, assignment.court,
                                                   assignment.drawer, theta_))
         if control in _PARTISAN:
@@ -578,24 +574,24 @@ def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
             return p * stalemate(anchor, k + 1) + (1.0 - p) * settled
         return settled
 
-    nodes = [
-        _TreeEvaluator._veto_node(process.veto1, Veto1.NA, assignment.veto1,
-                                  voters=process.veto1 is Veto1.VOTERS),
-        _TreeEvaluator._veto_node(process.veto2, Veto2.NA, assignment.veto2, voters=False),
-    ]
+    vetoes = [(process.veto1, assignment.veto1), (process.veto2, assignment.veto2)]
 
     def vetoed_value(x: float, accept: float, veto: float, index: int) -> float:
-        mode, control = nodes[index]
-        if mode in ("absent", "split"):
+        body, control = vetoes[index]
+        if body in (Veto1.NA, Veto2.NA):
             return accept
-        if mode == "partisan":
-            # Both options enumerated; the player keeps the better one,
-            # accepting on ties.
-            options = [accept, veto]
-            signed = [nature.party_sign(control) * v for v in options]
-            return options[1] if signed[1] > signed[0] else options[0]
-        q = float(nature.pr_veto_nonpartisan(x, theta_))
-        return q * veto + (1.0 - q) * accept
+        # Voters veto by a probabilistic vote whichever party the row codes
+        # as holding the node, as do nonpartisan and uncoded holders.
+        if body is Veto1.VOTERS or control in (PartyControl.NONPARTISANS, PartyControl.NA):
+            q = float(nature.pr_veto_nonpartisan(x, theta_))
+            return q * veto + (1.0 - q) * accept
+        if control is PartyControl.SPLIT:
+            return accept
+        # Both options enumerated; the player keeps the better one,
+        # accepting on ties.
+        options = [accept, veto]
+        signed = [nature.party_sign(control) * v for v in options]
+        return options[1] if signed[1] > signed[0] else options[0]
 
     def through_vetoes(x: float, veto_cont: float) -> float:
         stage = vetoed_value(x, enacted(x), veto_cont, 1)
@@ -607,8 +603,8 @@ def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
             candidates = [through_vetoes(y, stalemate(y)) for y in points]
             candidates.append(stalemate(x_prev))
             return max(candidates) if mode is PartyControl.REPUBLICANS else min(candidates)
-        first = assignment.veto1 if nodes[0][0] != "absent" else None
-        second = assignment.veto2 if nodes[1][0] != "absent" else None
+        first = assignment.veto1 if process.veto1 is not Veto1.NA else None
+        second = assignment.veto2 if process.veto2 is not Veto2.NA else None
         y = float(nature.round2_nonpartisan_proposal(x_prev, (first, second), theta_))
         settled = through_vetoes(y, stalemate(y))
         if mode is PartyControl.SPLIT:

@@ -183,12 +183,12 @@ def test_criterion_9_counterfactual_properties():
     with criterion(9, "identity reform is a per-draw no-op; nonpartisan reform "
                       "zeroes doses; national change sums state effects"):
         book = FIXTURE.for_cycle(2020)
-        identity = counterfactual_doses(book, TEMPLATES["identity"](), PRIOR,
+        identity = counterfactual_doses(book, TEMPLATES["identity"], PRIOR,
                                         n_draws=20, seed=1009)
         for pair in identity:
             assert pair.d_reformed == pair.d_current
 
-        mi = counterfactual_doses(book, TEMPLATES["mi"](), PRIOR,
+        mi = counterfactual_doses(book, TEMPLATES["mi"], PRIOR,
                                   n_draws=20, seed=1009)
         for pair in mi:
             if not book.get(pair.state_id, 2020).preclearance:
@@ -201,7 +201,7 @@ def test_criterion_9_counterfactual_properties():
         slopes = np.linspace(0.05, 0.6, 30)
         matrix = np.zeros((len(slopes), 16))
         matrix[:, 1] = slopes
-        diag = Diagnostics(rhat={}, ess={}, accept_coefficients=(), accept_sigma=())
+        diag = Diagnostics(rhat={}, ess={})
         model = PosteriorDraws(coefficients=matrix[None], sigma=np.ones((1, len(slopes))),
                                column_names=COLUMN_NAMES, diagnostics=diag)
         covariates = {

@@ -330,9 +330,14 @@ class TestDidCommand:
         assert "split R-hat needs at least 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value, bad", [("nan", "sigma_y=nan"),
-                                            ("1e308", "intercept sd=inf")])
+                                            ("1e308", "intercept sd=inf"),
+                                            ("1e100", "sigma_y=1e+100"),
+                                            ("1e150", "sigma_y=1e+150"),
+                                            ("1e200", "sigma_y=1e+200"),
+                                            ("1e300", "sigma_y=1e+300")])
     def test_non_finite_prior_scale_exits_1(self, did_input, tmp_path, capsys, value, bad):
-        # 2.5 x 1e308, the intercept's prior sd, overflows to inf.
+        # 2.5 x 1e308, the intercept's prior sd, overflows to inf. From 1e100 on,
+        # sigma_y is finite but overflows the posterior draws or S X'X S.
         code = main(["did", "--input", did_input, "--sigma-y", value,
                      "--output-draws", str(tmp_path / "x.csv"),
                      "--output-diagnostics", str(tmp_path / "x.json")])
@@ -439,7 +444,7 @@ def random_draws(chains, n, seed=0, decades=5):
     coefficients[0, 0, :3] = (-0.0, 5e-324, 0.1)
     sigma = rng.gamma(2.0, size=(chains, n))
     return PosteriorDraws(coefficients=coefficients, sigma=sigma, column_names=COLUMN_NAMES,
-                          diagnostics=Diagnostics({}, {}, (), ()))
+                          diagnostics=Diagnostics({}, {}))
 
 
 def reference_draw_file(draws, header):

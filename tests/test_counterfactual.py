@@ -20,7 +20,7 @@ FIXTURE = load_fixture_codebook()
 
 def manual_model(coefficients):
     coefficients = np.asarray(coefficients, dtype=float)[None, :, :]
-    diag = Diagnostics(rhat={}, ess={}, accept_coefficients=(), accept_sigma=())
+    diag = Diagnostics(rhat={}, ess={})
     return PosteriorDraws(coefficients=coefficients,
                           sigma=np.ones(coefficients.shape[:2]),
                           column_names=COLUMN_NAMES, diagnostics=diag)
@@ -42,25 +42,25 @@ COVS = {
 class TestTemplates:
     def test_identity_returns_unchanged(self):
         row = FIXTURE.get("AL", 2020)
-        assert apply_template(row, TEMPLATES["identity"]()) == row
+        assert apply_template(row, TEMPLATES["identity"]) == row
 
     def test_idempotent(self):
         for key in (("AL", 2020), ("CA", 2020), ("OH", 2020), ("MN", 2020)):
             row = FIXTURE.get(*key)
             for name in ("identity", "mi", "ny", "oh"):
-                template = TEMPLATES[name]()
+                template = TEMPLATES[name]
                 once = apply_template(row, template)
                 assert apply_template(once, template) == once
 
     def test_results_validate(self):
         for row in FIXTURE:
             for name in ("mi", "ny", "oh"):
-                reformed = apply_template(row, TEMPLATES[name]())
+                reformed = apply_template(row, TEMPLATES[name])
                 assert validate(reformed) == [], (row.key, name)
 
     def test_ny_preserves_trifecta_control(self):
         row = FIXTURE.get("AL", 2020)  # Republican legislature and governor
-        reformed = apply_template(row, TEMPLATES["ny"]())
+        reformed = apply_template(row, TEMPLATES["ny"])
         assert reformed.veto1 is Veto1.LEGISLATURE
         assert reformed.veto1_control is PartyControl.REPUBLICANS
         assert reformed.veto2 is Veto2.GOVERNOR
@@ -69,7 +69,7 @@ class TestTemplates:
 
     def test_oh_reform_encodes_supermajority_and_backup(self):
         row = FIXTURE.get("WV", 2020)
-        reformed = apply_template(row, TEMPLATES["oh"]())
+        reformed = apply_template(row, TEMPLATES["oh"])
         assert reformed.drawer is Drawer.LEGISLATURE
         assert reformed.drawer_control is PartyControl.SPLIT
         assert reformed.stalemate1 is Stalemate1.COMMISSION
@@ -79,16 +79,16 @@ class TestTemplates:
 
     def test_oh_template_fixes_ohio_to_itself(self):
         row = FIXTURE.get("OH", 2020)
-        assert apply_template(row, TEMPLATES["oh"]()) == row
+        assert apply_template(row, TEMPLATES["oh"]) == row
 
     def test_mi_template_zeroes_maximum_leeway(self):
         for key in (("WV", 2020), ("KS", 2020)):  # no preclearance exposure
-            reformed = apply_template(FIXTURE.get(*key), TEMPLATES["mi"]())
+            reformed = apply_template(FIXTURE.get(*key), TEMPLATES["mi"])
             scores = leeway(reformed, PRIOR, n_draws=15, seed=2)
             assert scores.maximum == 0.0
 
     def test_mi_template_on_preclearance_state_keeps_small_vra_residue(self):
-        reformed = apply_template(FIXTURE.get("AL", 2020), TEMPLATES["mi"]())
+        reformed = apply_template(FIXTURE.get("AL", 2020), TEMPLATES["mi"])
         scores = leeway(reformed, PRIOR, n_draws=15, seed=2)
         assert 0.0 < scores.maximum < 0.05
 
@@ -98,10 +98,10 @@ class TestTemplates:
                                court_control=PartyControl.NA,
                                stalemate1=Stalemate1.NA)
         with pytest.raises(DomainError):
-            apply_template(process, TEMPLATES["mi"]())
+            apply_template(process, TEMPLATES["mi"])
 
     def test_custom_template_validation_failure(self):
-        template = ReformTemplate.custom({"veto1": Veto1.NA})
+        template = ReformTemplate("custom", lambda p: {"veto1": Veto1.NA})
         row = FIXTURE.get("AL", 2020)  # leaves veto1_control=Republicans behind
         with pytest.raises(TemplateError) as err:
             apply_template(row, template)
@@ -111,7 +111,7 @@ class TestTemplates:
 class TestDoses:
     def test_identity_doses_equal(self):
         book = Codebook((FIXTURE.get("AL", 2020), FIXTURE.get("MN", 2020)))
-        pairs = counterfactual_doses(book, TEMPLATES["identity"](), PRIOR,
+        pairs = counterfactual_doses(book, TEMPLATES["identity"], PRIOR,
                                      n_draws=8, seed=4)
         for pair in pairs:
             assert pair.d_reformed == pair.d_current
@@ -119,7 +119,7 @@ class TestDoses:
     def test_mi_doses_zero_without_preclearance(self):
         book = Codebook((FIXTURE.get("KS", 2020), FIXTURE.get("WI", 2020),
                          FIXTURE.get("OH", 2020)))
-        pairs = counterfactual_doses(book, TEMPLATES["mi"](), PRIOR,
+        pairs = counterfactual_doses(book, TEMPLATES["mi"], PRIOR,
                                      n_draws=8, seed=4)
         for pair in pairs:
             assert pair.d_reformed == 0.0
@@ -127,11 +127,11 @@ class TestDoses:
     def test_oh_dose_between_mi_and_current_for_trifectas(self):
         book = Codebook((FIXTURE.get("WV", 2020), FIXTURE.get("IN", 2020),
                          FIXTURE.get("WI", 2010)))
-        current = counterfactual_doses(book, TEMPLATES["identity"](), PRIOR,
+        current = counterfactual_doses(book, TEMPLATES["identity"], PRIOR,
                                        n_draws=8, seed=4, cycle=2020)
-        oh = counterfactual_doses(book, TEMPLATES["oh"](), PRIOR,
+        oh = counterfactual_doses(book, TEMPLATES["oh"], PRIOR,
                                   n_draws=8, seed=4, cycle=2020)
-        mi = counterfactual_doses(book, TEMPLATES["mi"](), PRIOR,
+        mi = counterfactual_doses(book, TEMPLATES["mi"], PRIOR,
                                   n_draws=8, seed=4, cycle=2020)
         for c, o, m in zip(current, oh, mi):
             assert abs(m.d_reformed) < abs(o.d_reformed) < abs(c.d_current)
@@ -143,7 +143,7 @@ class TestDoses:
                               court_control=PartyControl.NA,
                               stalemate1=Stalemate1.NA)
         book = Codebook((FIXTURE.get("KS", 2020), single))
-        pairs = counterfactual_doses(book, TEMPLATES["identity"](), PRIOR,
+        pairs = counterfactual_doses(book, TEMPLATES["identity"], PRIOR,
                                      n_draws=3, seed=1)
         assert [p.state_id for p in pairs] == ["KS"]
 

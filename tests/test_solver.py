@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from leeway import nature, solver
 from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer, PartyControl,
                              Stalemate1, Stalemate2, Veto1, Veto2,
-                             load_fixture_codebook)
+                             load_fixture_codebook, validate)
 from leeway.counterfactual import TEMPLATES, apply_template, counterfactual_doses
 from leeway.errors import DomainError, NotApplicable
 from leeway.nature import (GameParameters, PriorSpec, exp_court, CourtContext,
@@ -351,6 +352,27 @@ class TestBruteForce:
             slow = brute_force_solve(row, realized(row), theta, COARSE)
             assert fast == pytest.approx(slow, abs=1e-9), row.key
 
+    @pytest.mark.parametrize("party", [PartyControl.DEMOCRATS, PartyControl.REPUBLICANS])
+    def test_matches_solver_with_party_held_voters_veto(self, party):
+        # A voters' veto is a probabilistic vote even where the row codes the
+        # party behind the measure; the fixture and the fuzz generator code
+        # every voters' veto with control NA.
+        rows = [dataclasses.replace(row, veto1=Veto1.VOTERS, veto1_control=party)
+                for row in FIXTURE if row.veto1 is not Veto1.NA]
+        assert len(rows) == 19
+        thetas = [sample_parameters(PRIOR, 5, d) for d in range(3)]
+        for row in rows:
+            assert validate(row) == [], row.key
+            fast = solve_batch(row, realized(row), sample_draws(PRIOR, 5, 3), COARSE)
+            for d, theta in enumerate(thetas):
+                slow = brute_force_solve(row, realized(row), theta, COARSE)
+                assert fast.result(d).value == pytest.approx(slow, abs=1e-9), (row.key, d)
+
+    def test_oracle_shares_no_node_rules_with_the_tree_key(self):
+        source = inspect.getsource(brute_force_solve)
+        for name in ("TreeKey", "_TreeEvaluator", "_veto_node", "_LINK_KIND", "_link_kind"):
+            assert name not in source, name
+
     def test_grid_size_guard(self):
         with pytest.raises(DomainError):
             brute_force_solve(FIXTURE.get("AL", 2020), realized(FIXTURE.get("AL", 2020)),
@@ -498,6 +520,21 @@ class TestPathTable:
         assert table.actual[("NC", 2020)] == "court"
 
 
+class TestTreeKey:
+    def test_assignment_must_be_a_control_assignment(self):
+        row = FIXTURE.get("AL", 2020)
+        with pytest.raises(DomainError, match=r"\('AL', 2020\): assignment must be a "
+                                              "ControlAssignment"):
+            TreeKey.of(row, dataclasses.asdict(realized(row)))
+
+    def test_drawer_without_control_rejected(self):
+        # validate() rejects this row; one built in the library reaches the key.
+        row = make_process(drawer_control=PartyControl.NA)
+        with pytest.raises(DomainError, match=r"\('ZZ', 2020\): drawer node has no "
+                                              "controlling coding"):
+            TreeKey.of(row, realized(row))
+
+
 class TestBatchContext:
     """One context per table call solves each distinct tree once."""
 
@@ -531,10 +568,10 @@ class TestBatchContext:
 
         for name, count in {"mi": 16, "ny": 28, "oh": 27, "identity": 15}.items():
             keys.clear()
-            counterfactual_doses(FIXTURE, TEMPLATES[name](), PRIOR, n_draws=2, seed=101)
+            counterfactual_doses(FIXTURE, TEMPLATES[name], PRIOR, n_draws=2, seed=101)
             assert set(keys) == {TreeKey.of(process, realized(process))
                                  for row in FIXTURE.for_cycle(2020)
-                                 for process in (row, apply_template(row, TEMPLATES[name]()))}
+                                 for process in (row, apply_template(row, TEMPLATES[name]))}
             assert len(keys) == len(set(keys)) == count, name
 
     def test_shared_tree_equals_per_draw_solves(self):
