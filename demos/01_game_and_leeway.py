@@ -10,8 +10,8 @@ how much partisan leeway the process leaves.
 
 import numpy as np
 
-from leeway import (ControlAssignment, PriorSpec, leeway_table,
-                    load_fixture_codebook, solve, spearman_stability)
+from leeway import (PriorSpec, leeway_table, load_fixture_codebook, solve,
+                    spearman_stability)
 
 codebook = load_fixture_codebook()
 prior = PriorSpec.default()
@@ -22,7 +22,7 @@ prior = PriorSpec.default()
 #    the map to a court by default, and VRA exposure is the only real check.
 # ---------------------------------------------------------------------------
 alabama = codebook.get("AL", 2020)
-result = solve(alabama, ControlAssignment.realized(alabama), prior.mean())
+result = solve(alabama, prior.mean())
 
 print("Trifecta walkthrough (AL 2020, prior-mean parameters)")
 print(f"  equilibrium bias ............ {result.value:+.3f}")

@@ -17,7 +17,7 @@ import numpy as np
 from leeway import (Baseline, PriorSpec, StateCovariates, counterfactual_doses,
                     load_fixture_codebook, predict_national)
 from leeway.counterfactual import TEMPLATES
-from leeway.inference import COLUMN_NAMES, Diagnostics, PosteriorDraws
+from leeway.inference import Diagnostics, PosteriorDraws
 
 codebook = load_fixture_codebook().for_cycle(2020)
 prior = PriorSpec.default()
@@ -30,7 +30,7 @@ def synthetic_model(mean_effect, sd, n_draws=400, seed=0):
     matrix[:, 1] = rng.normal(mean_effect, sd, n_draws)
     diag = Diagnostics(rhat={}, ess={})
     return PosteriorDraws(coefficients=matrix[None], sigma=np.ones((1, n_draws)),
-                          column_names=COLUMN_NAMES, diagnostics=diag)
+                          diagnostics=diag)
 
 
 seat_model = synthetic_model(0.20, 0.05, seed=1)   # R seats per unit of leeway
@@ -52,8 +52,7 @@ print(f"{'template':<10} {'mean dose cut':>13} {'dem seats':>10} {'95% CI':>16} 
 for name in ("identity", "ny", "oh", "mi"):
     pairs = counterfactual_doses(codebook, TEMPLATES[name], prior,
                                  n_draws=25, seed=11)
-    prediction = predict_national(pairs, seat_model, resp_model, covariates, baseline,
-                                  template=name)
+    prediction = predict_national(pairs, seat_model, resp_model, covariates, baseline)
     cut = np.mean([p.d_current - p.d_reformed for p in pairs])
     effect = prediction.total_dem_seat_change
     print(f"{name:<10} {cut:>13.2f} {effect.mean:>+10.2f} "

@@ -291,8 +291,11 @@ def read_did_rows(path: str) -> list[DidRow]:
     fields, records = _read_table(path)
     if fields is None or tuple(fields) != _DID_COLUMNS:
         raise DomainError(f"{path}: did input must have columns {','.join(_DID_COLUMNS)}")
-    return [DidRow(r["state"], *(_cell(path, line, r, c) for c in _DID_COLUMNS[1:]))
-            for line, r in records]
+    rows, seen = [], {}
+    for line, r in records:
+        _first_line(path, seen, (r["state"],), line, "state")
+        rows.append(DidRow(r["state"], *(_cell(path, line, r, c) for c in _DID_COLUMNS[1:])))
+    return rows
 
 
 # Rows per write in save_draws_csv: large enough to amortize the write
@@ -305,7 +308,7 @@ def save_draws_csv(draws: PosteriorDraws, path: str, header: str = ""):
     chains, n, _ = draws.coefficients.shape
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
-        fh.write(",".join(["chain", "draw", *draws.column_names, "sigma"]) + "\n")
+        fh.write(",".join(["chain", "draw", *inference.COLUMN_NAMES, "sigma"]) + "\n")
         for c in range(chains):
             rows = np.column_stack([draws.coefficients[c], draws.sigma[c]]).tolist()
             for start in range(0, n, _WRITE_CHUNK_ROWS):
@@ -359,7 +362,6 @@ def load_draws_csv(path: str) -> PosteriorDraws:
     coefficients = data[:, :, :-1]
     sigma = data[:, :, -1]
     return PosteriorDraws(coefficients=coefficients, sigma=sigma,
-                          column_names=inference.COLUMN_NAMES,
                           diagnostics=inference._diagnostics(coefficients, sigma))
 
 
@@ -424,10 +426,13 @@ def _read_covariates(path: str) -> dict:
     fields, records = _read_table(path)
     if fields is None or tuple(fields) != expected:
         raise DomainError(f"{path}: covariates file must have columns {','.join(expected)}")
-    return {r["state"]: cf.StateCovariates(
-                *(_cell(path, line, r, c) for c in expected[1:-1]),
-                n_districts=_cell(path, line, r, "n_districts", int))
-            for line, r in records}
+    table, seen = {}, {}
+    for line, r in records:
+        _first_line(path, seen, (r["state"],), line, "state")
+        table[r["state"]] = cf.StateCovariates(
+            *(_cell(path, line, r, c) for c in expected[1:-1]),
+            n_districts=_cell(path, line, r, "n_districts", int, rule=_POSITIVE))
+    return table
 
 
 def _read_baseline(path: str) -> cf.Baseline:
@@ -465,8 +470,7 @@ def _cmd_counterfactual(args) -> int:
 
     pairs = cf.counterfactual_doses(book, template, prior, n_draws=args.draws,
                                     seed=args.seed, grid=_grid(args))
-    prediction = cf.predict_national(pairs, seat_model, resp_model, covariates, baseline,
-                                     template=args.template)
+    prediction = cf.predict_national(pairs, seat_model, resp_model, covariates, baseline)
 
     def summary(effect):
         return {"mean": effect.mean, "ci80": list(effect.ci80), "ci95": list(effect.ci95)}

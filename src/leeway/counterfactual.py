@@ -143,6 +143,9 @@ def apply_template(process: StateProcess, template: ReformTemplate) -> StateProc
     return reformed
 
 
+REFORM_CYCLE = 2020  # the cycle whose processes a reform rewrites: the current maps
+
+
 @dataclass(frozen=True)
 class DosePair:
     state_id: str
@@ -152,9 +155,8 @@ class DosePair:
 
 def counterfactual_doses(codebook: Codebook, template: ReformTemplate,
                          prior: PriorSpec, n_draws: int = 100, seed: int = 0,
-                         grid: OptimizationGrid | None = None,
-                         cycle: int = 2020) -> list[DosePair]:
-    """Realized leeway before and after reform for every state in a cycle.
+                         grid: OptimizationGrid | None = None) -> list[DosePair]:
+    """Realized leeway before and after reform for every state in :data:`REFORM_CYCLE`.
 
     Each dose is the ``realized`` leeway score of :func:`~leeway.solver.leeway`.
     One per-call :class:`~leeway.solver.BatchContext` solves each distinct
@@ -165,10 +167,10 @@ def counterfactual_doses(codebook: Codebook, template: ReformTemplate,
     batch = BatchContext(prior, seed, n_draws, grid)
 
     def dose(process: StateProcess) -> float:
-        return float(batch.realized(process).values.mean())
+        return float(batch.solve(process).values.mean())
 
     return [DosePair(row.state_id, dose(row), dose(apply_template(row, template)))
-            for row in codebook.for_cycle(cycle) if row.drawer is not Drawer.NA]
+            for row in codebook.for_cycle(REFORM_CYCLE) if row.drawer is not Drawer.NA]
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,6 @@ class Baseline:
 class NationalPrediction:
     """Posterior summary of a nationwide reform's electoral consequences."""
 
-    template: str
     total_dem_seat_change: EffectSummary
     responsiveness_slope: EffectSummary       # post-reform, seats per +1pp
     seats_votes_line: tuple                   # (intercept seats, slope seats/pp)
@@ -212,7 +213,7 @@ class NationalPrediction:
 
 def predict_national(dose_pairs: list[DosePair], seat_model: PosteriorDraws,
                      resp_model: PosteriorDraws, covariates: dict,
-                     baseline: Baseline, template: str = "") -> NationalPrediction:
+                     baseline: Baseline) -> NationalPrediction:
     """Aggregate per-state dose-change effects into a national prediction.
 
     Per posterior draw: the seat model's effect (on Republican seats) is
@@ -221,8 +222,6 @@ def predict_national(dose_pairs: list[DosePair], seat_model: PosteriorDraws,
     by district count and divided by 100 to give seats per percentage
     point. The new seats-votes line adds both to the baseline. National
     change is exactly the sum of per-state effects in every draw.
-    ``template`` names the reform the doses came from and is carried into
-    the result.
     """
     if seat_model.n_total != resp_model.n_total:
         raise DomainError("seat and responsiveness models must have matching draws")
@@ -249,7 +248,6 @@ def predict_national(dose_pairs: list[DosePair], seat_model: PosteriorDraws,
     total = EffectSummary.from_draws(dem_change)
     slope_summary = EffectSummary.from_draws(slope)
     return NationalPrediction(
-        template=template,
         total_dem_seat_change=total,
         responsiveness_slope=slope_summary,
         seats_votes_line=(float(intercept.mean()), slope_summary.mean),

@@ -32,6 +32,10 @@ COLUMN_NAMES = (
 _N_COLUMNS = len(COLUMN_NAMES)  # 16: intercept + 15 predictors
 _INTERACTION_START = 9          # columns from here interact with dose_change
 
+# A fit passes when every split R-hat is below RHAT_MAX and every ESS is above ESS_MIN.
+RHAT_MAX = 1.05
+ESS_MIN = 400.0
+
 
 class SingularDesign(UserWarning):
     """A design column (or the response) has no variation."""
@@ -88,7 +92,6 @@ class DesignMatrix:
 
     X: np.ndarray
     y: np.ndarray
-    column_names: tuple = COLUMN_NAMES
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.X.shape[1] != _N_COLUMNS:
@@ -173,9 +176,9 @@ class Diagnostics:
         return (float(np.max(list(self.rhat.values()))),
                 float(np.min(list(self.ess.values()))))
 
-    def passes(self, rhat_max: float = 1.05, ess_min: float = 400.0) -> bool:
+    def passes(self) -> bool:
         worst_rhat, worst_ess = self.worst()
-        return worst_rhat < rhat_max and worst_ess > ess_min
+        return worst_rhat < RHAT_MAX and worst_ess > ESS_MIN
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,6 @@ class PosteriorDraws:
 
     coefficients: np.ndarray  # (n_chains, n_draws, n_columns)
     sigma: np.ndarray         # (n_chains, n_draws)
-    column_names: tuple
     diagnostics: Diagnostics
 
     @property
@@ -323,7 +325,7 @@ def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000
 
     Every draw is independent, with no warm-up and no acceptance step: sigma
     from its marginal posterior, then the coefficients given sigma. Raises
-    ConvergenceError when split R-hat >= 1.05 or ESS <= 400 for any
+    ConvergenceError when split R-hat >= RHAT_MAX or ESS <= ESS_MIN for any
     parameter, unless ``enforce_diagnostics`` is off; production fits should
     use at least 1000 draws on 2 or more chains. Fewer than 4 draws per
     chain raise DomainError: split R-hat needs 2 draws in each half.
@@ -339,8 +341,7 @@ def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000
     with np.errstate(over="ignore", invalid="ignore"):  # _sample names an overflowing scale
         coefficients, sigma = _sample(design.X, design.y, prior, n_draws, rngs)
     diagnostics = _diagnostics(coefficients, sigma)
-    draws = PosteriorDraws(coefficients=coefficients, sigma=sigma,
-                           column_names=COLUMN_NAMES, diagnostics=diagnostics)
+    draws = PosteriorDraws(coefficients=coefficients, sigma=sigma, diagnostics=diagnostics)
     if enforce_diagnostics and not diagnostics.passes():
         worst_rhat, worst_ess = diagnostics.worst()
         raise ConvergenceError(

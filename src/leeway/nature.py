@@ -17,11 +17,11 @@ the same code: it gives numpy scalars (or a 0-d array), never Python floats.
 The terms that do not depend on the bias are properties of
 :class:`GameParameters`, worked out on first read and kept with the draw
 batch: the (a, b) coefficients of the challenge, intervention and VRA
-curves, the remedy scale and the partisan lean. All rows and control
-assignments solved over one batch share them, so the Cauchy quantiles and
-their domain checks run once per batch rather than on every call. For a
-state without preclearance the VRA channel carries no mass, so
-:func:`exp_court` leaves out its remedy and its terms.
+curves, the remedy scale and the partisan lean. All processes solved over
+one batch share them, so the Cauchy quantiles and their domain checks run
+once per batch rather than on every call. For a state without preclearance
+the VRA channel carries no mass, so :func:`exp_court` leaves out its remedy
+and its terms.
 """
 
 from __future__ import annotations
@@ -110,12 +110,13 @@ class GameParameters:
     veto_nonp_shift: float
 
     def __post_init__(self):
-        for name in _UNIT_INTERVAL_PARAMS:
+        # Each field must lie in the support of its default prior's kind; a
+        # normal field may take any value and is not checked.
+        for name, dist in _DEFAULT_PRIORS.items():
+            support, low, high = _SUPPORTS[dist.kind]
             value = getattr(self, name)
-            if not np.all((value >= 0.0) & (value <= 1.0)):
-                raise DomainError(f"{name}={value} outside [0, 1]")
-        if np.any(self.out_nonp_bias2 < 0.0) or np.any(self.out_nonp_part_adv < 0.0):
-            raise DomainError("folded parameters must be nonnegative")
+            if dist.kind != "normal" and not np.all((value >= low) & (value <= high)):
+                raise DomainError(f"{name}={value} outside {support}")
 
     # Bias-independent terms, kept in the instance __dict__ on first read. No
     # exception is cached, so a probability outside (0, 1) raises DomainError
@@ -148,13 +149,6 @@ class GameParameters:
 
 
 PARAM_NAMES = tuple(f.name for f in fields(GameParameters))
-
-_UNIT_INTERVAL_PARAMS = (
-    "chal_poss_conf", "chal_poss_maybe", "chal_prob_bias0", "chal_prob_bias2",
-    "interv_prob_max", "interv_asym", "interv_prob_bias0", "interv_prob_bias2",
-    "vra_chal_prob_bias0", "vra_chal_prob_bias2", "vra_interv_prob",
-    "vra_out_slope", "stale_slope", "veto_nonp_prob_max", "stale_split_prob",
-)
 
 
 class Dist(NamedTuple):
@@ -209,10 +203,11 @@ _DEFAULT_PRIORS: dict[str, Dist] = {
 }
 
 
-# Support of each prior kind, narrowest first; the supports are nested, so
-# a kind fits a parameter iff it comes no later than the parameter's
-# default kind.
-_SUPPORTS = {"beta": "[0, 1]", "folded_normal": "[0, inf)", "normal": "the real line"}
+# Support of each prior kind as (text, low, high), narrowest first; the
+# supports are nested, so a kind fits a parameter iff it comes no later than
+# the parameter's default kind.
+_SUPPORTS = {"beta": ("[0, 1]", 0.0, 1.0), "folded_normal": ("[0, inf)", 0.0, math.inf),
+             "normal": ("the real line", -math.inf, math.inf)}
 
 
 def _checked_override(name: str, spec) -> Dist:
@@ -232,8 +227,8 @@ def _checked_override(name: str, spec) -> Dist:
         raise DomainError(f"{name}: {kind} scale must be positive, got {b!r}")
     default = _DEFAULT_PRIORS[name].kind
     if list(_SUPPORTS).index(kind) > list(_SUPPORTS).index(default):
-        raise DomainError(f"{name}: a {kind} prior has support {_SUPPORTS[kind]}, "
-                          f"outside the parameter's {_SUPPORTS[default]}")
+        raise DomainError(f"{name}: a {kind} prior has support {_SUPPORTS[kind][0]}, "
+                          f"outside the parameter's {_SUPPORTS[default][0]}")
     return Dist(kind, a, b)
 
 

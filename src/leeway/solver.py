@@ -14,14 +14,14 @@ The refinement grid and all tie-breaking rules are mirror-symmetric, so
 relabeling the parties and negating biases negates the equilibrium value
 exactly (in floating point) for states without VRA exposure.
 
-All prior draws of one (process, assignment) are solved as one batch:
+All prior draws of one process are solved as one batch:
 :func:`solve_batch` carries the draws as (D, 1) parameter columns through a
 single vectorized backward induction, with grid optima and tie-breaking
 taken per draw, and returns the solved tree as per-draw arrays; its
 ``result(d)`` is bitwise equal to :func:`solve` on draw d alone. The tree
-reads only a :class:`TreeKey` of the (process, assignment), and many rows
-share one. Each table builder opens one per-call :class:`BatchContext`,
-which samples the draws once and solves each distinct tree once.
+reads only a :class:`TreeKey` of the process, and many rows share one. Each
+table builder opens one per-call :class:`BatchContext`, which samples the
+draws once and solves each distinct tree once.
 
 The tree is written once, as one method per node kind: the stalemate
 chain, a proposal passing the veto players, and the round-2 subgame. Each
@@ -38,7 +38,7 @@ on the same base grid, so the tree computes it once and keeps it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -64,51 +64,22 @@ MIN_GRID_STEP = 0.001
 _REFINE_FACTOR = 20
 
 
-@dataclass(frozen=True)
-class ControlAssignment:
-    """Party control of each decision node in the game tree."""
+# The node controls that :func:`uniform_control` may hand to one party.
+_NODE_CONTROLS = ("drawer_control", "veto1_control", "veto2_control",
+                  "stalemate1_control", "stalemate2_control")
 
-    drawer: PartyControl
-    veto1: PartyControl
-    veto2: PartyControl
-    stalemate1: PartyControl
-    stalemate2: PartyControl
-    court: PartyControl
 
-    @classmethod
-    def realized(cls, process: StateProcess) -> "ControlAssignment":
-        return cls(
-            drawer=process.drawer_control,
-            veto1=process.veto1_control,
-            veto2=process.veto2_control,
-            stalemate1=process.stalemate1_control,
-            stalemate2=process.stalemate2_control,
-            court=process.court_control,
-        )
+def uniform_control(process: StateProcess, party: PartyControl) -> StateProcess:
+    """The process with every partisan node handed to one party.
 
-    @classmethod
-    def uniform(cls, process: StateProcess, party: PartyControl) -> "ControlAssignment":
-        """Hand every partisan node to one party.
-
-        Only nodes already controlled by Democrats or Republicans are
-        reassigned; nonpartisan, split, and uncontrolled nodes keep their
-        coding, and court control is never touched.
-        """
-        if party not in _PARTISAN:
-            raise DomainError("uniform assignment requires a major party")
-
-        def override(control: PartyControl) -> PartyControl:
-            return party if control in _PARTISAN else control
-
-        base = cls.realized(process)
-        return cls(
-            drawer=override(base.drawer),
-            veto1=override(base.veto1),
-            veto2=override(base.veto2),
-            stalemate1=override(base.stalemate1),
-            stalemate2=override(base.stalemate2),
-            court=base.court,
-        )
+    Only nodes already controlled by Democrats or Republicans are
+    reassigned; nonpartisan, split, and uncontrolled nodes keep their
+    coding, and court control is never touched.
+    """
+    if party not in _PARTISAN:
+        raise DomainError("uniform control requires a major party")
+    return replace(process, **{name: party for name in _NODE_CONTROLS
+                               if getattr(process, name) in _PARTISAN})
 
 
 def _veto_node(body, na, control, voters):
@@ -132,7 +103,7 @@ _LINK_KIND = {
 
 @dataclass(frozen=True)
 class TreeKey:
-    """What the game tree of one (process, assignment) reads, and nothing else.
+    """What the game tree of one process reads, and nothing else.
 
     Rows with equal keys have bitwise-equal solves, so a batch solves each
     key once. The key leaves out the state, cycle and final drawer, the
@@ -149,17 +120,15 @@ class TreeKey:
     court: CourtContext
 
     @classmethod
-    def of(cls, process: StateProcess, assignment: ControlAssignment) -> "TreeKey":
-        """The key of a process under an assignment; raises for a row with no game."""
+    def of(cls, process: StateProcess) -> "TreeKey":
+        """The key of a process; raises for a row with no game."""
         if process.drawer is Drawer.NA:
             raise NotApplicable(f"{process.key}: single-district state has no game")
-        if not isinstance(assignment, ControlAssignment):
-            raise DomainError(f"{process.key}: assignment must be a ControlAssignment")
-        if assignment.drawer is PartyControl.NA:
+        if process.drawer_control is PartyControl.NA:
             raise DomainError(f"{process.key}: drawer node has no controlling coding")
         chain = []
-        for body, na, control in ((process.stalemate1, Stalemate1.NA, assignment.stalemate1),
-                                  (process.stalemate2, Stalemate2.NA, assignment.stalemate2)):
+        for body, na, control in ((process.stalemate1, Stalemate1.NA, process.stalemate1_control),
+                                  (process.stalemate2, Stalemate2.NA, process.stalemate2_control)):
             if body is na:
                 continue
             kind = _LINK_KIND[body]
@@ -168,12 +137,12 @@ class TreeKey:
             chain.append((kind, control))
         return cls(
             drawer="legislature" if process.drawer is Drawer.LEGISLATURE else "commission",
-            drawer_control=assignment.drawer,
-            vetoes=(_veto_node(process.veto1, Veto1.NA, assignment.veto1,
+            drawer_control=process.drawer_control,
+            vetoes=(_veto_node(process.veto1, Veto1.NA, process.veto1_control,
                                voters=process.veto1 is Veto1.VOTERS),
-                    _veto_node(process.veto2, Veto2.NA, assignment.veto2, voters=False)),
+                    _veto_node(process.veto2, Veto2.NA, process.veto2_control, voters=False)),
             chain=tuple(chain),
-            court=CourtContext(process.court_review, assignment.court, process.preclearance),
+            court=CourtContext(process.court_review, process.court_control, process.preclearance),
         )
 
 
@@ -499,8 +468,7 @@ class _TreeEvaluator:
         return EquilibriumResult(*(column[0] for column in self.result_columns(slice(d, d + 1))))
 
 
-def solve_batch(process: StateProcess, assignment: ControlAssignment,
-                thetas: GameParameters,
+def solve_batch(process: StateProcess, thetas: GameParameters,
                 grid: OptimizationGrid | None = None) -> _TreeEvaluator:
     """Solve one state's game for a batch of draws in one vectorized pass.
 
@@ -513,25 +481,24 @@ def solve_batch(process: StateProcess, assignment: ControlAssignment,
     on draw d alone, and ``result_columns()`` gives the same fields for
     every draw as lists.
     """
-    return _TreeEvaluator(TreeKey.of(process, assignment), thetas,
-                          grid or OptimizationGrid()).solve()
+    return _TreeEvaluator(TreeKey.of(process), thetas, grid or OptimizationGrid()).solve()
 
 
-def solve(process: StateProcess, assignment: ControlAssignment,
-          theta: GameParameters, grid: OptimizationGrid | None = None) -> EquilibriumResult:
+def solve(process: StateProcess, theta: GameParameters,
+          grid: OptimizationGrid | None = None) -> EquilibriumResult:
     """Solve one state's game by backward induction for one draw.
 
     The one-draw case of :func:`solve_batch`. Raises NotApplicable for
-    single-district (drawer=NA) processes and DomainError for malformed
-    assignments. Use a grid of at least 81 points for production results
+    single-district (drawer=NA) processes and DomainError for a drawer
+    with no controlling coding. Use a grid of at least 81 points for production results
     (the default has 161); coarser grids serve verification against the
     brute-force oracle.
     """
-    return solve_batch(process, assignment, nature.stack_parameters([theta]), grid).result(0)
+    return solve_batch(process, nature.stack_parameters([theta]), grid).result(0)
 
 
-def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
-                      theta: GameParameters, coarse_grid: OptimizationGrid) -> float:
+def brute_force_solve(process: StateProcess, theta: GameParameters,
+                      coarse_grid: OptimizationGrid) -> float:
     """Minimax value by exhaustive enumeration on a coarse grid.
 
     An independent scalar re-implementation of the game: every drawer
@@ -546,35 +513,35 @@ def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
     if process.drawer is Drawer.NA:
         raise NotApplicable(f"{process.key}: single-district state has no game")
 
-    ctx = CourtContext(process.court_review, assignment.court, process.preclearance)
+    ctx = CourtContext(process.court_review, process.court_control, process.preclearance)
     theta_ = theta
 
     def enacted(x: float) -> float:
         return float(nature.exp_court(x, ctx, theta_).value)
 
-    chain = [(body, control) for body, control in ((process.stalemate1, assignment.stalemate1),
-                                                   (process.stalemate2, assignment.stalemate2))
-             if body not in (Stalemate1.NA, Stalemate2.NA)]
+    chain = [link for link in ((process.stalemate1, process.stalemate1_control),
+                               (process.stalemate2, process.stalemate2_control))
+             if link[0] not in (Stalemate1.NA, Stalemate2.NA)]
 
     def stalemate(anchor: float, k: int = 0) -> float:
         if k >= len(chain):
-            return float(nature.stalemate_default(anchor, assignment.court,
-                                                  assignment.drawer, theta_))
+            return float(nature.stalemate_default(anchor, process.court_control,
+                                                  process.drawer_control, theta_))
         body, control = chain[k]
         if body in (Stalemate1.COURT, Stalemate1.UNCLEAR, Stalemate2.COURT, Stalemate2.UNCLEAR):
-            return float(nature.stalemate_default(anchor, assignment.court,
-                                                  assignment.drawer, theta_))
+            return float(nature.stalemate_default(anchor, process.court_control,
+                                                  process.drawer_control, theta_))
         if control in _PARTISAN:
             candidates = [enacted(y) for y in points]
             return max(candidates) if control is PartyControl.REPUBLICANS else min(candidates)
         settled = enacted(float(nature.stalemate_default(anchor, control,
-                                                         assignment.drawer, theta_)))
+                                                         process.drawer_control, theta_)))
         if control is PartyControl.SPLIT:
             p = theta_.stale_split_prob
             return p * stalemate(anchor, k + 1) + (1.0 - p) * settled
         return settled
 
-    vetoes = [(process.veto1, assignment.veto1), (process.veto2, assignment.veto2)]
+    vetoes = [(process.veto1, process.veto1_control), (process.veto2, process.veto2_control)]
 
     def vetoed_value(x: float, accept: float, veto: float, index: int) -> float:
         body, control = vetoes[index]
@@ -598,13 +565,13 @@ def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
         return vetoed_value(x, stage, veto_cont, 0)
 
     def round2(x_prev: float) -> float:
-        mode = assignment.drawer
+        mode = process.drawer_control
         if mode in _PARTISAN:
             candidates = [through_vetoes(y, stalemate(y)) for y in points]
             candidates.append(stalemate(x_prev))
             return max(candidates) if mode is PartyControl.REPUBLICANS else min(candidates)
-        first = assignment.veto1 if process.veto1 is not Veto1.NA else None
-        second = assignment.veto2 if process.veto2 is not Veto2.NA else None
+        first = process.veto1_control if process.veto1 is not Veto1.NA else None
+        second = process.veto2_control if process.veto2 is not Veto2.NA else None
         y = float(nature.round2_nonpartisan_proposal(x_prev, (first, second), theta_))
         settled = through_vetoes(y, stalemate(y))
         if mode is PartyControl.SPLIT:
@@ -615,7 +582,7 @@ def brute_force_solve(process: StateProcess, assignment: ControlAssignment,
     def round1(x: float) -> float:
         return through_vetoes(x, round2(x))
 
-    mode = assignment.drawer
+    mode = process.drawer_control
     if mode in _PARTISAN:
         candidates = [round1(x) for x in points]
         candidates.append(stalemate(0.0))
@@ -643,7 +610,7 @@ def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
 class BatchContext:
     """One library call's prior draws and grid, solving each distinct tree once.
 
-    Rows whose (process, assignment) share a :class:`TreeKey` share one
+    Processes that share a :class:`TreeKey` share one
     solved tree. The per-row checks of :meth:`TreeKey.of` run on every row.
     A kept tree drops its base-grid court, the largest array it holds;
     ``veto_thresholds`` rebuilds it, with the same bits, where it needs it
@@ -656,16 +623,13 @@ class BatchContext:
         self.thetas = sample_draws(prior, seed, n_draws)
         self.trees: dict[TreeKey, _TreeEvaluator] = {}
 
-    def solve(self, process: StateProcess, assignment: ControlAssignment) -> _TreeEvaluator:
-        key = TreeKey.of(process, assignment)
+    def solve(self, process: StateProcess) -> _TreeEvaluator:
+        key = TreeKey.of(process)
         if key not in self.trees:
-            tree = solve_batch(process, assignment, self.thetas, self.grid)
+            tree = solve_batch(process, self.thetas, self.grid)
             vars(tree).pop("_base_court", None)
             self.trees[key] = tree
         return self.trees[key]
-
-    def realized(self, process: StateProcess) -> _TreeEvaluator:
-        return self.solve(process, ControlAssignment.realized(process))
 
 
 def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,
@@ -674,8 +638,9 @@ def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,
 
     ``realized`` averages the equilibrium under the coded party control;
     ``maximum`` is the magnitude of the average equilibrium after handing
-    every partisan node to the Democrats (reported unsigned). Single
-    district processes raise NotApplicable before any draw is sampled.
+    every partisan node to the Democrats (:func:`uniform_control`), reported
+    unsigned. Single-district processes raise NotApplicable before any draw
+    is sampled.
     """
     if process.drawer is Drawer.NA:
         raise NotApplicable(f"{process.key}: single-district state has no leeway score")
@@ -692,8 +657,8 @@ def _scored_rows(codebook: Codebook, prior: PriorSpec, n_draws: int, seed: int,
     batch = BatchContext(prior, seed, n_draws, grid)
     for row in codebook:
         if row.drawer is not Drawer.NA:
-            realized = batch.realized(row)
-            uniform = batch.solve(row, ControlAssignment.uniform(row, PartyControl.DEMOCRATS))
+            realized = batch.solve(row)
+            uniform = batch.solve(uniform_control(row, PartyControl.DEMOCRATS))
             yield row, LeewayScores(realized=float(realized.values.mean()),
                                     maximum=abs(float(uniform.values.mean())),
                                     n_draws=n_draws), realized
@@ -756,7 +721,7 @@ def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
     batch = BatchContext(prior, seed, n_draws, grid)
     state_probs = {}
     for row in codebook:
-        pooled = batch.realized(row).path_probs.sum(axis=0)  # row by row, as a per-draw loop adds
+        pooled = batch.solve(row).path_probs.sum(axis=0)  # row by row, as a per-draw loop adds
         state_probs[row.key] = {b: float(p) / n_draws for b, p in zip(_BUCKETS, pooled)}
     return PathTable(
         state_probs=state_probs,
@@ -768,7 +733,7 @@ def equilibrium_matrix(codebook: Codebook, prior: PriorSpec, n_draws: int,
                        seed: int = 0, grid: OptimizationGrid | None = None) -> np.ndarray:
     """Realized equilibrium values, shape (n_draws, n_states)."""
     batch = BatchContext(prior, seed, n_draws, grid)
-    columns = [batch.realized(row).values for row in codebook if row.drawer is not Drawer.NA]
+    columns = [batch.solve(row).values for row in codebook if row.drawer is not Drawer.NA]
     return np.array(columns, dtype=float).reshape(len(columns), n_draws).T
 
 

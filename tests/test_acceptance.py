@@ -16,13 +16,13 @@ from leeway.cli import main
 from leeway.codebook import Codebook, load_fixture_codebook, serialize_codebook
 from leeway.counterfactual import (TEMPLATES, Baseline, DosePair,
                                    counterfactual_doses, predict_national)
-from leeway.inference import (COLUMN_NAMES, Diagnostics, PosteriorDraws, PriorConfig,
-                              acr, build_design, design_row, fit_posterior)
+from leeway.inference import (Diagnostics, PosteriorDraws, PriorConfig, acr, build_design,
+                              design_row, fit_posterior)
 from leeway.metrics import (PlanProfile, SwingModel, competitive_share,
                             expected_seats, responsiveness)
 from leeway.nature import PriorSpec, sample_parameters
-from leeway.solver import (ControlAssignment, OptimizationGrid, brute_force_solve,
-                           path_table, solve, spearman_stability)
+from leeway.solver import (OptimizationGrid, brute_force_solve, path_table, solve,
+                           spearman_stability)
 from leeway.counterfactual import StateCovariates
 
 PRIOR = PriorSpec.default()
@@ -50,10 +50,9 @@ def test_criterion_1_nonpartisan_fixed_point():
     with criterion(1, "nonpartisan commission process solves to exactly zero",
                    max_seconds=1.0):
         process = FIXTURE.get("MI", 2020)
-        assignment = ControlAssignment.realized(process)
         for i in range(100):
             theta = sample_parameters(PRIOR, 1001, i)
-            value = solve(process, assignment, theta).value
+            value = solve(process, theta).value
             assert abs(value) < 1e-12
 
 
@@ -63,12 +62,10 @@ def test_criterion_2_party_mirror_symmetry():
         assert len(rows) >= 10
         for row in rows:
             mirrored = row.mirrored()
-            a = ControlAssignment.realized(row)
-            b = ControlAssignment.realized(mirrored)
             for i in range(25):
                 theta = sample_parameters(PRIOR, 1002, i)
-                v = solve(row, a, theta).value
-                w = solve(mirrored, b, theta).value
+                v = solve(row, theta).value
+                w = solve(mirrored, theta).value
                 assert abs(v + w) < 1e-9, row.key
 
 
@@ -76,7 +73,7 @@ def test_criterion_3_trifecta_narrative():
     with criterion(3, "legislature+governor trifecta: propose +4, veto threshold "
                       "in (0,1), value in [2.0, 3.5]", max_seconds=1.0):
         process = FIXTURE.get("AL", 2020)
-        result = solve(process, ControlAssignment.realized(process), PRIOR.mean())
+        result = solve(process, PRIOR.mean())
         assert result.round2_proposal == 4.0
         threshold = result.veto_thresholds["round2_veto1"]
         assert threshold is not None and 0.0 < threshold < 1.0
@@ -93,9 +90,8 @@ def test_criterion_4_brute_force_oracle():
         for _ in range(20):
             row = rows[rng.integers(len(rows))]
             theta = sample_parameters(PRIOR, 1004, int(rng.integers(10**6)))
-            assignment = ControlAssignment.realized(row)
-            fast = solve(row, assignment, theta, coarse).value
-            slow = brute_force_solve(row, assignment, theta, coarse)
+            fast = solve(row, theta, coarse).value
+            slow = brute_force_solve(row, theta, coarse)
             assert abs(fast - slow) < 1e-9, row.key
 
 
@@ -203,7 +199,7 @@ def test_criterion_9_counterfactual_properties():
         matrix[:, 1] = slopes
         diag = Diagnostics(rhat={}, ess={})
         model = PosteriorDraws(coefficients=matrix[None], sigma=np.ones((1, len(slopes))),
-                               column_names=COLUMN_NAMES, diagnostics=diag)
+                               diagnostics=diag)
         covariates = {
             "AA": StateCovariates(0.5, 0.0, 2.0, 0.0, 1.0, 0.0, 8),
             "BB": StateCovariates(0.4, 1.0, 1.5, -1.0, 0.5, 1.0, 4),

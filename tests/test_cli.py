@@ -186,14 +186,14 @@ class TestLeewayCommand:
     def test_diagnostics_reuse_the_realized_solve(self, small_codebook, tmp_path,
                                                   monkeypatch):
         # One solve per distinct tree of the realized and all-Democratic
-        # assignments: the diagnostics are written from the realized solve the
-        # scores already made.
+        # party control: the diagnostics are written from the realized solve
+        # the scores already made.
         calls = []
         real = solver.solve_batch
 
-        def counting(process, assignment, *args, **kwargs):
-            calls.append(solver.TreeKey.of(process, assignment))
-            return real(process, assignment, *args, **kwargs)
+        def counting(process, *args, **kwargs):
+            calls.append(solver.TreeKey.of(process))
+            return real(process, *args, **kwargs)
 
         monkeypatch.setattr(solver, "solve_batch", counting)
         assert main(["leeway", "--codebook", small_codebook, "--draws", "2", "--seed", "2",
@@ -201,9 +201,8 @@ class TestLeewayCommand:
                      "--emit-diagnostics", str(tmp_path / "d.json")]) == 0
         with open(small_codebook, "rb") as fh:
             solvable = [r for r in parse_codebook(fh) if r.drawer is not Drawer.NA]
-        trees = {solver.TreeKey.of(row, assignment) for row in solvable for assignment in (
-            solver.ControlAssignment.realized(row),
-            solver.ControlAssignment.uniform(row, PartyControl.DEMOCRATS))}
+        trees = {solver.TreeKey.of(process) for row in solvable for process in (
+            row, solver.uniform_control(row, PartyControl.DEMOCRATS))}
         assert len(calls) == len(trees) and set(calls) == trees
 
     def test_diagnostics_make_no_result_call(self, small_codebook, tmp_path, monkeypatch):
@@ -443,13 +442,13 @@ def random_draws(chains, n, seed=0, decades=5):
     coefficients *= 10.0 ** rng.integers(-decades, decades, size=coefficients.shape)
     coefficients[0, 0, :3] = (-0.0, 5e-324, 0.1)
     sigma = rng.gamma(2.0, size=(chains, n))
-    return PosteriorDraws(coefficients=coefficients, sigma=sigma, column_names=COLUMN_NAMES,
+    return PosteriorDraws(coefficients=coefficients, sigma=sigma,
                           diagnostics=Diagnostics({}, {}))
 
 
 def reference_draw_file(draws, header):
     """The draw file format, written one cell at a time."""
-    lines = [header, ",".join(["chain", "draw", *draws.column_names, "sigma"]) + "\n"]
+    lines = [header, ",".join(["chain", "draw", *COLUMN_NAMES, "sigma"]) + "\n"]
     chains, n, _ = draws.coefficients.shape
     for c in range(chains):
         for t in range(n):
@@ -473,7 +472,6 @@ class TestDrawFiles:
         loaded = load_draws_csv(str(path))
         assert loaded.coefficients.tobytes() == draws.coefficients.tobytes()
         assert loaded.sigma.tobytes() == draws.sigma.tobytes()
-        assert loaded.column_names == COLUMN_NAMES
         for j, name in enumerate(COLUMN_NAMES):
             rhat, ess = _rhat_ess(draws.coefficients[:, :, j])
             assert (loaded.diagnostics.rhat[name], loaded.diagnostics.ess[name]) == (rhat, ess)
@@ -675,6 +673,15 @@ class TestDataErrorsExit1:
                      "--output-diagnostics", str(tmp_path / "d.json")]) == 1
         assert f"{bad}, line 4: dY0='?" in capsys.readouterr().err
 
+    def test_did_repeated_state(self, did_input, tmp_path, capsys):
+        # The model has one row per state; a repeat would count a state twice.
+        lines = open(did_input).read().splitlines(keepends=True)
+        bad = tmp_path / "did.csv"
+        bad.write_text("".join([*lines, lines[3]]))
+        assert main(["did", "--input", str(bad), "--output-draws", str(tmp_path / "d.csv"),
+                     "--output-diagnostics", str(tmp_path / "d.json")]) == 1
+        assert f"{bad}, lines 4 and 89: duplicate state S02" in capsys.readouterr().err
+
     def test_non_finite_draw_exits_1(self, small_codebook, inputs, tmp_path, capsys):
         # A nan log_seats coefficient used to load with passing diagnostics.
         draws = random_draws(4, 1000, seed=4, decades=1)
@@ -697,6 +704,11 @@ class TestDataErrorsExit1:
         (None, '{"dem_seats": 213.5,', "not valid JSON"),
         (None, '[213.5, 7.8]', "numeric dem_seats"),
         (None, '{"dem_seats": "many", "slope_seats_per_pp": 7.8}', "numeric dem_seats"),
+        ("AL,0.39,1,1.95,0,1.2,0,7\nAL,0.41,1,1.95,0,1.2,0,7\n", None,
+         "cov.csv, lines 2 and 3: duplicate state AL"),
+        ("AL,0.39,1,1.95,0,1.2,0,-7\n", None,
+         "cov.csv, line 2: n_districts='-7' must be positive"),
+        ("AL,0.39,1,1.95,0,1.2,0,0\n", None, "cov.csv, line 2: n_districts='0' must be positive"),
     ])
     def test_counterfactual_inputs(self, small_codebook, fitted_model, inputs, tmp_path,
                                    capsys, covariates, baseline, message):

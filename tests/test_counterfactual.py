@@ -8,7 +8,7 @@ from leeway.counterfactual import (TEMPLATES, Baseline, DosePair, ReformTemplate
                                    StateCovariates, TemplateError, apply_template,
                                    counterfactual_doses, predict_national)
 from leeway.errors import DomainError
-from leeway.inference import COLUMN_NAMES, Diagnostics, PosteriorDraws
+from leeway.inference import Diagnostics, PosteriorDraws
 from leeway.nature import PriorSpec
 from leeway.solver import leeway
 
@@ -22,8 +22,7 @@ def manual_model(coefficients):
     coefficients = np.asarray(coefficients, dtype=float)[None, :, :]
     diag = Diagnostics(rhat={}, ess={})
     return PosteriorDraws(coefficients=coefficients,
-                          sigma=np.ones(coefficients.shape[:2]),
-                          column_names=COLUMN_NAMES, diagnostics=diag)
+                          sigma=np.ones(coefficients.shape[:2]), diagnostics=diag)
 
 
 def slope_only_model(slopes):
@@ -128,11 +127,11 @@ class TestDoses:
         book = Codebook((FIXTURE.get("WV", 2020), FIXTURE.get("IN", 2020),
                          FIXTURE.get("WI", 2010)))
         current = counterfactual_doses(book, TEMPLATES["identity"], PRIOR,
-                                       n_draws=8, seed=4, cycle=2020)
+                                       n_draws=8, seed=4)
         oh = counterfactual_doses(book, TEMPLATES["oh"], PRIOR,
-                                  n_draws=8, seed=4, cycle=2020)
+                                  n_draws=8, seed=4)
         mi = counterfactual_doses(book, TEMPLATES["mi"], PRIOR,
-                                  n_draws=8, seed=4, cycle=2020)
+                                  n_draws=8, seed=4)
         for c, o, m in zip(current, oh, mi):
             assert abs(m.d_reformed) < abs(o.d_reformed) < abs(c.d_current)
 
@@ -195,12 +194,6 @@ class TestPredictNational:
         with pytest.raises(DomainError):
             predict_national([DosePair("ZZ", 1.0, 0.0)], model, model, COVS,
                              Baseline(215.0, 8.0))
-
-    def test_template_name_carried(self):
-        model = slope_only_model([0.3, 0.4])
-        pairs = [DosePair("AA", 1.0, 0.0)]
-        assert predict_national(pairs, model, model, COVS, Baseline(215.0, 8.0),
-                                template="mi").template == "mi"
 
     def test_mismatched_models_rejected(self):
         a = slope_only_model([0.3, 0.4])

@@ -19,8 +19,8 @@ from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer,
                              Stalemate1, Stalemate2, Veto1, Veto2, parse_codebook,
                              serialize_codebook, validate)
 from leeway.nature import PriorSpec, sample_parameters
-from leeway.solver import (ControlAssignment, OptimizationGrid, TreeKey, brute_force_solve,
-                           sample_draws, solve, solve_batch)
+from leeway.solver import (OptimizationGrid, TreeKey, brute_force_solve, sample_draws, solve,
+                           solve_batch, uniform_control)
 
 PRIOR = PriorSpec.default()
 COARSE = OptimizationGrid(step=2.0, refine=False)
@@ -130,18 +130,17 @@ def test_every_row_that_validates_solves(processes):
     assert len(accepted) >= len(processes) + 100  # the loose generator reaches valid rows
     thetas = sample_draws(PRIOR, 782, 3)
     for process in accepted:
-        for assignment in (ControlAssignment.realized(process),
-                           ControlAssignment.uniform(process, PartyControl.DEMOCRATS),
-                           ControlAssignment.uniform(process, PartyControl.REPUBLICANS)):
-            values = solve_batch(process, assignment, thetas).values
-            assert len(values) == 3 and all(-4.0 <= v <= 4.0 for v in values), process
+        for controlled in (process, uniform_control(process, PartyControl.DEMOCRATS),
+                           uniform_control(process, PartyControl.REPUBLICANS)):
+            values = solve_batch(controlled, thetas).values
+            assert len(values) == 3 and all(-4.0 <= v <= 4.0 for v in values), controlled
 
 
 def test_solver_bounds_and_mass_conservation(processes):
     rng = np.random.default_rng(778)
     for process in processes:
         theta = sample_parameters(PRIOR, 778, int(rng.integers(10**6)))
-        result = solve(process, ControlAssignment.realized(process), theta)
+        result = solve(process, theta)
         assert -4.0 <= result.value <= 4.0, process
         assert sum(result.path_probs.values()) == pytest.approx(1.0, abs=1e-9), process
         assert all(0.0 <= p <= 1.0 for p in result.path_probs.values()), process
@@ -151,9 +150,8 @@ def test_brute_force_agreement_everywhere(processes):
     rng = np.random.default_rng(779)
     for process in processes:
         theta = sample_parameters(PRIOR, 779, int(rng.integers(10**6)))
-        assignment = ControlAssignment.realized(process)
-        fast = solve(process, assignment, theta, COARSE).value
-        slow = brute_force_solve(process, assignment, theta, COARSE)
+        fast = solve(process, theta, COARSE).value
+        slow = brute_force_solve(process, theta, COARSE)
         assert fast == pytest.approx(slow, abs=1e-9), process
 
 
@@ -164,8 +162,8 @@ def test_mirror_exactness_without_preclearance(processes):
             continue
         theta = sample_parameters(PRIOR, 780, int(rng.integers(10**6)))
         mirrored = process.mirrored()
-        v = solve(process, ControlAssignment.realized(process), theta).value
-        w = solve(mirrored, ControlAssignment.realized(mirrored), theta).value
+        v = solve(process, theta).value
+        w = solve(mirrored, theta).value
         assert v == -w, process
 
 
@@ -173,11 +171,9 @@ def test_control_monotonicity(processes):
     rng = np.random.default_rng(781)
     for process in processes:
         theta = sample_parameters(PRIOR, 781, int(rng.integers(10**6)))
-        vr = solve(process, ControlAssignment.uniform(process, PartyControl.REPUBLICANS),
-                   theta).value
-        vx = solve(process, ControlAssignment.realized(process), theta).value
-        vd = solve(process, ControlAssignment.uniform(process, PartyControl.DEMOCRATS),
-                   theta).value
+        vr = solve(uniform_control(process, PartyControl.REPUBLICANS), theta).value
+        vx = solve(process, theta).value
+        vd = solve(uniform_control(process, PartyControl.DEMOCRATS), theta).value
         assert vr >= vx >= vd, process
 
 
@@ -234,9 +230,9 @@ def unread_field_twin(p: StateProcess) -> StateProcess:
 
 def test_read_fields_change_the_tree_key(processes):
     for process in processes:
-        key = TreeKey.of(process, ControlAssignment.realized(process))
+        key = TreeKey.of(process)
         for variant in read_field_variants(process):
-            assert TreeKey.of(variant, ControlAssignment.realized(variant)) != key, variant
+            assert TreeKey.of(variant) != key, variant
 
 
 def test_equal_tree_keys_solve_bitwise_equal(processes):
@@ -249,19 +245,18 @@ def test_equal_tree_keys_solve_bitwise_equal(processes):
     pool = [p for p in pool if validate(p) == []]
     groups = {}
     for process in pool:
-        for assignment in (ControlAssignment.realized(process),
-                           ControlAssignment.uniform(process, PartyControl.DEMOCRATS),
-                           ControlAssignment.uniform(process, PartyControl.REPUBLICANS)):
-            groups.setdefault(TreeKey.of(process, assignment), []).append((process, assignment))
+        for controlled in (process, uniform_control(process, PartyControl.DEMOCRATS),
+                           uniform_control(process, PartyControl.REPUBLICANS)):
+            groups.setdefault(TreeKey.of(controlled), []).append(controlled)
     shared = [members for members in groups.values()
-              if len({process.key for process, _ in members}) > 1]
+              if len({process.key for process in members}) > 1]
     assert len(shared) >= 300
     for members in shared:
         want = None
-        for process, assignment in members:
-            solved = solve_batch(process, assignment, thetas)
+        for process in members:
+            solved = solve_batch(process, thetas)
             got = [a.tobytes() for a in (solved.values, solved.path_probs,
                                          solved.round2_proposal, solved.stalemates,
                                          solved.veto_thresholds)]
             want = want or got
-            assert got == want, (members[0][0], process)
+            assert got == want, (members[0], process)

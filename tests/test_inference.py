@@ -37,8 +37,7 @@ def manual_draws(coefficients):
     coefficients = np.asarray(coefficients, dtype=float)[None, :, :]
     sigma = np.ones(coefficients.shape[:2])
     diag = Diagnostics(rhat={}, ess={})
-    return PosteriorDraws(coefficients=coefficients, sigma=sigma,
-                          column_names=COLUMN_NAMES, diagnostics=diag)
+    return PosteriorDraws(coefficients=coefficients, sigma=sigma, diagnostics=diag)
 
 
 class TestDesign:
@@ -46,7 +45,6 @@ class TestDesign:
         rows = synth_rows(87, constant_effect_beta(), 0.01, np.random.default_rng(0))
         design = build_design(rows)
         assert design.X.shape == (87, 16)
-        assert design.column_names == COLUMN_NAMES
         assert len(COLUMN_NAMES) == 16
 
     def test_column_construction(self):

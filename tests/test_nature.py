@@ -125,6 +125,20 @@ class TestSampling:
         with pytest.raises(DomainError, match=message):
             PRIOR.with_overrides({name: spec})
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("chal_poss_conf", 1.5, r"chal_poss_conf=1.5 outside \[0, 1\]"),
+        ("out_nonp_bias2", -0.1, r"out_nonp_bias2=-0.1 outside \[0, inf\)"),
+        ("vra_out_breakeven", -9.0, None),
+    ])
+    def test_field_in_support_of_its_default_prior(self, name, value, message):
+        # A beta field lies in [0, 1] and a folded-normal field in [0, inf);
+        # a normal field takes any value.
+        if message is None:
+            assert getattr(dataclasses.replace(MEAN, **{name: value}), name) == value
+        else:
+            with pytest.raises(DomainError, match=message):
+                dataclasses.replace(MEAN, **{name: value})
+
     def test_from_json_rejects_malformed_text(self):
         with pytest.raises(DomainError, match="not valid JSON"):
             PriorSpec.from_json('{"stale_slope": ')

@@ -12,10 +12,10 @@ from leeway.counterfactual import TEMPLATES, apply_template, counterfactual_dose
 from leeway.errors import DomainError, NotApplicable
 from leeway.nature import (GameParameters, PriorSpec, exp_court, CourtContext,
                            sample_parameters, stack_parameters)
-from leeway.solver import (STALEMATE, BatchContext, ControlAssignment, OptimizationGrid,
-                           TreeKey, _argopt, _TreeEvaluator, brute_force_solve,
-                           equilibrium_matrix, leeway, leeway_table, pairwise_spearman_mean,
-                           path_table, sample_draws, solve, solve_batch, spearman_stability)
+from leeway.solver import (STALEMATE, BatchContext, OptimizationGrid, TreeKey, _argopt,
+                           _TreeEvaluator, brute_force_solve, equilibrium_matrix, leeway,
+                           leeway_table, pairwise_spearman_mean, path_table, sample_draws,
+                           solve, solve_batch, spearman_stability, uniform_control)
 
 from test_codebook import make_process
 
@@ -23,10 +23,6 @@ PRIOR = PriorSpec.default()
 MEAN = PRIOR.mean()
 FIXTURE = load_fixture_codebook()
 COARSE = OptimizationGrid(step=2.0, refine=False)
-
-
-def realized(process):
-    return ControlAssignment.realized(process)
 
 
 class TestGrid:
@@ -58,21 +54,22 @@ class TestGrid:
 class TestAssignment:
     def test_uniform_overrides_partisan_nodes_only(self):
         process = FIXTURE.get("AL", 2020)
-        uniform = ControlAssignment.uniform(process, PartyControl.DEMOCRATS)
-        assert uniform.drawer is PartyControl.DEMOCRATS
-        assert uniform.veto1 is PartyControl.DEMOCRATS
-        assert uniform.court is process.court_control  # court never reassigned
+        uniform = uniform_control(process, PartyControl.DEMOCRATS)
+        assert uniform.drawer_control is PartyControl.DEMOCRATS
+        assert uniform.veto1_control is PartyControl.DEMOCRATS
+        assert uniform.court_control is process.court_control  # court never reassigned
+        assert uniform.court_control is PartyControl.REPUBLICANS
 
     def test_uniform_leaves_nonpartisan_and_split(self):
         process = FIXTURE.get("OH", 2020)  # split drawer, split backup commission
-        uniform = ControlAssignment.uniform(process, PartyControl.DEMOCRATS)
-        assert uniform.drawer is PartyControl.SPLIT
-        assert uniform.stalemate1 is PartyControl.SPLIT
-        assert uniform.stalemate2 is PartyControl.DEMOCRATS
+        uniform = uniform_control(process, PartyControl.DEMOCRATS)
+        assert uniform.drawer_control is PartyControl.SPLIT
+        assert uniform.stalemate1_control is PartyControl.SPLIT
+        assert uniform.stalemate2_control is PartyControl.DEMOCRATS
 
     def test_uniform_requires_major_party(self):
-        with pytest.raises(DomainError):
-            ControlAssignment.uniform(FIXTURE.get("AL", 2020), PartyControl.SPLIT)
+        with pytest.raises(DomainError, match="uniform control requires a major party"):
+            uniform_control(FIXTURE.get("AL", 2020), PartyControl.SPLIT)
 
 
 class TestSolveExamples:
@@ -80,11 +77,11 @@ class TestSolveExamples:
         process = FIXTURE.get("MI", 2020)
         for i in range(20):
             theta = sample_parameters(PRIOR, 3, i)
-            assert solve(process, realized(process), theta).value == 0.0
+            assert solve(process, theta).value == 0.0
 
     def test_alabama_at_prior_mean(self):
         process = FIXTURE.get("AL", 2020)
-        result = solve(process, realized(process), MEAN)
+        result = solve(process, MEAN)
         assert result.round2_proposal == 4.0
         assert 0.0 < result.veto_thresholds["round2_veto1"] < 1.0
         assert 2.0 <= result.value <= 3.5
@@ -97,8 +94,8 @@ class TestSolveExamples:
         mirrored = process.mirrored()
         for i in range(10):
             theta = sample_parameters(PRIOR, 11, i)
-            v = solve(process, realized(process), theta).value
-            w = solve(mirrored, realized(mirrored), theta).value
+            v = solve(process, theta).value
+            w = solve(mirrored, theta).value
             assert w == -v
 
     def test_single_district_not_applicable(self):
@@ -108,17 +105,12 @@ class TestSolveExamples:
                                stalemate1=Stalemate1.NA,
                                final_drawer=FinalDrawer.NA)
         with pytest.raises(NotApplicable):
-            solve(process, ControlAssignment.realized(process), MEAN)
-
-    def test_malformed_assignment_rejected(self):
-        process = FIXTURE.get("AL", 2020)
-        with pytest.raises(DomainError):
-            solve(process, "not-an-assignment", MEAN)
+            solve(process, MEAN)
 
     def test_value_bounds_and_path_mass(self):
         for row in FIXTURE:
             theta = sample_parameters(PRIOR, 5, 1)
-            result = solve(row, realized(row), theta)
+            result = solve(row, theta)
             assert -4.0 <= result.value <= 4.0
             total = sum(result.path_probs.values())
             assert total == pytest.approx(1.0, abs=1e-9)
@@ -132,13 +124,12 @@ class TestBatch:
         for row in FIXTURE:
             if row.drawer is Drawer.NA:
                 continue
-            for assignment in (realized(row),
-                               ControlAssignment.uniform(row, PartyControl.DEMOCRATS),
-                               ControlAssignment.uniform(row, PartyControl.REPUBLICANS)):
-                solved = solve_batch(row, assignment, batch)
+            for process in (row, uniform_control(row, PartyControl.DEMOCRATS),
+                            uniform_control(row, PartyControl.REPUBLICANS)):
+                solved = solve_batch(process, batch)
                 assert solved.values.shape == (len(thetas),)
                 for d, theta in enumerate(thetas):
-                    got, want = solved.result(d), solve(row, assignment, theta)
+                    got, want = solved.result(d), solve(process, theta)
                     assert got.value == want.value, row.key
                     assert got.path_probs == want.path_probs, row.key
                     assert got.round2_proposal == want.round2_proposal, row.key
@@ -150,14 +141,14 @@ class TestBatch:
         # the thresholds.
         row = FIXTURE.get("IA", 2020)
         batch = stack_parameters([sample_parameters(PRIOR, 63, i) for i in range(4)])
-        solved = solve_batch(row, realized(row), batch)
+        solved = solve_batch(row, batch)
         assert solved.decisions == {}
         thresholds = solved.veto_thresholds
         assert thresholds.shape == (4, 4)
         assert set(solved.decisions) == {"round1_veto1", "round1_veto2",
                                          "round2_veto1", "round2_veto2"}
         for d in range(4):
-            want = solve(row, realized(row), sample_parameters(PRIOR, 63, d))
+            want = solve(row, sample_parameters(PRIOR, 63, d))
             assert solved.result(d).veto_thresholds == want.veto_thresholds
             assert any(t is not None for t in want.veto_thresholds.values())
 
@@ -172,11 +163,10 @@ class TestBatch:
         for row in FIXTURE:
             if row.drawer is Drawer.NA:
                 continue
-            for assignment in (realized(row),
-                               ControlAssignment.uniform(row, PartyControl.DEMOCRATS)):
-                if _TreeEvaluator(TreeKey.of(row, assignment), batch, OptimizationGrid()).can_veto:
+            for process in (row, uniform_control(row, PartyControl.DEMOCRATS)):
+                if _TreeEvaluator(TreeKey.of(process), batch, OptimizationGrid()).can_veto:
                     continue
-                solve_batch(row, assignment, batch)
+                solve_batch(process, batch)
                 solved += 1
         assert solved > 0
         assert calls == []
@@ -184,17 +174,17 @@ class TestBatch:
     def test_cauchy_quantiles_once_per_batch(self, monkeypatch):
         # The curve coefficients depend only on the draws: two quantiles for
         # each of the challenge, intervention and VRA curves, shared by
-        # every row and assignment solved over the batch.
+        # every process solved over the batch.
         calls = []
         real = nature.cauchy_quantile
         monkeypatch.setattr(nature, "cauchy_quantile", lambda p: calls.append(p) or real(p))
         batch = sample_draws(PRIOR, 64, 5)
         row = FIXTURE.get("AL", 2020)  # precleared, so the VRA curve is read
-        solve_batch(row, realized(row), batch)
+        solve_batch(row, batch)
         assert len(calls) == 6
         for row in FIXTURE:
             if row.drawer is not Drawer.NA:
-                solve_batch(row, ControlAssignment.uniform(row, PartyControl.DEMOCRATS), batch)
+                solve_batch(uniform_control(row, PartyControl.DEMOCRATS), batch)
         assert len(calls) == 6
 
     def test_base_grid_court_evaluated_once_per_tree(self, monkeypatch):
@@ -216,12 +206,11 @@ class TestBatch:
         for row in FIXTURE:
             if row.drawer is Drawer.NA:
                 continue
-            for assignment in (realized(row),
-                               ControlAssignment.uniform(row, PartyControl.DEMOCRATS)):
+            for process in (row, uniform_control(row, PartyControl.DEMOCRATS)):
                 calls.clear()
-                solve_batch(row, assignment, batch).veto_thresholds
-                per_tree[row.key, assignment] = sum(calls)
-        assert per_tree[("IN", 2020), realized(FIXTURE.get("IN", 2020))] == 1
+                solve_batch(process, batch).veto_thresholds
+                per_tree[process] = sum(calls)
+        assert per_tree[FIXTURE.get("IN", 2020)] == 1
         assert max(per_tree.values()) == 1
 
     def test_vra_curve_read_only_for_precleared_rows(self):
@@ -231,11 +220,11 @@ class TestBatch:
         batch = dataclasses.replace(draws, vra_chal_prob_bias0=np.zeros((3, 1)))
         precleared, exempt = FIXTURE.get("AL", 2020), FIXTURE.get("WI", 2020)
         with pytest.raises(DomainError, match="cauchy_quantile"):
-            solve_batch(precleared, realized(precleared), batch)
-        solved = solve_batch(exempt, realized(exempt), batch)
-        assert np.array_equal(solved.values, solve_batch(exempt, realized(exempt), draws).values)
+            solve_batch(precleared, batch)
+        solved = solve_batch(exempt, batch)
+        assert np.array_equal(solved.values, solve_batch(exempt, draws).values)
         with pytest.raises(DomainError, match="cauchy_quantile"):
-            solve_batch(precleared, realized(precleared), batch)
+            solve_batch(precleared, batch)
 
     def test_result_columns_equal_per_draw_results(self):
         # The columns the diagnostics are written from must equal result(d)
@@ -254,11 +243,10 @@ class TestBatch:
             return None if np.isnan(x) else float(x)
 
         seen = set()
-        for process in (*rows, *(row.mirrored() for row in rows)):
-            for assignment in (realized(process),
-                               ControlAssignment.uniform(process, PartyControl.DEMOCRATS),
-                               ControlAssignment.uniform(process, PartyControl.REPUBLICANS)):
-                solved = solve_batch(process, assignment, batch)
+        for row in (*rows, *(row.mirrored() for row in rows)):
+            for process in (row, uniform_control(row, PartyControl.DEMOCRATS),
+                            uniform_control(row, PartyControl.REPUBLICANS)):
+                solved = solve_batch(process, batch)
                 columns = solved.result_columns()
                 assert [len(column) for column in columns] == [6] * 4
                 for d, fields in enumerate(zip(*columns)):
@@ -330,16 +318,14 @@ class TestBruteForce:
     def test_single_node_republican_maximizes(self):
         process = make_process(court_review=CourtReview.NO,
                                court_control=PartyControl.NA)
-        value = brute_force_solve(process, realized(process),
-                                  self._unconstrained_theta(), COARSE)
+        value = brute_force_solve(process, self._unconstrained_theta(), COARSE)
         assert value == 4.0
 
     def test_single_node_democrat_minimizes(self):
         process = make_process(drawer_control=PartyControl.DEMOCRATS,
                                court_review=CourtReview.NO,
                                court_control=PartyControl.NA)
-        value = brute_force_solve(process, realized(process),
-                                  self._unconstrained_theta(), COARSE)
+        value = brute_force_solve(process, self._unconstrained_theta(), COARSE)
         assert value == -4.0
 
     def test_matches_solver_on_coarse_grid(self):
@@ -348,8 +334,8 @@ class TestBruteForce:
         for _ in range(20):
             row = rows[rng.integers(len(rows))]
             theta = sample_parameters(PRIOR, 2024, int(rng.integers(10**6)))
-            fast = solve(row, realized(row), theta, COARSE).value
-            slow = brute_force_solve(row, realized(row), theta, COARSE)
+            fast = solve(row, theta, COARSE).value
+            slow = brute_force_solve(row, theta, COARSE)
             assert fast == pytest.approx(slow, abs=1e-9), row.key
 
     @pytest.mark.parametrize("party", [PartyControl.DEMOCRATS, PartyControl.REPUBLICANS])
@@ -363,9 +349,9 @@ class TestBruteForce:
         thetas = [sample_parameters(PRIOR, 5, d) for d in range(3)]
         for row in rows:
             assert validate(row) == [], row.key
-            fast = solve_batch(row, realized(row), sample_draws(PRIOR, 5, 3), COARSE)
+            fast = solve_batch(row, sample_draws(PRIOR, 5, 3), COARSE)
             for d, theta in enumerate(thetas):
-                slow = brute_force_solve(row, realized(row), theta, COARSE)
+                slow = brute_force_solve(row, theta, COARSE)
                 assert fast.result(d).value == pytest.approx(slow, abs=1e-9), (row.key, d)
 
     def test_oracle_shares_no_node_rules_with_the_tree_key(self):
@@ -375,8 +361,7 @@ class TestBruteForce:
 
     def test_grid_size_guard(self):
         with pytest.raises(DomainError):
-            brute_force_solve(FIXTURE.get("AL", 2020), realized(FIXTURE.get("AL", 2020)),
-                              MEAN, OptimizationGrid(step=0.5))
+            brute_force_solve(FIXTURE.get("AL", 2020), MEAN, OptimizationGrid(step=0.5))
 
 
 class TestInvariants:
@@ -385,8 +370,8 @@ class TestInvariants:
         for row in FIXTURE:
             for i in range(2):
                 theta = sample_parameters(PRIOR, 41, i)
-                coarse_value = solve(row, realized(row), theta).value
-                fine_value = solve(row, realized(row), theta, fine).value
+                coarse_value = solve(row, theta).value
+                fine_value = solve(row, theta, fine).value
                 assert abs(coarse_value - fine_value) < 0.01, row.key
 
     def test_zero_sum_mirror_non_preclearance(self):
@@ -396,19 +381,17 @@ class TestInvariants:
             mirrored = row.mirrored()
             for i in range(3):
                 theta = sample_parameters(PRIOR, 43, i)
-                v = solve(row, realized(row), theta).value
-                w = solve(mirrored, realized(mirrored), theta).value
+                v = solve(row, theta).value
+                w = solve(mirrored, theta).value
                 assert v == -w, row.key
 
     def test_monotone_in_control(self):
         for row in FIXTURE:
             for i in range(2):
                 theta = sample_parameters(PRIOR, 47, i)
-                vr = solve(row, ControlAssignment.uniform(row, PartyControl.REPUBLICANS),
-                           theta).value
-                vx = solve(row, realized(row), theta).value
-                vd = solve(row, ControlAssignment.uniform(row, PartyControl.DEMOCRATS),
-                           theta).value
+                vr = solve(uniform_control(row, PartyControl.REPUBLICANS), theta).value
+                vx = solve(row, theta).value
+                vd = solve(uniform_control(row, PartyControl.DEMOCRATS), theta).value
                 assert vr >= vx >= vd, row.key
 
     def test_decisions_invariant_to_positive_scaling(self):
@@ -508,7 +491,7 @@ class TestPathTable:
         for row in FIXTURE:
             pooled = dict.fromkeys(("legislature", "commission", "court"), 0.0)
             for theta in thetas:
-                for bucket, p in solve(row, realized(row), theta).path_probs.items():
+                for bucket, p in solve(row, theta).path_probs.items():
                     pooled[bucket] += p
             want = {bucket: total / n_draws for bucket, total in pooled.items()}
             assert table.state_probs[row.key] == want, row.key
@@ -521,18 +504,12 @@ class TestPathTable:
 
 
 class TestTreeKey:
-    def test_assignment_must_be_a_control_assignment(self):
-        row = FIXTURE.get("AL", 2020)
-        with pytest.raises(DomainError, match=r"\('AL', 2020\): assignment must be a "
-                                              "ControlAssignment"):
-            TreeKey.of(row, dataclasses.asdict(realized(row)))
-
     def test_drawer_without_control_rejected(self):
         # validate() rejects this row; one built in the library reaches the key.
         row = make_process(drawer_control=PartyControl.NA)
         with pytest.raises(DomainError, match=r"\('ZZ', 2020\): drawer node has no "
                                               "controlling coding"):
-            TreeKey.of(row, realized(row))
+            TreeKey.of(row)
 
 
 class TestBatchContext:
@@ -547,9 +524,9 @@ class TestBatchContext:
     def count_solves(monkeypatch) -> list:
         keys, real = [], solver.solve_batch
 
-        def counting(process, assignment, *args):
-            keys.append(TreeKey.of(process, assignment))
-            return real(process, assignment, *args)
+        def counting(process, *args):
+            keys.append(TreeKey.of(process))
+            return real(process, *args)
 
         monkeypatch.setattr(solver, "solve_batch", counting)
         return keys
@@ -557,19 +534,19 @@ class TestBatchContext:
     def test_one_solve_per_distinct_tree(self, monkeypatch):
         keys = self.count_solves(monkeypatch)
         leeway_table(self.BOOK, PRIOR, n_draws=2, seed=101)
-        assert set(keys) == {TreeKey.of(row, assignment) for row in self.BOOK for assignment in
-                             (realized(row), ControlAssignment.uniform(row, PartyControl.DEMOCRATS))}
-        assert len(keys) == len(set(keys)) == 41  # of 88 (row, assignment) pairs
+        assert set(keys) == {TreeKey.of(process) for row in self.BOOK
+                             for process in (row, uniform_control(row, PartyControl.DEMOCRATS))}
+        assert len(keys) == len(set(keys)) == 41  # of 88 (row, party control) pairs
 
         keys.clear()
         path_table(self.BOOK, PRIOR, n_draws=2, seed=101)
-        assert set(keys) == {TreeKey.of(row, realized(row)) for row in self.BOOK}
+        assert set(keys) == {TreeKey.of(row) for row in self.BOOK}
         assert len(keys) == len(set(keys)) == 30  # of 44 rows
 
         for name, count in {"mi": 16, "ny": 28, "oh": 27, "identity": 15}.items():
             keys.clear()
             counterfactual_doses(FIXTURE, TEMPLATES[name], PRIOR, n_draws=2, seed=101)
-            assert set(keys) == {TreeKey.of(process, realized(process))
+            assert set(keys) == {TreeKey.of(process)
                                  for row in FIXTURE.for_cycle(2020)
                                  for process in (row, apply_template(row, TEMPLATES[name]))}
             assert len(keys) == len(set(keys)) == count, name
@@ -585,12 +562,12 @@ class TestBatchContext:
         batch = BatchContext(PRIOR, 67, 4, None)
         owners = {}
         for row in (*self.BOOK, twin):
-            for assignment in (realized(row), ControlAssignment.uniform(row, PartyControl.DEMOCRATS)):
-                owners.setdefault(TreeKey.of(row, assignment), []).append((row, assignment))
-                batch.solve(row, assignment)
-        ia_key = TreeKey.of(ia, realized(ia))
-        assert [row.key for row, _ in owners[ia_key]] == [("IA", 2020), ("IA_T", 2020)]
-        assert "_base_court" in vars(solve_batch(ia, realized(ia), batch.thetas))
+            for process in (row, uniform_control(row, PartyControl.DEMOCRATS)):
+                owners.setdefault(TreeKey.of(process), []).append(process)
+                batch.solve(process)
+        ia_key = TreeKey.of(ia)
+        assert [process.key for process in owners[ia_key]] == [("IA", 2020), ("IA_T", 2020)]
+        assert "_base_court" in vars(solve_batch(ia, batch.thetas))
         assert "_base_court" not in vars(batch.trees[ia_key])
 
         thetas = [sample_parameters(PRIOR, 67, d) for d in range(4)]
@@ -598,9 +575,9 @@ class TestBatchContext:
         assert len(shared) >= 10
         for key in shared:
             columns = list(zip(*batch.trees[key].result_columns()))
-            for row, assignment in owners[key]:
-                want = [dataclasses.astuple(solve(row, assignment, theta)) for theta in thetas]
-                assert columns == want, row.key
+            for process in owners[key]:
+                want = [dataclasses.astuple(solve(process, theta)) for theta in thetas]
+                assert columns == want, process.key
         # No kept tree holds a base-grid court once its thresholds are read.
         for tree in batch.trees.values():
             tree.result_columns()
