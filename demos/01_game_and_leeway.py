@@ -8,8 +8,6 @@ game backward gives a single number - the equilibrium bias - that summarizes
 how much partisan leeway the process leaves.
 """
 
-import numpy as np
-
 from leeway import (PriorSpec, leeway_table, load_fixture_codebook, solve,
                     spearman_stability)
 

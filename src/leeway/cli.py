@@ -14,6 +14,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import pickle
 import sys
 import traceback
 import warnings
@@ -298,23 +300,126 @@ def read_did_rows(path: str) -> list[DidRow]:
     return rows
 
 
-# Rows per write in save_draws_csv: large enough to amortize the write
-# call, small enough that the file never sits in memory as one string.
+# Rows per piece of draw-file text: large enough to amortize the write
+# call, small enough that this process never holds its half of the file as
+# one string. The forked child's half is buffered in the child.
 _WRITE_CHUNK_ROWS = 2000
+
+# Bytes per read from a forked child's pipe.
+_PIPE_CHUNK = 1 << 20
+
+
+class _Forked:
+    """``fn()``, which returns bytes, run in a forked child beside this process.
+
+    Draw-file text is parsed and formatted under the GIL, so a second process
+    is the only way onto a second core. ``with _Forked(path, fn) as child``
+    forks; iterating over ``child`` yields the child's bytes in 1 MB chunks,
+    or raises the child's exception with its type and message. Leaving the
+    block reaps the child on every path. Where ``os.fork`` does not exist,
+    ``fn`` runs inline when its bytes are read. ``path`` names the draw file
+    in the error raised when the child ends without a result.
+    """
+
+    def __init__(self, path: str, fn):
+        self.path, self.fn = path, fn
+        self.pid = self.pipe = None
+
+    def __enter__(self):
+        if hasattr(os, "fork"):
+            read, write = os.pipe()
+            try:
+                self.pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if self.pid == 0:
+                os.close(read)
+                self._child(write)
+            os.close(write)
+            self.pipe = open(read, "rb")
+        return self
+
+    def _child(self, fd: int):
+        """Send b"R" and fn's bytes, or b"E" and its pickled exception; never return."""
+        status = 1
+        try:
+            with open(fd, "wb") as out:
+                try:
+                    payload = self.fn()
+                except BaseException as exc:
+                    out.write(b"E" + pickle.dumps(exc))
+                else:
+                    out.write(b"R")
+                    out.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def __iter__(self):
+        if self.pipe is None:
+            yield self.fn()
+            return
+        kind = self.pipe.read(1)
+        if kind == b"E":
+            try:
+                exc = pickle.loads(self.pipe.read())
+            except Exception:
+                exc = None
+            if isinstance(exc, BaseException):
+                raise exc
+        elif kind == b"R":
+            yield from iter(lambda: self.pipe.read(_PIPE_CHUNK), b"")
+            if self._reap() == 0:
+                return
+        raise RuntimeError(f"{self.path}: the child process for this draw file "
+                           "ended without a result")
+
+    def _reap(self) -> int:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+    def __exit__(self, *exc_info):
+        # Once the pipe is closed, a child that is still writing gets EPIPE and
+        # exits, so the wait ends when the child's own work does.
+        if self.pipe is not None:
+            self.pipe.close()
+        if self.pid is not None:
+            self._reap()
+
+
+def _draw_rows(draws: PosteriorDraws, start: int, stop: int):
+    """Text of the chain-major draw rows ``start`` to ``stop - 1``, a piece at a time."""
+    n = draws.sigma.shape[1]
+    while start < stop:
+        c, t = divmod(start, n)
+        k = min(stop - start, n - t, _WRITE_CHUNK_ROWS)
+        rows = np.column_stack([draws.coefficients[c, t:t + k],
+                                draws.sigma[c, t:t + k]]).tolist()
+        yield "".join(f"{c},{i},{','.join(map(repr, row))}\n"
+                      for i, row in enumerate(rows, t))
+        start += k
 
 
 def save_draws_csv(draws: PosteriorDraws, path: str, header: str = ""):
-    """Write draws chain-major, one row per draw, floats as ``repr``."""
-    chains, n, _ = draws.coefficients.shape
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header)
-        fh.write(",".join(["chain", "draw", *inference.COLUMN_NAMES, "sigma"]) + "\n")
-        for c in range(chains):
-            rows = np.column_stack([draws.coefficients[c], draws.sigma[c]]).tolist()
-            for start in range(0, n, _WRITE_CHUNK_ROWS):
-                fh.write("".join(
-                    f"{c},{t},{','.join(map(repr, row))}\n"
-                    for t, row in enumerate(rows[start:start + _WRITE_CHUNK_ROWS], start)))
+    """Write draws chain-major, one row per draw, floats as ``repr``.
+
+    A forked child formats the second half of the rows while this process
+    writes the first.
+    """
+    total = draws.sigma.size
+    half = total // 2
+    with _Forked(path, lambda: b"".join(text.encode() for text in
+                                        _draw_rows(draws, half, total))) as tail, \
+            open(path, "wb") as fh:
+        fh.write((header + ",".join(["chain", "draw", *inference.COLUMN_NAMES, "sigma"])
+                  + "\n").encode())
+        for text in _draw_rows(draws, 0, half):
+            fh.write(text.encode())
+        for chunk in tail:
+            fh.write(chunk)
 
 
 def load_draws_csv(path: str) -> PosteriorDraws:
@@ -459,8 +564,13 @@ def _cmd_counterfactual(args) -> int:
         book = cb.parse_codebook(fh)
     prior = _load_prior(args.priors)
     template = cf.TEMPLATES[args.template]
-    seat_model = load_draws_csv(args.seat_model)
-    resp_model = load_draws_csv(args.resp_model)
+    # A forked child reads the responsiveness draws while this process reads
+    # the seat draws. The child's error is raised only here, after the seat
+    # file's, so with two bad files the seat file's error is the one reported.
+    with _Forked(args.resp_model, lambda: pickle.dumps(load_draws_csv(args.resp_model),
+                                                       pickle.HIGHEST_PROTOCOL)) as resp:
+        seat_model = load_draws_csv(args.seat_model)
+        resp_model = pickle.loads(b"".join(resp))
     for label, model in (("seat", seat_model), ("responsiveness", resp_model)):
         if not model.diagnostics.passes():
             raise ConvergenceError(f"{label} model draws fail convergence thresholds",

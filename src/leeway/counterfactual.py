@@ -9,7 +9,9 @@ aggregate into a national seats-votes line around the 50% vote share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -184,6 +186,15 @@ class StateCovariates:
     log_corrupt: float
     initiative: float
     n_districts: int
+
+    def __post_init__(self):
+        for field in fields(self)[:-1]:
+            value = getattr(self, field.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise DomainError(f"{field.name}={value!r} is not a finite number")
+        n = self.n_districts
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise DomainError(f"n_districts={n!r} must be an int of at least 1")
 
     @property
     def vector(self) -> np.ndarray:

@@ -3,14 +3,11 @@ PASS/FAIL line (run with ``pytest -s`` to see them live) and enforcing its
 stated runtime budget."""
 
 import csv
-import dataclasses
-import json
 import math
 import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from leeway.cli import main
 from leeway.codebook import Codebook, load_fixture_codebook, serialize_codebook

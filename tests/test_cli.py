@@ -1,9 +1,9 @@
 import csv
 import hashlib
-import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -568,6 +568,159 @@ class TestDrawFiles:
                      "--baseline", base, "--draws", "2", "--seed", "3",
                      "--output", str(tmp_path / "o.json")]) == 1
         assert "unequal lengths" in capsys.readouterr().err
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=["fork", "inline"])
+def fork_mode(request, monkeypatch):
+    """Run draw-file text in a forked child, or inline as where os.fork is missing."""
+    if request.param == "inline":
+        monkeypatch.delattr(os, "fork")
+    return request.param
+
+
+class TestForkedCodec:
+    """The child process that parses or formats half of the draw-file text."""
+
+    @pytest.mark.parametrize("chains,n", [(1, 4), (3, 5), (2, 2003), (4, 1)])
+    def test_writer_bytes_match_reference(self, tmp_path, fork_mode, chains, n):
+        draws = random_draws(chains, n, seed=chains, decades=300)
+        path = tmp_path / "d.csv"
+        header = "# leeway v0 seed=1 config=abc\n"
+        save_draws_csv(draws, str(path), header)
+        assert read(path) == reference_draw_file(draws, header)
+        assert_no_children()
+
+    def test_writer_error_reaps_child(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            save_draws_csv(random_draws(2, 10), str(tmp_path))
+        assert_no_children()
+
+    def test_failed_fork_closes_the_pipe(self, tmp_path, monkeypatch):
+        def fork():
+            raise BlockingIOError("no process slots")
+
+        monkeypatch.setattr(os, "fork", fork)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            save_draws_csv(random_draws(2, 10), str(tmp_path / "d.csv"))
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    @pytest.fixture
+    def resp_model(self, tmp_path):
+        path = tmp_path / "resp.csv"
+        save_draws_csv(random_draws(4, 1000, seed=6, decades=1), str(path), "# header\n")
+        return str(path)
+
+    @pytest.fixture
+    def seat_model(self, tmp_path):
+        path = tmp_path / "seat.csv"
+        save_draws_csv(random_draws(4, 1000, seed=5, decades=1), str(path), "# header\n")
+        return str(path)
+
+    def counterfactual(self, small_codebook, inputs, tmp_path, seat, resp):
+        cov, base = inputs
+        return main(["counterfactual", "--template", "mi",
+                     "--codebook", small_codebook, "--seat-model", seat,
+                     "--resp-model", resp, "--covariates", cov,
+                     "--baseline", base, "--draws", "2", "--seed", "3",
+                     "--output", str(tmp_path / "o.json")])
+
+    def test_loaded_pair_equals_sequential_loads(self, small_codebook, seat_model, inputs,
+                                                 resp_model, tmp_path, monkeypatch):
+        seen = []
+        original = cli.cf.predict_national
+
+        def spy(pairs, seat_model, resp_model, *rest):
+            seen.extend([seat_model, resp_model])
+            return original(pairs, seat_model, resp_model, *rest)
+
+        monkeypatch.setattr(cli.cf, "predict_national", spy)
+        assert self.counterfactual(small_codebook, inputs, tmp_path,
+                                   seat_model, resp_model) == 0
+        assert_no_children()
+        assert len(seen) == 2
+        for got, path in zip(seen, (seat_model, resp_model)):
+            want = load_draws_csv(path)
+            assert got.coefficients.shape == want.coefficients.shape
+            assert got.coefficients.tobytes() == want.coefficients.tobytes()
+            assert got.sigma.tobytes() == want.sigma.tobytes()
+            assert got.diagnostics == want.diagnostics
+
+    @pytest.fixture
+    def nan_model(self, tmp_path):
+        draws = random_draws(4, 1000, seed=4, decades=1)
+        draws.coefficients[1, 7, 0] = float("nan")
+        path = tmp_path / "nan.csv"
+        save_draws_csv(draws, str(path), "# header\n")
+        return str(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "missing"])
+    def test_bad_resp_file_exits_1_naming_it(self, small_codebook, fitted_model, inputs,
+                                             nan_model, tmp_path, capsys, fork_mode, bad):
+        resp = nan_model if bad == "nan" else str(tmp_path / "missing.csv")
+        with pytest.raises((DomainError, FileNotFoundError)) as expected:
+            load_draws_csv(resp)
+        assert self.counterfactual(small_codebook, inputs, tmp_path, fitted_model, resp) == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert resp in str(expected.value)
+        assert_no_children()
+
+    def test_two_bad_files_report_the_seat_file(self, small_codebook, inputs, nan_model,
+                                                tmp_path, capsys, fork_mode):
+        seat = str(tmp_path / "missing.csv")
+        assert self.counterfactual(small_codebook, inputs, tmp_path, seat, nan_model) == 1
+        err = capsys.readouterr().err
+        assert seat in err and nan_model not in err
+        assert_no_children()
+
+    def failing_resp_loader(self, monkeypatch, resp, fail):
+        original = cli.load_draws_csv
+
+        def loader(path):
+            if path == resp:
+                fail()
+            return original(path)
+
+        monkeypatch.setattr(cli, "load_draws_csv", loader)
+
+    def test_child_bug_propagates_as_its_type(self, small_codebook, fitted_model, inputs,
+                                              resp_model, tmp_path, monkeypatch, fork_mode):
+        def fail():
+            raise KeyError("internal")
+
+        self.failing_resp_loader(monkeypatch, resp_model, fail)
+        with pytest.raises(KeyError, match="internal"):
+            self.counterfactual(small_codebook, inputs, tmp_path, fitted_model, resp_model)
+        assert_no_children()
+
+    @pytest.mark.parametrize("death", ["exit", "unpicklable"])
+    def test_child_without_result_names_the_file(self, small_codebook, fitted_model, inputs,
+                                                 resp_model, tmp_path, monkeypatch, death):
+        def fail():
+            if death == "exit":
+                os._exit(9)
+            # its __init__ takes two arguments, so it cannot be rebuilt from its args
+            raise cli.ConvergenceError("no", Diagnostics({}, {}))
+
+        self.failing_resp_loader(monkeypatch, resp_model, fail)
+        with pytest.raises(RuntimeError, match=re.escape(resp_model)) as err:
+            self.counterfactual(small_codebook, inputs, tmp_path, fitted_model, resp_model)
+        assert type(err.value) is RuntimeError
+        assert_no_children()
+
+    def test_child_killed_mid_stream_names_the_file(self):
+        with cli._Forked("d.csv", lambda: b"x" * (4 << 20)) as child:
+            chunks = iter(child)
+            assert len(next(chunks)) == 1 << 20
+            os.kill(child.pid, signal.SIGKILL)
+            with pytest.raises(RuntimeError, match="d.csv: the child process"):
+                list(chunks)
+        assert_no_children()
 
 
 class TestDataErrorsExit1:

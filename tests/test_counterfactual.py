@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,24 @@ class TestPredictNational:
         with pytest.raises(DomainError):
             predict_national([DosePair("AA", 1.0, 0.0)], a, b, COVS,
                              Baseline(215.0, 8.0))
+
+
+class TestStateCovariates:
+    @pytest.mark.parametrize("changes,message", [
+        ({"n_districts": -7}, "n_districts=-7 must be an int of at least 1"),
+        ({"n_districts": 0}, "n_districts=0 must be an int of at least 1"),
+        ({"n_districts": 2.5}, "n_districts=2.5 must be an int"),
+        ({"n_districts": True}, "n_districts=True must be an int"),
+        ({"dem08": float("nan")}, "dem08=nan is not a finite number"),
+        ({"log_corrupt": float("inf")}, "log_corrupt=inf is not a finite number"),
+        ({"south": "1"}, "south='1' is not a finite number"),
+    ])
+    def test_bad_field_rejected_naming_it(self, changes, message):
+        values = {"dem08": 0.5, "south": 0, "log_seats": 2, "delta_seats": 0,
+                  "log_corrupt": 1, "initiative": 0, "n_districts": 8, **changes}
+        with pytest.raises(DomainError, match=re.escape(message)):
+            StateCovariates(**values)
+
+    def test_valid_covariates_construct(self):
+        cov = StateCovariates(0.5, 0, 2, 0, 1, 0, n_districts=1)
+        assert cov.vector.tolist() == [0.5, 0.0, 2.0, 0.0, 1.0, 0.0]

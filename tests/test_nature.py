@@ -6,7 +6,7 @@ import pytest
 
 from leeway.codebook import CourtReview, PartyControl
 from leeway.errors import DomainError
-from leeway.nature import (CourtContext, Dist, GameParameters, PriorSpec, cauchy_cdf,
+from leeway.nature import (CourtContext, Dist, PriorSpec, cauchy_cdf,
                            cauchy_quantile, court_outcome, exp_court, pr_chal_if_poss,
                            pr_chal_poss, pr_intervene, pr_veto_nonpartisan,
                            quartic_g, round2_nonpartisan_proposal, sample_parameters,

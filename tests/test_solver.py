@@ -6,7 +6,7 @@ import pytest
 
 from leeway import nature, solver
 from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer, PartyControl,
-                             Stalemate1, Stalemate2, Veto1, Veto2,
+                             Stalemate1, Veto1,
                              load_fixture_codebook, validate)
 from leeway.counterfactual import TEMPLATES, apply_template, counterfactual_doses
 from leeway.errors import DomainError, NotApplicable
