@@ -17,6 +17,7 @@ import math
 import os
 import pickle
 import sys
+import threading
 import traceback
 import warnings
 
@@ -316,9 +317,10 @@ class _Forked:
     is the only way onto a second core. ``with _Forked(path, fn) as child``
     forks; iterating over ``child`` yields the child's bytes in 1 MB chunks,
     or raises the child's exception with its type and message. Leaving the
-    block reaps the child on every path. Where ``os.fork`` does not exist,
-    ``fn`` runs inline when its bytes are read. ``path`` names the draw file
-    in the error raised when the child ends without a result.
+    block reaps the child on every path. Where ``os.fork`` does not exist or
+    fails, or another thread is running (the child would inherit the locks
+    it holds), ``fn`` runs inline when its bytes are read. ``path`` names the
+    draw file in the error raised when the child ends without a result.
     """
 
     def __init__(self, path: str, fn):
@@ -326,19 +328,20 @@ class _Forked:
         self.pid = self.pipe = None
 
     def __enter__(self):
-        if hasattr(os, "fork"):
-            read, write = os.pipe()
-            try:
-                self.pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if self.pid == 0:
-                os.close(read)
-                self._child(write)
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            return self
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
             os.close(write)
-            self.pipe = open(read, "rb")
+            return self
+        if self.pid == 0:
+            os.close(read)
+            self._child(write)
+        os.close(write)
+        self.pipe = open(read, "rb")
         return self
 
     def _child(self, fd: int):

@@ -110,11 +110,14 @@ class GameParameters:
     veto_nonp_shift: float
 
     def __post_init__(self):
-        # Each field must lie in the support of its default prior's kind; a
-        # normal field may take any value and is not checked.
+        # Each field must be finite and lie in the support of its default
+        # prior's kind; a normal field may take any finite value.
         for name, dist in _DEFAULT_PRIORS.items():
             support, low, high = _SUPPORTS[dist.kind]
             value = getattr(self, name)
+            finite = np.isfinite(value)
+            if not np.all(finite):
+                raise DomainError(f"{name}={np.asarray(value)[~finite][0]} is not finite")
             if dist.kind != "normal" and not np.all((value >= low) & (value <= high)):
                 raise DomainError(f"{name}={value} outside {support}")
 

@@ -31,8 +31,9 @@ optimizer calls the nodes for values; one walk from the root along the
 chosen actions then yields the path probabilities. Partisan veto
 decisions are recorded wherever a proposal is evaluated on the base grid,
 which gives the veto thresholds; they are worked out when first read. The
-round-1, round-2 and resolver optimizers all evaluate the court machinery
-on the same base grid, so the tree computes it once and keeps it.
+court machinery on the base grid depends only on the :class:`CourtContext`,
+so each :class:`BatchContext` evaluates it once per context and every tree
+of the call reads that copy.
 """
 
 from __future__ import annotations
@@ -223,10 +224,11 @@ class _TreeEvaluator:
     (D, 1) column. Every value comes back with one row per draw.
     """
 
-    def __init__(self, key: TreeKey, theta: GameParameters, grid: OptimizationGrid):
+    def __init__(self, key: TreeKey, theta: GameParameters, grid: OptimizationGrid, courts: dict):
         self.key = key
         self.theta = theta
         self.grid = grid
+        self.courts = courts  # base-grid court per CourtContext, filled on first use
         self.n_draws = len(theta.chal_poss_conf)
         self.base = grid.base
         self.can_veto = any(mode in ("partisan", "prob") for mode, _ in key.vetoes)
@@ -251,14 +253,12 @@ class _TreeEvaluator:
     # that draw alone would.
 
     def exp_court(self, x):
-        if x is self.base:
-            return self._base_court
-        return nature.exp_court(x, self.key.court, self.theta)
-
-    @functools.cached_property
-    def _base_court(self):
-        """The court machinery on the base grid, shared by every grid optimizer of the tree."""
-        return nature.exp_court(self.base, self.key.court, self.theta)
+        ctx = self.key.court
+        if x is not self.base:
+            return nature.exp_court(x, ctx, self.theta)
+        if ctx not in self.courts:
+            self.courts[ctx] = nature.exp_court(x, ctx, self.theta)
+        return self.courts[ctx]
 
     def _settle(self, court, mass, bucket: str):
         """Route mass through the court machinery of an enacted plan."""
@@ -437,7 +437,6 @@ class _TreeEvaluator:
                 and any(m == "partisan" for m, _ in self.key.vetoes)):
             self.plan(self.base, 2)
             self.plan(self.base, 1)
-            vars(self).pop("_base_court", None)
         out = np.full((self.n_draws, len(_THRESHOLD_KEYS)), np.nan)
         mids = (self.base[0, :-1] + self.base[0, 1:]) / 2.0
         for col, key in enumerate(_THRESHOLD_KEYS):
@@ -481,7 +480,7 @@ def solve_batch(process: StateProcess, thetas: GameParameters,
     on draw d alone, and ``result_columns()`` gives the same fields for
     every draw as lists.
     """
-    return _TreeEvaluator(TreeKey.of(process), thetas, grid or OptimizationGrid()).solve()
+    return _TreeEvaluator(TreeKey.of(process), thetas, grid or OptimizationGrid(), {}).solve()
 
 
 def solve(process: StateProcess, theta: GameParameters,
@@ -610,11 +609,11 @@ def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
 class BatchContext:
     """One library call's prior draws and grid, solving each distinct tree once.
 
-    Processes that share a :class:`TreeKey` share one
-    solved tree. The per-row checks of :meth:`TreeKey.of` run on every row.
-    A kept tree drops its base-grid court, the largest array it holds;
-    ``veto_thresholds`` rebuilds it, with the same bits, where it needs it
-    and drops it again.
+    Processes that share a :class:`TreeKey` share one solved tree, and the
+    per-row checks of :meth:`TreeKey.of` run on every row. Every tree reads
+    the base-grid court machinery of its :class:`CourtContext` from
+    ``courts``, so each context is evaluated on the base grid at most once
+    per call.
     """
 
     def __init__(self, prior: PriorSpec, seed: int, n_draws: int,
@@ -622,13 +621,12 @@ class BatchContext:
         self.grid = grid or OptimizationGrid()
         self.thetas = sample_draws(prior, seed, n_draws)
         self.trees: dict[TreeKey, _TreeEvaluator] = {}
+        self.courts: dict[CourtContext, nature.ExpCourt] = {}
 
     def solve(self, process: StateProcess) -> _TreeEvaluator:
         key = TreeKey.of(process)
         if key not in self.trees:
-            tree = solve_batch(process, self.thetas, self.grid)
-            vars(tree).pop("_base_court", None)
-            self.trees[key] = tree
+            self.trees[key] = _TreeEvaluator(key, self.thetas, self.grid, self.courts).solve()
         return self.trees[key]
 
 

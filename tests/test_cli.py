@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -114,7 +116,7 @@ def test_command_exit_codes(small_codebook, tmp_path):
             "from leeway import solver\n"
             "def broken(*args, **kwargs):\n"
             "    raise KeyError('internal')\n"
-            "solver.solve_batch = broken\n"
+            "solver._TreeEvaluator.solve = broken\n"
             f"sys.argv = {argv!r}\n"
             "runpy.run_module('leeway.cli', run_name='__main__')\n")
     out = _python("-c", code)
@@ -189,13 +191,13 @@ class TestLeewayCommand:
         # party control: the diagnostics are written from the realized solve
         # the scores already made.
         calls = []
-        real = solver.solve_batch
+        real = solver._TreeEvaluator.solve
 
-        def counting(process, *args, **kwargs):
-            calls.append(solver.TreeKey.of(process))
-            return real(process, *args, **kwargs)
+        def counting(tree):
+            calls.append(tree.key)
+            return real(tree)
 
-        monkeypatch.setattr(solver, "solve_batch", counting)
+        monkeypatch.setattr(solver._TreeEvaluator, "solve", counting)
         assert main(["leeway", "--codebook", small_codebook, "--draws", "2", "--seed", "2",
                      "--output", str(tmp_path / "l.csv"),
                      "--emit-diagnostics", str(tmp_path / "d.json")]) == 0
@@ -575,12 +577,40 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture(params=["fork", "inline"])
+@pytest.fixture(params=["fork", "inline", "fork-fails", "threaded"])
 def fork_mode(request, monkeypatch):
-    """Run draw-file text in a forked child, or inline as where os.fork is missing."""
+    """Run draw-file text in a forked child, or inline: where os.fork is
+    missing, where it fails, or where a second thread is running."""
     if request.param == "inline":
         monkeypatch.delattr(os, "fork")
+    elif request.param == "fork-fails":
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+    elif request.param == "threaded":
+        def fork():
+            raise AssertionError("os.fork called while a second thread runs")
+
+        monkeypatch.setattr(os, "fork", fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        request.addfinalizer(thread.join)
+        request.addfinalizer(stop.set)  # finalizers run last-in, first-out
     return request.param
+
+
+@pytest.fixture(scope="module")
+def forked_counterfactual(small_codebook, fitted_model, inputs, tmp_path_factory):
+    """The JSON of a counterfactual run whose draw files are read through the fork."""
+    out = tmp_path_factory.mktemp("forked") / "o.json"
+    cov, base = inputs
+    assert main(["counterfactual", "--template", "mi", "--codebook", small_codebook,
+                 "--seat-model", fitted_model, "--resp-model", fitted_model,
+                 "--covariates", cov, "--baseline", base, "--draws", "2", "--seed", "3",
+                 "--output", str(out)]) == 0
+    return read(out)
 
 
 class TestForkedCodec:
@@ -601,14 +631,31 @@ class TestForkedCodec:
         assert_no_children()
 
     def test_failed_fork_closes_the_pipe(self, tmp_path, monkeypatch):
+        # The text is then formatted inline, with the same bytes.
         def fork():
             raise BlockingIOError("no process slots")
 
         monkeypatch.setattr(os, "fork", fork)
+        draws, path = random_draws(2, 10), tmp_path / "d.csv"
         before = sorted(os.listdir("/proc/self/fd"))
-        with pytest.raises(BlockingIOError):
-            save_draws_csv(random_draws(2, 10), str(tmp_path / "d.csv"))
+        save_draws_csv(draws, str(path))
         assert sorted(os.listdir("/proc/self/fd")) == before
+        assert read(path) == reference_draw_file(draws, "")
+
+    def test_did_bytes_on_every_path(self, did_input, fitted_model, tmp_path, fork_mode):
+        # fitted_model is the same fit, written through the fork.
+        draws = tmp_path / "d.csv"
+        assert main(["did", "--input", did_input, "--seed", "5", "--output-draws", str(draws),
+                     "--output-diagnostics", str(tmp_path / "d.json")]) == 0
+        assert read(draws) == read(fitted_model)
+        assert_no_children()
+
+    def test_counterfactual_bytes_on_every_path(self, small_codebook, fitted_model, inputs,
+                                                forked_counterfactual, tmp_path, fork_mode):
+        assert self.counterfactual(small_codebook, inputs, tmp_path,
+                                   fitted_model, fitted_model) == 0
+        assert read(tmp_path / "o.json") == forked_counterfactual
+        assert_no_children()
 
     @pytest.fixture
     def resp_model(self, tmp_path):
@@ -729,7 +776,7 @@ class TestDataErrorsExit1:
     def test_internal_key_error_propagates(self, small_codebook, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")
-        monkeypatch.setattr(cli.solver, "solve_batch", broken)
+        monkeypatch.setattr(cli.solver._TreeEvaluator, "solve", broken)
         with pytest.raises(KeyError):
             main(["leeway", "--codebook", small_codebook, "--draws", "2",
                   "--output", str(tmp_path / "l.csv")])
@@ -807,7 +854,7 @@ class TestDataErrorsExit1:
     def test_single_district_row_fails_paths_before_any_solve(self, tmp_path, capsys,
                                                              monkeypatch):
         solves = []
-        monkeypatch.setattr(cli.solver, "solve_batch", lambda *args: solves.append(args))
+        monkeypatch.setattr(cli.solver._TreeEvaluator, "solve", lambda tree: solves.append(tree))
         book = tmp_path / "book.csv"
         book.write_text(serialize_codebook(load_fixture_codebook())
                         + "WY,2020," + "NA," * 13 + "no\n")
@@ -955,3 +1002,20 @@ class TestDataErrorsExit1:
                      "--priors", str(priors), "--output", str(tmp_path / "l.csv")]) == 1
         err = capsys.readouterr().err
         assert str(priors) in err and message in err
+
+    @pytest.mark.parametrize("command,name,kind", [
+        ("leeway", "vra_out_breakeven", "normal"),
+        ("paths", "out_nonp_bias2", "folded_normal"),
+    ])
+    def test_non_finite_prior_draw(self, tmp_path, capsys, command, name, kind):
+        # A scale of 1e308 overflows some draws to inf. The run must stop
+        # before a solve turns them into NaN scores.
+        book = tmp_path / "book.csv"
+        book.write_text(serialize_codebook(load_fixture_codebook()))
+        priors = tmp_path / "priors.json"
+        priors.write_text(json.dumps({name: {"dist": kind, "params": [0, 1e308]}}))
+        out = tmp_path / "out.csv"
+        assert main([command, "--codebook", str(book), "--priors", str(priors),
+                     "--draws", "20", "--seed", "1", "--output", str(out)]) == 1
+        assert re.fullmatch(rf"error: {name}=-?inf is not finite\n", capsys.readouterr().err)
+        assert not out.exists()

@@ -11,7 +11,7 @@ from leeway.nature import (CourtContext, Dist, PriorSpec, cauchy_cdf,
                            pr_chal_poss, pr_intervene, pr_veto_nonpartisan,
                            quartic_g, round2_nonpartisan_proposal, sample_parameters,
                            stack_parameters, stalemate_default, vra_process)
-from leeway.solver import OptimizationGrid
+from leeway.solver import OptimizationGrid, sample_draws
 
 PRIOR = PriorSpec.default()
 MEAN = PRIOR.mean()
@@ -138,6 +138,24 @@ class TestSampling:
         else:
             with pytest.raises(DomainError, match=message):
                 dataclasses.replace(MEAN, **{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("chal_poss_conf", math.inf), ("out_nonp_bias2", math.inf),
+        ("veto_nonp_shift", -math.inf), ("vra_out_breakeven", math.nan),
+    ])
+    def test_field_must_be_finite(self, name, value):
+        with pytest.raises(DomainError, match=rf"^{name}={value} is not finite$"):
+            dataclasses.replace(MEAN, **{name: value})
+        column = np.array([[0.5], [value], [-value]])
+        with pytest.raises(DomainError, match=rf"^{name}={value} is not finite$"):
+            dataclasses.replace(MEAN, **{name: column})
+
+    @pytest.mark.parametrize("name,kind", [("vra_out_breakeven", "normal"),
+                                           ("out_nonp_bias2", "folded_normal")])
+    def test_overflowing_draw_rejected(self, name, kind):
+        prior = PRIOR.with_overrides({name: {"dist": kind, "params": [0, 1e308]}})
+        with pytest.raises(DomainError, match=rf"^{name}=-?inf is not finite$"):
+            sample_draws(prior, 1, 20)
 
     def test_from_json_rejects_malformed_text(self):
         with pytest.raises(DomainError, match="not valid JSON"):

@@ -164,7 +164,7 @@ class TestBatch:
             if row.drawer is Drawer.NA:
                 continue
             for process in (row, uniform_control(row, PartyControl.DEMOCRATS)):
-                if _TreeEvaluator(TreeKey.of(process), batch, OptimizationGrid()).can_veto:
+                if _TreeEvaluator(TreeKey.of(process), batch, OptimizationGrid(), {}).can_veto:
                     continue
                 solve_batch(process, batch)
                 solved += 1
@@ -522,13 +522,13 @@ class TestBatchContext:
 
     @staticmethod
     def count_solves(monkeypatch) -> list:
-        keys, real = [], solver.solve_batch
+        keys, real = [], _TreeEvaluator.solve
 
-        def counting(process, *args):
-            keys.append(TreeKey.of(process))
-            return real(process, *args)
+        def counting(tree):
+            keys.append(tree.key)
+            return real(tree)
 
-        monkeypatch.setattr(solver, "solve_batch", counting)
+        monkeypatch.setattr(_TreeEvaluator, "solve", counting)
         return keys
 
     def test_one_solve_per_distinct_tree(self, monkeypatch):
@@ -553,10 +553,9 @@ class TestBatchContext:
 
     def test_shared_tree_equals_per_draw_solves(self):
         # In IA 2020 a nonpartisan commission draws behind partisan vetoes and
-        # a partisan commission breaks stalemates. Its solve evaluates the
-        # base-grid court, the kept tree drops it, and reading the veto
-        # thresholds rebuilds it. Its twin differs only in fields the tree
-        # does not read.
+        # a partisan commission breaks stalemates, so reading its veto
+        # thresholds walks the base grid after the solve. Its twin differs
+        # only in fields the tree does not read.
         ia = FIXTURE.get("IA", 2020)
         twin = dataclasses.replace(ia, state_id="IA_T", final_drawer=FinalDrawer.COURT_MASTER)
         batch = BatchContext(PRIOR, 67, 4, None)
@@ -567,8 +566,6 @@ class TestBatchContext:
                 batch.solve(process)
         ia_key = TreeKey.of(ia)
         assert [process.key for process in owners[ia_key]] == [("IA", 2020), ("IA_T", 2020)]
-        assert "_base_court" in vars(solve_batch(ia, batch.thetas))
-        assert "_base_court" not in vars(batch.trees[ia_key])
 
         thetas = [sample_parameters(PRIOR, 67, d) for d in range(4)]
         shared = [key for key, members in owners.items() if len(members) > 1]
@@ -578,15 +575,40 @@ class TestBatchContext:
             for process in owners[key]:
                 want = [dataclasses.astuple(solve(process, theta)) for theta in thetas]
                 assert columns == want, process.key
-        # No kept tree holds a base-grid court once its thresholds are read.
-        for tree in batch.trees.values():
-            tree.result_columns()
-        assert not [key for key, tree in batch.trees.items() if "_base_court" in vars(tree)]
+
+    @staticmethod
+    def count_base_courts(monkeypatch) -> list:
+        contexts, real = [], nature.exp_court
+
+        def counting(x, ctx, theta):
+            if np.shape(x) == (1, 161):  # the default grid's base row
+                contexts.append(ctx)
+            return real(x, ctx, theta)
+
+        monkeypatch.setattr(nature, "exp_court", counting)
+        return contexts
+
+    def test_one_base_grid_court_per_context_per_call(self, monkeypatch):
+        # Every tree of a call reads the court machinery of its CourtContext
+        # on the base grid from one copy, veto-threshold passes included.
+        contexts = self.count_base_courts(monkeypatch)
+        for _, _, realized in solver._scored_rows(self.BOOK, PRIOR, 20, 101, None):
+            realized.result_columns()  # as `leeway --emit-diagnostics` does
+        assert len(contexts) == len(set(contexts)) == 10
+
+        contexts.clear()
+        path_table(self.BOOK, PRIOR, n_draws=20, seed=101)
+        assert len(contexts) == len(set(contexts)) == 8
+
+        for name in ("mi", "ny", "oh", "identity"):
+            contexts.clear()
+            counterfactual_doses(FIXTURE, TEMPLATES[name], PRIOR, n_draws=20, seed=101)
+            assert len(contexts) == len(set(contexts)) == 5, name
 
     def test_single_district_rows_rejected_before_sampling(self, monkeypatch):
         calls = []
-        for name in ("sample_draws", "solve_batch"):
-            monkeypatch.setattr(solver, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(solver, "sample_draws", lambda *args: calls.append("sample_draws"))
+        monkeypatch.setattr(_TreeEvaluator, "solve", lambda tree: calls.append("solve"))
         single = make_process(state_id="WY", drawer=Drawer.NA, drawer_control=PartyControl.NA,
                               court_review=CourtReview.NA, court_control=PartyControl.NA,
                               stalemate1=Stalemate1.NA, final_drawer=FinalDrawer.NA)
