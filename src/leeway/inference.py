@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -352,19 +353,30 @@ def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000
 
 @dataclass(frozen=True)
 class EffectSummary:
-    """Posterior mean and central credible intervals of a scalar effect."""
+    """Posterior mean and central credible intervals of a scalar effect.
+
+    The intervals are computed on first read, since many summaries are
+    only ever asked for their mean.
+    """
 
     mean: float
-    ci80: tuple
-    ci95: tuple
     draws: np.ndarray
 
     @classmethod
     def from_draws(cls, values: np.ndarray) -> "EffectSummary":
-        lo80, hi80 = np.quantile(values, [0.1, 0.9])
-        lo95, hi95 = np.quantile(values, [0.025, 0.975])
-        return cls(mean=float(values.mean()), ci80=(float(lo80), float(hi80)),
-                   ci95=(float(lo95), float(hi95)), draws=values)
+        return cls(mean=float(values.mean()), draws=values)
+
+    @cached_property
+    def _quantiles(self) -> tuple:
+        return tuple(float(q) for q in np.quantile(self.draws, [0.025, 0.1, 0.9, 0.975]))
+
+    @property
+    def ci80(self) -> tuple:
+        return self._quantiles[1:3]
+
+    @property
+    def ci95(self) -> tuple:
+        return self._quantiles[0], self._quantiles[3]
 
 
 def cate_draws(draws: PosteriorDraws, covariates, d: float, d_prime: float,

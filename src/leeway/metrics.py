@@ -14,17 +14,89 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import DomainError
 
 _PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+# Cephes ndtr, erf and erfc, as scipy.special ships them: the same
+# coefficients, Horner order, branch points and libm exp (math.exp; np.exp
+# rounds differently), so every result is bitwise equal to scipy's. Q, S
+# and U carry the leading 1 that Cephes' p1evl implies: 1.0 * x + c is
+# exactly x + c.
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner evaluation of coef[0] x^N + ... + coef[N]."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    if x != x:
+        return math.nan
+    if x < 0.0:
+        return -_erf(-x)
+    if x > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _T) / _polevl(z, _U)
+
+
+def _erfc(a: float) -> float:
+    if a != a:
+        return math.nan
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z >= -_MAXLOG:
+        z = math.exp(z)
+        if x < 8.0:
+            y = z * _polevl(x, _P) / _polevl(x, _Q)
+        else:
+            y = z * _polevl(x, _R) / _polevl(x, _S)
+        if a < 0.0:
+            y = 2.0 - y
+        if y != 0.0:
+            return y
+    return 2.0 if a < 0.0 else 0.0  # underflow
+
+
+def _ndtr(a: float) -> float:
+    if a != a:
+        return math.nan
+    x = a * _SQRT1_2
+    if abs(x) < 1.0:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(abs(x))
+    return 1.0 - y if x > 0.0 else y
+
+
 def ndtr(z):
-    """Standard normal CDF, elementwise."""
-    from scipy import special  # deferred: most of the package's import time otherwise
-    return special.ndtr(z)
+    """Standard normal CDF, elementwise; a 0-d input gives a numpy scalar."""
+    a = np.asarray(z, dtype=float)
+    out = np.fromiter(map(_ndtr, a.ravel().tolist()), float, a.size).reshape(a.shape)
+    return out if out.ndim else out[()]
 
 
 # Total swing scale chosen so a 60/40 district counts as exactly 0.14
@@ -51,8 +123,9 @@ class PlanProfile:
             weights = tuple(float(w) for w in self.turnout_weights)
             if len(weights) != len(shares):
                 raise DomainError("one turnout weight per district required")
-            if any(w <= 0.0 for w in weights):
-                raise DomainError("turnout weights must be positive")
+            bad = [w for w in weights if not 0.0 < w < math.inf]
+            if bad:
+                raise DomainError(f"turnout_weights: {bad[0]!r} is not positive and finite")
             object.__setattr__(self, "turnout_weights", weights)
 
     @property
@@ -102,8 +175,10 @@ class EnsembleSummary:
     sd_outcome: float
 
     def __post_init__(self):
-        if self.sd_outcome < 0.0:
-            raise DomainError("ensemble sd must be nonnegative")
+        if not math.isfinite(self.mean_outcome):
+            raise DomainError(f"mean_outcome={self.mean_outcome!r} is not finite")
+        if not 0.0 <= self.sd_outcome < math.inf:
+            raise DomainError(f"sd_outcome={self.sd_outcome!r} must be finite and nonnegative")
 
 
 def expected_seats(plan: PlanProfile, model: SwingModel, national_shift: float = 0.0,
@@ -123,6 +198,7 @@ def expected_seats(plan: PlanProfile, model: SwingModel, national_shift: float =
     if method == "quadrature":
         if quadrature_points < 2:
             raise DomainError("quadrature needs at least 2 points")
+        from numpy.polynomial.hermite_e import hermegauss  # deferred: no CLI path needs it
         nodes, weights = hermegauss(quadrature_points)
         weights = weights / math.sqrt(2.0 * math.pi)
         swings = national_shift + model.sigma_national * nodes

@@ -93,14 +93,30 @@ def _python(*args, check=False) -> subprocess.CompletedProcess:
                           check=check, env=env)
 
 
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats costs about a second to import and only rank stability
-    # needs it, and scipy.special most of the rest of the import, so both
-    # are loaded on first use.
-    code = ("import sys, leeway.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+    # needs it, so it is loaded on first use; nothing else imports scipy.
+    out = _python("-c", f"import sys, leeway.cli; print({_SCIPY_MODULES})", check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_metrics_command_does_not_load_scipy(tmp_path):
+    # metrics computes the normal CDF with its own port of scipy's ndtr.
+    plans = tmp_path / "plans.csv"
+    plans.write_text("state,cycle,district,rep_share,turnout\n"
+                     "NH,2020,1,0.52,1.0\nNH,2020,2,0.47,2.0\nTX,2020,1,0.6,1.0\n")
+    ensemble = tmp_path / "ens.csv"
+    ensemble.write_text("state,cycle,metric,mean,sd\n"
+                        "NH,2020,expected_seats,1.1,0.3\nTX,2020,partisan_bias,0.0,0.1\n")
+    argv = ["metrics", "--plans", str(plans), "--ensemble", str(ensemble),
+            "--output", str(tmp_path / "m.csv")]
+    code = f"import sys; from leeway.cli import main; print(main({argv!r}), {_SCIPY_MODULES})"
     out = _python("-c", code, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "0 []"
+    assert "expected_seats_sim_z" in (tmp_path / "m.csv").read_text()
 
 
 def test_command_exit_codes(small_codebook, tmp_path):

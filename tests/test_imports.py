@@ -1,9 +1,12 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and the package never imports scipy eagerly.
 
 Every ``.py`` file under ``src/leeway``, ``tests`` and ``demos`` is parsed
 with ``ast``; a name bound by an import must appear somewhere else in the
 file. ``from __future__`` imports and the re-exports of ``__init__.py``
 files are exempt.
+
+No file under ``src/leeway`` imports scipy outside a function body: only
+rank stability needs scipy, and it imports ``scipy.stats`` when called.
 """
 
 import ast
@@ -52,3 +55,44 @@ def test_no_unused_import(path):
 ])
 def test_scan_finds_unused_names(source, expected):
     assert unused_imports(source) == expected
+
+
+def eager_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each absolute import that runs when ``source`` is imported.
+
+    Imports inside a function body run only when it is called and are skipped.
+    """
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+PACKAGE = sorted((ROOT / "src/leeway").rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_level_scipy_import(path):
+    eager = [f"line {line}: {module}" for line, module in
+             eager_imports(path.read_text(encoding="utf-8")) if module.split(".")[0] == "scipy"]
+    assert not eager, f"{path.relative_to(ROOT)}: module-level scipy import, {'; '.join(eager)}"
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import scipy.stats\n", [(1, "scipy.stats")]),
+    ("import os\nfrom scipy import special\n", [(1, "os"), (2, "scipy")]),
+    ("try:\n    import scipy\nexcept ImportError:\n    pass\n", [(2, "scipy")]),
+    ("class A:\n    from scipy import stats\n", [(2, "scipy")]),
+    ("def f():\n    from scipy import stats\n", []),
+    ("from . import metrics\n", []),
+])
+def test_scan_finds_eager_imports(source, expected):
+    assert eager_imports(source) == expected

@@ -396,6 +396,15 @@ class TestQueries:
         summary = cate(draws, [0.5, 0, 1, 0, 0, 0], 1.0, 3.0)
         assert summary.ci95[0] <= summary.ci80[0] <= summary.ci80[1] <= summary.ci95[1]
 
+    @pytest.mark.parametrize("size", [4, 5, 17, 1000, 40_003])
+    def test_summary_intervals_match_two_quantile_calls(self, size):
+        # One four-quantile call must give the bits of one call per interval.
+        values = np.random.default_rng(size).standard_cauchy(size)
+        summary = inference.EffectSummary.from_draws(values)
+        assert summary.mean == float(values.mean())
+        assert summary.ci80 == tuple(float(q) for q in np.quantile(values, [0.1, 0.9]))
+        assert summary.ci95 == tuple(float(q) for q in np.quantile(values, [0.025, 0.975]))
+
     def test_acr_equals_dose_coefficient_without_interactions(self):
         rng = np.random.default_rng(16)
         matrix = rng.normal(size=(100, 16))

@@ -2,14 +2,84 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+from leeway import metrics
 from leeway.errors import DomainError
 from leeway.metrics import (CALIBRATED_SIGMA_TOTAL, EnsembleSummary, PlanProfile,
                             SwingModel, competitive_share, dilution_asymmetry,
-                            efficiency_gap, expected_seats, partisan_bias,
+                            efficiency_gap, expected_seats, ndtr, partisan_bias,
                             responsiveness, seat_share_at_vote, simulation_adjust)
 
 CAL = SwingModel.calibrated()
+
+# Cephes' log(DBL_MAX): past sqrt(2 MAXLOG) erfc underflows to 0.
+MAXLOG = 7.09782712893383996843e2
+SPECIAL_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, -1e-310)
+
+
+def branch_neighbours(k=8):
+    """The k floats on each side of every |a| where ndtr, erf or erfc branch."""
+    points = []
+    for point in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * MAXLOG)):
+        for a in (point, -point):
+            points.append(a)
+            up = down = a
+            for _ in range(k):
+                up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+                points += [float(up), float(down)]
+    return np.array(points)
+
+
+@pytest.fixture(scope="module")
+def oracle_points():
+    """At least 10^6 points, a multiple of 64, that cover every branch of ndtr."""
+    rng = np.random.default_rng(101)
+    edges = np.concatenate([branch_neighbours(), SPECIAL_VALUES])
+    dense = np.linspace(-40.0, 40.0, 64 * 15_700 - 800_000 - edges.size)
+    return np.concatenate([rng.uniform(-40.0, 40.0, 400_000), rng.normal(0.0, 3.0, 400_000),
+                           dense, edges])
+
+
+def same_bits(a, b):
+    """Equal shape, float64 and bit patterns, with any NaN matching any NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and a.dtype == b.dtype == np.float64
+            and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+class TestNdtr:
+    # scipy.special.ndtr is the oracle: the port must reproduce it bit for
+    # bit, or the metrics output bytes would move.
+    def test_bitwise_equal_to_scipy(self, oracle_points):
+        assert oracle_points.size >= 10**6
+        grid = oracle_points.reshape(64, -1)
+        assert same_bits(ndtr(grid), special.ndtr(grid))
+
+    def test_vector(self, oracle_points):
+        vector = oracle_points[-5_000:]
+        assert same_bits(ndtr(vector), special.ndtr(vector))
+        assert same_bits(ndtr(list(vector)), special.ndtr(vector))
+
+    @pytest.mark.parametrize("a", [*SPECIAL_VALUES, *branch_neighbours(2), 0.3, -37.5, 1e300])
+    def test_scalar(self, a):
+        value = ndtr(a)
+        assert type(value) is type(special.ndtr(a)) is np.float64
+        assert same_bits(value, special.ndtr(a))
+
+    def test_empty(self):
+        assert ndtr(np.empty((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("name", ["erf", "erfc"])
+    def test_erf_and_erfc_bitwise_equal_to_scipy(self, oracle_points, name):
+        # ndtr reaches only some branches of its erf and erfc; check them all.
+        port = getattr(metrics, f"_{name}")
+        points = np.concatenate([oracle_points[::10], oracle_points[-200:] / math.sqrt(2.0)])
+        values = np.array([port(a) for a in points.tolist()])
+        assert same_bits(values, getattr(special, name)(points))
 
 
 def random_plans(rng, count, max_districts=12):
@@ -34,6 +104,9 @@ class TestPlanProfile:
             PlanProfile((0.5,), (0.0,))
         with pytest.raises(DomainError):
             PlanProfile((0.5,), (1.0, 2.0))
+        for weight in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="turnout_weights"):
+                PlanProfile((0.4, 0.6), (1.0, weight))
 
 
 class TestExpectedSeats:
@@ -203,6 +276,14 @@ class TestSimulationAdjust:
             sd = rng.uniform(0.1, 2.0)
             adjusted = simulation_adjust(observed, EnsembleSummary(mean, sd))
             assert adjusted.abs_z == pytest.approx(abs(adjusted.difference) / sd)
+
+    @pytest.mark.parametrize("mean,sd,field", [
+        (math.nan, 0.5, "mean_outcome"), (math.inf, 0.5, "mean_outcome"),
+        (-math.inf, 0.5, "mean_outcome"), (1.0, math.nan, "sd_outcome"),
+        (1.0, math.inf, "sd_outcome"), (1.0, -0.5, "sd_outcome")])
+    def test_rejects_bad_ensemble(self, mean, sd, field):
+        with pytest.raises(DomainError, match=field):
+            EnsembleSummary(mean, sd)
 
     def test_degenerate_sd(self):
         adjusted = simulation_adjust(2.0, EnsembleSummary(1.0, 0.0))
