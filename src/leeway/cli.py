@@ -211,7 +211,7 @@ def _cmd_paths(args) -> int:
 # -- metrics -----------------------------------------------------------------
 
 def _read_plans(path: str) -> list[tuple[tuple[str, int], metrics.PlanProfile]]:
-    groups: dict[tuple[str, int], list[tuple[float, float | None]]] = {}
+    groups: dict[tuple[str, int], list[tuple[float, float | None, int]]] = {}
     fields, records = _read_table(path)
     expected = {"state", "cycle", "district", "rep_share"}
     if fields is None or not expected.issubset(fields):
@@ -224,13 +224,15 @@ def _read_plans(path: str) -> list[tuple[tuple[str, int], metrics.PlanProfile]]:
         turnout = (_cell(path, line, record, "turnout", rule=_POSITIVE)
                    if has_turnout and record["turnout"] else None)
         groups.setdefault(key, []).append(
-            (_cell(path, line, record, "rep_share", rule=_SHARE), turnout))
+            (_cell(path, line, record, "rep_share", rule=_SHARE), turnout, line))
     plans = []
     for key, cells in groups.items():
-        shares = tuple(s for s, _ in cells)
-        turnouts = tuple(t for _, t in cells)
-        weights = turnouts if all(t is not None for t in turnouts) else None
-        plans.append((key, metrics.PlanProfile(shares, weights)))
+        shares, turnouts, lines = zip(*cells)
+        blank = [line for t, line in zip(turnouts, lines) if t is None]
+        if blank and len(blank) < len(cells):
+            raise DomainError(f"{path}, line {blank[0]}: turnout is blank, but other districts "
+                              f"of {key[0]},{key[1]} have one")
+        plans.append((key, metrics.PlanProfile(shares, None if blank else turnouts)))
     return plans
 
 
@@ -544,22 +546,28 @@ def _read_covariates(path: str) -> dict:
 
 
 def _read_baseline(path: str) -> cf.Baseline:
+    """The baseline JSON object; each key must hold a finite JSON number, not a bool or string."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
         raw = json.loads(text)
-        baseline = cf.Baseline(dem_seats=float(raw["dem_seats"]),
-                               slope_seats_per_pp=float(raw["slope_seats_per_pp"]))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an overlong integer, or deep nesting
         raise DomainError(f"{path}: not valid JSON ({exc})") from None
-    except KeyError as exc:
-        raise DomainError(f"{path}: baseline is missing key {exc}") from None
-    except (TypeError, ValueError):
+    if not isinstance(raw, dict):
         raise DomainError(f"{path}: baseline must be an object with numeric "
-                          "dem_seats and slope_seats_per_pp") from None
-    if not (math.isfinite(baseline.dem_seats) and math.isfinite(baseline.slope_seats_per_pp)):
-        raise DomainError(f"{path}: baseline dem_seats and slope_seats_per_pp must be finite")
-    return baseline
+                          "dem_seats and slope_seats_per_pp")
+    numbers = []
+    for key in ("dem_seats", "slope_seats_per_pp"):
+        if key not in raw:
+            raise DomainError(f"{path}: baseline is missing key '{key}'")
+        value = raw[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DomainError(f"{path}: baseline needs numeric {key}, got {json.dumps(value)}")
+        if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int beyond floats
+            raise DomainError(f"{path}: baseline dem_seats and slope_seats_per_pp must be "
+                              f"finite, got {key}={json.dumps(value)}")
+        numbers.append(float(value))
+    return cf.Baseline(*numbers)
 
 
 def _cmd_counterfactual(args) -> int:

@@ -210,7 +210,7 @@ class Baseline:
     slope_seats_per_pp: float  # Democratic seats gained per +1pp vote share
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity, not value, equality
 class NationalPrediction:
     """Posterior summary of a nationwide reform's electoral consequences."""
 

@@ -87,7 +87,7 @@ def design_row(dose_change: float, baseline_dose: float, covariates) -> np.ndarr
     ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity, not value, equality
 class DesignMatrix:
     """Response vector and the 16-column predictor matrix."""
 
@@ -182,7 +182,7 @@ class Diagnostics:
         return worst_rhat < RHAT_MAX and worst_ess > ESS_MIN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity, not value, equality
 class PosteriorDraws:
     """Sampled coefficients and residual sd, kept per chain for diagnostics."""
 
@@ -351,7 +351,7 @@ def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000
     return draws
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity, not value, equality
 class EffectSummary:
     """Posterior mean and central credible intervals of a scalar effect.
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -221,7 +222,7 @@ def _checked_override(name: str, spec) -> Dist:
         raise DomainError(f"{name}: unknown distribution kind {kind!r}")
     if (not isinstance(params, list) or len(params) != 2
             or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                       and math.isfinite(p) for p in params)):
+                       and abs(p) <= sys.float_info.max for p in params)):  # finite as a float
         raise DomainError(f"{name}: params must be two finite numbers, got {params!r}")
     a, b = float(params[0]), float(params[1])
     if kind == "beta" and not (a > 0.0 and b > 0.0):
@@ -253,7 +254,7 @@ class PriorSpec:
     def from_json(cls, text: str) -> "PriorSpec":
         try:
             overrides = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also an overlong integer, or deep nesting
             raise DomainError(f"prior overrides are not valid JSON ({exc})") from None
         if not isinstance(overrides, dict):
             raise DomainError("prior overrides must be a JSON object")

@@ -23,8 +23,9 @@ reads only a :class:`TreeKey` of the process, and many rows share one. Each
 table builder opens one per-call :class:`BatchContext`, which samples the
 draws once and solves each distinct tree once.
 
-The tree is written once, as one method per node kind: the stalemate
-chain, a proposal passing the veto players, and the round-2 subgame. Each
+The tree is written once, as one method per node kind: the drawer, the
+veto players, the stalemate chain. The drawer node serves both rounds, and
+each grid optimum is worked out once per node and tree. Each method
 returns the node's value; handed a column of equilibrium-path mass, the
 same call also routes that mass to the final-drawer buckets. The grid
 optimizer calls the nodes for values; one walk from the root along the
@@ -234,9 +235,9 @@ class _TreeEvaluator:
         self.can_veto = any(mode in ("partisan", "prob") for mode, _ in key.vetoes)
         self.veto_parties = tuple(control for _, control in key.vetoes)
 
-        # Per-draw optima as (D, 1) columns: (proposal, value).
-        self._resolver_opt: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._round2_propose: Union[tuple[np.ndarray, np.ndarray], None] = None
+        # Per-draw grid optimum of each optimizing node, ("stalemate", k) or
+        # ("drawer", round), as (D, 1) columns: (proposal, value).
+        self._optima: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         # Partisan veto decisions on the base grid, for the threshold diagnostics.
         self.decisions: dict[str, np.ndarray] = {}
         # Equilibrium-path mass per final-drawer bucket.
@@ -266,11 +267,6 @@ class _TreeEvaluator:
             self.acc[bucket] += mass * court.pr_survive
             self.acc["court"] += mass * court.pr_redraw
 
-    def _resolver_optimum(self, k: int, party: PartyControl):
-        if k not in self._resolver_opt:
-            self._resolver_opt[k] = self._optimize(lambda y: self.exp_court(y).value, party)
-        return self._resolver_opt[k]
-
     def stalemate(self, anchor, mass=0.0, k: int = 0):
         """Value of entering the stalemate chain at link k.
 
@@ -285,7 +281,8 @@ class _TreeEvaluator:
         kind, control = self.key.chain[k]
         bucket = "commission" if kind == "commission" else "legislature"
         if control in _PARTISAN:
-            x_opt, value = self._resolver_optimum(k, control)
+            x_opt, value = self._optimum(("stalemate", k), lambda y: self.exp_court(y).value,
+                                         control)
             if _carries(mass):
                 self._settle(self.exp_court(x_opt), mass, bucket)
             return value
@@ -303,18 +300,19 @@ class _TreeEvaluator:
     def plan(self, x, round_: int, mass=0.0):
         """Value of a round-1 or round-2 proposal x after the veto players react.
 
-        A veto leads to the round-2 subgame in round 1 and to the stalemate
-        chain in round 2. Partisan players veto only when that strictly
-        improves their side; ties pass. Mass goes to veto1's subtree, then
-        to veto2's, then to the enacted plan. Partisan veto decisions on the
-        base grid are kept for the threshold diagnostics. With no node that
-        can veto (each absent or split), the subgame is not evaluated.
+        A veto hands the map to the round-2 drawer in round 1 and to the
+        stalemate chain in round 2. Partisan players veto only when that
+        strictly improves their side; ties pass. Mass goes to veto1's
+        subtree, then to veto2's, then to the enacted plan. Partisan veto
+        decisions on the base grid are kept for the threshold diagnostics.
+        With no node that can veto (each absent or split), the subgame is
+        not evaluated.
         """
         court = self.exp_court(x)
         if not self.can_veto:
             self._settle(court, mass, self.key.drawer)
             return court.value
-        subgame = self.round2 if round_ == 1 else self.stalemate
+        subgame = functools.partial(self.drawer, 2) if round_ == 1 else self.stalemate
         veto_value = subgame(x)
         stage = court.value
         decided, q = {}, None
@@ -344,44 +342,54 @@ class _TreeEvaluator:
             self._settle(court, mass, self.key.drawer)
         return stage
 
-    def _choice(self, stale, propose):
-        """A partisan drawer stalemates only where that strictly improves its side.
+    def _partisan_move(self, round_: int, anchor):
+        """A partisan drawer's best proposal, the draws where it stalemates instead, and the value.
 
-        Returns the draws that stalemate and the value of the drawer's choice.
+        It stalemates only where that strictly improves its side.
         """
-        stalemates = nature.party_sign(self.key.drawer_control) * (stale - propose) > 0.0
-        return stalemates, np.where(stalemates, stale, propose)
+        control = self.key.drawer_control
+        x, propose = self._optimum(("drawer", round_), lambda y: self.plan(y, round_), control)
+        stale = self.stalemate(anchor)
+        stalemates = nature.party_sign(control) * (stale - propose) > 0.0
+        return x, stalemates, np.where(stalemates, stale, propose)
 
-    def _partisan_round2(self, x_prev):
-        """Best round-2 proposal of a partisan drawer, where it stalemates instead, and the value."""
-        if self._round2_propose is None:
-            self._round2_propose = self._optimize(lambda y: self.plan(y, 2),
-                                                  self.key.drawer_control)
-        x2, opt = self._round2_propose
-        stalemates, value = self._choice(self.stalemate(x_prev), opt)
-        return x2, stalemates, value
+    def drawer(self, round_: int, anchor, mass=0.0):
+        """Value of the drawer's move in round 1 or 2: propose a plan, or stalemate.
 
-    def round2(self, x_prev, mass=0.0):
-        """Value of the round-2 subgame given the vetoed proposal x_prev."""
-        mode = self.key.drawer_control
-        if mode in _PARTISAN:
-            x2, stalemates, value = self._partisan_round2(x_prev)
+        ``anchor`` is the status quo in round 1 and the vetoed proposal in
+        round 2; the stalemate chain is entered at it. A partisan drawer
+        proposes its optimum of :meth:`plan`; a nonpartisan one proposes the
+        anchor in round 1 and the nonpartisan redraw in round 2; a split one
+        stalemates with the split probability, whose mass is routed first.
+        A partisan drawer's root walk records ``action``, the round-1
+        proposal with 0.0 where it stalemates, which anchors the round-2
+        diagnostics.
+        """
+        control = self.key.drawer_control
+        if control in _PARTISAN:
+            x, stalemates, value = self._partisan_move(round_, anchor)
             if _carries(mass):
-                self.stalemate(x_prev, np.where(stalemates, mass, 0.0))
-                self.plan(x2, 2, np.where(stalemates, 0.0, mass))
+                self.stalemate(anchor, np.where(stalemates, mass, 0.0))
+                self.plan(x, round_, np.where(stalemates, 0.0, mass))
+                if round_ == 1:
+                    self.action = np.where(stalemates, 0.0, x)
             return value
-        proposal = nature.round2_nonpartisan_proposal(x_prev, self.veto_parties, self.theta)
-        if mode is PartyControl.SPLIT:
+        proposal = anchor if round_ == 1 else nature.round2_nonpartisan_proposal(
+            anchor, self.veto_parties, self.theta)
+        if control is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
-            stale = self.stalemate(x_prev, mass * p)
-            return p * stale + (1.0 - p) * self.plan(proposal, 2, mass * (1.0 - p))
-        return self.plan(proposal, 2, mass)
+            stale = self.stalemate(anchor, mass * p)
+            return p * stale + (1.0 - p) * self.plan(proposal, round_, mass * (1.0 - p))
+        return self.plan(proposal, round_, mass)
 
-    def _optimize(self, fn, party: PartyControl) -> tuple[np.ndarray, np.ndarray]:
+    def _optimum(self, node: tuple, fn, party: PartyControl) -> tuple[np.ndarray, np.ndarray]:
         """Per-draw grid optimum of fn for the given party, with local refinement.
 
-        Returns the optimal proposals and values as (D, 1) columns.
+        Worked out once per node and tree; returns the optimal proposals and
+        values as (D, 1) columns.
         """
+        if node in self._optima:
+            return self._optima[node]
         rows = np.arange(self.n_draws)
         values = fn(self.base)
         i = _argopt(values, party)
@@ -391,38 +399,22 @@ class _TreeEvaluator:
             fine_values = fn(fine)
             j = _argopt(fine_values, party)
             best_x, best_v = fine[rows, j], fine_values[rows, j]
-        return best_x[:, None], best_v[:, None]
+        self._optima[node] = best_x[:, None], best_v[:, None]
+        return self._optima[node]
 
     # -- top level ------------------------------------------------------------
 
     def solve(self) -> "_TreeEvaluator":
         """Solve every draw and fill the per-draw arrays; returns self."""
-        mode = self.key.drawer_control
         zero = np.zeros((self.n_draws, 1))
-
-        # ``action`` is the round-1 proposal, 0.0 where the drawer stalemates.
-        if mode in _PARTISAN:
-            x1, propose_value = self._optimize(lambda x: self.plan(x, 1), mode)
-            stalemates, value = self._choice(self.stalemate(zero), propose_value)
-            action = np.where(stalemates, 0.0, x1)
-            self.stalemate(zero, np.where(stalemates, 1.0, 0.0))
-            self.plan(action, 1, np.where(stalemates, 0.0, 1.0))
-        else:
-            action = zero
-            if mode is PartyControl.SPLIT:
-                p = self.theta.stale_split_prob
-                value = p * self.stalemate(zero, p) + (1.0 - p) * self.plan(zero, 1, 1.0 - p)
-            else:
-                value = self.plan(zero, 1, 1.0)
-
-        self.values = value[:, 0]
+        self.values = self.drawer(1, zero, 1.0)[:, 0]
         self.path_probs = np.hstack([self.acc[b] for b in _BUCKETS])
         x2, stalemates = np.full_like(zero, np.nan), np.zeros_like(zero, dtype=bool)
         if any(m != "absent" for m, _ in self.key.vetoes):
-            if mode in _PARTISAN:
-                x2, stalemates, _ = self._partisan_round2(action)
+            if self.key.drawer_control in _PARTISAN:
+                x2, stalemates, _ = self._partisan_move(2, self.action)
             else:
-                x2 = nature.round2_nonpartisan_proposal(action, self.veto_parties, self.theta)
+                x2 = nature.round2_nonpartisan_proposal(zero, self.veto_parties, self.theta)
         self.round2_proposal, self.stalemates = x2[:, 0], stalemates[:, 0]
         return self
 

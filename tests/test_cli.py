@@ -302,6 +302,27 @@ class TestMetricsCommand:
         out = tmp_path / "m.csv"
         assert main(["metrics", "--plans", str(plans), "--output", str(out)]) == 0
 
+    def test_partial_turnout_exits_1(self, tmp_path, capsys):
+        # A plan weighted in some districts only cannot be scored either way.
+        plans = tmp_path / "plans.csv"
+        plans.write_text("state,cycle,district,rep_share,turnout\n"
+                         "BB,2010,1,0.6,\nBB,2010,2,0.4,\n"
+                         "AA,2010,1,0.75,2.0\nAA,2010,2,0.45,\nAA,2010,3,0.55,\n")
+        out = tmp_path / "m.csv"
+        assert main(["metrics", "--plans", str(plans), "--output", str(out)]) == 1
+        assert f"{plans}, line 5: turnout is blank" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_blank_turnout_column_is_unweighted(self, tmp_path):
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text("state,cycle,district,rep_share\nBB,2010,1,0.6\nBB,2010,2,0.45\n")
+        blank.write_text("state,cycle,district,rep_share,turnout\n"
+                         "BB,2010,1,0.6,\nBB,2010,2,0.45,\n")
+        for plans in (plain, blank):
+            assert main(["metrics", "--plans", str(plans),
+                         "--output", str(tmp_path / f"{plans.stem}.out")]) == 0
+        assert _body(tmp_path / "plain.out") == _body(tmp_path / "blank.out")
+
     @pytest.mark.parametrize("flag", ["--sigma-national", "--sigma-district"])
     def test_lone_sigma_flag_exits_1(self, tmp_path, capsys, flag):
         # The other scale stays at its default of 0, which the swing model rejects.
@@ -925,6 +946,18 @@ class TestDataErrorsExit1:
         ("AL,0.39,1,1.95,0,1.2,0,-7\n", None,
          "cov.csv, line 2: n_districts='-7' must be positive"),
         ("AL,0.39,1,1.95,0,1.2,0,0\n", None, "cov.csv, line 2: n_districts='0' must be positive"),
+        pytest.param(None, '{"dem_seats": true, "slope_seats_per_pp": 7.8}',
+                     "needs numeric dem_seats, got true", id="baseline-bool"),
+        pytest.param(None, '{"dem_seats": 213.5, "slope_seats_per_pp": "12"}',
+                     'needs numeric slope_seats_per_pp, got "12"', id="baseline-string"),
+        pytest.param(None, '{"dem_seats": null, "slope_seats_per_pp": 7.8}',
+                     "needs numeric dem_seats, got null", id="baseline-null"),
+        pytest.param(None, '{"dem_seats": 1' + "0" * 400 + ', "slope_seats_per_pp": 7.8}',
+                     "must be finite, got dem_seats=10000", id="baseline-huge-int"),
+        pytest.param(None, '{"dem_seats": ' + "1" * 5000 + ', "slope_seats_per_pp": 7.8}',
+                     "not valid JSON", id="baseline-overlong-int"),
+        pytest.param(None, "[" * 100_000 + "]" * 100_000, "not valid JSON",
+                     id="baseline-deep-nesting"),
     ])
     def test_counterfactual_inputs(self, small_codebook, fitted_model, inputs, tmp_path,
                                    capsys, covariates, baseline, message):
@@ -1010,6 +1043,11 @@ class TestDataErrorsExit1:
         ('{"stale_slope": {"dist": "normal", "params": [0.1, 0.05]}}', "support"),
         ('{"stale_slope": {"dist": "beta"}}', "override must be"),
         ('{"stale_slope": ', "not valid JSON"),
+        pytest.param('{"stale_slope": {"dist": "beta", "params": [1, 1' + "0" * 400 + ']}}',
+                     "two finite numbers", id="huge-int"),
+        pytest.param('{"stale_slope": {"dist": "beta", "params": [1, ' + "1" * 5000 + ']}}',
+                     "not valid JSON", id="overlong-int"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "not valid JSON", id="deep-nesting"),
     ])
     def test_prior_file(self, small_codebook, tmp_path, capsys, text, message):
         priors = tmp_path / "priors.json"

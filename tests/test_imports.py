@@ -7,6 +7,10 @@ files are exempt.
 
 No file under ``src/leeway`` imports scipy outside a function body: only
 rank stability needs scipy, and it imports ``scipy.stats`` when called.
+
+Every private name the package defines is read somewhere in the package:
+a function, method, class, module constant or ``self._attr`` whose name
+starts with one underscore, and that nothing reads, is a leftover.
 """
 
 import ast
@@ -96,3 +100,56 @@ def test_no_module_level_scipy_import(path):
 ])
 def test_scan_finds_eager_imports(source, expected):
     assert eager_imports(source) == expected
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and name.strip("_") != "" and not name.endswith("__")
+
+
+def unread_private_names(sources: dict) -> list[str]:
+    """Private names defined in ``sources`` (label to text) that none of them reads.
+
+    Definitions are functions, methods, classes, module-level assignments
+    and assignments to ``self._attr``; a read is any loaded name or
+    attribute of that name, in any of the sources.
+    """
+    defined, read = {}, set()
+    for label, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defined.setdefault(name.id, f"{label}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{label}:{node.lineno}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                    defined.setdefault(node.attr, f"{label}:{node.lineno}")
+    return [f"{where}: {name}" for name, where in sorted(defined.items())
+            if _private(name) and name not in read]
+
+
+def test_every_private_name_is_read():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE}
+    unread = unread_private_names(sources)
+    assert not unread, f"private names nothing in src/leeway reads: {'; '.join(unread)}"
+
+
+@pytest.mark.parametrize("sources,expected", [
+    ({"a": "def _f():\n    pass\n"}, ["a:1: _f"]),
+    ({"a": "def _f():\n    pass\n", "b": "import a\na._f()\n"}, []),
+    ({"a": "_X = 1\nclass _C:\n    pass\n"}, ["a:2: _C", "a:1: _X"]),
+    ({"a": "class C:\n    def __init__(self):\n        self._x = 1\n"}, ["a:3: _x"]),
+    ({"a": "class C:\n    def m(self):\n        self._x = 1\n        return self._x\n"}, []),
+    ({"a": "def f(_y):\n    _z = _y\n    for _ in _z:\n        pass\n"}, []),
+    ({"a": "__all__ = []\nclass C:\n    def __len__(self):\n        return 0\n"}, []),
+])
+def test_scan_finds_unread_private_names(sources, expected):
+    assert unread_private_names(sources) == expected

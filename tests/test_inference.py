@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from leeway import inference
+from leeway.counterfactual import NationalPrediction
 from leeway.errors import DomainError
 from leeway.inference import (COLUMN_NAMES, ConvergenceError, DesignMatrix, Diagnostics,
                               DidRow, PosteriorDraws, PriorConfig, SingularDesign,
@@ -404,6 +405,20 @@ class TestQueries:
         assert summary.mean == float(values.mean())
         assert summary.ci80 == tuple(float(q) for q in np.quantile(values, [0.1, 0.9]))
         assert summary.ci95 == tuple(float(q) for q in np.quantile(values, [0.025, 0.975]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: inference.EffectSummary.from_draws(np.arange(5.0)),
+        lambda: manual_draws(np.ones((3, 16))),
+        lambda: DesignMatrix(np.ones((3, 16)), np.ones(3)),
+        lambda: NationalPrediction(*[inference.EffectSummary.from_draws(np.arange(5.0))] * 2,
+                                   (0.0, 1.0), {}, np.arange(5.0), np.arange(5.0)),
+    ], ids=["EffectSummary", "PosteriorDraws", "DesignMatrix", "NationalPrediction"])
+    def test_array_holding_results_compare_by_identity(self, make):
+        # Value equality would compare arrays elementwise and cannot hash them.
+        a, b = make(), make()
+        assert a == a and a != b
+        assert a in [b, a] and a not in [b]
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
     def test_acr_equals_dose_coefficient_without_interactions(self):
         rng = np.random.default_rng(16)

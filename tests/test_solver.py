@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from leeway import nature, solver
 from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer, PartyControl,
-                             Stalemate1, Veto1,
+                             Stalemate1, Veto1, Veto2,
                              load_fixture_codebook, validate)
 from leeway.counterfactual import TEMPLATES, apply_template, counterfactual_doses
 from leeway.errors import DomainError, NotApplicable
@@ -155,9 +156,14 @@ class TestBatch:
     def test_no_veto_subgame_without_a_veto(self, monkeypatch):
         # With every veto node absent or split, a proposal is never vetoed,
         # so the round-2 subgame is never evaluated.
-        calls = []
-        monkeypatch.setattr(_TreeEvaluator, "round2",
-                            lambda self, *args: calls.append(args) or 0.0)
+        calls, drawer = [], _TreeEvaluator.drawer
+
+        def counted(self, round_, *args):
+            if round_ == 2:
+                calls.append(args)
+            return drawer(self, round_, *args)
+
+        monkeypatch.setattr(_TreeEvaluator, "drawer", counted)
         batch = stack_parameters([sample_parameters(PRIOR, 62, i) for i in range(3)])
         solved = 0
         for row in FIXTURE:
@@ -501,6 +507,34 @@ class TestPathTable:
         assert table.modal(("MI", 2020)) == "commission"
         assert table.modal(("IN", 2020)) == "legislature"
         assert table.actual[("NC", 2020)] == "court"
+
+
+class TestRootStalemate:
+    # No fixture row stalemates at the root. A drawer whose own party holds
+    # the commission that breaks a stalemate, facing a voters veto and an
+    # opposing governor, stalemates in 10 of these 50 draws. The digests pin
+    # the solved arrays of both mirror images.
+    @pytest.mark.parametrize("party,digest", [
+        (PartyControl.REPUBLICANS,
+         "dc494e17010aaafccc05a53152bebeaeda96f4fb32f688e534e1d6398c0813d6"),
+        (PartyControl.DEMOCRATS,
+         "d5f6a4f5764b8e9456d453aad3fe76cd05c2d47ebede5c2a7318561b5f1378a7"),
+    ])
+    def test_solved_arrays_pinned(self, party, digest):
+        other = ({PartyControl.REPUBLICANS, PartyControl.DEMOCRATS} - {party}).pop()
+        process = make_process(drawer_control=party, veto1=Veto1.VOTERS,
+                               veto1_control=PartyControl.SPLIT, veto2=Veto2.GOVERNOR,
+                               veto2_control=other, court_review=CourtReview.MAYBE,
+                               court_control=other, stalemate1=Stalemate1.COMMISSION,
+                               stalemate1_control=party)
+        tree = BatchContext(PRIOR, 5, 50, None).solve(process)
+        stale, propose = tree.stalemate(np.zeros((50, 1))), tree._optima[("drawer", 1)][1]
+        assert np.sum(nature.party_sign(party) * (stale - propose) > 0.0) == 10
+        sha = hashlib.sha256()
+        for array in (tree.values, tree.path_probs, tree.round2_proposal, tree.stalemates,
+                      tree.veto_thresholds):
+            sha.update(np.ascontiguousarray(array).tobytes())
+        assert sha.hexdigest() == digest
 
 
 class TestTreeKey:
