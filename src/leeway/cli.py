@@ -20,6 +20,7 @@ import sys
 import threading
 import traceback
 import warnings
+from typing import Iterator
 
 import numpy as np
 
@@ -42,8 +43,13 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.md5(blob.encode()).hexdigest()[:12]
 
 
+def _meta(args, seed) -> dict:
+    """The package version, seed and configuration hash that every output records."""
+    return {"version": __version__, "seed": seed, "config": _config_hash(args)}
+
+
 def _header_comment(args, seed) -> str:
-    return f"# leeway v{__version__} seed={seed} config={_config_hash(args)}\n"
+    return "# leeway v{version} seed={seed} config={config}\n".format(**_meta(args, seed))
 
 
 def _write_text(path: str, text: str):
@@ -76,16 +82,28 @@ def _load_prior(path: str | None) -> PriorSpec:
         raise DomainError(f"{path}: {exc}") from None
 
 
-def _read_table(path: str) -> tuple[list[str] | None, list[tuple[int, dict]]]:
+def _read_table(path: str) -> tuple[list[str] | None, Iterator[tuple[int, dict]]]:
     """The header of a CSV file and its records paired with their file lines.
 
-    Lines starting with '#' are comments and are skipped.
+    Lines starting with '#' are comments and are skipped. Records are read
+    as the caller iterates, after its header check: a row with more cells
+    than the header raises DomainError naming its line; a short row's
+    missing cells are None.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         numbered = [(i, ln) for i, ln in enumerate(fh, 1) if not ln.startswith("#")]
     reader = csv.DictReader(ln for _, ln in numbered)
-    fields = reader.fieldnames
-    return fields, [(numbered[reader.line_num - 1][0], r) for r in reader]
+
+    def records():
+        width = len(reader.fieldnames)
+        for record in reader:
+            line = numbered[reader.line_num - 1][0]
+            if None in record:  # DictReader files the extra cells under None
+                raise DomainError(f"{path}, line {line}: {width + len(record[None])} cells, "
+                                  f"expected {width}")
+            yield line, record
+
+    return reader.fieldnames, records()
 
 
 def _cell(path: str, line: int, record: dict, key: str, kind=float, rule=None):
@@ -145,14 +163,18 @@ def _cmd_codebook(args) -> int:
 
 # -- leeway ------------------------------------------------------------------
 
+_SCORE_COLUMNS = ("state", "cycle", "realized_leeway", "maximum_leeway", "n_draws", "seed")
+
+
 def _cmd_leeway(args) -> int:
     with open(args.codebook, "rb") as fh:
         book = cb.parse_codebook(fh)
     prior = _load_prior(args.priors)
-    rows, records = [], []
+    scored, records = [], []
     for process, scores, solved in solver._scored_rows(book, prior, args.draws,
                                                        args.seed, _grid(args)):
-        rows.append((process, scores))
+        scored.append(dict(zip(_SCORE_COLUMNS, (process.state_id, process.cycle, scores.realized,
+                                                scores.maximum, scores.n_draws, args.seed))))
         if args.emit_diagnostics:
             records.extend({
                 "state": process.state_id, "cycle": process.cycle, "draw": i,
@@ -161,25 +183,14 @@ def _cmd_leeway(args) -> int:
             } for i, (value, paths, round2, thresholds)
                 in enumerate(zip(*solved.result_columns())))
     if args.format == "json":
-        payload = {
-            "meta": {"version": __version__, "seed": args.seed,
-                     "config": _config_hash(args)},
-            "rows": [{"state": p.state_id, "cycle": p.cycle,
-                      "realized_leeway": s.realized, "maximum_leeway": s.maximum,
-                      "n_draws": s.n_draws, "seed": args.seed}
-                     for p, s in rows],
-        }
+        payload = {"meta": _meta(args, args.seed), "rows": scored}
         _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        _write_csv(args.output, _header_comment(args, args.seed),
-                   ["state", "cycle", "realized_leeway", "maximum_leeway", "n_draws", "seed"],
-                   ([p.state_id, p.cycle, _fmt(s.realized), _fmt(s.maximum), s.n_draws,
-                     args.seed] for p, s in rows))
+    else:  # csv.writer writes a float with repr, as _fmt does
+        _write_csv(args.output, _header_comment(args, args.seed), _SCORE_COLUMNS,
+                   (row.values() for row in scored))
 
     if args.emit_diagnostics:
-        payload = {"meta": {"version": __version__, "seed": args.seed,
-                            "config": _config_hash(args)},
-                   "draws": records}
+        payload = {"meta": _meta(args, args.seed), "draws": records}
         _write_text(args.emit_diagnostics, json.dumps(payload, sort_keys=True) + "\n")
     return 0
 
@@ -245,7 +256,7 @@ def _read_ensemble(path: str) -> dict:
     for line, record in records:
         key = (record["state"], _cell(path, line, record, "cycle", int), record["metric"])
         _first_line(path, seen, key, line, "metric")
-        table[key] = metrics.EnsembleSummary(
+        table[key] = line, metrics.EnsembleSummary(
             _cell(path, line, record, "mean"),
             _cell(path, line, record, "sd", rule=_NONNEGATIVE))
     return table
@@ -272,7 +283,7 @@ def _cmd_metrics(args) -> int:
         }
         for name, value in values.items():
             rows.append([state, cycle, name, _fmt(value)])
-            summary = ensemble.get((state, cycle, name))
+            _, summary = ensemble.pop((state, cycle, name), (None, None))
             if summary is not None:
                 adjusted = metrics.simulation_adjust(value, summary)
                 rows.append([state, cycle, f"{name}_sim_diff", _fmt(adjusted.difference)])
@@ -281,6 +292,10 @@ def _cmd_metrics(args) -> int:
                 if adjusted.z_score is not None:
                     rows.append([state, cycle, f"{name}_sim_z", _fmt(adjusted.z_score)])
                     rows.append([state, cycle, f"{name}_abs_sim_z", _fmt(adjusted.abs_z)])
+    if ensemble:  # the rows left matched no plan's metric, so they adjusted nothing
+        (state, cycle, name), (line, _) = next(iter(ensemble.items()))
+        raise DomainError(f"{args.ensemble}, line {line}: {state},{cycle},{name} "
+                          "matches no plan's metric")
     _write_csv(args.output, _header_comment(args, "-"), ["state", "cycle", "metric", "value"],
                rows)
     return 0
@@ -288,8 +303,7 @@ def _cmd_metrics(args) -> int:
 
 # -- did ---------------------------------------------------------------------
 
-_DID_COLUMNS = ("state", "dY0", "dY1", "d0", "d1", "dem08", "south", "log_seats",
-                "delta_seats", "log_corrupt", "initiative")
+_DID_COLUMNS = ("state", "dY0", "dY1", "d0", "d1", *inference.COVARIATE_NAMES)
 
 
 def read_did_rows(path: str) -> list[DidRow]:
@@ -310,6 +324,9 @@ _WRITE_CHUNK_ROWS = 2000
 
 # Bytes per read from a forked child's pipe.
 _PIPE_CHUNK = 1 << 20
+
+# The draw-file header: the model's coefficient columns and sigma, per draw.
+_DRAW_COLUMNS = ("chain", "draw", *inference.COLUMN_NAMES, "sigma")
 
 
 class _Forked:
@@ -419,8 +436,7 @@ def save_draws_csv(draws: PosteriorDraws, path: str, header: str = ""):
     with _Forked(path, lambda: b"".join(text.encode() for text in
                                         _draw_rows(draws, half, total))) as tail, \
             open(path, "wb") as fh:
-        fh.write((header + ",".join(["chain", "draw", *inference.COLUMN_NAMES, "sigma"])
-                  + "\n").encode())
+        fh.write((header + ",".join(_DRAW_COLUMNS) + "\n").encode())
         for text in _draw_rows(draws, 0, half):
             fh.write(text.encode())
         for chunk in tail:
@@ -435,31 +451,31 @@ def load_draws_csv(path: str) -> PosteriorDraws:
     a bad chain id, a non-finite cell, chains of unequal length or fewer
     than 4 draws per chain.
     """
-    expected = ["chain", "draw", *inference.COLUMN_NAMES, "sigma"]
+    width = len(_DRAW_COLUMNS)
     with open(path, encoding="utf-8", newline="") as fh:
         line = fh.readline()
         while line.startswith("#"):
             line = fh.readline()
-        if next(csv.reader([line]), None) != expected:
+        if tuple(next(csv.reader([line]), ())) != _DRAW_COLUMNS:
             raise DomainError(f"{path}: draws file does not match the model's column layout")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
                 data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
         except ValueError:
-            raise DomainError(f"{path}: {_bad_draw_row(path, len(expected))}") from None
+            raise DomainError(f"{path}: {_bad_draw_row(path, width)}") from None
     if data.size == 0:
         raise DomainError(f"{path}: draws file has a header but no draw rows")
-    if data.shape[1] != len(expected):
+    if data.shape[1] != width:
         raise DomainError(f"{path}: draw rows have {data.shape[1]} cells, "
-                          f"expected {len(expected)}")
+                          f"expected {width}")
     chain = data[:, 0]
     bad = ~(np.isfinite(chain) & (chain >= 0) & (chain == np.floor(chain)))
     if bad.any():
         raise DomainError(f"{path}: chain id {chain[bad][0]!r} is not a "
                           "non-negative integer")
     if not np.isfinite(data).all():
-        raise DomainError(f"{path}: {_bad_draw_row(path, len(expected))}")
+        raise DomainError(f"{path}: {_bad_draw_row(path, width)}")
     ids, counts = np.unique(chain, return_counts=True)
     if np.any(counts != counts[0]):
         lengths = ", ".join(f"chain {int(i)}: {k}" for i, k in zip(ids, counts))
@@ -468,7 +484,7 @@ def load_draws_csv(path: str) -> PosteriorDraws:
         raise DomainError(f"{path}: {counts[0]} draws per chain; split R-hat "
                           "needs at least 4")
     order = np.argsort(chain, kind="stable")
-    data = data[order, 2:].reshape(len(ids), counts[0], len(expected) - 2)
+    data = data[order, 2:].reshape(len(ids), counts[0], width - 2)
     coefficients = data[:, :, :-1]
     sigma = data[:, :, -1]
     return PosteriorDraws(coefficients=coefficients, sigma=sigma,
@@ -520,8 +536,7 @@ def _cmd_did(args) -> int:
 def _write_did_diagnostics(args, diag, acr) -> None:
     """Write the sampler diagnostics; ``acr`` is None for a fit that failed them."""
     payload = {
-        "meta": {"version": __version__, "seed": args.seed,
-                 "config": _config_hash(args), "outcome_label": args.outcome_label},
+        "meta": {**_meta(args, args.seed), "outcome_label": args.outcome_label},
         "rhat": diag.rhat, "ess": diag.ess,
         "acr": acr,
     }
@@ -531,8 +546,7 @@ def _write_did_diagnostics(args, diag, acr) -> None:
 # -- counterfactual ----------------------------------------------------------
 
 def _read_covariates(path: str) -> dict:
-    expected = ("state", "dem08", "south", "log_seats", "delta_seats",
-                "log_corrupt", "initiative", "n_districts")
+    expected = ("state", *inference.COVARIATE_NAMES, "n_districts")
     fields, records = _read_table(path)
     if fields is None or tuple(fields) != expected:
         raise DomainError(f"{path}: covariates file must have columns {','.join(expected)}")
@@ -597,8 +611,7 @@ def _cmd_counterfactual(args) -> int:
         return {"mean": effect.mean, "ci80": list(effect.ci80), "ci95": list(effect.ci95)}
 
     payload = {
-        "meta": {"version": __version__, "seed": args.seed,
-                 "config": _config_hash(args), "template": args.template},
+        "meta": {**_meta(args, args.seed), "template": args.template},
         "total_dem_seat_change": summary(prediction.total_dem_seat_change),
         "responsiveness_slope": summary(prediction.responsiveness_slope),
         "seats_votes_line": {"intercept_seats": prediction.seats_votes_line[0],

@@ -5,7 +5,10 @@ the map, who can veto it, whether state courts can review it, who breaks a
 stalemate, plus the party in control of each of those bodies, the body that
 actually drew the final plan, and whether the state was subject to DOJ
 preclearance. Rows are read from / written to a canonical CSV format and
-checked against a fixed set of structural rules.
+checked against a fixed set of structural rules. The column layout lives in
+one table, ``_ENUM_BY_COLUMN`` (each coded column and its enum, in order):
+the header, the parser, the writer, the structural rules and party mirror
+images all derive from it.
 """
 
 from __future__ import annotations
@@ -78,17 +81,25 @@ class FinalDrawer(str, Enum):
 
 CYCLES = (2010, 2020)
 
+# Each coded column's enum, in canonical order: the one statement of the layout.
+_ENUM_BY_COLUMN = {
+    "drawer": Drawer,
+    "drawer_control": PartyControl,
+    "veto1": Veto1,
+    "veto1_control": PartyControl,
+    "veto2": Veto2,
+    "veto2_control": PartyControl,
+    "court_review": CourtReview,
+    "court_control": PartyControl,
+    "stalemate1": Stalemate1,
+    "stalemate1_control": PartyControl,
+    "stalemate2": Stalemate2,
+    "stalemate2_control": PartyControl,
+    "final_drawer": FinalDrawer,
+}
+
 # Canonical CSV column order; first row of any codebook file must match.
-COLUMNS = (
-    "state", "cycle",
-    "drawer", "drawer_control",
-    "veto1", "veto1_control",
-    "veto2", "veto2_control",
-    "court_review", "court_control",
-    "stalemate1", "stalemate1_control",
-    "stalemate2", "stalemate2_control",
-    "final_drawer", "preclearance",
-)
+COLUMNS = ("state", "cycle", *_ENUM_BY_COLUMN, "preclearance")
 
 
 class CodebookError(ValueError):
@@ -163,8 +174,7 @@ class StateProcess:
         }
         updates = {
             name: swap.get(getattr(self, name), getattr(self, name))
-            for name in ("drawer_control", "veto1_control", "veto2_control",
-                         "court_control", "stalemate1_control", "stalemate2_control")
+            for name, enum_cls in _ENUM_BY_COLUMN.items() if enum_cls is PartyControl
         }
         return replace(self, **updates)
 
@@ -177,13 +187,11 @@ def validate(process: StateProcess) -> list[RuleViolation]:
     """
     v: list[RuleViolation] = []
 
-    body_control_pairs = (
-        ("drawer", process.drawer, Drawer.NA, process.drawer_control),
-        ("veto1", process.veto1, Veto1.NA, process.veto1_control),
-        ("veto2", process.veto2, Veto2.NA, process.veto2_control),
-        ("stalemate1", process.stalemate1, Stalemate1.NA, process.stalemate1_control),
-        ("stalemate2", process.stalemate2, Stalemate2.NA, process.stalemate2_control),
-    )
+    # The bodies coded beside a "<body>_control" column: drawer, vetoes, stalemate links.
+    body_control_pairs = [
+        (name, getattr(process, name), enum_cls.NA, getattr(process, f"{name}_control"))
+        for name, enum_cls in _ENUM_BY_COLUMN.items() if f"{name}_control" in _ENUM_BY_COLUMN
+    ]
 
     if process.drawer is Drawer.NA:
         others = [name for name, body, na, _ in body_control_pairs[1:] if body is not na]
@@ -255,23 +263,6 @@ class Codebook:
 
     def for_cycle(self, cycle: int) -> "Codebook":
         return Codebook(tuple(r for r in self.rows if r.cycle == cycle))
-
-
-_ENUM_BY_COLUMN = {
-    "drawer": Drawer,
-    "drawer_control": PartyControl,
-    "veto1": Veto1,
-    "veto1_control": PartyControl,
-    "veto2": Veto2,
-    "veto2_control": PartyControl,
-    "court_review": CourtReview,
-    "court_control": PartyControl,
-    "stalemate1": Stalemate1,
-    "stalemate1_control": PartyControl,
-    "stalemate2": Stalemate2,
-    "stalemate2_control": PartyControl,
-    "final_drawer": FinalDrawer,
-}
 
 
 # Each enum's members by lowercased literal: enum cells match case-insensitively.
@@ -387,16 +378,9 @@ def serialize_codebook(codebook: Codebook) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(COLUMNS)
     for row in codebook:
-        writer.writerow([
-            row.state_id, row.cycle,
-            row.drawer.value, row.drawer_control.value,
-            row.veto1.value, row.veto1_control.value,
-            row.veto2.value, row.veto2_control.value,
-            row.court_review.value, row.court_control.value,
-            row.stalemate1.value, row.stalemate1_control.value,
-            row.stalemate2.value, row.stalemate2_control.value,
-            row.final_drawer.value, "yes" if row.preclearance else "no",
-        ])
+        writer.writerow([row.state_id, row.cycle,
+                         *(getattr(row, column).value for column in _ENUM_BY_COLUMN),
+                         "yes" if row.preclearance else "no"])
     return out.getvalue()
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .codebook import (Codebook, CourtReview, Drawer, PartyControl, StateProcess,
                        Stalemate1, Stalemate2, Veto1, Veto2, validate)
 from .errors import DomainError
-from .inference import EffectSummary, PosteriorDraws, cate_draws
+from .inference import COVARIATE_NAMES, EffectSummary, PosteriorDraws, cate_draws
 from .nature import PriorSpec
 from .solver import BatchContext, OptimizationGrid
 
@@ -198,8 +198,7 @@ class StateCovariates:
 
     @property
     def vector(self) -> np.ndarray:
-        return np.array([self.dem08, self.south, self.log_seats,
-                         self.delta_seats, self.log_corrupt, self.initiative])
+        return np.array([getattr(self, name) for name in COVARIATE_NAMES])
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,7 @@ class DidRow:
 
     @property
     def covariates(self) -> np.ndarray:
-        return np.array([self.dem08, self.south, self.log_seats,
-                         self.delta_seats, self.log_corrupt, self.initiative])
+        return np.array([getattr(self, name) for name in COVARIATE_NAMES])
 
     @property
     def response(self) -> float:

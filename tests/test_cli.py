@@ -517,14 +517,6 @@ class TestDrawFiles:
         assert (loaded.diagnostics.rhat["sigma"],
                 loaded.diagnostics.ess["sigma"]) == _rhat_ess(draws.sigma)
 
-    def test_bytes_match_reference_writer(self, tmp_path):
-        # more rows per chain than one write chunk, so chunk seams are covered
-        draws = random_draws(2, 2003, seed=1, decades=300)
-        path = tmp_path / "d.csv"
-        header = "# leeway v0 seed=1 config=abc\n"
-        save_draws_csv(draws, str(path), header)
-        assert read(path) == reference_draw_file(draws, header)
-
     def test_interleaved_chains_load_like_sorted(self, tmp_path):
         draws = random_draws(3, 30, seed=2)
         path = tmp_path / "d.csv"
@@ -887,6 +879,66 @@ class TestDataErrorsExit1:
         assert main(argv) == 1
         assert f"{bad}, {message}" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("reader", ["plans", "ensemble", "did", "covariates"])
+    def test_extra_cell_exits_1(self, small_codebook, did_input, fitted_model, inputs,
+                                tmp_path, capsys, reader):
+        # csv.DictReader files the cells past the header under None, so a
+        # forgotten column such as turnout used to be dropped without a word.
+        cov, base = inputs
+        bad = tmp_path / "bad"
+        plans = tmp_path / "plans.csv"
+        plans.write_text("state,cycle,district,rep_share\nNH,2020,1,0.5\n")
+        out = tmp_path / "out"
+        metrics_argv = ["metrics", "--output", str(out), "--plans"]
+        did_lines = open(did_input).read().splitlines(keepends=True)
+        did_lines[3] = did_lines[3].rstrip("\n") + ",0.9\n"
+        text, argv, message = {
+            "plans": ("state,cycle,district,rep_share\nAL,2020,1,0.4,0.9\n",
+                      [*metrics_argv, str(bad)], "line 2: 5 cells, expected 4"),
+            "ensemble": ("state,cycle,metric,mean,sd\nNH,2020,competitive_share,0.2,0.1,3\n",
+                         [*metrics_argv, str(plans), "--ensemble", str(bad)],
+                         "line 2: 6 cells, expected 5"),
+            "did": ("".join(did_lines),
+                    ["did", "--input", str(bad), "--output-draws", str(out),
+                     "--output-diagnostics", str(tmp_path / "d.json")],
+                    "line 4: 12 cells, expected 11"),
+            "covariates": (open(cov).read().replace(",0,7\n", ",0,7,9\n", 1),
+                           ["counterfactual", "--template", "mi", "--codebook", small_codebook,
+                            "--seat-model", fitted_model, "--resp-model", fitted_model,
+                            "--covariates", str(bad), "--baseline", base, "--draws", "2",
+                            "--output", str(out)],
+                           "line 2: 9 cells, expected 8"),
+        }[reader]
+        bad.write_text(text)
+        assert main(argv) == 1
+        assert f"{bad}, {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_error_comes_before_cell_counts(self, tmp_path, capsys):
+        # A header missing a column names the columns, not the longer rows.
+        plans = tmp_path / "plans.csv"
+        plans.write_text("state,cycle,rep_share\nAL,2020,1,0.4\n")
+        assert main(["metrics", "--plans", str(plans),
+                     "--output", str(tmp_path / "m.csv")]) == 1
+        assert "plan file must have columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["AL,2020,expected_seat,1.1,0.3",
+                                     "ZZ,2020,expected_seats,1.1,0.3",
+                                     "AL,2010,expected_seats,1.1,0.3"],
+                             ids=["unknown-metric", "no-such-plan", "other-cycle"])
+    def test_ensemble_row_matching_no_metric_exits_1(self, tmp_path, capsys, row):
+        # Such a row used to adjust nothing and exit 0.
+        plans, ensemble = tmp_path / "plans.csv", tmp_path / "ens.csv"
+        plans.write_text("state,cycle,district,rep_share\nAL,2020,1,0.4\nAL,2020,2,0.6\n")
+        ensemble.write_text("state,cycle,metric,mean,sd\n# a comment line\n"
+                            f"AL,2020,expected_seats,1.1,0.3\n{row}\n")
+        out = tmp_path / "m.csv"
+        assert main(["metrics", "--plans", str(plans), "--ensemble", str(ensemble),
+                     "--output", str(out)]) == 1
+        assert (f"{ensemble}, line 4: {row.rsplit(',', 2)[0]} matches no plan's metric"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_single_district_row_fails_paths_before_any_solve(self, tmp_path, capsys,
                                                              monkeypatch):

@@ -214,3 +214,21 @@ def test_mirrored_swaps_parties():
     assert mirrored.drawer_control is PartyControl.DEMOCRATS
     assert mirrored.court_control is PartyControl.DEMOCRATS
     assert mirrored.mirrored() == process
+
+
+def test_mirrored_swaps_every_control_column_and_nothing_else():
+    swap = {PartyControl.DEMOCRATS: PartyControl.REPUBLICANS,
+            PartyControl.REPUBLICANS: PartyControl.DEMOCRATS}
+    coded = HEADER.split(",")[2:-1]
+    controls = {c for c in coded if c.endswith("_control")}
+    swapped = set()
+    for row in load_fixture_codebook():
+        mirrored = row.mirrored()
+        assert (mirrored.state_id, mirrored.cycle, mirrored.preclearance) == (
+            row.state_id, row.cycle, row.preclearance)
+        for column in coded:
+            before, after = getattr(row, column), getattr(mirrored, column)
+            assert after is (swap.get(before, before) if column in controls else before)
+            if after is not before:
+                swapped.add(column)
+    assert swapped == controls  # the fixture exercises all six control columns
