@@ -453,17 +453,22 @@ def load_draws_csv(path: str) -> PosteriorDraws:
     """
     width = len(_DRAW_COLUMNS)
     with open(path, encoding="utf-8", newline="") as fh:
+        skiprows = 1  # the leading comment lines and the header
         line = fh.readline()
         while line.startswith("#"):
+            skiprows += 1
             line = fh.readline()
         if tuple(next(csv.reader([line]), ())) != _DRAW_COLUMNS:
             raise DomainError(f"{path}: draws file does not match the model's column layout")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
-        except ValueError:
-            raise DomainError(f"{path}: {_bad_draw_row(path, width)}") from None
+    # Given a path, numpy parses the rows in chunks in C; given the open
+    # handle, it would take them one line at a time in Python.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            data = np.loadtxt(path, delimiter=",", comments="#", skiprows=skiprows,
+                              ndmin=2, encoding="utf-8")
+    except ValueError:
+        raise DomainError(f"{path}: {_bad_draw_row(path, width)}") from None
     if data.size == 0:
         raise DomainError(f"{path}: draws file has a header but no draw rows")
     if data.shape[1] != width:

@@ -232,6 +232,12 @@ def predict_national(dose_pairs: list[DosePair], seat_model: PosteriorDraws,
     by district count and divided by 100 to give seats per percentage
     point. The new seats-votes line adds both to the baseline. National
     change is exactly the sum of per-state effects in every draw.
+
+    Memory: beyond the two draw sets and the (states x draws) seat draws
+    returned in ``state_seat_effects``, the aggregation holds a few arrays
+    of one value per draw. The responsiveness effects are added into one
+    running sum in state order, starting from the first state's, which is
+    the order in which numpy sums axis 0 of a (states x draws) matrix.
     """
     if seat_model.n_total != resp_model.n_total:
         raise DomainError("seat and responsiveness models must have matching draws")
@@ -241,18 +247,22 @@ def predict_national(dose_pairs: list[DosePair], seat_model: PosteriorDraws,
     if not dose_pairs:
         raise DomainError("no dose pairs supplied")
 
-    n_total = seat_model.n_total
-    seat_effects = np.empty((len(dose_pairs), n_total))
-    slope_effects = np.empty((len(dose_pairs), n_total))
+    seat_effects = np.empty((len(dose_pairs), seat_model.n_total))
+    slope_effect = None
     for i, pair in enumerate(dose_pairs):
         cov = covariates[pair.state_id]
         seat_effects[i] = cate_draws(seat_model, cov.vector,
                                      pair.d_current, pair.d_reformed)
         resp = cate_draws(resp_model, cov.vector, pair.d_current, pair.d_reformed)
-        slope_effects[i] = cov.n_districts * resp / 100.0
+        resp *= cov.n_districts
+        resp /= 100.0
+        if slope_effect is None:
+            slope_effect = resp
+        else:
+            slope_effect += resp
 
     dem_change = -seat_effects.sum(axis=0)
-    slope = baseline.slope_seats_per_pp + slope_effects.sum(axis=0)
+    slope = baseline.slope_seats_per_pp + slope_effect
     intercept = baseline.dem_seats + dem_change
 
     total = EffectSummary.from_draws(dem_change)

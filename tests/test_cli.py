@@ -237,14 +237,17 @@ class TestLeewayCommand:
 
 # SHA-256 of `leeway --emit-diagnostics` JSON and `paths --per-state` CSV on the
 # fixture at 6 draws, seed 7, and of a `counterfactual --doses-csv` CSV on the
-# small codebook and fitted model at 6 draws, seed 7, without the config hash
-# and the header comments, which name the input paths. The fixture reaches both
+# small codebook and fitted model at 6 draws, seed 7, with the `--output` JSON
+# and `--line-samples` CSV of that same call, without the config hash and the
+# header comments, which name the input paths. The fixture reaches both
 # ways of recording veto thresholds: partisan drawers (AL, WI) and split or
 # nonpartisan drawers with a partisan veto (IA, MN-2020, NY, OH-2020, VA-2010).
 # The doses digest also covers the posterior draws of the `did` fit it reads.
 _GOLDEN_DIAGNOSTICS = "29b924517bef4eaa9c0ef37c547d16792d0af715e7cff3144adc545e72a00625"
 _GOLDEN_PER_STATE = "f0291cd01ab3c2b0115d05041ea43228e69ad55a968ee51538e44efc538d3d1f"
 _GOLDEN_DOSES = "02666d06be2a7c1621fe8f931b5ad69d89a852813932fd468c20a9ae02ee9f83"
+_GOLDEN_COUNTERFACTUAL = "9ae6131142ff588b2510da5669ebc4787ce61e550ab64768deebf8ac8de9dc38"
+_GOLDEN_LINE_SAMPLES = "8432ba34ddc913110273d77705d02411259ffdfc556cb31d9d96c6ed6e14cf26"
 
 
 def _body(path) -> bytes:
@@ -266,12 +269,16 @@ def test_solver_outputs_match_golden_digests(tmp_path, small_codebook, fitted_mo
     assert hashlib.sha256(body).hexdigest() == _GOLDEN_DIAGNOSTICS
     assert hashlib.sha256(_body(per_state)).hexdigest() == _GOLDEN_PER_STATE
     cov, base = inputs
-    doses = tmp_path / "doses.csv"
+    doses, cf_json, line = tmp_path / "doses.csv", tmp_path / "cf.json", tmp_path / "line.csv"
     assert main(["counterfactual", "--template", "ny", "--codebook", small_codebook,
                  "--seat-model", fitted_model, "--resp-model", fitted_model,
                  "--covariates", cov, "--baseline", base, "--draws", "6", "--seed", "7",
-                 "--output", str(tmp_path / "cf.json"), "--doses-csv", str(doses)]) == 0
+                 "--output", str(cf_json), "--doses-csv", str(doses),
+                 "--line-samples", str(line)]) == 0
     assert hashlib.sha256(_body(doses)).hexdigest() == _GOLDEN_DOSES
+    body = re.sub(rb'"config": "[0-9a-f]*"', b'"config": ""', read(cf_json))
+    assert hashlib.sha256(body).hexdigest() == _GOLDEN_COUNTERFACTUAL
+    assert hashlib.sha256(_body(line)).hexdigest() == _GOLDEN_LINE_SAMPLES
 
 
 class TestMetricsCommand:
@@ -529,6 +536,23 @@ class TestDrawFiles:
             line for t in range(30) for line in (*(chain[t] for chain in by_chain),
                                                   "# a comment line\n")))
         a, b = load_draws_csv(str(path)), load_draws_csv(str(mixed))
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        assert a.sigma.tobytes() == b.sigma.tobytes()
+        assert a.diagnostics == b.diagnostics
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_endings_and_comment_lines_load_bitwise(self, tmp_path, newline):
+        # The rows are parsed after skipping the leading comment lines and
+        # the header, so the count of skipped lines must hold for every line
+        # ending, and comment lines among the rows must still be skipped.
+        path = tmp_path / "d.csv"
+        save_draws_csv(random_draws(2, 12, seed=4), str(path), "# header\n")
+        header, rows = draw_file_lines(path)
+        lines = ["# one\n", "#\n", "# three, with, commas\n", header,
+                 *rows[:5], "# mid-file\n", "#\n", *rows[5:17], "# another\n", *rows[17:]]
+        edited = tmp_path / "edited.csv"
+        edited.write_bytes("".join(lines).replace("\n", newline).encode())
+        a, b = load_draws_csv(str(path)), load_draws_csv(str(edited))
         assert a.coefficients.tobytes() == b.coefficients.tobytes()
         assert a.sigma.tobytes() == b.sigma.tobytes()
         assert a.diagnostics == b.diagnostics

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from leeway.counterfactual import (TEMPLATES, Baseline, DosePair, ReformTemplate
                                    StateCovariates, TemplateError, apply_template,
                                    counterfactual_doses, predict_national)
 from leeway.errors import DomainError
-from leeway.inference import Diagnostics, PosteriorDraws
+from leeway.inference import Diagnostics, PosteriorDraws, cate_draws
 from leeway.nature import PriorSpec
 from leeway.solver import leeway
 
@@ -181,6 +182,52 @@ class TestPredictNational:
             gains.append(prediction.seat_change_draws)
         assert np.all(gains[0] < gains[1])
         assert np.all(gains[1] < gains[2])
+
+    @staticmethod
+    def _many_states(n_states, seed=46):
+        rng = np.random.default_rng(seed)
+        covariates = {f"S{i:02d}": StateCovariates(*rng.uniform(-1, 3, 6),
+                                                   int(rng.integers(1, 53)))
+                      for i in range(n_states)}
+        pairs = [DosePair(state, *rng.uniform(-2, 4, 2)) for state in covariates]
+        return pairs, covariates
+
+    @pytest.mark.parametrize("n_states", [1, 2, 15])
+    def test_sums_match_stacked_state_effects_bitwise(self, n_states):
+        # The running sums must keep every bit of numpy's axis-0 sum of the
+        # stacked per-state effects, which is what the outputs were pinned to.
+        rng = np.random.default_rng(n_states)
+        seat = manual_model(rng.normal(size=(257, 16)))
+        resp = manual_model(rng.normal(size=(257, 16)))
+        pairs, covariates = self._many_states(n_states)
+        baseline = Baseline(dem_seats=212.25, slope_seats_per_pp=7.3)
+        prediction = predict_national(pairs, seat, resp, covariates, baseline)
+        args = [(covariates[p.state_id].vector, p.d_current, p.d_reformed) for p in pairs]
+        seats = np.stack([cate_draws(seat, *a) for a in args])
+        slopes = np.stack([covariates[p.state_id].n_districts * cate_draws(resp, *a) / 100.0
+                           for p, a in zip(pairs, args)])
+        assert np.array_equal(prediction.slope_draws,
+                              baseline.slope_seats_per_pp + slopes.sum(axis=0))
+        assert np.array_equal(prediction.seat_change_draws, -seats.sum(axis=0))
+        for p, row in zip(pairs, seats):
+            assert np.array_equal(prediction.state_seat_effects[p.state_id].draws, row)
+
+    def test_working_memory_is_seat_draws_plus_a_few_draw_vectors(self):
+        # The (states x draws) seat draws are returned; anything else held
+        # at once must be a few arrays of one value per draw, not a second
+        # (states x draws) matrix.
+        n_states, n_draws = 20, 20_000
+        rng = np.random.default_rng(47)
+        seat = manual_model(rng.normal(size=(n_draws, 16)))
+        resp = manual_model(rng.normal(size=(n_draws, 16)))
+        pairs, covariates = self._many_states(n_states)
+        tracemalloc.start()
+        try:
+            predict_national(pairs, seat, resp, covariates, Baseline(215.0, 8.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n_states + 10) * n_draws * 8
 
     def test_intervals_nested(self):
         rng = np.random.default_rng(45)
