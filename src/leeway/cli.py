@@ -20,13 +20,13 @@ import sys
 import threading
 import traceback
 import warnings
-from typing import Iterator
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__, codebook as cb, counterfactual as cf
 from . import inference, metrics, solver
-from .codebook import CodebookError
+from .codebook import first_line, read_table
 from .errors import DomainError, NotApplicable
 from .inference import ConvergenceError, DidRow, PosteriorDraws
 from .nature import PriorSpec
@@ -57,6 +57,11 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
+def _write_json(path: str, payload: dict, indent: int | None = 2):
+    """Write ``payload`` as JSON with sorted keys; a NaN or an infinity is a bug: ValueError."""
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False) + "\n")
+
+
 def _write_csv(path: str, header: str, columns, rows):
     """Write the header comment line, the column names and the rows as one CSV file."""
     out = io.StringIO()
@@ -82,30 +87,6 @@ def _load_prior(path: str | None) -> PriorSpec:
         raise DomainError(f"{path}: {exc}") from None
 
 
-def _read_table(path: str) -> tuple[list[str] | None, Iterator[tuple[int, dict]]]:
-    """The header of a CSV file and its records paired with their file lines.
-
-    Lines starting with '#' are comments and are skipped. Records are read
-    as the caller iterates, after its header check: a row with more cells
-    than the header raises DomainError naming its line; a short row's
-    missing cells are None.
-    """
-    with open(path, encoding="utf-8", newline="") as fh:
-        numbered = [(i, ln) for i, ln in enumerate(fh, 1) if not ln.startswith("#")]
-    reader = csv.DictReader(ln for _, ln in numbered)
-
-    def records():
-        width = len(reader.fieldnames)
-        for record in reader:
-            line = numbered[reader.line_num - 1][0]
-            if None in record:  # DictReader files the extra cells under None
-                raise DomainError(f"{path}, line {line}: {width + len(record[None])} cells, "
-                                  f"expected {width}")
-            yield line, record
-
-    return reader.fieldnames, records()
-
-
 def _cell(path: str, line: int, record: dict, key: str, kind=float, rule=None):
     """Convert one CSV cell, or raise DomainError naming its file and line.
 
@@ -114,7 +95,7 @@ def _cell(path: str, line: int, record: dict, key: str, kind=float, rule=None):
     """
     try:
         value = kind(record[key])
-    except (TypeError, ValueError):
+    except ValueError:
         raise DomainError(f"{path}, line {line}: {key}={record[key]!r} is not "
                           f"a valid {kind.__name__}") from None
     if kind is float and not math.isfinite(value):
@@ -129,14 +110,6 @@ _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0.0, "must be nonnegative")
 
 
-def _first_line(path: str, seen: dict, key: tuple, line: int, what: str):
-    """Record the line of a key, or raise DomainError naming both lines of a repeat."""
-    if key in seen:
-        raise DomainError(f"{path}, lines {seen[key]} and {line}: duplicate {what} "
-                          f"{','.join(map(str, key))}")
-    seen[key] = line
-
-
 def _grid(args) -> OptimizationGrid:
     return OptimizationGrid(step=args.grid_step)
 
@@ -145,16 +118,14 @@ def _grid(args) -> OptimizationGrid:
 
 def _cmd_codebook(args) -> int:
     if args.validate:
-        with open(args.input, "rb") as fh:
-            issues = cb.lint_codebook(fh)
+        issues = cb.lint_codebook(Path(args.input))
         if issues:
             for (state, cycle), message in issues:
                 print(f"{state},{cycle}: {message}", file=sys.stderr)
             return 1
         print(f"{args.input}: ok")
         return 0
-    with open(args.input, "rb") as fh:
-        book = cb.parse_codebook(fh)
+    book = cb.parse_codebook(Path(args.input))
     print(f"parsed {len(book)} rows")
     if args.output:
         _write_text(args.output, _header_comment(args, "-") + cb.serialize_codebook(book))
@@ -167,8 +138,7 @@ _SCORE_COLUMNS = ("state", "cycle", "realized_leeway", "maximum_leeway", "n_draw
 
 
 def _cmd_leeway(args) -> int:
-    with open(args.codebook, "rb") as fh:
-        book = cb.parse_codebook(fh)
+    book = cb.parse_codebook(Path(args.codebook))
     prior = _load_prior(args.priors)
     scored, records = [], []
     for process, scores, solved in solver._scored_rows(book, prior, args.draws,
@@ -183,23 +153,21 @@ def _cmd_leeway(args) -> int:
             } for i, (value, paths, round2, thresholds)
                 in enumerate(zip(*solved.result_columns())))
     if args.format == "json":
-        payload = {"meta": _meta(args, args.seed), "rows": scored}
-        _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args.output, {"meta": _meta(args, args.seed), "rows": scored})
     else:  # csv.writer writes a float with repr, as _fmt does
         _write_csv(args.output, _header_comment(args, args.seed), _SCORE_COLUMNS,
                    (row.values() for row in scored))
 
     if args.emit_diagnostics:
-        payload = {"meta": _meta(args, args.seed), "draws": records}
-        _write_text(args.emit_diagnostics, json.dumps(payload, sort_keys=True) + "\n")
+        _write_json(args.emit_diagnostics, {"meta": _meta(args, args.seed), "draws": records},
+                    indent=None)
     return 0
 
 
 # -- paths -------------------------------------------------------------------
 
 def _cmd_paths(args) -> int:
-    with open(args.codebook, "rb") as fh:
-        book = cb.parse_codebook(fh)
+    book = cb.parse_codebook(Path(args.codebook))
     prior = _load_prior(args.priors)
     table = solver.path_table(book, prior, n_draws=args.draws, seed=args.seed,
                               grid=_grid(args))
@@ -223,15 +191,15 @@ def _cmd_paths(args) -> int:
 
 def _read_plans(path: str) -> list[tuple[tuple[str, int], metrics.PlanProfile]]:
     groups: dict[tuple[str, int], list[tuple[float, float | None, int]]] = {}
-    fields, records = _read_table(path)
+    _, fields, records = read_table(path)
     expected = {"state", "cycle", "district", "rep_share"}
-    if fields is None or not expected.issubset(fields):
+    if not expected.issubset(fields):
         raise DomainError(f"{path}: plan file must have columns {sorted(expected)}")
     has_turnout = "turnout" in fields
     seen: dict = {}
     for line, record in records:
         key = (record["state"], _cell(path, line, record, "cycle", int))
-        _first_line(path, seen, (*key, record["district"]), line, "district")
+        first_line(path, seen, (*key, record["district"]), line, "district")
         turnout = (_cell(path, line, record, "turnout", rule=_POSITIVE)
                    if has_turnout and record["turnout"] else None)
         groups.setdefault(key, []).append(
@@ -249,13 +217,13 @@ def _read_plans(path: str) -> list[tuple[tuple[str, int], metrics.PlanProfile]]:
 
 def _read_ensemble(path: str) -> dict:
     table, seen = {}, {}
-    fields, records = _read_table(path)
+    _, fields, records = read_table(path)
     expected = {"state", "cycle", "metric", "mean", "sd"}
-    if fields is None or not expected.issubset(fields):
+    if not expected.issubset(fields):
         raise DomainError(f"{path}: ensemble file must have columns {sorted(expected)}")
     for line, record in records:
         key = (record["state"], _cell(path, line, record, "cycle", int), record["metric"])
-        _first_line(path, seen, key, line, "metric")
+        first_line(path, seen, key, line, "metric")
         table[key] = line, metrics.EnsembleSummary(
             _cell(path, line, record, "mean"),
             _cell(path, line, record, "sd", rule=_NONNEGATIVE))
@@ -307,12 +275,12 @@ _DID_COLUMNS = ("state", "dY0", "dY1", "d0", "d1", *inference.COVARIATE_NAMES)
 
 
 def read_did_rows(path: str) -> list[DidRow]:
-    fields, records = _read_table(path)
-    if fields is None or tuple(fields) != _DID_COLUMNS:
+    _, fields, records = read_table(path)
+    if tuple(fields) != _DID_COLUMNS:
         raise DomainError(f"{path}: did input must have columns {','.join(_DID_COLUMNS)}")
     rows, seen = [], {}
     for line, r in records:
-        _first_line(path, seen, (r["state"],), line, "state")
+        first_line(path, seen, (r["state"],), line, "state")
         rows.append(DidRow(r["state"], *(_cell(path, line, r, c) for c in _DID_COLUMNS[1:])))
     return rows
 
@@ -452,14 +420,10 @@ def load_draws_csv(path: str) -> PosteriorDraws:
     than 4 draws per chain.
     """
     width = len(_DRAW_COLUMNS)
-    with open(path, encoding="utf-8", newline="") as fh:
-        skiprows = 1  # the leading comment lines and the header
-        line = fh.readline()
-        while line.startswith("#"):
-            skiprows += 1
-            line = fh.readline()
-        if tuple(next(csv.reader([line]), ())) != _DRAW_COLUMNS:
-            raise DomainError(f"{path}: draws file does not match the model's column layout")
+    with open(path, encoding="utf-8", newline="") as fh:  # read up to the header only
+        skiprows, header, _ = read_table(path, fh)  # the header and the comments before it
+    if tuple(header) != _DRAW_COLUMNS:
+        raise DomainError(f"{path}: draws file does not match the model's column layout")
     # Given a path, numpy parses the rows in chunks in C; given the open
     # handle, it would take them one line at a time in Python.
     try:
@@ -545,19 +509,19 @@ def _write_did_diagnostics(args, diag, acr) -> None:
         "rhat": diag.rhat, "ess": diag.ess,
         "acr": acr,
     }
-    _write_text(args.output_diagnostics, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args.output_diagnostics, payload)
 
 
 # -- counterfactual ----------------------------------------------------------
 
 def _read_covariates(path: str) -> dict:
     expected = ("state", *inference.COVARIATE_NAMES, "n_districts")
-    fields, records = _read_table(path)
-    if fields is None or tuple(fields) != expected:
+    _, fields, records = read_table(path)
+    if tuple(fields) != expected:
         raise DomainError(f"{path}: covariates file must have columns {','.join(expected)}")
     table, seen = {}, {}
     for line, r in records:
-        _first_line(path, seen, (r["state"],), line, "state")
+        first_line(path, seen, (r["state"],), line, "state")
         table[r["state"]] = cf.StateCovariates(
             *(_cell(path, line, r, c) for c in expected[1:-1]),
             n_districts=_cell(path, line, r, "n_districts", int, rule=_POSITIVE))
@@ -590,8 +554,7 @@ def _read_baseline(path: str) -> cf.Baseline:
 
 
 def _cmd_counterfactual(args) -> int:
-    with open(args.codebook, "rb") as fh:
-        book = cb.parse_codebook(fh)
+    book = cb.parse_codebook(Path(args.codebook))
     prior = _load_prior(args.priors)
     template = cf.TEMPLATES[args.template]
     # A forked child reads the responsiveness draws while this process reads
@@ -622,7 +585,7 @@ def _cmd_counterfactual(args) -> int:
         "seats_votes_line": {"intercept_seats": prediction.seats_votes_line[0],
                              "slope_seats_per_pp": prediction.seats_votes_line[1]},
     }
-    _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args.output, payload)
 
     header = _header_comment(args, args.seed)
     if args.doses_csv:
@@ -727,8 +690,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CodebookError, DomainError, NotApplicable, cf.TemplateError,
-            ConvergenceError, OSError, UnicodeDecodeError) as exc:
+    except (DomainError, NotApplicable, ConvergenceError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,8 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
+from .errors import DomainError
+
 
 class PartyControl(str, Enum):
     DEMOCRATS = "Democrats"
@@ -102,33 +104,29 @@ _ENUM_BY_COLUMN = {
 COLUMNS = ("state", "cycle", *_ENUM_BY_COLUMN, "preclearance")
 
 
-class CodebookError(ValueError):
+class CodebookError(DomainError):
     """Base class for codebook ingestion failures."""
 
 
 class UnknownColumn(CodebookError):
-    def __init__(self, columns):
-        super().__init__(f"header does not match canonical columns: {columns!r}")
-        self.columns = columns
+    """The header is not the canonical column list."""
 
 
 class UnknownEnumLiteral(CodebookError):
-    def __init__(self, row, column, value):
-        super().__init__(f"row {row!r}: column {column!r} has unknown literal {value!r}")
+    def __init__(self, row, column, value):  # row: "<file>, line N" when read from a file
+        super().__init__(f"{row}: column {column!r} has unknown literal {value!r}")
         self.row = row
         self.column = column
         self.value = value
 
 
 class DuplicateKey(CodebookError):
-    def __init__(self, key):
-        super().__init__(f"duplicate (state, cycle) key {key!r}")
-        self.key = key
+    """Two rows share a (state, cycle) key."""
 
 
 class InvariantViolation(CodebookError):
-    def __init__(self, row, rule, message):
-        super().__init__(f"row {row!r}: [{rule}] {message}")
+    def __init__(self, row, rule, message, where):
+        super().__init__(f"{where}: [{rule}] {message}")
         self.row = row
         self.rule = rule
 
@@ -246,7 +244,7 @@ class Codebook:
         seen = set()
         for row in self.rows:
             if row.key in seen:
-                raise DuplicateKey(row.key)
+                raise DuplicateKey(f"duplicate (state, cycle) key {row.key!r}")
             seen.add(row.key)
 
     def __iter__(self):
@@ -272,79 +270,111 @@ _MEMBERS = {enum_cls: {member.value.lower(): member for member in enum_cls}
 _CYCLE_LITERALS = frozenset(str(c) for c in CYCLES)
 
 
-def _parse_enum(enum_cls, raw, row_key, column):
+def _parse_enum(enum_cls, raw, row, column):
     member = _MEMBERS[enum_cls].get(raw.strip().lower())
     if member is None:
-        raise UnknownEnumLiteral(row_key, column, raw)
+        raise UnknownEnumLiteral(row, column, raw)
     return member
 
 
-def _parse_row(record: dict[str, str]) -> StateProcess:
-    row_key = (record.get("state", "?"), record.get("cycle", "?"))
+def _parse_row(record: dict[str, str], where: str) -> StateProcess:
+    state = record["state"].strip()
+    if not state:
+        raise CodebookError(f"{where}: state is empty")
 
     raw_cycle = record["cycle"].strip()
     if raw_cycle not in _CYCLE_LITERALS:
-        raise UnknownEnumLiteral(row_key, "cycle", raw_cycle)
+        raise UnknownEnumLiteral(where, "cycle", raw_cycle)
 
     raw_pre = record["preclearance"].strip().lower()
     if raw_pre not in ("yes", "no"):
-        raise UnknownEnumLiteral(row_key, "preclearance", record["preclearance"])
+        raise UnknownEnumLiteral(where, "preclearance", record["preclearance"])
 
     kwargs = {
-        "state_id": record["state"].strip(),
+        "state_id": state,
         "cycle": int(raw_cycle),
         "preclearance": raw_pre == "yes",
     }
     for column, enum_cls in _ENUM_BY_COLUMN.items():
-        kwargs[column] = _parse_enum(enum_cls, record[column], row_key, column)
+        kwargs[column] = _parse_enum(enum_cls, record[column], where, column)
     return StateProcess(**kwargs)
 
 
-def _decode(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
+def read_table(name: str, lines=None, error: type = DomainError):
+    """The header's line, the header and the records, each with its line, of a CSV table.
+
+    The package's one CSV reader: the codebook and every table input of
+    ``leeway.cli`` come through it. The table is the file ``name``, read
+    whole, or else ``lines`` as a file opened with ``newline=""`` yields them,
+    read as far as the caller iterates. '#' lines and blank records are
+    skipped, and a missing header is []. The caller checks the header before
+    it iterates: a longer record raises ``error`` as "<name>, line N: K cells,
+    expected M", and a short one's missing cells are ''.
+    """
+    if lines is None:
+        with open(name, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    line = 0
+
+    def text():
+        nonlocal line
+        for line, ln in enumerate(lines, 1):
+            if not ln.startswith("#"):
+                yield ln
+
+    reader = csv.DictReader(text(), restval="")
+    header = reader.fieldnames or []
+
+    def records():
+        for record in reader:
+            if None in record:  # DictReader files the extra cells under None
+                raise error(f"{name}, line {line}: {len(header) + len(record[None])} cells, "
+                            f"expected {len(header)}")
+            yield line, record
+
+    return line if reader.fieldnames is not None else line + 1, header, records()
+
+
+def first_line(name: str, seen: dict, key: tuple, line: int, what: str, error=DomainError):
+    """Record the line of a key, or raise ``error`` naming both lines of a repeat."""
+    if key in seen:
+        raise error(f"{name}, lines {seen[key]} and {line}: duplicate {what} "
+                    f"{','.join(map(str, key))}")
+    seen[key] = line
+
+
+def _read_records(source):
+    """Each record of a codebook by canonical column, after its file name and line."""
     if isinstance(source, Path):
-        return source.read_text(encoding="utf-8")
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
-
-
-def _read_records(source) -> list[dict[str, str]]:
-    text = _decode(source)
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("\n".join(lines)))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise UnknownColumn([]) from None
+        name, data = str(source), source.read_bytes()
+    else:  # bytes and text have no name
+        name = getattr(source, "name", "<codebook>")
+        data = source if isinstance(source, (bytes, str)) else source.read()
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    line, header, records = read_table(name, io.StringIO(text, newline=""), CodebookError)
     if tuple(h.strip() for h in header) != COLUMNS:
-        raise UnknownColumn(header)
-    records = []
-    for cells in reader:
-        if not cells:
-            continue
-        if len(cells) != len(COLUMNS):
-            raise CodebookError(f"row {tuple(cells[:2])!r}: {len(cells)} cells, "
-                                f"expected {len(COLUMNS)}")
-        records.append(dict(zip(COLUMNS, cells)))
-    return records
+        raise UnknownColumn(f"{name}, line {line}: header does not match canonical "
+                            f"columns: {header!r}")
+    return ((name, line, dict(zip(COLUMNS, record.values()))) for line, record in records)
 
 
 def parse_codebook(source) -> Codebook:
     """Parse a canonical codebook CSV (bytes, str, path, or file object).
 
-    Raises UnknownColumn / UnknownEnumLiteral / DuplicateKey /
-    InvariantViolation on the first offending row; row order is preserved.
+    Row order is preserved. The first offending row raises a CodebookError
+    whose message starts with "<file>, line N: ": the file is the path or
+    ``fh.name`` of the source, or "<codebook>" for bytes and text. A repeated
+    (state, cycle) raises DuplicateKey as "<file>, lines M and N: ".
     """
-    rows = []
-    for record in _read_records(source):
-        process = _parse_row(record)
+    rows, lines = [], {}
+    for name, line, record in _read_records(source):
+        where = f"{name}, line {line}"
+        process = _parse_row(record, where)
         violations = validate(process)
         if violations:
             first = violations[0]
-            raise InvariantViolation(process.key, first.rule, first.message)
+            raise InvariantViolation(process.key, first.rule, first.message, where)
+        first_line(name, lines, process.key, line, "(state, cycle) key", DuplicateKey)
         rows.append(process)
     return Codebook(tuple(rows))
 
@@ -353,14 +383,15 @@ def lint_codebook(source) -> list[tuple[tuple[str, str], str]]:
     """Collect every issue in a codebook file instead of failing fast.
 
     Returns a list of ((state, cycle), description) pairs; the set of issues
-    does not depend on row order (duplicate keys are reported by key).
+    does not depend on row order (duplicate keys are reported by key). A bad
+    header, a row longer than it, or an empty state raises as in parse_codebook.
     """
     issues: list[tuple[tuple[str, str], str]] = []
     seen: set[tuple[str, str]] = set()
-    for record in _read_records(source):
-        row_key = (record.get("state", "?").strip(), record.get("cycle", "?").strip())
+    for name, line, record in _read_records(source):
+        row_key = (record["state"].strip(), record["cycle"].strip())
         try:
-            process = _parse_row(record)
+            process = _parse_row(record, f"{name}, line {line}")
         except UnknownEnumLiteral as exc:
             issues.append((row_key, f"unknown-literal: {exc.column}={exc.value!r}"))
             continue

@@ -24,7 +24,7 @@ from .nature import PriorSpec
 from .solver import BatchContext, OptimizationGrid
 
 
-class TemplateError(ValueError):
+class TemplateError(DomainError):
     """Applying a template produced a process that fails validation."""
 
     def __init__(self, key, rule, message):
@@ -221,6 +221,13 @@ class NationalPrediction:
     slope_draws: np.ndarray
 
 
+def _finite(draws: np.ndarray, quantity: str) -> np.ndarray:
+    """``draws``, or DomainError if a draw, their mean or their spread is not finite."""
+    if np.isfinite(draws.mean()) and np.isfinite(draws.max() - draws.min()):
+        return draws
+    raise DomainError(f"{quantity} overflows: a draw, the mean or the spread is not finite")
+
+
 def predict_national(dose_pairs: list[DosePair], seat_model: PosteriorDraws,
                      resp_model: PosteriorDraws, covariates: dict,
                      baseline: Baseline) -> NationalPrediction:
@@ -238,6 +245,9 @@ def predict_national(dose_pairs: list[DosePair], seat_model: PosteriorDraws,
     of one value per draw. The responsiveness effects are added into one
     running sum in state order, starting from the first state's, which is
     the order in which numpy sums axis 0 of a (states x draws) matrix.
+
+    A per-state effect or national sum that overflows (a baseline or
+    covariate near the float limit) raises DomainError naming it and the state.
     """
     if seat_model.n_total != resp_model.n_total:
         raise DomainError("seat and responsiveness models must have matching draws")
@@ -249,21 +259,23 @@ def predict_national(dose_pairs: list[DosePair], seat_model: PosteriorDraws,
 
     seat_effects = np.empty((len(dose_pairs), seat_model.n_total))
     slope_effect = None
-    for i, pair in enumerate(dose_pairs):
-        cov = covariates[pair.state_id]
-        seat_effects[i] = cate_draws(seat_model, cov.vector,
-                                     pair.d_current, pair.d_reformed)
-        resp = cate_draws(resp_model, cov.vector, pair.d_current, pair.d_reformed)
-        resp *= cov.n_districts
-        resp /= 100.0
-        if slope_effect is None:
-            slope_effect = resp
-        else:
-            slope_effect += resp
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite names what overflows
+        for i, pair in enumerate(dose_pairs):
+            cov = covariates[pair.state_id]
+            seat_effects[i] = cate_draws(seat_model, cov.vector, pair.d_current, pair.d_reformed)
+            _finite(seat_effects[i], f"seat effect of {pair.state_id}")
+            resp = cate_draws(resp_model, cov.vector, pair.d_current, pair.d_reformed)
+            resp *= cov.n_districts
+            resp /= 100.0
+            _finite(resp, f"responsiveness effect of {pair.state_id}")
+            if slope_effect is None:
+                slope_effect = resp
+            else:
+                slope_effect += resp
 
-    dem_change = -seat_effects.sum(axis=0)
-    slope = baseline.slope_seats_per_pp + slope_effect
-    intercept = baseline.dem_seats + dem_change
+        dem_change = _finite(-seat_effects.sum(axis=0), "national seat change")
+        slope = _finite(baseline.slope_seats_per_pp + slope_effect, "responsiveness slope")
+        intercept = _finite(baseline.dem_seats + dem_change, "seats-votes intercept")
 
     total = EffectSummary.from_draws(dem_change)
     slope_summary = EffectSummary.from_draws(slope)

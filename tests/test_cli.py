@@ -82,6 +82,21 @@ class TestCodebookCommand:
     def test_usage_error_exit_2(self):
         assert main(["codebook"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["codebook", "--input"], ["codebook", "--validate", "--input"],
+        ["leeway", "--output", "scores.csv", "--codebook"],
+    ], ids=["parse", "validate", "leeway"])
+    def test_empty_state_exits_1(self, small_codebook, tmp_path, capsys, monkeypatch, argv):
+        # An empty state used to pass, and leeway wrote a score row without one.
+        monkeypatch.chdir(tmp_path)
+        lines = open(small_codebook).read().splitlines(keepends=True)
+        lines[2] = "," + lines[2].split(",", 1)[1]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        assert main([*argv, str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}, line 3: state is empty\n"
+        assert not (tmp_path / "scores.csv").exists()
+
 
 def _python(*args, check=False) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports this leeway package."""
@@ -855,7 +870,7 @@ class TestDataErrorsExit1:
         ensemble = tmp_path / "ens.csv"
         for text, message in (
                 ("state,cycle,metric,mean,sd\nNH,2020,competitive_share,0.2\n",
-                 "line 2: sd=None"),
+                 "line 2: sd='' is not a valid float"),
                 ("state,cycle,metric,mean\n", "ensemble file must have columns")):
             ensemble.write_text(text)
             assert main(["metrics", "--plans", str(plans), "--ensemble", str(ensemble),
@@ -1149,3 +1164,86 @@ class TestDataErrorsExit1:
                      "--draws", "20", "--seed", "1", "--output", str(out)]) == 1
         assert re.fullmatch(rf"error: {name}=-?inf is not finite\n", capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("dem08,baseline,quantity", [
+        (None, '{"dem_seats": 1e308, "slope_seats_per_pp": 7.8}', "seats-votes intercept"),
+        (None, '{"dem_seats": 213.5, "slope_seats_per_pp": 1e308}', "responsiveness slope"),
+        (None, '{"dem_seats": 1e308, "slope_seats_per_pp": 1e308}', "responsiveness slope"),
+        ("1e308", None, "seat effect of AL"),
+        ("-1e308", None, "seat effect of AL"),
+    ], ids=["dem_seats", "slope", "both", "dem08-plus", "dem08-minus"])
+    def test_overflow_exits_1(self, small_codebook, fitted_model, inputs, tmp_path, capsys,
+                              dem08, baseline, quantity):
+        # Each value is finite, so it passes the input checks; the national
+        # sums or a state's effect used to overflow into "Infinity" or "NaN"
+        # in the output JSON, with exit 0.
+        cov, base = inputs
+        if dem08 is not None:  # on AL, whose dose the mi template changes
+            text = open(cov).read().replace("AL,0.39,", f"AL,{dem08},")
+            cov = tmp_path / "cov.csv"
+            cov.write_text(text)
+        if baseline is not None:
+            base = tmp_path / "base.json"
+            base.write_text(baseline)
+        outputs = [tmp_path / name for name in ("cf.json", "doses.csv", "lines.csv")]
+        assert main(["counterfactual", "--template", "mi", "--codebook", small_codebook,
+                     "--seat-model", fitted_model, "--resp-model", fitted_model,
+                     "--covariates", str(cov), "--baseline", str(base), "--draws", "2",
+                     "--output", str(outputs[0]), "--doses-csv", str(outputs[1]),
+                     "--line-samples", str(outputs[2])]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {quantity} overflows: a draw, the mean or the spread "
+                       "is not finite\n")
+        assert not any(path.exists() for path in outputs)
+
+
+# Six edits to line 3 of a valid table: the first two are rejected, the
+# rest change nothing a reader keeps. U+2028 is a line break to
+# str.splitlines but not to a CSV file.
+_TABLE_EDITS = {
+    "extra-cell": lambda lines: lines[:2] + [lines[2].rstrip("\n") + ",9\n"] + lines[3:],
+    "short-row": lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + "\n"] + lines[3:],
+    "comment-line": lambda lines: lines[:2] + ["# a comment line\n"] + lines[2:],
+    "crlf": lambda lines: [line.replace("\n", "\r\n") for line in lines],
+    "blank-line": lambda lines: lines[:2] + ["\n"] + lines[2:],
+    "u2028": lambda lines: lines[:2] + ["U\u2028X," + lines[2].split(",", 1)[1]] + lines[3:],
+}
+
+
+@pytest.mark.parametrize("edit", _TABLE_EDITS)
+@pytest.mark.parametrize("reader", ["codebook", "plans", "ensemble", "did", "covariates"])
+def test_table_readers_share_one_set_of_rules(reader, edit, small_codebook, did_input,
+                                              fitted_model, inputs, tmp_path, capsys):
+    # Line 3 of each table holds a row whose state no other input needs.
+    cov, base = inputs
+    table, out = tmp_path / "table.csv", tmp_path / "out"
+    plans = tmp_path / "plans.csv"
+    plans.write_text("state,cycle,district,rep_share\nNH,2020,1,0.5\nNH,2020,2,0.4\n"
+                     "U\u2028X,2020,1,0.5\n", encoding="utf-8")
+    cov_lines = open(cov).read().splitlines(keepends=True)
+    text, argv = {
+        "codebook": (open(small_codebook).read(), ["codebook", "--input", str(table)]),
+        "plans": ("state,cycle,district,rep_share\nNH,2020,1,0.5\nVT,2020,1,0.45\n",
+                  ["metrics", "--plans", str(table), "--output", str(out)]),
+        "ensemble": ("state,cycle,metric,mean,sd\nNH,2020,competitive_share,0.2,0.1\n"
+                     "NH,2020,expected_seats,1.1,0.3\n",
+                     ["metrics", "--plans", str(plans), "--ensemble", str(table),
+                      "--output", str(out)]),
+        "did": (open(did_input).read(),
+                ["did", "--input", str(table), "--draws", "1000", "--output-draws", str(out),
+                 "--output-diagnostics", str(tmp_path / "diag.json")]),
+        "covariates": ("".join([*cov_lines[:2], "ZZ,0.5,0,1.0,0,1.0,0,3\n", *cov_lines[2:]]),
+                       ["counterfactual", "--template", "mi", "--codebook", small_codebook,
+                        "--seat-model", fitted_model, "--resp-model", fitted_model,
+                        "--covariates", str(table), "--baseline", base, "--draws", "2",
+                        "--output", str(out)]),
+    }[reader]
+    table.write_bytes("".join(_TABLE_EDITS[edit](text.splitlines(keepends=True))).encode())
+    code = main(argv)
+    err = capsys.readouterr().err
+    if edit in ("extra-cell", "short-row"):
+        assert code == 1
+        assert err.startswith(f"error: {table}, line 3: ") and err.count("\n") == 1, err
+        assert not out.exists()
+    else:
+        assert code == 0, err

@@ -70,6 +70,28 @@ class TestParse:
         with pytest.raises(DuplicateKey):
             parse_codebook(f"{HEADER}\n{AL_ROW}\n{AL_ROW}\n")
 
+    @pytest.mark.parametrize("row,error,message", [
+        (AL_ROW.replace("Governor", "Monarch"), UnknownEnumLiteral,
+         "line 4: column 'veto1' has unknown literal 'Monarch'"),
+        (AL_ROW.replace("Governor,Republicans", "NA,Republicans"), InvariantViolation,
+         "line 4: [control-without-body] veto1 is NA but veto1_control is Republicans"),
+        (AL_ROW.replace("AL", "  ", 1), CodebookError, "line 4: state is empty"),
+        (AL_ROW, DuplicateKey, "lines 3 and 4: duplicate (state, cycle) key AL,2020"),
+    ], ids=["literal", "rule", "empty-state", "duplicate"])
+    def test_errors_name_the_file_and_line(self, tmp_path, row, error, message):
+        path = tmp_path / "book.csv"
+        path.write_text(f"# a comment line\n{HEADER}\n{AL_ROW}\n{row}\n")
+        with open(path, "rb") as fh:
+            for source, name in ((path, str(path)), (fh, str(path)),
+                                 (path.read_text(), "<codebook>")):
+                with pytest.raises(error) as err:
+                    parse_codebook(source)
+                assert str(err.value) == f"{name}, {message}"
+
+    def test_header_error_names_its_line(self):
+        with pytest.raises(UnknownColumn, match=r"^<codebook>, line 2: header does not match"):
+            parse_codebook("# a comment line\nstate,cycle\nAL,2020\n")
+
     def test_control_without_body_rejected(self):
         bad = AL_ROW.replace("Governor,Republicans", "NA,Republicans")
         with pytest.raises(InvariantViolation) as err:
@@ -88,7 +110,11 @@ class TestParse:
 
     @pytest.mark.parametrize("row", [AL_ROW.rsplit(",", 1)[0], AL_ROW + ",no"])
     def test_row_with_wrong_cell_count(self, row):
-        with pytest.raises(CodebookError, match=r"row \('AL', '2020'\): 1[57] cells, expected 16"):
+        # A long row fails on its cell count; a short row reads its missing
+        # preclearance cell as empty, which is no literal.
+        message = ("17 cells, expected 16" if row.endswith(",no")
+                   else "column 'preclearance' has unknown literal ''")
+        with pytest.raises(CodebookError, match=rf"^<codebook>, line 2: {message}$"):
             parse_codebook(f"{HEADER}\n{row}\n")
 
 

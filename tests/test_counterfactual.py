@@ -244,6 +244,21 @@ class TestPredictNational:
             predict_national([DosePair("ZZ", 1.0, 0.0)], model, model, COVS,
                              Baseline(215.0, 8.0))
 
+    @pytest.mark.parametrize("seat_slope,resp_slope,baseline,quantity", [
+        (1e308, 0.1, Baseline(215.0, 8.0), "seat effect of AA"),
+        (0.1, 1e308, Baseline(215.0, 8.0), "responsiveness effect of AA"),
+        (0.8e308, 0.1, Baseline(215.0, 8.0), "national seat change"),
+        (1e308 / 4, 0.1, Baseline(1.7e308, 8.0), "seats-votes intercept"),
+        (0.1, 1e307, Baseline(215.0, -1.79e308), "responsiveness slope"),
+    ], ids=["seat-effect", "responsiveness-effect", "seat-change", "intercept", "slope"])
+    def test_overflow_names_the_quantity(self, seat_slope, resp_slope, baseline, quantity):
+        # One draw, so each mean is its draw: AA's dose falls by 2 and BB's
+        # by 1, and each case overflows first at the quantity it names.
+        pairs = [DosePair("AA", 2.0, 0.0), DosePair("BB", 1.0, 0.0)]
+        with pytest.raises(DomainError, match=rf"^{quantity} overflows"):
+            predict_national(pairs, slope_only_model([seat_slope]),
+                             slope_only_model([resp_slope]), COVS, baseline)
+
     def test_mismatched_models_rejected(self):
         a = slope_only_model([0.3, 0.4])
         b = slope_only_model([0.3])

@@ -11,6 +11,10 @@ rank stability needs scipy, and it imports ``scipy.stats`` when called.
 Every private name the package defines is read somewhere in the package:
 a function, method, class, module constant or ``self._attr`` whose name
 starts with one underscore, and that nothing reads, is a leftover.
+
+One function in the package reads CSV records, ``codebook.read_table``:
+no other code refers to ``csv.reader`` or ``csv.DictReader``, so every
+table input follows one set of rules.
 """
 
 import ast
@@ -153,3 +157,50 @@ def test_every_private_name_is_read():
 ])
 def test_scan_finds_unread_private_names(sources, expected):
     assert unread_private_names(sources) == expected
+
+
+_CSV_READERS = {"reader", "DictReader"}
+
+
+def csv_reader_uses(source: str) -> list[tuple[int, str]]:
+    """(line, top-level definition or "<module>") of each use of csv.reader or csv.DictReader.
+
+    A use is ``csv.reader`` through any name ``csv`` is imported as, or a
+    name bound by ``from csv import reader`` or ``DictReader``.
+    """
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "csv"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            names |= {alias.asname or alias.name for alias in node.names
+                      if alias.name in _CSV_READERS}
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in _CSV_READERS
+                    and isinstance(node.value, ast.Name) and node.value.id in modules) \
+                    or (isinstance(node, ast.Name) and node.id in names):
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_one_function_reads_csv_records():
+    uses = {f"{path.name}:{owner}" for path in PACKAGE
+            for _, owner in csv_reader_uses(path.read_text(encoding="utf-8"))}
+    assert uses == {"codebook.py:read_table"}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import csv\ncsv.reader([])\n", [(2, "<module>")]),
+    ("import csv\ncsv.writer(out)\n", []),
+    ("import csv as c\ndef f():\n    return c.DictReader([])\n", [(3, "f")]),
+    ("from csv import reader\nclass A:\n    def m(self):\n        return reader([])\n",
+     [(4, "A")]),
+    ("from csv import DictReader as R\nrows = R\n", [(2, "<module>")]),
+    ("reader = None\nreader([])\n", []),
+])
+def test_scan_finds_csv_reader_uses(source, expected):
+    assert csv_reader_uses(source) == expected
