@@ -120,8 +120,8 @@ def _cmd_codebook(args) -> int:
     if args.validate:
         issues = cb.lint_codebook(Path(args.input))
         if issues:
-            for (state, cycle), message in issues:
-                print(f"{state},{cycle}: {message}", file=sys.stderr)
+            for (state, cycle), message, where in issues:
+                print(f"{where}: {state},{cycle}: {message}", file=sys.stderr)
             return 1
         print(f"{args.input}: ok")
         return 0
@@ -557,6 +557,12 @@ def _cmd_counterfactual(args) -> int:
     book = cb.parse_codebook(Path(args.codebook))
     prior = _load_prior(args.priors)
     template = cf.TEMPLATES[args.template]
+    # Solved before the draw files are read, while the heap is small: numpy
+    # keeps some of the solver's small blocks for reuse after the call, and
+    # above the draw files' memory they would stop the allocator from
+    # returning it when this call ends.
+    pairs = cf.counterfactual_doses(book, template, prior, n_draws=args.draws,
+                                    seed=args.seed, grid=_grid(args))
     # A forked child reads the responsiveness draws while this process reads
     # the seat draws. The child's error is raised only here, after the seat
     # file's, so with two bad files the seat file's error is the one reported.
@@ -571,8 +577,6 @@ def _cmd_counterfactual(args) -> int:
     covariates = _read_covariates(args.covariates)
     baseline = _read_baseline(args.baseline)
 
-    pairs = cf.counterfactual_doses(book, template, prior, n_draws=args.draws,
-                                    seed=args.seed, grid=_grid(args))
     prediction = cf.predict_national(pairs, seat_model, resp_model, covariates, baseline)
 
     def summary(effect):

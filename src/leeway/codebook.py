@@ -300,7 +300,7 @@ def _parse_row(record: dict[str, str], where: str) -> StateProcess:
     return StateProcess(**kwargs)
 
 
-def read_table(name: str, lines=None, error: type = DomainError):
+def read_table(name: str, lines=None, error: type = DomainError, keys=None):
     """The header's line, the header and the records, each with its line, of a CSV table.
 
     The package's one CSV reader: the codebook and every table input of
@@ -309,7 +309,8 @@ def read_table(name: str, lines=None, error: type = DomainError):
     read as far as the caller iterates. '#' lines and blank records are
     skipped, and a missing header is []. The caller checks the header before
     it iterates: a longer record raises ``error`` as "<name>, line N: K cells,
-    expected M", and a short one's missing cells are ''.
+    expected M", and a short one's missing cells are ''. Given ``keys``, as
+    many as the header has names, each record is keyed by them instead.
     """
     if lines is None:
         with open(name, encoding="utf-8", newline="") as fh:
@@ -324,6 +325,9 @@ def read_table(name: str, lines=None, error: type = DomainError):
 
     reader = csv.DictReader(text(), restval="")
     header = reader.fieldnames or []
+    header_line = line if reader.fieldnames is not None else line + 1
+    if keys is not None:
+        reader.fieldnames = list(keys)
 
     def records():
         for record in reader:
@@ -332,7 +336,7 @@ def read_table(name: str, lines=None, error: type = DomainError):
                             f"expected {len(header)}")
             yield line, record
 
-    return line if reader.fieldnames is not None else line + 1, header, records()
+    return header_line, header, records()
 
 
 def first_line(name: str, seen: dict, key: tuple, line: int, what: str, error=DomainError):
@@ -344,18 +348,22 @@ def first_line(name: str, seen: dict, key: tuple, line: int, what: str, error=Do
 
 
 def _read_records(source):
-    """Each record of a codebook by canonical column, after its file name and line."""
+    """Each record of a codebook by canonical column, after its file name and line.
+
+    A header name padded with spaces still keys its cells by the canonical column.
+    """
     if isinstance(source, Path):
         name, data = str(source), source.read_bytes()
     else:  # bytes and text have no name
         name = getattr(source, "name", "<codebook>")
         data = source if isinstance(source, (bytes, str)) else source.read()
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    line, header, records = read_table(name, io.StringIO(text, newline=""), CodebookError)
+    line, header, records = read_table(name, io.StringIO(text, newline=""), CodebookError,
+                                       COLUMNS)
     if tuple(h.strip() for h in header) != COLUMNS:
         raise UnknownColumn(f"{name}, line {line}: header does not match canonical "
                             f"columns: {header!r}")
-    return ((name, line, dict(zip(COLUMNS, record.values()))) for line, record in records)
+    return ((name, line, record) for line, record in records)
 
 
 def parse_codebook(source) -> Codebook:
@@ -379,26 +387,29 @@ def parse_codebook(source) -> Codebook:
     return Codebook(tuple(rows))
 
 
-def lint_codebook(source) -> list[tuple[tuple[str, str], str]]:
+def lint_codebook(source) -> list[tuple[tuple[str, str], str, str]]:
     """Collect every issue in a codebook file instead of failing fast.
 
-    Returns a list of ((state, cycle), description) pairs; the set of issues
-    does not depend on row order (duplicate keys are reported by key). A bad
-    header, a row longer than it, or an empty state raises as in parse_codebook.
+    Returns a list of ((state, cycle), description, "<file>, line N")
+    triples. The set of (key, description) pairs does not depend on row
+    order: a repeated key is reported by key, at the line of the repeat. A
+    bad header, a row longer than it, or an empty state raises as in
+    parse_codebook.
     """
-    issues: list[tuple[tuple[str, str], str]] = []
+    issues: list[tuple[tuple[str, str], str, str]] = []
     seen: set[tuple[str, str]] = set()
     for name, line, record in _read_records(source):
         row_key = (record["state"].strip(), record["cycle"].strip())
+        where = f"{name}, line {line}"
         try:
-            process = _parse_row(record, f"{name}, line {line}")
+            process = _parse_row(record, where)
         except UnknownEnumLiteral as exc:
-            issues.append((row_key, f"unknown-literal: {exc.column}={exc.value!r}"))
+            issues.append((row_key, f"unknown-literal: {exc.column}={exc.value!r}", where))
             continue
         for violation in validate(process):
-            issues.append((row_key, f"{violation.rule}: {violation.message}"))
+            issues.append((row_key, f"{violation.rule}: {violation.message}", where))
         if row_key in seen:
-            issues.append((row_key, "duplicate-key"))
+            issues.append((row_key, "duplicate-key", where))
         seen.add(row_key)
     return issues
 

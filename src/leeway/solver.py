@@ -31,10 +31,14 @@ same call also routes that mass to the final-drawer buckets. The grid
 optimizer calls the nodes for values; one walk from the root along the
 chosen actions then yields the path probabilities. Partisan veto
 decisions are recorded wherever a proposal is evaluated on the base grid,
-which gives the veto thresholds; they are worked out when first read. The
-court machinery on the base grid depends only on the :class:`CourtContext`,
-so each :class:`BatchContext` evaluates it once per context and every tree
-of the call reads that copy.
+which gives the veto thresholds; they are worked out when first read.
+
+The court machinery depends only on the :class:`CourtContext` and the bias
+it is evaluated at, so each :class:`BatchContext` runs each distinct court
+evaluation once, the base row included, and every tree of the call reads
+that copy: trees that share a context reach the same per-draw optima. The
+per-draw grids that a stalemate default or a nonpartisan round-2 proposal
+builds from the base row are evaluated afresh each time.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 from . import nature
 from .codebook import (Codebook, Drawer, FinalDrawer, PartyControl,
                        StateProcess, Stalemate1, Stalemate2, Veto1, Veto2)
-from .errors import DomainError, NotApplicable
+from .errors import DomainError, NotApplicable, allocate
 from .nature import BIAS_MAX, BIAS_MIN, CourtContext, GameParameters, PriorSpec
 
 STALEMATE = "stalemate"
@@ -229,7 +233,7 @@ class _TreeEvaluator:
         self.key = key
         self.theta = theta
         self.grid = grid
-        self.courts = courts  # base-grid court per CourtContext, filled on first use
+        self.courts = courts  # court machinery by (CourtContext, shape, bytes), filled on use
         self.n_draws = len(theta.chal_poss_conf)
         self.base = grid.base
         self.can_veto = any(mode in ("partisan", "prob") for mode, _ in key.vetoes)
@@ -254,12 +258,23 @@ class _TreeEvaluator:
     # that draw alone would.
 
     def exp_court(self, x):
+        """The court machinery at x, read from the batch's ``courts`` where it is kept.
+
+        Every argument but a per-draw (D, G) grid built from the base row is
+        kept, keyed by court context, shape and raw bytes (so -0.0 and 0.0
+        are distinct keys), and its arrays are made read-only: a hit hands
+        the same arrays to every tree of the batch that asks.
+        """
         ctx = self.key.court
-        if x is not self.base:
+        if x is not self.base and x.shape[1] == self.base.shape[1]:
             return nature.exp_court(x, ctx, self.theta)
-        if ctx not in self.courts:
-            self.courts[ctx] = nature.exp_court(x, ctx, self.theta)
-        return self.courts[ctx]
+        key = (ctx, x.shape, x.tobytes())
+        court = self.courts.get(key)
+        if court is None:
+            court = self.courts[key] = nature.exp_court(x, ctx, self.theta)
+            for array in court:
+                array.flags.writeable = False
+        return court
 
     def _settle(self, court, mass, bucket: str):
         """Route mass through the court machinery of an enacted plan."""
@@ -588,24 +603,27 @@ def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
     """Draws 0 .. n_draws-1 of the prior as one batch for :func:`solve_batch`.
 
     Bitwise equal to stacking :func:`~leeway.nature.sample_parameters` for
-    each draw, but the values go straight into (D, 1) columns and the batch
-    is range-checked once.
+    each draw, but the values go straight into (D, 1) columns, allocated
+    before the first draw, and the batch is range-checked once.
     """
     if n_draws < 1:
         raise DomainError("n_draws must be at least 1")
-    table = np.array([nature._prior_draw(prior, seed, i) for i in range(n_draws)], dtype=float)
+    table = allocate((len(prior.dists), n_draws), f"{n_draws} prior draws (--draws)")
+    for i in range(n_draws):
+        table[:, i] = nature._prior_draw(prior, seed, i)
     return GameParameters(**{name: column[:, None]
-                             for (name, _), column in zip(prior.dists, table.T.copy())})
+                             for (name, _), column in zip(prior.dists, table)})
 
 
 class BatchContext:
     """One library call's prior draws and grid, solving each distinct tree once.
 
     Processes that share a :class:`TreeKey` share one solved tree, and the
-    per-row checks of :meth:`TreeKey.of` run on every row. Every tree reads
-    the base-grid court machinery of its :class:`CourtContext` from
-    ``courts``, so each context is evaluated on the base grid at most once
-    per call.
+    per-row checks of :meth:`TreeKey.of` run on every row. ``courts`` keeps
+    each court evaluation of the call by (:class:`CourtContext`, shape, raw
+    bytes of the bias), so each distinct one, the base row included, runs
+    once and every tree reads the kept, read-only arrays (see
+    :meth:`_TreeEvaluator.exp_court`).
     """
 
     def __init__(self, prior: PriorSpec, seed: int, n_draws: int,
@@ -613,7 +631,7 @@ class BatchContext:
         self.grid = grid or OptimizationGrid()
         self.thetas = sample_draws(prior, seed, n_draws)
         self.trees: dict[TreeKey, _TreeEvaluator] = {}
-        self.courts: dict[CourtContext, nature.ExpCourt] = {}
+        self.courts: dict[tuple, nature.ExpCourt] = {}
 
     def solve(self, process: StateProcess) -> _TreeEvaluator:
         key = TreeKey.of(process)

@@ -70,6 +70,7 @@ class TestCodebookCommand:
         assert main(["codebook", "--input", str(bad), "--validate"]) == 1
         err = capsys.readouterr().err
         assert "control-without-body" in err
+        assert err.startswith(f"{bad}, line 2: AL,2020: control-without-body: ")
 
     def test_normalize_roundtrip(self, small_codebook, tmp_path):
         out = tmp_path / "norm.csv"
@@ -196,6 +197,13 @@ class TestLeewayCommand:
         assert {r["state"] for r in rows} == {"AL", "MI", "KS", "WV", "OH"}
         michigan = next(r for r in rows if r["state"] == "MI")
         assert float(michigan["maximum_leeway"]) == 0.0
+
+    @pytest.mark.parametrize("command", ["leeway", "paths"])
+    def test_absurd_draw_count_exits_1(self, command, small_codebook, tmp_path, capsys):
+        assert main([command, "--codebook", small_codebook, "--draws", str(2**61),
+                     "--output", str(tmp_path / "l.csv")]) == 1
+        assert ("error: 2305843009213693952 prior draws (--draws): "
+                "350,488,137,400,481,480,704 bytes cannot be allocated") in capsys.readouterr().err
 
     def test_json_format(self, small_codebook, tmp_path):
         out = tmp_path / "l.json"
@@ -388,6 +396,23 @@ class TestDidCommand:
                      "--output-diagnostics", str(tmp_path / "x.json")])
         assert code == 1
         assert "split R-hat needs at least 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--draws", str(2**61)],
+         "4 chains (--chains) of 2305843009213693952 draws (--draws): "
+         "1,180,591,620,717,411,303,424 bytes"),
+        (["--chains", str(2**40), "--draws", str(2**30)],
+         "1099511627776 chains (--chains) of 1073741824 draws (--draws): "
+         "151,115,727,451,828,646,838,272 bytes"),
+    ], ids=["draws", "chains"])
+    def test_absurd_draw_count_exits_1(self, did_input, tmp_path, capsys, flags, message):
+        # Above 2**63 bytes numpy refuses the array before it touches memory,
+        # and no chain's generator is made before the arrays exist.
+        code = main(["did", "--input", did_input, *flags,
+                     "--output-draws", str(tmp_path / "x.csv"),
+                     "--output-diagnostics", str(tmp_path / "x.json")])
+        assert code == 1
+        assert f"error: {message} cannot be allocated" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value, bad", [("nan", "sigma_y=nan"),
                                             ("1e308", "intercept sd=inf"),

@@ -206,14 +206,23 @@ class TestLint:
         for _ in range(5):
             random.Random(len(issue_sets)).shuffle(rows)
             text = HEADER + "\n" + "\n".join(rows) + "\n"
-            issue_sets.append({(key, msg) for key, msg in lint_codebook(text)})
+            issue_sets.append({(key, msg) for key, msg, _ in lint_codebook(text)})
         assert all(s == issue_sets[0] for s in issue_sets)
         assert issue_sets[0]  # the bad rows are reported
 
     def test_duplicate_reported_by_key(self):
         text = f"{HEADER}\n{AL_ROW}\n{AL_ROW}\n"
         issues = lint_codebook(text)
-        assert (("AL", "2020"), "duplicate-key") in issues
+        assert (("AL", "2020"), "duplicate-key") in {(key, msg) for key, msg, _ in issues}
+        assert (("AL", "2020"), "duplicate-key", "<codebook>, line 3") in issues  # the repeat
+
+    def test_each_issue_names_its_line(self, tmp_path):
+        path = tmp_path / "book.csv"
+        unknown = AL_ROW.replace("Governor", "Monarch")
+        broken = AL_ROW.replace("AL", "XX").replace("Governor,Republicans", "NA,Republicans")
+        path.write_text(f"# comment\n{HEADER}\n{unknown}\n{broken}\n")
+        assert [(key, where) for key, _, where in lint_codebook(path)] == [
+            (("AL", "2020"), f"{path}, line 3"), (("XX", "2020"), f"{path}, line 4")]
 
 
 def test_parse_enum_ignores_case_and_padding():

@@ -350,6 +350,23 @@ class TestDiagnostics:
         chains = np.tile([1.0, -1.0], (2, 100)) + np.random.default_rng(0).normal(0, 1e-3, (2, 200))
         assert _rhat_ess(chains)[1] <= 400.0
 
+    @pytest.mark.parametrize("n", [5, 6, 257, 1000, 10000])
+    @pytest.mark.parametrize("width", [16, 17], ids=["fit", "loader"])
+    @pytest.mark.parametrize("walk", [False, True], ids=["iid", "random-walk"])
+    def test_contiguous_columns_bitwise_equal_to_strided(self, n, width, walk):
+        # A fit hands _diagnostics a (C, N, 16) array; a loaded draw file the
+        # first 16 columns of a (C, N, 17) one, sigma last. Each column's
+        # R-hat and ESS must keep every bit of the strided column's.
+        rng = np.random.default_rng([n, width, walk])
+        draws = rng.standard_normal((4, n, width))
+        if walk:
+            draws = np.cumsum(draws, axis=1)
+        coefficients, sigma = draws[:, :, :16], np.exp(draws[:, :, -1])
+        diag = inference._diagnostics(coefficients, sigma)
+        got = np.array([[diag.rhat[name], diag.ess[name]] for name in COLUMN_NAMES])
+        want = np.array([_rhat_ess(coefficients[:, :, j]) for j in range(16)])
+        assert got.tobytes() == want.tobytes()
+
     def test_fft_length_is_5_smooth_and_minimal(self):
         def smooth(k):
             for q in (2, 3, 5):

@@ -308,6 +308,15 @@ class TestSampleDraws:
         sample_draws(PRIOR, 71, 9)
         assert len(checks) == 1
 
+    def test_absurd_draw_count_rejected_before_drawing(self, monkeypatch):
+        # 19 columns of 2**61 draws need 2**68 bytes; numpy refuses any size
+        # above 2**63 bytes before it touches memory.
+        monkeypatch.setattr(nature, "_prior_draw", lambda *args: pytest.fail("drew"))
+        with pytest.raises(DomainError, match=r"^2305843009213693952 prior draws \(--draws\): "
+                                              r"350,488,137,400,481,480,704 bytes cannot be "
+                                              "allocated$"):
+            sample_draws(PRIOR, 0, 2**61)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed -1"):
             sample_draws(PRIOR, -1, 3)
@@ -611,33 +620,65 @@ class TestBatchContext:
                 assert columns == want, process.key
 
     @staticmethod
-    def count_base_courts(monkeypatch) -> list:
-        contexts, real = [], nature.exp_court
+    def count_courts(monkeypatch) -> list:
+        """(context, shape, bytes) of every nature.exp_court argument the batch keeps.
+
+        That is every argument but a per-draw (D, 161) grid built from the
+        default grid's (1, 161) base row.
+        """
+        calls, real = [], nature.exp_court
 
         def counting(x, ctx, theta):
-            if np.shape(x) == (1, 161):  # the default grid's base row
-                contexts.append(ctx)
+            if x.shape != (len(theta.stale_slope), 161):
+                calls.append((ctx, x.shape, x.tobytes()))
             return real(x, ctx, theta)
 
         monkeypatch.setattr(nature, "exp_court", counting)
-        return contexts
+        return calls
 
     def test_one_base_grid_court_per_context_per_call(self, monkeypatch):
         # Every tree of a call reads the court machinery of its CourtContext
-        # on the base grid from one copy, veto-threshold passes included.
-        contexts = self.count_base_courts(monkeypatch)
+        # from one copy: on the base grid, veto-threshold passes included, on
+        # each refinement grid and at each per-draw optimum. Trees that share
+        # a context reach the same optima, such as the corners at +-4.
+        calls = self.count_courts(monkeypatch)
+
+        def counts():
+            base = [ctx for ctx, shape, _ in calls if shape == (1, 161)]
+            assert len(base) == len(set(base))
+            assert len(calls) == len(set(calls))
+            counted = len(base), len(calls)
+            calls.clear()
+            return counted
+
         for _, _, realized in solver._scored_rows(self.BOOK, PRIOR, 20, 101, None):
             realized.result_columns()  # as `leeway --emit-diagnostics` does
-        assert len(contexts) == len(set(contexts)) == 10
+        assert counts() == (10, 64)  # of 160 evaluations without the cache
 
-        contexts.clear()
         path_table(self.BOOK, PRIOR, n_draws=20, seed=101)
-        assert len(contexts) == len(set(contexts)) == 8
+        assert counts() == (8, 49)  # of 115
 
-        for name in ("mi", "ny", "oh", "identity"):
-            contexts.clear()
+        for name, count in {"mi": 28, "ny": 33, "oh": 38, "identity": 27}.items():
             counterfactual_doses(FIXTURE, TEMPLATES[name], PRIOR, n_draws=20, seed=101)
-            assert len(contexts) == len(set(contexts)) == 5, name
+            assert counts() == (5, count), name
+
+    def test_kept_courts_read_only_and_small(self):
+        # The batch keeps the base row, the (D, 41) refinement grids and the
+        # (D, 1) columns, not the per-draw (D, G) grids built from the base
+        # row. Their arrays are shared between trees, so none can be written.
+        batch = BatchContext(PRIOR, 101, 100, None)
+        for row in self.BOOK:
+            batch.solve(row).result_columns()
+            batch.solve(uniform_control(row, PartyControl.DEMOCRATS))
+        shapes = {shape for _, shape, _ in batch.courts}
+        assert shapes == {(1, 161), (100, 41), (100, 1)}
+        for court in batch.courts.values():
+            for array in court:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 0.0
+        added = [(key, court) for key, court in batch.courts.items() if key[1] != (1, 161)]
+        size = sum(len(key[2]) + sum(array.nbytes for array in court) for key, court in added)
+        assert len(added) == 54 and size <= 2.5e6
 
     def test_single_district_rows_rejected_before_sampling(self, monkeypatch):
         calls = []
