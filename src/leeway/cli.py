@@ -57,9 +57,9 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _write_json(path: str, payload: dict, indent: int | None = 2):
+def _write_json(path: str, payload: dict):
     """Write ``payload`` as JSON with sorted keys; a NaN or an infinity is a bug: ValueError."""
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False) + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path: str, header: str, columns, rows):
@@ -137,30 +137,74 @@ def _cmd_codebook(args) -> int:
 _SCORE_COLUMNS = ("state", "cycle", "realized_leeway", "maximum_leeway", "n_draws", "seed")
 
 
+def _json_object(keys: tuple) -> str:
+    """A ``str.format`` template of a JSON object of these keys, sorted; {i} is keys[i]'s value."""
+    return "{{" + ", ".join(f'"{keys[i]}": {{{i}}}' for i in sorted(
+        range(len(keys)), key=keys.__getitem__)) + "}}"
+
+
+_PATH_PROBS = _json_object(solver._BUCKETS)
+_VETO_THRESHOLDS = _json_object(solver._THRESHOLD_KEYS)
+
+
+def _json_floats(array: np.ndarray, nan_as_null: bool = False) -> list:
+    """The floats of a 1-D array, or of each row of a 2-D one, as json writes them.
+
+    One ``tolist``, then ``repr`` per float. With ``nan_as_null`` a NaN is
+    written as null; any other non-finite float raises ValueError, as
+    ``allow_nan=False`` does.
+    """
+    if not np.isfinite(array).all() and (not nan_as_null or np.isinf(array).any()):
+        raise ValueError("Out of range float values are not JSON compliant")
+    text = (lambda x: repr(x) if x == x else "null") if nan_as_null else repr
+    rows = array.tolist()
+    return [[*map(text, row)] for row in rows] if array.ndim == 2 else [*map(text, rows)]
+
+
+def _diagnostic_fields(tree) -> list[tuple[str, str]]:
+    """The JSON text of a solved tree's fields in each draw's diagnostics record.
+
+    A record, its keys sorted as ``json.dumps(sort_keys=True)`` writes them,
+    is '{"cycle": C, "draw": ' + head + state + tail: head runs from the
+    draw index to the "state" key, and tail from the "value" key to the end.
+    NaN proposals and thresholds are null and a drawer stalemate is
+    "stalemate"; a non-finite value or path probability raises ValueError.
+    """
+    stalemate = json.dumps(solver.STALEMATE)
+    round2 = [stalemate if stale else x for stale, x in zip(
+        tree.stalemates.tolist(), _json_floats(tree.round2_proposal, nan_as_null=True))]
+    return [(f'{d}, "path_probs": {_PATH_PROBS.format(*paths)}, '
+             f'"round2_proposal": {proposal}, "state": ',
+             f', "value": {value}, "veto_thresholds": {_VETO_THRESHOLDS.format(*vetoes)}}}')
+            for d, (value, paths, proposal, vetoes) in enumerate(zip(
+                _json_floats(tree.values), _json_floats(tree.path_probs), round2,
+                _json_floats(tree.veto_thresholds, nan_as_null=True)))]
+
+
 def _cmd_leeway(args) -> int:
     book = cb.parse_codebook(Path(args.codebook))
     prior = _load_prior(args.priors)
-    scored, records = [], []
+    scored, records, fields = [], [], {}
     for process, scores, solved in solver._scored_rows(book, prior, args.draws,
                                                        args.seed, _grid(args)):
         scored.append(dict(zip(_SCORE_COLUMNS, (process.state_id, process.cycle, scores.realized,
                                                 scores.maximum, scores.n_draws, args.seed))))
         if args.emit_diagnostics:
-            records.extend({
-                "state": process.state_id, "cycle": process.cycle, "draw": i,
-                "value": value, "path_probs": paths, "round2_proposal": round2,
-                "veto_thresholds": thresholds,
-            } for i, (value, paths, round2, thresholds)
-                in enumerate(zip(*solved.result_columns())))
+            if solved.key not in fields:  # rows that share a tree share its text
+                fields[solved.key] = _diagnostic_fields(solved)
+            cycle, state = json.dumps(process.cycle), json.dumps(process.state_id)
+            records.extend(f'{{"cycle": {cycle}, "draw": {head}{state}{tail}'
+                           for head, tail in fields[solved.key])
     if args.format == "json":
         _write_json(args.output, {"meta": _meta(args, args.seed), "rows": scored})
     else:  # csv.writer writes a float with repr, as _fmt does
         _write_csv(args.output, _header_comment(args, args.seed), _SCORE_COLUMNS,
                    (row.values() for row in scored))
 
-    if args.emit_diagnostics:
-        _write_json(args.emit_diagnostics, {"meta": _meta(args, args.seed), "draws": records},
-                    indent=None)
+    if args.emit_diagnostics:  # as json.dumps(sort_keys=True) writes {"draws", "meta"}
+        meta = json.dumps(_meta(args, args.seed), sort_keys=True)
+        _write_text(args.emit_diagnostics,
+                    f'{{"draws": [{", ".join(records)}], "meta": {meta}}}\n')
     return 0
 
 

@@ -305,15 +305,16 @@ def read_table(name: str, lines=None, error: type = DomainError, keys=None):
 
     The package's one CSV reader: the codebook and every table input of
     ``leeway.cli`` come through it. The table is the file ``name``, read
-    whole, or else ``lines`` as a file opened with ``newline=""`` yields them,
-    read as far as the caller iterates. '#' lines and blank records are
-    skipped, and a missing header is []. The caller checks the header before
-    it iterates: a longer record raises ``error`` as "<name>, line N: K cells,
-    expected M", and a short one's missing cells are ''. Given ``keys``, as
-    many as the header has names, each record is keyed by them instead.
+    whole without a leading byte-order mark, or else ``lines`` as a file
+    opened with ``newline=""`` yields them, read as far as the caller
+    iterates. '#' lines and blank records are skipped, and a missing header
+    is []. The caller checks the header before it iterates: a longer record
+    raises ``error`` as "<name>, line N: K cells, expected M", and a short
+    one's missing cells are ''. Given ``keys``, as many as the header has
+    names, each record is keyed by them instead.
     """
     if lines is None:
-        with open(name, encoding="utf-8", newline="") as fh:
+        with open(name, encoding="utf-8-sig", newline="") as fh:
             lines = fh.readlines()
     line = 0
 
@@ -357,7 +358,7 @@ def _read_records(source):
     else:  # bytes and text have no name
         name = getattr(source, "name", "<codebook>")
         data = source if isinstance(source, (bytes, str)) else source.read()
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data.removeprefix("\ufeff")
     line, header, records = read_table(name, io.StringIO(text, newline=""), CodebookError,
                                        COLUMNS)
     if tuple(h.strip() for h in header) != COLUMNS:

@@ -452,26 +452,18 @@ class _TreeEvaluator:
                 out[:, col] = np.where(flips.any(axis=1), mids[np.argmax(flips, axis=1)], np.nan)
         return out
 
-    def result_columns(self, draws: slice = slice(None)) -> tuple[list, list, list, list]:
-        """The :class:`EquilibriumResult` fields of the given draws as Python lists.
-
-        One list per field, in field order, with NaN as None and a drawer
-        stalemate as STALEMATE. Each array is converted with one ``tolist``.
-        """
-        def nan_to_none(a):
-            return np.where(np.isnan(a), None, a)
-
-        round2 = np.where(self.stalemates[draws], STALEMATE,
-                          nan_to_none(self.round2_proposal[draws]))
-        return (self.values[draws].tolist(),
-                [dict(zip(_BUCKETS, row)) for row in self.path_probs[draws].tolist()],
-                round2.tolist(),
-                [dict(zip(_THRESHOLD_KEYS, row))
-                 for row in nan_to_none(self.veto_thresholds[draws]).tolist()])
-
     def result(self, d: int) -> EquilibriumResult:
         """Draw d of a solved tree, with NaN as None and a drawer stalemate as STALEMATE."""
-        return EquilibriumResult(*(column[0] for column in self.result_columns(slice(d, d + 1))))
+        def scalar(x: float):
+            return None if x != x else x
+
+        round2 = STALEMATE if self.stalemates[d] else scalar(self.round2_proposal[d].item())
+        return EquilibriumResult(
+            value=self.values[d].item(),
+            path_probs=dict(zip(_BUCKETS, self.path_probs[d].tolist())),
+            round2_proposal=round2,
+            veto_thresholds={key: scalar(t) for key, t
+                             in zip(_THRESHOLD_KEYS, self.veto_thresholds[d].tolist())})
 
 
 def solve_batch(process: StateProcess, thetas: GameParameters,
@@ -484,8 +476,7 @@ def solve_batch(process: StateProcess, thetas: GameParameters,
     ``round2_proposal`` (D,), NaN where no veto node exists, and
     ``stalemates`` (D,); ``veto_thresholds`` (D, 4), NaN where there is no
     threshold, is worked out on first read. ``result(d)`` is :func:`solve`
-    on draw d alone, and ``result_columns()`` gives the same fields for
-    every draw as lists.
+    on draw d alone.
     """
     return _TreeEvaluator(TreeKey.of(process), thetas, grid or OptimizationGrid(), {}).solve()
 

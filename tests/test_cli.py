@@ -8,17 +8,22 @@ import signal
 import subprocess
 import sys
 import threading
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from leeway import cli, solver
 from leeway.cli import load_draws_csv, main, save_draws_csv
-from leeway.codebook import (Codebook, Drawer, PartyControl, load_fixture_codebook,
-                             parse_codebook, serialize_codebook)
+from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer, PartyControl,
+                             Stalemate1, Veto1, load_fixture_codebook, parse_codebook,
+                             serialize_codebook)
 from leeway.errors import DomainError
 from leeway.inference import (COLUMN_NAMES, Diagnostics, PosteriorDraws, _rhat_ess,
                               design_row)
+from leeway.nature import PriorSpec
+from test_codebook import make_process
+from test_fuzz import random_process
 
 
 @pytest.fixture(scope="module")
@@ -228,23 +233,37 @@ class TestLeewayCommand:
                                                   monkeypatch):
         # One solve per distinct tree of the realized and all-Democratic
         # party control: the diagnostics are written from the realized solve
-        # the scores already made.
-        calls = []
-        real = solver._TreeEvaluator.solve
+        # the scores already made, and each realized tree's fields are
+        # formatted once, however many rows share it. AL_T is a twin of AL.
+        with open(small_codebook, "rb") as fh:
+            rows = list(parse_codebook(fh))
+        al = next(row for row in rows if row.state_id == "AL")
+        book = tmp_path / "twin.csv"
+        book.write_text(serialize_codebook(Codebook((*rows, replace(al, state_id="AL_T")))))
+        calls, formatted = [], []
+        real_solve, real_fields = solver._TreeEvaluator.solve, cli._diagnostic_fields
 
         def counting(tree):
             calls.append(tree.key)
-            return real(tree)
+            return real_solve(tree)
+
+        def formatting(tree):
+            formatted.append(tree.key)
+            return real_fields(tree)
 
         monkeypatch.setattr(solver._TreeEvaluator, "solve", counting)
-        assert main(["leeway", "--codebook", small_codebook, "--draws", "2", "--seed", "2",
+        monkeypatch.setattr(cli, "_diagnostic_fields", formatting)
+        assert main(["leeway", "--codebook", str(book), "--draws", "2", "--seed", "2",
                      "--output", str(tmp_path / "l.csv"),
                      "--emit-diagnostics", str(tmp_path / "d.json")]) == 0
-        with open(small_codebook, "rb") as fh:
-            solvable = [r for r in parse_codebook(fh) if r.drawer is not Drawer.NA]
+        solvable = [r for r in parse_codebook(book) if r.drawer is not Drawer.NA]
         trees = {solver.TreeKey.of(process) for row in solvable for process in (
             row, solver.uniform_control(row, PartyControl.DEMOCRATS))}
         assert len(calls) == len(trees) and set(calls) == trees
+        realized = {solver.TreeKey.of(row) for row in solvable}
+        assert len(formatted) == len(realized) < len(solvable)
+        assert set(formatted) == realized
+        assert len(json.loads((tmp_path / "d.json").read_text())["draws"]) == 2 * len(solvable)
 
     def test_diagnostics_make_no_result_call(self, small_codebook, tmp_path, monkeypatch):
         # The records come from the solved arrays, not from one result() per draw.
@@ -256,6 +275,80 @@ class TestLeewayCommand:
                      "--output", str(tmp_path / "l.csv"),
                      "--emit-diagnostics", str(tmp_path / "d.json")]) == 0
         assert len(json.loads((tmp_path / "d.json").read_text())["draws"]) == 15
+
+
+def oracle_diagnostics(codebook: Codebook, argv: list) -> str:
+    """The diagnostics file as json.dumps writes it from result(d) of every (row, draw)."""
+    args = cli.build_parser().parse_args(argv)
+    thetas = solver.sample_draws(PriorSpec.default(), args.seed, args.draws)
+    records = [{"state": row.state_id, "cycle": row.cycle, "draw": d,
+                **asdict(solver.solve_batch(row, thetas).result(d))}
+               for row in codebook if row.drawer is not Drawer.NA for d in range(args.draws)]
+    return json.dumps({"draws": records, "meta": cli._meta(args, args.seed)},
+                      sort_keys=True, allow_nan=False) + "\n"
+
+
+def fuzz_rows() -> list:
+    """The random valid processes of the fuzz tests, each with its party mirror."""
+    rng = np.random.default_rng(777)
+    rows = [random_process(rng, i) for i in range(120)]
+    return [*rows, *(replace(row.mirrored(), state_id=f"M{row.state_id}") for row in rows)]
+
+
+# A Democratic drawer facing a Republican governor, with a court breaking
+# stalemates, stalemates in round 2.
+_ROUND2_STALEMATE = make_process(
+    state_id="RS", drawer_control=PartyControl.DEMOCRATS, veto1=Veto1.GOVERNOR,
+    veto1_control=PartyControl.REPUBLICANS, stalemate1=Stalemate1.COURT,
+    court_review=CourtReview.YES, court_control=PartyControl.DEMOCRATS)
+_SINGLE_DISTRICT = make_process(
+    state_id="WY", drawer=Drawer.NA, drawer_control=PartyControl.NA,
+    court_review=CourtReview.NA, court_control=PartyControl.NA,
+    stalemate1=Stalemate1.NA, final_drawer=FinalDrawer.NA)
+
+
+class TestDiagnosticsOracle:
+    @pytest.mark.parametrize("rows, draws, marker", [
+        (fuzz_rows(), 3, '"stalemate"'),
+        ([_ROUND2_STALEMATE, replace(_ROUND2_STALEMATE.mirrored(), state_id="RS_M")], 10,
+         '"stalemate"'),
+        ([replace(_ROUND2_STALEMATE, state_id=state) for state in
+          ('A"B', "C\\D", "\u00e9t\u00e9", "X\u2028Y")], 2, "\\u2028"),
+        ([_SINGLE_DISTRICT], 4, '{"draws": [], '),
+    ], ids=["fuzz-with-mirrors", "round2-stalemate", "escaped-states", "no-solvable-row"])
+    def test_file_equals_json_dumps_of_results(self, rows, draws, marker, tmp_path):
+        book = tmp_path / "book.csv"
+        book.write_text(serialize_codebook(Codebook(tuple(rows))), encoding="utf-8")
+        diag = tmp_path / "d.json"
+        argv = ["leeway", "--codebook", str(book), "--draws", str(draws), "--seed", "23",
+                "--output", str(tmp_path / "l.csv"), "--emit-diagnostics", str(diag)]
+        assert main(argv) == 0
+        text = diag.read_bytes().decode("utf-8")
+        want = oracle_diagnostics(parse_codebook(book), argv)
+        if text != want:  # pytest's own diff of two long strings would take minutes
+            at = next((i for i, pair in enumerate(zip(text, want)) if pair[0] != pair[1]),
+                      min(len(text), len(want)))
+            pytest.fail(f"at {at}: {text[at - 60:at + 60]!r} != {want[at - 60:at + 60]!r}")
+        assert marker in text
+
+    @pytest.mark.parametrize("field", ["values", "path_probs"])
+    def test_non_finite_field_raises_and_writes_nothing(self, field, small_codebook,
+                                                        tmp_path, monkeypatch):
+        real = solver._TreeEvaluator.solve
+
+        def poisoned(tree):
+            real(tree)
+            array = getattr(tree, field).copy()
+            array[-1] = np.nan
+            setattr(tree, field, array)
+            return tree
+
+        monkeypatch.setattr(solver._TreeEvaluator, "solve", poisoned)
+        diag = tmp_path / "d.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            main(["leeway", "--codebook", small_codebook, "--draws", "2",
+                  "--output", str(tmp_path / "l.csv"), "--emit-diagnostics", str(diag)])
+        assert not diag.exists()
 
 
 # SHA-256 of `leeway --emit-diagnostics` JSON and `paths --per-state` CSV on the
@@ -1222,9 +1315,9 @@ class TestDataErrorsExit1:
         assert not any(path.exists() for path in outputs)
 
 
-# Six edits to line 3 of a valid table: the first two are rejected, the
-# rest change nothing a reader keeps. U+2028 is a line break to
-# str.splitlines but not to a CSV file.
+# Seven edits to a valid table, all but the byte-order mark to line 3: the
+# first two are rejected, the rest change nothing a reader keeps. U+2028 is
+# a line break to str.splitlines but not to a CSV file.
 _TABLE_EDITS = {
     "extra-cell": lambda lines: lines[:2] + [lines[2].rstrip("\n") + ",9\n"] + lines[3:],
     "short-row": lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + "\n"] + lines[3:],
@@ -1232,6 +1325,7 @@ _TABLE_EDITS = {
     "crlf": lambda lines: [line.replace("\n", "\r\n") for line in lines],
     "blank-line": lambda lines: lines[:2] + ["\n"] + lines[2:],
     "u2028": lambda lines: lines[:2] + ["U\u2028X," + lines[2].split(",", 1)[1]] + lines[3:],
+    "bom": lambda lines: ["\ufeff" + lines[0], *lines[1:]],
 }
 
 

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import inspect
+import json
 
 import numpy as np
 import pytest
 
-from leeway import nature, solver
+from leeway import cli, nature, solver
 from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer, PartyControl,
                              Stalemate1, Veto1, Veto2,
                              load_fixture_codebook, validate)
@@ -24,6 +25,17 @@ PRIOR = PriorSpec.default()
 MEAN = PRIOR.mean()
 FIXTURE = load_fixture_codebook()
 COARSE = OptimizationGrid(step=2.0, refine=False)
+
+
+def emitted_record(head: str, tail: str) -> str:
+    """A diagnostics record of state "S", cycle 2020, from one draw's text of the tree."""
+    return '{"cycle": 2020, "draw": ' + head + '"S"' + tail
+
+
+def dumped_record(result, d: int) -> str:
+    """The same record as json.dumps writes it from the EquilibriumResult of draw d."""
+    return json.dumps({**dataclasses.asdict(result), "state": "S", "cycle": 2020, "draw": d},
+                      sort_keys=True)
 
 
 class TestGrid:
@@ -232,11 +244,12 @@ class TestBatch:
         with pytest.raises(DomainError, match="cauchy_quantile"):
             solve_batch(precleared, batch)
 
-    def test_result_columns_equal_per_draw_results(self):
-        # The columns the diagnostics are written from must equal result(d)
-        # and the arrays read one draw at a time, with NaN as None and a
-        # drawer stalemate as STALEMATE. No fixture row stalemates in round
-        # 2; a Democratic drawer facing a Republican governor, with a court
+    def test_diagnostic_fields_equal_per_draw_results(self):
+        # result(d) must equal the arrays read one draw at a time, with NaN as
+        # None and a drawer stalemate as STALEMATE, and the text that
+        # `leeway --emit-diagnostics` writes from the whole arrays must equal
+        # json.dumps of result(d). No fixture row stalemates in round 2; a
+        # Democratic drawer facing a Republican governor, with a court
         # breaking stalemates, does.
         batch = sample_draws(PRIOR, 61, 6)
         rows = [row for row in FIXTURE if row.drawer is not Drawer.NA]
@@ -253,22 +266,24 @@ class TestBatch:
             for process in (row, uniform_control(row, PartyControl.DEMOCRATS),
                             uniform_control(row, PartyControl.REPUBLICANS)):
                 solved = solve_batch(process, batch)
-                columns = solved.result_columns()
-                assert [len(column) for column in columns] == [6] * 4
-                for d, fields in enumerate(zip(*columns)):
-                    value, paths, round2, thresholds = fields
+                fields = cli._diagnostic_fields(solved)
+                assert len(fields) == 6
+                for d, (head, tail) in enumerate(fields):
+                    result = solved.result(d)
                     want_round2 = (STALEMATE if solved.stalemates[d]
                                    else scalar(solved.round2_proposal[d]))
-                    assert type(value) is float and value == solved.values[d]
-                    assert paths == dict(zip(("legislature", "commission", "court"),
-                                             map(float, solved.path_probs[d])))
-                    assert type(round2) is type(want_round2) and round2 == want_round2
-                    assert thresholds == {key: scalar(t) for key, t in zip(
+                    assert type(result.value) is float and result.value == solved.values[d]
+                    assert result.path_probs == dict(zip(("legislature", "commission", "court"),
+                                                         map(float, solved.path_probs[d])))
+                    assert type(result.round2_proposal) is type(want_round2)
+                    assert result.round2_proposal == want_round2
+                    assert result.veto_thresholds == {key: scalar(t) for key, t in zip(
                         ("round1_veto1", "round1_veto2", "round2_veto1", "round2_veto2"),
                         solved.veto_thresholds[d])}
-                    assert dataclasses.astuple(solved.result(d)) == fields, process.key
-                    seen.add("stalemate" if round2 == STALEMATE else type(round2))
-                    seen.update(type(t) for t in thresholds.values())
+                    assert emitted_record(head, tail) == dumped_record(result, d), process.key
+                    seen.add("stalemate" if result.round2_proposal == STALEMATE
+                             else type(result.round2_proposal))
+                    seen.update(type(t) for t in result.veto_thresholds.values())
         assert seen == {"stalemate", float, type(None)}
 
     def test_argopt_breaks_ties_per_row(self):
@@ -614,10 +629,11 @@ class TestBatchContext:
         shared = [key for key, members in owners.items() if len(members) > 1]
         assert len(shared) >= 10
         for key in shared:
-            columns = list(zip(*batch.trees[key].result_columns()))
+            emitted = [emitted_record(*fields) for fields in cli._diagnostic_fields(
+                batch.trees[key])]
             for process in owners[key]:
-                want = [dataclasses.astuple(solve(process, theta)) for theta in thetas]
-                assert columns == want, process.key
+                want = [dumped_record(solve(process, theta), d) for d, theta in enumerate(thetas)]
+                assert emitted == want, process.key
 
     @staticmethod
     def count_courts(monkeypatch) -> list:
@@ -652,7 +668,7 @@ class TestBatchContext:
             return counted
 
         for _, _, realized in solver._scored_rows(self.BOOK, PRIOR, 20, 101, None):
-            realized.result_columns()  # as `leeway --emit-diagnostics` does
+            cli._diagnostic_fields(realized)  # as `leeway --emit-diagnostics` does
         assert counts() == (10, 64)  # of 160 evaluations without the cache
 
         path_table(self.BOOK, PRIOR, n_draws=20, seed=101)
@@ -668,7 +684,7 @@ class TestBatchContext:
         # row. Their arrays are shared between trees, so none can be written.
         batch = BatchContext(PRIOR, 101, 100, None)
         for row in self.BOOK:
-            batch.solve(row).result_columns()
+            cli._diagnostic_fields(batch.solve(row))
             batch.solve(uniform_control(row, PartyControl.DEMOCRATS))
         shapes = {shape for _, shape, _ in batch.courts}
         assert shapes == {(1, 161), (100, 41), (100, 1)}
