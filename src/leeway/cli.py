@@ -79,11 +79,9 @@ def _fmt(x: float) -> str:
 def _load_prior(path: str | None) -> PriorSpec:
     if path is None:
         return PriorSpec.default()
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return PriorSpec.from_json(text)
-    except DomainError as exc:
+        return PriorSpec.from_json(Path(path).read_text(encoding="utf-8"))
+    except (DomainError, UnicodeDecodeError) as exc:
         raise DomainError(f"{path}: {exc}") from None
 
 
@@ -459,13 +457,13 @@ def load_draws_csv(path: str) -> PosteriorDraws:
     """Rebuild PosteriorDraws from a saved draw file (diagnostics recomputed).
 
     Rows may come in any order; each chain keeps its rows in file order.
-    Raises DomainError naming the file for a malformed header, a bad row,
-    a bad chain id, a non-finite cell, chains of unequal length or fewer
-    than 4 draws per chain.
+    The file follows ``read_table``'s rules. Raises DomainError naming the
+    file for a malformed header, a bad chain id, chains of unequal length or
+    fewer than 4 draws per chain, and naming the line, as every table input
+    does, for a row that is not one number per column or a non-finite cell.
     """
     width = len(_DRAW_COLUMNS)
-    with open(path, encoding="utf-8", newline="") as fh:  # read up to the header only
-        skiprows, header, _ = read_table(path, fh)  # the header and the comments before it
+    skiprows, header = read_table(path)[:2]  # read up to the header only
     if tuple(header) != _DRAW_COLUMNS:
         raise DomainError(f"{path}: draws file does not match the model's column layout")
     # Given a path, numpy parses the rows in chunks in C; given the open
@@ -473,22 +471,21 @@ def load_draws_csv(path: str) -> PosteriorDraws:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            data = np.loadtxt(path, delimiter=",", comments="#", skiprows=skiprows,
-                              ndmin=2, encoding="utf-8")
-    except ValueError:
-        raise DomainError(f"{path}: {_bad_draw_row(path, width)}") from None
+            data = np.loadtxt(path, delimiter=",", comments=None, quotechar='"',
+                              skiprows=skiprows, ndmin=2, encoding="utf-8")
+    except ValueError:  # a UnicodeDecodeError too
+        raise _bad_row(path) from None
     if data.size == 0:
         raise DomainError(f"{path}: draws file has a header but no draw rows")
     if data.shape[1] != width:
-        raise DomainError(f"{path}: draw rows have {data.shape[1]} cells, "
-                          f"expected {width}")
+        raise _bad_row(path)
     chain = data[:, 0]
     bad = ~(np.isfinite(chain) & (chain >= 0) & (chain == np.floor(chain)))
     if bad.any():
         raise DomainError(f"{path}: chain id {chain[bad][0]!r} is not a "
                           "non-negative integer")
     if not np.isfinite(data).all():
-        raise DomainError(f"{path}: {_bad_draw_row(path, width)}")
+        raise _bad_row(path)
     ids, counts = np.unique(chain, return_counts=True)
     if np.any(counts != counts[0]):
         lengths = ", ".join(f"chain {int(i)}: {k}" for i, k in zip(ids, counts))
@@ -500,29 +497,17 @@ def load_draws_csv(path: str) -> PosteriorDraws:
     data = data[order, 2:].reshape(len(ids), counts[0], width - 2)
     coefficients = data[:, :, :-1]
     sigma = data[:, :, -1]
-    return PosteriorDraws(coefficients=coefficients, sigma=sigma,
-                          diagnostics=inference._diagnostics(coefficients, sigma))
+    with np.errstate(over="ignore", invalid="ignore"):  # a draw near 1e308: NaN fails the gate
+        diagnostics = inference._diagnostics(coefficients, sigma)
+    return PosteriorDraws(coefficients=coefficients, sigma=sigma, diagnostics=diagnostics)
 
 
-def _bad_draw_row(path: str, width: int) -> str:
-    """Name the first draw row with a cell that is missing, not a number or not finite."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = [(i, ln.split("#")[0].strip()) for i, ln in enumerate(fh, 1)
-                 if not ln.startswith("#")]
-    for lineno, text in lines[1:]:
-        if not text:
-            continue
-        cells = text.split(",")
-        if len(cells) != width:
-            return f"line {lineno}: {len(cells)} cells, expected {width}"
-        for cell in cells:
-            try:
-                value = float(cell)
-            except ValueError:
-                return f"line {lineno}: cell {cell!r} is not a number"
-            if not math.isfinite(value):
-                return f"line {lineno}: cell {cell!r} is not finite"
-    return "draw rows could not be parsed"
+def _bad_row(path: str) -> DomainError:
+    """The error of the first draw row that ``read_table`` or ``_cell`` rejects."""
+    for line, record in read_table(path)[2]:
+        for column in _DRAW_COLUMNS:
+            _cell(path, line, record, column)
+    return DomainError(f"{path}: draw rows could not be parsed")
 
 
 def _cmd_did(args) -> int:
@@ -574,11 +559,9 @@ def _read_covariates(path: str) -> dict:
 
 def _read_baseline(path: str) -> cf.Baseline:
     """The baseline JSON object; each key must hold a finite JSON number, not a bool or string."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an overlong integer, or deep nesting
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8, a huge integer or deep nesting
         raise DomainError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DomainError(f"{path}: baseline must be an object with numeric "
@@ -614,9 +597,10 @@ def _cmd_counterfactual(args) -> int:
                                                        pickle.HIGHEST_PROTOCOL)) as resp:
         seat_model = load_draws_csv(args.seat_model)
         resp_model = pickle.loads(b"".join(resp))
-    for label, model in (("seat", seat_model), ("responsiveness", resp_model)):
+    for label, path, model in (("seat", args.seat_model, seat_model),
+                               ("responsiveness", args.resp_model, resp_model)):
         if not model.diagnostics.passes():
-            raise ConvergenceError(f"{label} model draws fail convergence thresholds",
+            raise ConvergenceError(f"{path}: {label} model draws fail convergence thresholds",
                                    model.diagnostics)
     covariates = _read_covariates(args.covariates)
     baseline = _read_baseline(args.baseline)
@@ -738,7 +722,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DomainError, NotApplicable, ConvergenceError, OSError, UnicodeDecodeError) as exc:
+    except (DomainError, NotApplicable, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -300,42 +300,59 @@ def _parse_row(record: dict[str, str], where: str) -> StateProcess:
     return StateProcess(**kwargs)
 
 
-def read_table(name: str, lines=None, error: type = DomainError, keys=None):
+def read_table(name: str, text=None, error: type = DomainError):
     """The header's line, the header and the records, each with its line, of a CSV table.
 
-    The package's one CSV reader: the codebook and every table input of
-    ``leeway.cli`` come through it. The table is the file ``name``, read
-    whole without a leading byte-order mark, or else ``lines`` as a file
-    opened with ``newline=""`` yields them, read as far as the caller
-    iterates. '#' lines and blank records are skipped, and a missing header
-    is []. The caller checks the header before it iterates: a longer record
-    raises ``error`` as "<name>, line N: K cells, expected M", and a short
-    one's missing cells are ''. Given ``keys``, as many as the header has
-    names, each record is keyed by them instead.
+    The package's one CSV reader, and the one statement of the rules every
+    CSV input follows: the codebook and every table and draw file of
+    ``leeway.cli`` come through it. The table is ``text``, as str or UTF-8
+    bytes, or else the file ``name``, read as far as the caller iterates.
+    A leading byte-order mark is dropped, '#' lines before the header are
+    comments, blank records are skipped, header names are trimmed, and a
+    missing header is []. The caller checks the header before it iterates:
+    a longer record raises ``error`` as "<name>, line N: K cells, expected
+    M", and a short one's missing cells are ''. Bytes that are not UTF-8
+    and text that is not well-formed CSV raise ``error`` naming the line.
     """
-    if lines is None:
-        with open(name, encoding="utf-8-sig", newline="") as fh:
-            lines = fh.readlines()
     line = 0
 
-    def text():
+    def lines():
         nonlocal line
-        for line, ln in enumerate(lines, 1):
-            if not ln.startswith("#"):
+        if text is None:
+            fh = open(name, encoding="utf-8", errors="surrogateescape", newline="")
+        else:
+            fh = io.StringIO(text if isinstance(text, str)
+                             else text.decode("utf-8", "surrogateescape"), newline="")
+        with fh:
+            comments = True  # until the header
+            for line, ln in enumerate(fh, 1):
+                if not ln.isascii():  # an undecodable byte is a lone surrogate here
+                    try:
+                        ln.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeError as exc:
+                        raise error(f"{name}, line {line}: {exc}") from None
+                    if line == 1:
+                        ln = ln.removeprefix("\ufeff")
+                if comments and ln.startswith("#"):
+                    continue
+                comments = comments and not ln.strip("\r\n")
                 yield ln
 
-    reader = csv.DictReader(text(), restval="")
-    header = reader.fieldnames or []
-    header_line = line if reader.fieldnames is not None else line + 1
-    if keys is not None:
-        reader.fieldnames = list(keys)
+    def rows():
+        try:
+            yield from filter(None, csv.reader(lines(), strict=True))
+        except csv.Error as exc:
+            raise error(f"{name}, line {line}: {exc}") from None
+
+    body = rows()
+    header = [field.strip() for field in next(body, [])]
+    header_line = line if header else line + 1
 
     def records():
-        for record in reader:
-            if None in record:  # DictReader files the extra cells under None
-                raise error(f"{name}, line {line}: {len(header) + len(record[None])} cells, "
-                            f"expected {len(header)}")
-            yield line, record
+        for cells in body:
+            if len(cells) > len(header):
+                raise error(f"{name}, line {line}: {len(cells)} cells, expected {len(header)}")
+            yield line, dict(zip(header, cells + [""] * (len(header) - len(cells))))
 
     return header_line, header, records()
 
@@ -349,19 +366,14 @@ def first_line(name: str, seen: dict, key: tuple, line: int, what: str, error=Do
 
 
 def _read_records(source):
-    """Each record of a codebook by canonical column, after its file name and line.
-
-    A header name padded with spaces still keys its cells by the canonical column.
-    """
+    """Each record of a codebook by canonical column, after its file name and line."""
     if isinstance(source, Path):
-        name, data = str(source), source.read_bytes()
+        name, text = str(source), None
     else:  # bytes and text have no name
         name = getattr(source, "name", "<codebook>")
-        data = source if isinstance(source, (bytes, str)) else source.read()
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data.removeprefix("\ufeff")
-    line, header, records = read_table(name, io.StringIO(text, newline=""), CodebookError,
-                                       COLUMNS)
-    if tuple(h.strip() for h in header) != COLUMNS:
+        text = source if isinstance(source, (bytes, str)) else source.read()
+    line, header, records = read_table(name, text, CodebookError)
+    if tuple(header) != COLUMNS:
         raise UnknownColumn(f"{name}, line {line}: header does not match canonical "
                             f"columns: {header!r}")
     return ((name, line, record) for line, record in records)

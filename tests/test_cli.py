@@ -599,6 +599,26 @@ class TestCounterfactualCommand:
                      if not ln.startswith("#")]
         assert len(line_rows) - 1 == 40000  # one per posterior draw
 
+    @pytest.mark.parametrize("n,huge", [(10, None), (1000, 1e308)], ids=["short", "huge"])
+    def test_unconverged_draws_exit_1(self, small_codebook, fitted_model, inputs, tmp_path,
+                                      capsys, n, huge):
+        # 4 chains of 10 draws cannot reach an ESS of 400. A finite draw near
+        # 1e308 overflows its column's R-hat to NaN, which fails the gate too.
+        draws = random_draws(4, n, decades=1)
+        if huge is not None:
+            draws.coefficients[1, 7, 0] = huge
+        seat = tmp_path / "seat.csv"
+        save_draws_csv(draws, str(seat), "# header\n")
+        cov, base = inputs
+        assert main(["counterfactual", "--template", "mi",
+                     "--codebook", small_codebook, "--seat-model", str(seat),
+                     "--resp-model", fitted_model, "--covariates", cov,
+                     "--baseline", base, "--draws", "2", "--seed", "3",
+                     "--output", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err == (f"error: {seat}: seat model draws fail "
+                                           "convergence thresholds\n")
+        assert not (tmp_path / "o.json").exists()
+
     def test_missing_covariates_exit_1(self, small_codebook, fitted_model, inputs,
                                        tmp_path, capsys):
         _, base = inputs
@@ -666,8 +686,7 @@ class TestDrawFiles:
         by_chain = [rows[c * 30:(c + 1) * 30] for c in (2, 1, 0)]
         mixed = tmp_path / "mixed.csv"
         mixed.write_text("# header\n" + header + "".join(
-            line for t in range(30) for line in (*(chain[t] for chain in by_chain),
-                                                  "# a comment line\n")))
+            line for t in range(30) for line in (chain[t] for chain in by_chain)))
         a, b = load_draws_csv(str(path)), load_draws_csv(str(mixed))
         assert a.coefficients.tobytes() == b.coefficients.tobytes()
         assert a.sigma.tobytes() == b.sigma.tobytes()
@@ -677,12 +696,13 @@ class TestDrawFiles:
     def test_line_endings_and_comment_lines_load_bitwise(self, tmp_path, newline):
         # The rows are parsed after skipping the leading comment lines and
         # the header, so the count of skipped lines must hold for every line
-        # ending, and comment lines among the rows must still be skipped.
+        # ending, a byte-order mark or a quote in a comment; blank lines
+        # among the rows are skipped.
         path = tmp_path / "d.csv"
         save_draws_csv(random_draws(2, 12, seed=4), str(path), "# header\n")
         header, rows = draw_file_lines(path)
-        lines = ["# one\n", "#\n", "# three, with, commas\n", header,
-                 *rows[:5], "# mid-file\n", "#\n", *rows[5:17], "# another\n", *rows[17:]]
+        lines = ["\ufeff# one\n", "#\n", '# three, with, "commas\n', "\n", header,
+                 *rows[:5], "\n", *rows[5:17], "\n", "\n", *rows[17:]]
         edited = tmp_path / "edited.csv"
         edited.write_bytes("".join(lines).replace("\n", newline).encode())
         a, b = load_draws_csv(str(path)), load_draws_csv(str(edited))
@@ -726,22 +746,35 @@ class TestDrawFiles:
     def test_short_row_rejected(self, saved):
         self.rewrite(saved, lambda rows: [*rows[:3], rows[3].rsplit(",", 1)[0] + "\n",
                                           *rows[4:]])
-        self.assert_rejected(saved, "line 6: 18 cells, expected 19")
+        self.assert_rejected(saved, "line 6: sigma='' is not a valid float")
 
     def test_every_row_short_rejected(self, saved):
         self.rewrite(saved, lambda rows: [r.rsplit(",", 1)[0] + "\n" for r in rows])
-        self.assert_rejected(saved, "18 cells, expected 19")
+        self.assert_rejected(saved, "line 3: sigma='' is not a valid float")
 
     def test_unparseable_cell_rejected(self, saved):
         self.rewrite(saved, lambda rows: [*rows[:4], "0,x," + rows[4].split(",", 2)[2],
                                           *rows[5:]])
-        self.assert_rejected(saved, "line 7: cell 'x' is not a number")
+        self.assert_rejected(saved, "line 7: draw='x' is not a valid float")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_rejected(self, saved, cell):
         self.rewrite(saved, lambda rows: [*rows[:4], rows[4].rsplit(",", 1)[0] + f",{cell}\n",
                                           *rows[5:]])
-        self.assert_rejected(saved, f"line 7: cell '{cell}' is not finite")
+        self.assert_rejected(saved, f"line 7: sigma='{cell}' is not finite")
+
+    @pytest.mark.parametrize("row,message", [
+        ("# a comment line", "line 5: chain='# a comment line' is not a valid float"),
+        ('"0"x,1', "line 5: ',' expected after '\"'"),
+        ("x" * 140_000, r"line 5: field larger than field limit \(131072\)"),
+        ("0,\udce9", "line 5: 'utf-8' codec can't decode byte 0xe9 in position 2"),
+    ], ids=["comment", "bad-quote", "huge-cell", "latin1"])
+    def test_malformed_row_rejected_naming_its_line(self, saved, row, message):
+        # A row is any line after the header, and read as every table input's is.
+        header, rows = draw_file_lines(saved)
+        saved.write_bytes("".join(["# header\n", header, *rows[:2], row + "\n", *rows[2:]])
+                          .encode("utf-8", "surrogateescape"))
+        self.assert_rejected(saved, message)
 
     def test_wrong_header_rejected(self, saved):
         saved.write_text(saved.read_text().replace(",sigma\n", ",scale\n"))
@@ -1088,7 +1121,7 @@ class TestDataErrorsExit1:
         # Such a row used to adjust nothing and exit 0.
         plans, ensemble = tmp_path / "plans.csv", tmp_path / "ens.csv"
         plans.write_text("state,cycle,district,rep_share\nAL,2020,1,0.4\nAL,2020,2,0.6\n")
-        ensemble.write_text("state,cycle,metric,mean,sd\n# a comment line\n"
+        ensemble.write_text("# a comment line\nstate,cycle,metric,mean,sd\n"
                             f"AL,2020,expected_seats,1.1,0.3\n{row}\n")
         out = tmp_path / "m.csv"
         assert main(["metrics", "--plans", str(plans), "--ensemble", str(ensemble),
@@ -1142,7 +1175,7 @@ class TestDataErrorsExit1:
                      "--output", str(tmp_path / "o.json")]) == 1
         err = capsys.readouterr().err
         # two header lines, then chain 2's draw 500 after 2 x 1,000 rows
-        assert str(path) in err and "line 2503: cell 'nan' is not finite" in err
+        assert str(path) in err and "line 2503: log_seats='nan' is not finite" in err
 
     @pytest.mark.parametrize("covariates,baseline,message", [
         ("AL,0.39,1,1.95,0,1.2,0,seven\n", None, "line 2: n_districts='seven'"),
@@ -1167,6 +1200,9 @@ class TestDataErrorsExit1:
                      "not valid JSON", id="baseline-overlong-int"),
         pytest.param(None, "[" * 100_000 + "]" * 100_000, "not valid JSON",
                      id="baseline-deep-nesting"),
+        pytest.param(None, '{"dem_seats": 213.5, "slope_seats_per_pp": 7.8, "note": "\udce9"}',
+                     "base.json: not valid JSON ('utf-8' codec can't decode byte 0xe9",
+                     id="baseline-latin1"),
     ])
     def test_counterfactual_inputs(self, small_codebook, fitted_model, inputs, tmp_path,
                                    capsys, covariates, baseline, message):
@@ -1177,7 +1213,7 @@ class TestDataErrorsExit1:
                            "initiative,n_districts\n" + covariates)
         if baseline is not None:
             base = tmp_path / "base.json"
-            base.write_text(baseline)
+            base.write_bytes(baseline.encode("utf-8", "surrogateescape"))
         assert main(["counterfactual", "--template", "mi",
                      "--codebook", small_codebook, "--seat-model", fitted_model,
                      "--resp-model", fitted_model, "--covariates", str(cov),
@@ -1225,6 +1261,11 @@ class TestDataErrorsExit1:
                      "--output", str(tmp_path / "l.csv")]) == 1
         assert "grid step nan out of range" in capsys.readouterr().err
 
+    def test_zero_draws(self, small_codebook, tmp_path, capsys):
+        assert main(["leeway", "--codebook", small_codebook, "--draws", "0",
+                     "--output", str(tmp_path / "l.csv")]) == 1
+        assert capsys.readouterr().err == "error: n_draws must be at least 1\n"
+
     def test_tiny_grid_step(self, small_codebook, tmp_path, capsys):
         # A step of 1e-9 would ask for a grid of 8 billion points.
         assert main(["leeway", "--codebook", small_codebook, "--grid-step", "1e-9",
@@ -1257,10 +1298,14 @@ class TestDataErrorsExit1:
         pytest.param('{"stale_slope": {"dist": "beta", "params": [1, ' + "1" * 5000 + ']}}',
                      "not valid JSON", id="overlong-int"),
         pytest.param("[" * 100_000 + "]" * 100_000, "not valid JSON", id="deep-nesting"),
+        pytest.param('{"no_such_parameter": {"dist": "beta", "params": [1, 1]}}',
+                     "unknown parameter 'no_such_parameter'", id="unknown-parameter"),
+        pytest.param('{"stale_slope": {"dist": "b\udce9ta", "params": [1, 1]}}',
+                     "'utf-8' codec can't decode byte 0xe9", id="latin1"),
     ])
     def test_prior_file(self, small_codebook, tmp_path, capsys, text, message):
         priors = tmp_path / "priors.json"
-        priors.write_text(text)
+        priors.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert main(["leeway", "--codebook", small_codebook, "--draws", "2",
                      "--priors", str(priors), "--output", str(tmp_path / "l.csv")]) == 1
         err = capsys.readouterr().err
@@ -1315,17 +1360,27 @@ class TestDataErrorsExit1:
         assert not any(path.exists() for path in outputs)
 
 
-# Seven edits to a valid table, all but the byte-order mark to line 3: the
-# first two are rejected, the rest change nothing a reader keeps. U+2028 is
-# a line break to str.splitlines but not to a CSV file.
+# Edits to a valid table. The first seven put a fault on line 3, and the
+# table is rejected naming that line: a '#' line after the header is a row,
+# and "\udce9" is written as the byte 0xe9, which is not UTF-8. A renamed
+# column fails the header check. The rest change nothing a reader keeps:
+# U+2028 is a line break to str.splitlines but not to a CSV file.
 _TABLE_EDITS = {
     "extra-cell": lambda lines: lines[:2] + [lines[2].rstrip("\n") + ",9\n"] + lines[3:],
     "short-row": lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + "\n"] + lines[3:],
     "comment-line": lambda lines: lines[:2] + ["# a comment line\n"] + lines[2:],
+    "bad-quote": lambda lines: lines[:2] + ['"U"X,' + lines[2].split(",", 1)[1]] + lines[3:],
+    "open-quote": lambda lines: lines[:2] + ['"' + lines[2]],
+    "huge-cell": lambda lines: lines[:2] + ["x" * 140_000 + "," + lines[2].split(",", 1)[1]]
+    + lines[3:],
+    "latin1": lambda lines: lines[:2] + ["\udce9" + lines[2]] + lines[3:],
+    "renamed-column": lambda lines: [lines[0].replace("state", "name", 1), *lines[1:]],
     "crlf": lambda lines: [line.replace("\n", "\r\n") for line in lines],
     "blank-line": lambda lines: lines[:2] + ["\n"] + lines[2:],
     "u2028": lambda lines: lines[:2] + ["U\u2028X," + lines[2].split(",", 1)[1]] + lines[3:],
     "bom": lambda lines: ["\ufeff" + lines[0], *lines[1:]],
+    "leading-comment": lambda lines: ["# a comment line\n", *lines],
+    "padded-header": lambda lines: [lines[0].replace(",", " , "), *lines[1:]],
 }
 
 
@@ -1357,12 +1412,14 @@ def test_table_readers_share_one_set_of_rules(reader, edit, small_codebook, did_
                         "--covariates", str(table), "--baseline", base, "--draws", "2",
                         "--output", str(out)]),
     }[reader]
-    table.write_bytes("".join(_TABLE_EDITS[edit](text.splitlines(keepends=True))).encode())
+    table.write_bytes("".join(_TABLE_EDITS[edit](text.splitlines(keepends=True)))
+                      .encode("utf-8", "surrogateescape"))
     code = main(argv)
     err = capsys.readouterr().err
-    if edit in ("extra-cell", "short-row"):
+    if edit in list(_TABLE_EDITS)[:8]:
         assert code == 1
-        assert err.startswith(f"error: {table}, line 3: ") and err.count("\n") == 1, err
+        where = "" if edit == "renamed-column" else ", line 3: "
+        assert err.startswith(f"error: {table}{where}") and err.count("\n") == 1, err
         assert not out.exists()
     else:
         assert code == 0, err

@@ -1,5 +1,6 @@
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -77,7 +78,9 @@ class TestParse:
          "line 4: [control-without-body] veto1 is NA but veto1_control is Republicans"),
         (AL_ROW.replace("AL", "  ", 1), CodebookError, "line 4: state is empty"),
         (AL_ROW, DuplicateKey, "lines 3 and 4: duplicate (state, cycle) key AL,2020"),
-    ], ids=["literal", "rule", "empty-state", "duplicate"])
+        (AL_ROW.replace("2020", "2016"), UnknownEnumLiteral,
+         "line 4: column 'cycle' has unknown literal '2016'"),
+    ], ids=["literal", "rule", "empty-state", "duplicate", "cycle"])
     def test_errors_name_the_file_and_line(self, tmp_path, row, error, message):
         path = tmp_path / "book.csv"
         path.write_text(f"# a comment line\n{HEADER}\n{AL_ROW}\n{row}\n")
@@ -181,6 +184,13 @@ class TestRoundTrip:
         text = serialize_codebook(book)
         assert parse_codebook(text) == book
         assert serialize_codebook(parse_codebook(text)) == text
+
+    def test_state_starting_with_hash_round_trips(self):
+        # Only the lines before the header are comments, so a row whose
+        # state starts with '#' is a row.
+        rows = load_fixture_codebook().rows[:3]
+        book = Codebook((rows[0], replace(rows[1], state_id="#X"), rows[2]))
+        assert parse_codebook(serialize_codebook(book)) == book
 
     def test_fixture_rows_all_validate(self):
         for row in load_fixture_codebook():

@@ -14,7 +14,9 @@ starts with one underscore, and that nothing reads, is a leftover.
 
 One function in the package reads CSV records, ``codebook.read_table``:
 no other code refers to ``csv.reader`` or ``csv.DictReader``, so every
-table input follows one set of rules.
+table input follows one set of rules. It is also the one function that
+decides what a comment is: no other code tests a line for ``"#"`` or calls
+``np.loadtxt`` with ``comments`` other than ``None``.
 """
 
 import ast
@@ -204,3 +206,45 @@ def test_one_function_reads_csv_records():
 ])
 def test_scan_finds_csv_reader_uses(source, expected):
     assert csv_reader_uses(source) == expected
+
+
+def comment_rules(source: str) -> list[tuple[int, str]]:
+    """(line, top-level definition or "<module>") of each comment rule in ``source``.
+
+    A rule is the string ``"#"`` (or ``b"#"``) itself, or a call of
+    ``loadtxt`` whose ``comments`` is not ``None``; numpy's default is "#".
+    """
+    found = set()
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and node.value in ("#", b"#"):
+                found.add((node.lineno, owner))
+            elif isinstance(node, ast.Call) and "loadtxt" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                comments = [k.value for k in node.keywords if k.arg == "comments"]
+                if not (comments and isinstance(comments[0], ast.Constant)
+                        and comments[0].value is None):
+                    found.add((node.lineno, owner))
+    return sorted(found)
+
+
+def test_one_function_decides_what_a_comment_is():
+    uses = {f"{path.name}:{owner}" for path in PACKAGE
+            for _, owner in comment_rules(path.read_text(encoding="utf-8"))}
+    assert uses == {"codebook.py:read_table"}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ('def f(line):\n    return line.startswith("#")\n', [(2, "f")]),
+    ('if b"#" in data:\n    pass\n', [(1, "<module>")]),
+    ('header = "# leeway v0"\nline.split(",")\n', []),
+    ("import numpy as np\nnp.loadtxt(p, comments=None)\n", []),
+    ("import numpy as np\nnp.loadtxt(p)\n", [(2, "<module>")]),
+    ('import numpy\nclass A:\n    def m(self, p):\n        return numpy.loadtxt(p, comments="")\n',
+     [(4, "A")]),
+    ('from numpy import loadtxt\nloadtxt(p, comments="#")\nloadtxt(p, comments=None)\n',
+     [(2, "<module>")]),
+])
+def test_scan_finds_comment_rules(source, expected):
+    assert comment_rules(source) == expected

@@ -120,6 +120,8 @@ class TestSampling:
         ("stale_slope", {"dist": "beta", "params": [1, float("nan")]}, "two finite numbers"),
         ("stale_slope", {"params": [1, 1]}, "override must be"),
         ("stale_slope", [1, 1], "override must be"),
+        ("no_such_parameter", {"dist": "beta", "params": [1, 1]},
+         "unknown parameter 'no_such_parameter'"),
     ])
     def test_bad_override_rejected_at_load(self, name, spec, message):
         with pytest.raises(DomainError, match=message):
