@@ -80,7 +80,7 @@ def _load_prior(path: str | None) -> PriorSpec:
     if path is None:
         return PriorSpec.default()
     try:
-        return PriorSpec.from_json(Path(path).read_text(encoding="utf-8"))
+        return PriorSpec.from_json(Path(path).read_text(encoding="utf-8-sig"))
     except (DomainError, UnicodeDecodeError) as exc:
         raise DomainError(f"{path}: {exc}") from None
 
@@ -88,18 +88,23 @@ def _load_prior(path: str | None) -> PriorSpec:
 def _cell(path: str, line: int, record: dict, key: str, kind=float, rule=None):
     """Convert one CSV cell, or raise DomainError naming its file and line.
 
-    A float cell must be finite. ``rule`` is an optional (test, requirement)
-    pair, such as ``_POSITIVE``, that the value must also pass.
+    A number is written as ``np.loadtxt`` reads one: ASCII inside its
+    whitespace and no '_', which ``int`` and ``float`` would accept. A float
+    cell must be finite. ``rule`` is an optional (test, requirement) pair,
+    such as ``_POSITIVE``, that the value must also pass.
     """
+    text = record[key]
     try:
-        value = kind(record[key])
+        if "_" in text or not text.strip().isascii():
+            raise ValueError(text)
+        value = kind(text)
     except ValueError:
-        raise DomainError(f"{path}, line {line}: {key}={record[key]!r} is not "
+        raise DomainError(f"{path}, line {line}: {key}={text!r} is not "
                           f"a valid {kind.__name__}") from None
     if kind is float and not math.isfinite(value):
-        raise DomainError(f"{path}, line {line}: {key}={record[key]!r} is not finite")
+        raise DomainError(f"{path}, line {line}: {key}={text!r} is not finite")
     if rule is not None and not rule[0](value):
-        raise DomainError(f"{path}, line {line}: {key}={record[key]!r} {rule[1]}")
+        raise DomainError(f"{path}, line {line}: {key}={text!r} {rule[1]}")
     return value
 
 
@@ -253,7 +258,10 @@ def _read_plans(path: str) -> list[tuple[tuple[str, int], metrics.PlanProfile]]:
         if blank and len(blank) < len(cells):
             raise DomainError(f"{path}, line {blank[0]}: turnout is blank, but other districts "
                               f"of {key[0]},{key[1]} have one")
-        plans.append((key, metrics.PlanProfile(shares, None if blank else turnouts)))
+        try:
+            plans.append((key, metrics.PlanProfile(shares, None if blank else turnouts)))
+        except DomainError as exc:
+            raise DomainError(f"{path}, line {lines[0]}: {key[0]},{key[1]}: {exc}") from None
     return plans
 
 
@@ -560,7 +568,7 @@ def _read_covariates(path: str) -> dict:
 def _read_baseline(path: str) -> cf.Baseline:
     """The baseline JSON object; each key must hold a finite JSON number, not a bool or string."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # also non-UTF-8, a huge integer or deep nesting
         raise DomainError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
@@ -590,6 +598,8 @@ def _cmd_counterfactual(args) -> int:
     # returning it when this call ends.
     pairs = cf.counterfactual_doses(book, template, prior, n_draws=args.draws,
                                     seed=args.seed, grid=_grid(args))
+    if not pairs:
+        raise DomainError(f"{args.codebook}: no {cf.REFORM_CYCLE} row has a redistricting game")
     # A forked child reads the responsiveness draws while this process reads
     # the seat draws. The child's error is raised only here, after the seat
     # file's, so with two bad files the seat file's error is the one reported.
@@ -602,7 +612,13 @@ def _cmd_counterfactual(args) -> int:
         if not model.diagnostics.passes():
             raise ConvergenceError(f"{path}: {label} model draws fail convergence thresholds",
                                    model.diagnostics)
+    if seat_model.n_total != resp_model.n_total:
+        raise DomainError(f"{args.seat_model} holds {seat_model.n_total} draws and "
+                          f"{args.resp_model} {resp_model.n_total}; they must match")
     covariates = _read_covariates(args.covariates)
+    missing = [p.state_id for p in pairs if p.state_id not in covariates]
+    if missing:
+        raise DomainError(f"{args.covariates}: missing covariates for: {', '.join(missing)}")
     baseline = _read_baseline(args.baseline)
 
     prediction = cf.predict_national(pairs, seat_model, resp_model, covariates, baseline)

@@ -20,11 +20,11 @@ from .errors import DomainError
 _PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# Cephes ndtr, erf and erfc, as scipy.special ships them: the same
+# The Cephes ndtr routine that scipy.special ships, cut to the path ndtr
+# takes: erf's series inside |a| < sqrt 2, erfc's fractions outside. Its
 # coefficients, Horner order, branch points and libm exp (math.exp; np.exp
-# rounds differently), so every result is bitwise equal to scipy's. Q, S
-# and U carry the leading 1 that Cephes' p1evl implies: 1.0 * x + c is
-# exactly x + c.
+# rounds differently) keep every result bitwise equal to scipy's. Q, S and U
+# carry the leading 1 that Cephes' p1evl implies: 1.0 * x + c is x + c.
 _P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
       4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
       9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
@@ -51,44 +51,22 @@ def _polevl(x: float, coef: tuple) -> float:
     return ans
 
 
-def _erf(x: float) -> float:
-    if x != x:
-        return math.nan
-    if x < 0.0:
-        return -_erf(-x)
-    if x > 1.0:
-        return 1.0 - _erfc(x)
-    z = x * x
-    return x * _polevl(z, _T) / _polevl(z, _U)
-
-
-def _erfc(a: float) -> float:
-    if a != a:
-        return math.nan
-    x = abs(a)
-    if x < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
-    if z >= -_MAXLOG:
-        z = math.exp(z)
-        if x < 8.0:
-            y = z * _polevl(x, _P) / _polevl(x, _Q)
-        else:
-            y = z * _polevl(x, _R) / _polevl(x, _S)
-        if a < 0.0:
-            y = 2.0 - y
-        if y != 0.0:
-            return y
-    return 2.0 if a < 0.0 else 0.0  # underflow
-
-
 def _ndtr(a: float) -> float:
     if a != a:
         return math.nan
     x = a * _SQRT1_2
-    if abs(x) < 1.0:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(abs(x))
+    t = abs(x)
+    if t < 1.0:  # 0.5 + 0.5 erf(x); the series is odd bit for bit
+        z = x * x
+        return 0.5 + 0.5 * (x * _polevl(z, _T) / _polevl(z, _U))
+    z = -t * t  # y = erfc(t) / 2, which underflows to 0 past sqrt(MAXLOG)
+    y = 0.0
+    if z >= -_MAXLOG:
+        z = math.exp(z)
+        if t < 8.0:
+            y = 0.5 * (z * _polevl(t, _P) / _polevl(t, _Q))
+        else:
+            y = 0.5 * (z * _polevl(t, _R) / _polevl(t, _S))
     return 1.0 - y if x > 0.0 else y
 
 
@@ -126,6 +104,8 @@ class PlanProfile:
             bad = [w for w in weights if not 0.0 < w < math.inf]
             if bad:
                 raise DomainError(f"turnout_weights: {bad[0]!r} is not positive and finite")
+            if math.isinf(sum(weights)):  # a weighted average would overflow
+                raise DomainError("turnout_weights: their sum overflows to inf")
             object.__setattr__(self, "turnout_weights", weights)
 
     @property

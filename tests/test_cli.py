@@ -631,7 +631,33 @@ class TestCounterfactualCommand:
                      "--resp-model", fitted_model, "--covariates", str(cov),
                      "--baseline", base, "--draws", "3", "--seed", "3",
                      "--output", str(tmp_path / "o.json")]) == 1
-        assert "missing covariates" in capsys.readouterr().err
+        assert f"error: {cov}: missing covariates for: " in capsys.readouterr().err
+
+    def test_draw_counts_differ_exit_1(self, small_codebook, inputs, tmp_path, capsys):
+        seat, resp = tmp_path / "seat.csv", tmp_path / "resp.csv"
+        save_draws_csv(random_draws(4, 200, decades=1), str(seat))
+        save_draws_csv(random_draws(4, 400, seed=1, decades=1), str(resp))
+        cov, base = inputs
+        assert main(["counterfactual", "--template", "mi",
+                     "--codebook", small_codebook, "--seat-model", str(seat),
+                     "--resp-model", str(resp), "--covariates", cov,
+                     "--baseline", base, "--draws", "2", "--seed", "3",
+                     "--output", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {seat} holds 800 draws and {resp} 1600; they must match\n")
+
+    def test_no_dose_exit_1(self, fitted_model, inputs, tmp_path, capsys):
+        book = tmp_path / "book.csv"
+        book.write_text(serialize_codebook(Codebook(tuple(
+            row for row in load_fixture_codebook() if row.cycle == 2010))))
+        cov, base = inputs
+        assert main(["counterfactual", "--template", "mi",
+                     "--codebook", str(book), "--seat-model", fitted_model,
+                     "--resp-model", fitted_model, "--covariates", cov,
+                     "--baseline", base, "--draws", "2", "--seed", "3",
+                     "--output", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err == (f"error: {book}: no 2020 row has a redistricting "
+                                           "game\n")
 
 
 def random_draws(chains, n, seed=0, decades=5):
@@ -768,7 +794,9 @@ class TestDrawFiles:
         ('"0"x,1', "line 5: ',' expected after '\"'"),
         ("x" * 140_000, r"line 5: field larger than field limit \(131072\)"),
         ("0,\udce9", "line 5: 'utf-8' codec can't decode byte 0xe9 in position 2"),
-    ], ids=["comment", "bad-quote", "huge-cell", "latin1"])
+        ("0,1_0", "line 5: draw='1_0' is not a valid float"),
+        ("0,\u0661", "line 5: draw='\u0661' is not a valid float"),
+    ], ids=["comment", "bad-quote", "huge-cell", "latin1", "underscore", "arabic-digit"])
     def test_malformed_row_rejected_naming_its_line(self, saved, row, message):
         # A row is any line after the header, and read as every table input's is.
         header, rows = draw_file_lines(saved)
@@ -1035,10 +1063,17 @@ class TestDataErrorsExit1:
          "line 3: turnout='-1' must be positive"),
         ("rep_share\nNH,2020,1,0.5\n", "NH,2020,competitive_share,0.2,-1\n",
          "line 2: sd='-1' must be nonnegative"),
-    ], ids=["rep_share", "turnout", "sd"])
+        ("rep_share,turnout\nAL,2020,1,0.4,1e308\nAL,2020,2,0.6,1e308\n"
+         "AL,2020,3,0.55,1e308\n", None,
+         "line 2: AL,2020: turnout_weights: their sum overflows to inf"),
+        # Numbers as np.loadtxt reads them in a draw file, not as int and float do
+        ("rep_share\nNH,2_020,1,0.5\n", None, "line 2: cycle='2_020' is not a valid int"),
+        ("rep_share\nNH,2020,1,0.\u0665\n", None,
+         "line 2: rep_share='0.\u0665' is not a valid float"),
+    ], ids=["rep_share", "turnout", "sd", "turnout-sum", "underscore", "arabic-digit"])
     def test_metrics_value_out_of_range(self, tmp_path, capsys, plan, ensemble, message):
         plans = tmp_path / "plans.csv"
-        plans.write_text("state,cycle,district," + plan)
+        plans.write_text("state,cycle,district," + plan, encoding="utf-8")
         argv = ["metrics", "--plans", str(plans), "--output", str(tmp_path / "m.csv")]
         bad = plans
         if ensemble is not None:
@@ -1203,6 +1238,8 @@ class TestDataErrorsExit1:
         pytest.param(None, '{"dem_seats": 213.5, "slope_seats_per_pp": 7.8, "note": "\udce9"}',
                      "base.json: not valid JSON ('utf-8' codec can't decode byte 0xe9",
                      id="baseline-latin1"),
+        pytest.param(None, '\ufeff{"dem_seats": 213.5}',
+                     "base.json: baseline is missing key 'slope_seats_per_pp'", id="bom"),
     ])
     def test_counterfactual_inputs(self, small_codebook, fitted_model, inputs, tmp_path,
                                    capsys, covariates, baseline, message):
@@ -1256,6 +1293,12 @@ class TestDataErrorsExit1:
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
 
+    def test_zero_chains(self, did_input, tmp_path, capsys):
+        assert main(["did", "--input", did_input, "--chains", "0",
+                     "--output-draws", str(tmp_path / "d.csv"),
+                     "--output-diagnostics", str(tmp_path / "d.json")]) == 1
+        assert capsys.readouterr().err == "error: 0 chains; a fit needs at least 1\n"
+
     def test_nan_grid_step(self, small_codebook, tmp_path, capsys):
         assert main(["leeway", "--codebook", small_codebook, "--grid-step", "nan",
                      "--output", str(tmp_path / "l.csv")]) == 1
@@ -1302,6 +1345,7 @@ class TestDataErrorsExit1:
                      "unknown parameter 'no_such_parameter'", id="unknown-parameter"),
         pytest.param('{"stale_slope": {"dist": "b\udce9ta", "params": [1, 1]}}',
                      "'utf-8' codec can't decode byte 0xe9", id="latin1"),
+        pytest.param('\ufeff{"stale_slope": {"dist": "beta"}}', "override must be", id="bom"),
     ])
     def test_prior_file(self, small_codebook, tmp_path, capsys, text, message):
         priors = tmp_path / "priors.json"

@@ -1,4 +1,6 @@
+import dis
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ SPECIAL_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
 
 
 def branch_neighbours(k=8):
-    """The k floats on each side of every |a| where ndtr, erf or erfc branch."""
+    """The k floats on each side of 1 and of every |a| where ndtr branches."""
     points = []
     for point in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * MAXLOG)):
         for a in (point, -point):
@@ -73,13 +75,27 @@ class TestNdtr:
     def test_empty(self):
         assert ndtr(np.empty((0, 3))).shape == (0, 3)
 
-    @pytest.mark.parametrize("name", ["erf", "erfc"])
-    def test_erf_and_erfc_bitwise_equal_to_scipy(self, oracle_points, name):
-        # ndtr reaches only some branches of its erf and erfc; check them all.
-        port = getattr(metrics, f"_{name}")
-        points = np.concatenate([oracle_points[::10], oracle_points[-200:] / math.sqrt(2.0)])
-        values = np.array([port(a) for a in points.tolist()])
-        assert same_bits(values, getattr(special, name)(points))
+    def test_oracle_points_run_every_line(self):
+        # Each line of _ndtr runs on some branch neighbour or special value,
+        # so the bitwise tests above reach every branch, and a branch that
+        # ndtr cannot take has no place in it.
+        code = metrics._ndtr.__code__
+        ran = set()
+
+        def tracer(frame, event, arg):
+            if frame.f_code is code and event == "line":
+                ran.add(frame.f_lineno)
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            for a in [*branch_neighbours().tolist(), *SPECIAL_VALUES]:
+                metrics._ndtr(a)
+        finally:
+            sys.settrace(previous)
+        lines = {line for _, line in dis.findlinestarts(code)} - {code.co_firstlineno, None}
+        assert lines - ran == set()
 
 
 def random_plans(rng, count, max_districts=12):
