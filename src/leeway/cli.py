@@ -33,11 +33,18 @@ from .nature import PriorSpec
 from .solver import OptimizationGrid
 
 
+# The argparse names of every flag that names an output file, and of every
+# flag that names an input file.
+_OUTPUTS = ("output", "emit_diagnostics", "per_state", "output_draws", "output_diagnostics",
+            "doses_csv", "line_samples")
+_INPUTS = ("input", "codebook", "priors", "plans", "ensemble", "seat_model", "resp_model",
+           "covariates", "baseline")
+
+
 def _config_hash(args: argparse.Namespace) -> str:
     # Thread count and output destinations never change results, so they
     # stay out of the hash to keep reruns byte-identical.
-    skip = {"output", "per_state", "doses_csv", "line_samples", "output_draws",
-            "output_diagnostics", "emit_diagnostics", "func", "threads"}
+    skip = {*_OUTPUTS, "func", "threads"}
     payload = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.md5(blob.encode()).hexdigest()[:12]
@@ -592,6 +599,8 @@ def _cmd_counterfactual(args) -> int:
     book = cb.parse_codebook(Path(args.codebook))
     prior = _load_prior(args.priors)
     template = cf.TEMPLATES[args.template]
+    covariates = _read_covariates(args.covariates)
+    baseline = _read_baseline(args.baseline)
     # Solved before the draw files are read, while the heap is small: numpy
     # keeps some of the solver's small blocks for reuse after the call, and
     # above the draw files' memory they would stop the allocator from
@@ -615,11 +624,9 @@ def _cmd_counterfactual(args) -> int:
     if seat_model.n_total != resp_model.n_total:
         raise DomainError(f"{args.seat_model} holds {seat_model.n_total} draws and "
                           f"{args.resp_model} {resp_model.n_total}; they must match")
-    covariates = _read_covariates(args.covariates)
     missing = [p.state_id for p in pairs if p.state_id not in covariates]
     if missing:
         raise DomainError(f"{args.covariates}: missing covariates for: {', '.join(missing)}")
-    baseline = _read_baseline(args.baseline)
 
     prediction = cf.predict_national(pairs, seat_model, resp_model, covariates, baseline)
 
@@ -724,6 +731,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _paths(args, names) -> list[tuple[str, str]]:
+    """The (flag, path) of each flag in ``names`` that the command line gave."""
+    return [(f"--{name.replace('_', '-')}", path) for name in names
+            if (path := getattr(args, name, None))]
+
+
+def _check_clashes(parser, args) -> None:
+    """Exit 2, a usage error, where an output is another output or an input.
+
+    An input that does not exist is left to its reader, which names it.
+    """
+    outputs = _paths(args, _OUTPUTS)
+    inputs = [(flag, path) for flag, path in _paths(args, _INPUTS) if os.path.exists(path)]
+    for i, (flag, path) in enumerate(outputs):
+        for other, used in (*outputs[:i], *inputs):
+            try:
+                same = os.path.samefile(path, used)
+            except OSError:  # an output that does not exist yet
+                same = os.path.realpath(path) == os.path.realpath(used)
+            if same:
+                parser.error(f"{flag} {path} is the same file as {other} {used}")
+
+
+def _check_directories(args) -> None:
+    """DomainError, naming the flag, where an output's directory does not exist."""
+    for flag, path in _paths(args, _OUTPUTS):
+        directory = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(directory):
+            raise DomainError(f"{flag} {path}: no such directory: {directory}")
+
+
 # Exit code of a run that ends in an uncaught exception: a bug, not a data
 # error (1) or a usage error (2).
 EXIT_BUG = 3
@@ -734,9 +772,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_clashes(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_directories(args)
         return args.func(args)
     except (DomainError, NotApplicable, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from leeway import cli, solver
+from leeway import cli, inference, solver
 from leeway.cli import load_draws_csv, main, save_draws_csv
 from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer, PartyControl,
                              Stalemate1, Veto1, load_fixture_codebook, parse_codebook,
@@ -459,23 +459,21 @@ class TestMetricsCommand:
 
 
 class TestDidCommand:
-    def test_fit_and_outputs(self, did_input, tmp_path):
-        draws = tmp_path / "draws.csv"
-        diag = tmp_path / "diag.json"
-        assert main(["did", "--input", did_input, "--seed", "5",
-                     "--output-draws", str(draws),
-                     "--output-diagnostics", str(diag)]) == 0
-        payload = json.loads(diag.read_text())
+    def did(self, did_input, tmp_path, *flags) -> int:
+        """``did`` on ``did_input`` with ``flags``, writing x.csv and x.json in tmp_path."""
+        return main(["did", "--input", did_input, *flags, "--output-draws",
+                     str(tmp_path / "x.csv"), "--output-diagnostics", str(tmp_path / "x.json")])
+
+    def test_fit_and_outputs(self, fitted_model):
+        # fitted_model is `did --seed 5` at its defaults.
+        with open(os.path.join(os.path.dirname(fitted_model), "diag.json")) as fh:
+            payload = json.load(fh)
         assert max(payload["rhat"].values()) < 1.05
         assert min(payload["ess"].values()) > 400
         assert payload["acr"]["mean"] == pytest.approx(0.25, abs=0.05)
 
     def test_underpowered_run_fails_cleanly(self, did_input, tmp_path, capsys):
-        code = main(["did", "--input", did_input, "--seed", "5", "--draws", "200",
-                     "--chains", "2",
-                     "--output-draws", str(tmp_path / "x.csv"),
-                     "--output-diagnostics", str(tmp_path / "x.json")])
-        assert code == 1
+        assert self.did(did_input, tmp_path, "--seed", "5", "--draws", "200", "--chains", "2") == 1
         assert "converge" in capsys.readouterr().err
         # The diagnostics of the failed fit are still written; no draws are.
         diagnostics = json.loads(read(tmp_path / "x.json"))
@@ -484,10 +482,7 @@ class TestDidCommand:
         assert not (tmp_path / "x.csv").exists()
 
     def test_too_few_draws_exits_1(self, did_input, tmp_path, capsys):
-        code = main(["did", "--input", did_input, "--seed", "5", "--draws", "1",
-                     "--output-draws", str(tmp_path / "x.csv"),
-                     "--output-diagnostics", str(tmp_path / "x.json")])
-        assert code == 1
+        assert self.did(did_input, tmp_path, "--seed", "5", "--draws", "1") == 1
         assert "split R-hat needs at least 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, message", [
@@ -501,10 +496,7 @@ class TestDidCommand:
     def test_absurd_draw_count_exits_1(self, did_input, tmp_path, capsys, flags, message):
         # Above 2**63 bytes numpy refuses the array before it touches memory,
         # and no chain's generator is made before the arrays exist.
-        code = main(["did", "--input", did_input, *flags,
-                     "--output-draws", str(tmp_path / "x.csv"),
-                     "--output-diagnostics", str(tmp_path / "x.json")])
-        assert code == 1
+        assert self.did(did_input, tmp_path, *flags) == 1
         assert f"error: {message} cannot be allocated" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value, bad", [("nan", "sigma_y=nan"),
@@ -516,33 +508,29 @@ class TestDidCommand:
     def test_non_finite_prior_scale_exits_1(self, did_input, tmp_path, capsys, value, bad):
         # 2.5 x 1e308, the intercept's prior sd, overflows to inf. From 1e100 on,
         # sigma_y is finite but overflows the posterior draws or S X'X S.
-        code = main(["did", "--input", did_input, "--sigma-y", value,
-                     "--output-draws", str(tmp_path / "x.csv"),
-                     "--output-diagnostics", str(tmp_path / "x.json")])
-        assert code == 1
+        assert self.did(did_input, tmp_path, "--sigma-y", value) == 1
         assert f"prior scale {bad} must be finite and positive" in capsys.readouterr().err
 
-    def test_byte_identical_rerun(self, did_input, tmp_path):
-        blobs = []
-        for name in ("a", "b"):
-            draws = tmp_path / f"{name}.csv"
-            diag = tmp_path / f"{name}.json"
-            assert main(["did", "--input", did_input, "--seed", "42",
-                         "--draws", "8000", "--chains", "4",
-                         "--output-draws", str(draws),
-                         "--output-diagnostics", str(diag)]) == 0
-            blobs.append(read(draws) + read(diag))
-        assert blobs[0] == blobs[1]
+
+def fit(did_input, tmp_path_factory, *flags) -> str:
+    """The draw file of `did --seed 5` with ``flags``; its diagnostics sit beside it."""
+    root = tmp_path_factory.mktemp("model")
+    assert main(["did", "--input", did_input, "--seed", "5", *flags,
+                 "--output-draws", str(root / "draws.csv"),
+                 "--output-diagnostics", str(root / "diag.json")]) == 0
+    return str(root / "draws.csv")
 
 
 @pytest.fixture(scope="module")
 def fitted_model(did_input, tmp_path_factory):
-    path = tmp_path_factory.mktemp("model") / "draws.csv"
-    diag = tmp_path_factory.mktemp("model") / "diag.json"
-    assert main(["did", "--input", did_input, "--seed", "5",
-                 "--output-draws", str(path),
-                 "--output-diagnostics", str(diag)]) == 0
-    return str(path)
+    """The default 4 x 10,000 fit, for tests of its exact bytes."""
+    return fit(did_input, tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def small_model(did_input, tmp_path_factory):
+    """The same fit at 4 x 1,000 draws, which pass the convergence gate."""
+    return fit(did_input, tmp_path_factory, "--draws", "1000")
 
 
 @pytest.fixture(scope="module")
@@ -560,15 +548,20 @@ def inputs(tmp_path_factory):
     return str(cov), str(base)
 
 
+def counterfactual_argv(book, model, inputs, output, *flags) -> list:
+    """``counterfactual --template mi`` at 2 draws, seed 3, with ``model`` as both
+    draw files; a flag repeated in ``flags`` overrides its value here."""
+    cov, base = inputs
+    return ["counterfactual", "--template", "mi", "--codebook", book, "--seat-model", model,
+            "--resp-model", model, "--covariates", cov, "--baseline", base,
+            "--draws", "2", "--seed", "3", "--output", str(output), *flags]
+
+
 class TestCounterfactualCommand:
-    def test_identity_is_exact_zero(self, small_codebook, fitted_model, inputs, tmp_path):
-        cov, base = inputs
+    def test_identity_is_exact_zero(self, small_codebook, small_model, inputs, tmp_path):
         out = tmp_path / "cf.json"
-        assert main(["counterfactual", "--template", "identity",
-                     "--codebook", small_codebook, "--seat-model", fitted_model,
-                     "--resp-model", fitted_model, "--covariates", cov,
-                     "--baseline", base, "--draws", "5", "--seed", "3",
-                     "--output", str(out)]) == 0
+        assert main(counterfactual_argv(small_codebook, small_model, inputs, out,
+                                        "--template", "identity", "--draws", "5")) == 0
         payload = json.loads(out.read_text())
         assert payload["total_dem_seat_change"]["mean"] == 0.0
         assert payload["seats_votes_line"]["intercept_seats"] == 213.5
@@ -577,17 +570,11 @@ class TestCounterfactualCommand:
         assert payload["seats_votes_line"]["slope_seats_per_pp"] == pytest.approx(
             7.8, abs=1e-12)
 
-    def test_mi_run_with_all_outputs(self, small_codebook, fitted_model, inputs, tmp_path):
-        cov, base = inputs
-        out = tmp_path / "cf.json"
-        doses = tmp_path / "doses.csv"
-        lines = tmp_path / "lines.csv"
-        assert main(["counterfactual", "--template", "mi",
-                     "--codebook", small_codebook, "--seat-model", fitted_model,
-                     "--resp-model", fitted_model, "--covariates", cov,
-                     "--baseline", base, "--draws", "5", "--seed", "3",
-                     "--output", str(out), "--doses-csv", str(doses),
-                     "--line-samples", str(lines)]) == 0
+    def test_mi_run_with_all_outputs(self, small_codebook, small_model, inputs, tmp_path):
+        out, doses, lines = tmp_path / "cf.json", tmp_path / "doses.csv", tmp_path / "lines.csv"
+        assert main(counterfactual_argv(small_codebook, small_model, inputs, out,
+                                        "--draws", "5", "--doses-csv", str(doses),
+                                        "--line-samples", str(lines))) == 0
         dose_rows = list(csv.DictReader(ln for ln in doses.read_text().splitlines()
                                         if not ln.startswith("#")))
         by_state = {r["state"]: r for r in dose_rows}
@@ -597,10 +584,10 @@ class TestCounterfactualCommand:
         assert payload["total_dem_seat_change"]["mean"] > 0.0
         line_rows = [ln for ln in lines.read_text().splitlines()
                      if not ln.startswith("#")]
-        assert len(line_rows) - 1 == 40000  # one per posterior draw
+        assert len(line_rows) - 1 == 4000  # one per posterior draw
 
     @pytest.mark.parametrize("n,huge", [(10, None), (1000, 1e308)], ids=["short", "huge"])
-    def test_unconverged_draws_exit_1(self, small_codebook, fitted_model, inputs, tmp_path,
+    def test_unconverged_draws_exit_1(self, small_codebook, small_model, inputs, tmp_path,
                                       capsys, n, huge):
         # 4 chains of 10 draws cannot reach an ESS of 400. A finite draw near
         # 1e308 overflows its column's R-hat to NaN, which fails the gate too.
@@ -609,55 +596,51 @@ class TestCounterfactualCommand:
             draws.coefficients[1, 7, 0] = huge
         seat = tmp_path / "seat.csv"
         save_draws_csv(draws, str(seat), "# header\n")
-        cov, base = inputs
-        assert main(["counterfactual", "--template", "mi",
-                     "--codebook", small_codebook, "--seat-model", str(seat),
-                     "--resp-model", fitted_model, "--covariates", cov,
-                     "--baseline", base, "--draws", "2", "--seed", "3",
-                     "--output", str(tmp_path / "o.json")]) == 1
+        assert main(counterfactual_argv(small_codebook, small_model, inputs,
+                                        tmp_path / "o.json", "--seat-model", str(seat))) == 1
         assert capsys.readouterr().err == (f"error: {seat}: seat model draws fail "
                                            "convergence thresholds\n")
         assert not (tmp_path / "o.json").exists()
 
-    def test_missing_covariates_exit_1(self, small_codebook, fitted_model, inputs,
+    def test_missing_covariates_exit_1(self, small_codebook, small_model, inputs,
                                        tmp_path, capsys):
-        _, base = inputs
         cov = tmp_path / "cov.csv"
         cov.write_text(
             "state,dem08,south,log_seats,delta_seats,log_corrupt,initiative,n_districts\n"
             "AL,0.39,1,1.95,0,1.2,0,7\n")
-        assert main(["counterfactual", "--template", "mi",
-                     "--codebook", small_codebook, "--seat-model", fitted_model,
-                     "--resp-model", fitted_model, "--covariates", str(cov),
-                     "--baseline", base, "--draws", "3", "--seed", "3",
-                     "--output", str(tmp_path / "o.json")]) == 1
+        assert main(counterfactual_argv(small_codebook, small_model, inputs,
+                                        tmp_path / "o.json", "--covariates", str(cov))) == 1
         assert f"error: {cov}: missing covariates for: " in capsys.readouterr().err
 
     def test_draw_counts_differ_exit_1(self, small_codebook, inputs, tmp_path, capsys):
         seat, resp = tmp_path / "seat.csv", tmp_path / "resp.csv"
         save_draws_csv(random_draws(4, 200, decades=1), str(seat))
         save_draws_csv(random_draws(4, 400, seed=1, decades=1), str(resp))
-        cov, base = inputs
-        assert main(["counterfactual", "--template", "mi",
-                     "--codebook", small_codebook, "--seat-model", str(seat),
-                     "--resp-model", str(resp), "--covariates", cov,
-                     "--baseline", base, "--draws", "2", "--seed", "3",
-                     "--output", str(tmp_path / "o.json")]) == 1
+        assert main(counterfactual_argv(small_codebook, str(seat), inputs, tmp_path / "o.json",
+                                        "--resp-model", str(resp))) == 1
         assert capsys.readouterr().err == (
             f"error: {seat} holds 800 draws and {resp} 1600; they must match\n")
 
-    def test_no_dose_exit_1(self, fitted_model, inputs, tmp_path, capsys):
+    def test_no_dose_exit_1(self, small_model, inputs, tmp_path, capsys):
         book = tmp_path / "book.csv"
         book.write_text(serialize_codebook(Codebook(tuple(
             row for row in load_fixture_codebook() if row.cycle == 2010))))
-        cov, base = inputs
-        assert main(["counterfactual", "--template", "mi",
-                     "--codebook", str(book), "--seat-model", fitted_model,
-                     "--resp-model", fitted_model, "--covariates", cov,
-                     "--baseline", base, "--draws", "2", "--seed", "3",
-                     "--output", str(tmp_path / "o.json")]) == 1
+        assert main(counterfactual_argv(str(book), small_model, inputs,
+                                        tmp_path / "o.json")) == 1
         assert capsys.readouterr().err == (f"error: {book}: no 2020 row has a redistricting "
                                            "game\n")
+
+    @pytest.mark.parametrize("bad", ["covariates", "baseline"])
+    def test_small_inputs_read_before_any_solve(self, small_codebook, small_model, inputs,
+                                                tmp_path, capsys, monkeypatch, bad):
+        # A typo in a small input costs neither the doses' solves nor a draw file's read.
+        monkeypatch.setattr(cli.cf, "counterfactual_doses", lambda *a, **k: pytest.fail("solved"))
+        monkeypatch.setattr(cli, "load_draws_csv", lambda path: pytest.fail("read draws"))
+        path = tmp_path / bad
+        path.write_text("state\nAL\n" if bad == "covariates" else "{")
+        assert main(counterfactual_argv(small_codebook, small_model, inputs,
+                                        tmp_path / "o.json", f"--{bad}", str(path))) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def random_draws(chains, n, seed=0, decades=5):
@@ -810,12 +793,8 @@ class TestDrawFiles:
 
     def test_bad_draw_file_exits_1(self, small_codebook, inputs, saved, tmp_path, capsys):
         self.rewrite(saved, lambda rows: rows[:-1])
-        cov, base = inputs
-        assert main(["counterfactual", "--template", "mi",
-                     "--codebook", small_codebook, "--seat-model", str(saved),
-                     "--resp-model", str(saved), "--covariates", cov,
-                     "--baseline", base, "--draws", "2", "--seed", "3",
-                     "--output", str(tmp_path / "o.json")]) == 1
+        assert main(counterfactual_argv(small_codebook, str(saved), inputs,
+                                        tmp_path / "o.json")) == 1
         assert "unequal lengths" in capsys.readouterr().err
 
 
@@ -849,14 +828,10 @@ def fork_mode(request, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def forked_counterfactual(small_codebook, fitted_model, inputs, tmp_path_factory):
+def forked_counterfactual(small_codebook, small_model, inputs, tmp_path_factory):
     """The JSON of a counterfactual run whose draw files are read through the fork."""
     out = tmp_path_factory.mktemp("forked") / "o.json"
-    cov, base = inputs
-    assert main(["counterfactual", "--template", "mi", "--codebook", small_codebook,
-                 "--seat-model", fitted_model, "--resp-model", fitted_model,
-                 "--covariates", cov, "--baseline", base, "--draws", "2", "--seed", "3",
-                 "--output", str(out)]) == 0
+    assert main(counterfactual_argv(small_codebook, small_model, inputs, out)) == 0
     return read(out)
 
 
@@ -889,18 +864,24 @@ class TestForkedCodec:
         assert sorted(os.listdir("/proc/self/fd")) == before
         assert read(path) == reference_draw_file(draws, "")
 
-    def test_did_bytes_on_every_path(self, did_input, fitted_model, tmp_path, fork_mode):
-        # fitted_model is the same fit, written through the fork.
+    def test_did_bytes_on_every_path(self, did_input, small_model, tmp_path, fork_mode):
+        # small_model is the same fit, written through the fork.
         draws = tmp_path / "d.csv"
-        assert main(["did", "--input", did_input, "--seed", "5", "--output-draws", str(draws),
+        assert main(["did", "--input", did_input, "--seed", "5", "--draws", "1000",
+                     "--output-draws", str(draws),
                      "--output-diagnostics", str(tmp_path / "d.json")]) == 0
-        assert read(draws) == read(fitted_model)
+        assert read(draws) == read(small_model)
         assert_no_children()
+        design = inference.build_design(cli.read_did_rows(did_input))
+        fit = inference.fit_posterior(design, inference.PriorConfig.from_design(design),
+                                      n_draws=1000, n_chains=4, seed=5)
+        header = read(draws).decode().split("\n", 1)[0] + "\n"
+        assert read(draws) == reference_draw_file(fit, header)
 
-    def test_counterfactual_bytes_on_every_path(self, small_codebook, fitted_model, inputs,
+    def test_counterfactual_bytes_on_every_path(self, small_codebook, small_model, inputs,
                                                 forked_counterfactual, tmp_path, fork_mode):
         assert self.counterfactual(small_codebook, inputs, tmp_path,
-                                   fitted_model, fitted_model) == 0
+                                   small_model, small_model) == 0
         assert read(tmp_path / "o.json") == forked_counterfactual
         assert_no_children()
 
@@ -917,12 +898,8 @@ class TestForkedCodec:
         return str(path)
 
     def counterfactual(self, small_codebook, inputs, tmp_path, seat, resp):
-        cov, base = inputs
-        return main(["counterfactual", "--template", "mi",
-                     "--codebook", small_codebook, "--seat-model", seat,
-                     "--resp-model", resp, "--covariates", cov,
-                     "--baseline", base, "--draws", "2", "--seed", "3",
-                     "--output", str(tmp_path / "o.json")])
+        return main(counterfactual_argv(small_codebook, seat, inputs, tmp_path / "o.json",
+                                        "--resp-model", resp))
 
     def test_loaded_pair_equals_sequential_loads(self, small_codebook, seat_model, inputs,
                                                  resp_model, tmp_path, monkeypatch):
@@ -954,12 +931,12 @@ class TestForkedCodec:
         return str(path)
 
     @pytest.mark.parametrize("bad", ["nan", "missing"])
-    def test_bad_resp_file_exits_1_naming_it(self, small_codebook, fitted_model, inputs,
+    def test_bad_resp_file_exits_1_naming_it(self, small_codebook, seat_model, inputs,
                                              nan_model, tmp_path, capsys, fork_mode, bad):
         resp = nan_model if bad == "nan" else str(tmp_path / "missing.csv")
         with pytest.raises((DomainError, FileNotFoundError)) as expected:
             load_draws_csv(resp)
-        assert self.counterfactual(small_codebook, inputs, tmp_path, fitted_model, resp) == 1
+        assert self.counterfactual(small_codebook, inputs, tmp_path, seat_model, resp) == 1
         assert capsys.readouterr().err == f"error: {expected.value}\n"
         assert resp in str(expected.value)
         assert_no_children()
@@ -982,18 +959,18 @@ class TestForkedCodec:
 
         monkeypatch.setattr(cli, "load_draws_csv", loader)
 
-    def test_child_bug_propagates_as_its_type(self, small_codebook, fitted_model, inputs,
+    def test_child_bug_propagates_as_its_type(self, small_codebook, seat_model, inputs,
                                               resp_model, tmp_path, monkeypatch, fork_mode):
         def fail():
             raise KeyError("internal")
 
         self.failing_resp_loader(monkeypatch, resp_model, fail)
         with pytest.raises(KeyError, match="internal"):
-            self.counterfactual(small_codebook, inputs, tmp_path, fitted_model, resp_model)
+            self.counterfactual(small_codebook, inputs, tmp_path, seat_model, resp_model)
         assert_no_children()
 
     @pytest.mark.parametrize("death", ["exit", "unpicklable"])
-    def test_child_without_result_names_the_file(self, small_codebook, fitted_model, inputs,
+    def test_child_without_result_names_the_file(self, small_codebook, seat_model, inputs,
                                                  resp_model, tmp_path, monkeypatch, death):
         def fail():
             if death == "exit":
@@ -1003,7 +980,7 @@ class TestForkedCodec:
 
         self.failing_resp_loader(monkeypatch, resp_model, fail)
         with pytest.raises(RuntimeError, match=re.escape(resp_model)) as err:
-            self.counterfactual(small_codebook, inputs, tmp_path, fitted_model, resp_model)
+            self.counterfactual(small_codebook, inputs, tmp_path, seat_model, resp_model)
         assert type(err.value) is RuntimeError
         assert_no_children()
 
@@ -1017,8 +994,83 @@ class TestForkedCodec:
         assert_no_children()
 
 
+@pytest.fixture
+def command_argv(small_codebook, did_input, small_model, inputs, tmp_path):
+    """Each subcommand's argv on valid inputs, with each output it takes in tmp_path."""
+    plans = tmp_path / "plans.csv"
+    plans.write_text("state,cycle,district,rep_share\nNH,2020,1,0.5\n")
+    a, b, c = (str(tmp_path / name) for name in ("a.csv", "b.json", "c.csv"))
+    return {
+        "codebook": ["codebook", "--input", small_codebook, "--output", a],
+        "leeway": ["leeway", "--codebook", small_codebook, "--output", a,
+                   "--emit-diagnostics", b],
+        "paths": ["paths", "--codebook", small_codebook, "--output", a, "--per-state", c],
+        "metrics": ["metrics", "--plans", str(plans), "--output", a],
+        "did": ["did", "--input", did_input, "--output-draws", a, "--output-diagnostics", b],
+        "counterfactual": counterfactual_argv(small_codebook, small_model, inputs, b,
+                                              "--doses-csv", a, "--line-samples", c),
+    }
+
+
+def _forbid_work(monkeypatch):
+    """Fail the test if a command fits, solves or computes doses."""
+    for owner, name in ((inference, "fit_posterior"), (cli.cf, "counterfactual_doses"),
+                        (solver._TreeEvaluator, "solve")):
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: pytest.fail("work done"))
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("codebook", "--output"), ("leeway", "--output"), ("leeway", "--emit-diagnostics"),
+    ("paths", "--output"), ("paths", "--per-state"), ("metrics", "--output"),
+    ("did", "--output-draws"), ("did", "--output-diagnostics"), ("counterfactual", "--output"),
+    ("counterfactual", "--doses-csv"), ("counterfactual", "--line-samples")])
+def test_missing_output_directory_exits_1_first(command, flag, command_argv, tmp_path,
+                                                capsys, monkeypatch):
+    _forbid_work(monkeypatch)
+    before = sorted(tmp_path.rglob("*"))
+    missing = tmp_path / "nodir" / "out"
+    assert main([*command_argv[command], flag, str(missing)]) == 1
+    assert capsys.readouterr().err == (f"error: {flag} {missing}: no such directory: "
+                                       f"{missing.parent}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, flag, other", [
+    ("leeway", "--emit-diagnostics", "--output"), ("paths", "--per-state", "--output"),
+    ("did", "--output-diagnostics", "--output-draws"),
+    ("counterfactual", "--line-samples", "--doses-csv"), ("codebook", "--output", "--input"),
+    ("metrics", "--output", "--plans"), ("counterfactual", "--output", "--seat-model")])
+def test_output_clash_is_a_usage_error(command, flag, other, command_argv, tmp_path, capsys,
+                                       monkeypatch):
+    # An output that names another output or an input, spelled another way.
+    _forbid_work(monkeypatch)
+    argv = command_argv[command]
+    path = argv[argv.index(other) + 1]
+    spelled = os.path.join(os.path.dirname(path), ".", os.path.basename(path))
+    before = sorted(tmp_path.rglob("*"))
+    content = os.path.exists(path) and read(path)
+    assert main([*argv, flag, spelled]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: {flag} {spelled} is the same file as {other} {path}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (os.path.exists(path) and read(path)) == content
+
+
 class TestDataErrorsExit1:
     """Bad input exits 1 with its file and line named; a bug is not a data error."""
+
+    # The command and flag that read each kind of input.
+    READERS = {"plans": ("metrics", "--plans"), "ensemble": ("metrics", "--ensemble"),
+               "did": ("did", "--input"), "covariates": ("counterfactual", "--covariates"),
+               "baseline": ("counterfactual", "--baseline")}
+
+    def rejected(self, command_argv, tmp_path, reader, text):
+        """The path of ``text`` as the input ``reader`` reads, which its command rejects."""
+        bad = tmp_path / "bad"
+        bad.write_text(text)
+        command, flag = self.READERS[reader]
+        assert main([*command_argv[command], flag, str(bad)]) == 1
+        return bad
 
     def test_internal_key_error_propagates(self, small_codebook, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -1027,21 +1079,6 @@ class TestDataErrorsExit1:
         with pytest.raises(KeyError):
             main(["leeway", "--codebook", small_codebook, "--draws", "2",
                   "--output", str(tmp_path / "l.csv")])
-
-    def test_plan_cell(self, tmp_path, capsys):
-        plans = tmp_path / "plans.csv"
-        plans.write_text("# comment\nstate,cycle,district,rep_share\n"
-                         "NH,2020,1,0.5\nNH,2020,2,half\n")
-        assert main(["metrics", "--plans", str(plans),
-                     "--output", str(tmp_path / "m.csv")]) == 1
-        assert f"{plans}, line 4: rep_share='half'" in capsys.readouterr().err
-
-    def test_plan_cycle(self, tmp_path, capsys):
-        plans = tmp_path / "plans.csv"
-        plans.write_text("state,cycle,district,rep_share\nNH,2020.5,1,0.5\n")
-        assert main(["metrics", "--plans", str(plans),
-                     "--output", str(tmp_path / "m.csv")]) == 1
-        assert "line 2: cycle='2020.5' is not a valid int" in capsys.readouterr().err
 
     def test_ensemble_cell_and_columns(self, tmp_path, capsys):
         plans = tmp_path / "plans.csv"
@@ -1106,39 +1143,24 @@ class TestDataErrorsExit1:
         assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("reader", ["plans", "ensemble", "did", "covariates"])
-    def test_extra_cell_exits_1(self, small_codebook, did_input, fitted_model, inputs,
-                                tmp_path, capsys, reader):
+    def test_extra_cell_exits_1(self, did_input, inputs, command_argv, tmp_path, capsys,
+                                reader):
         # csv.DictReader files the cells past the header under None, so a
         # forgotten column such as turnout used to be dropped without a word.
-        cov, base = inputs
-        bad = tmp_path / "bad"
-        plans = tmp_path / "plans.csv"
-        plans.write_text("state,cycle,district,rep_share\nNH,2020,1,0.5\n")
-        out = tmp_path / "out"
-        metrics_argv = ["metrics", "--output", str(out), "--plans"]
         did_lines = open(did_input).read().splitlines(keepends=True)
         did_lines[3] = did_lines[3].rstrip("\n") + ",0.9\n"
-        text, argv, message = {
+        text, message = {
             "plans": ("state,cycle,district,rep_share\nAL,2020,1,0.4,0.9\n",
-                      [*metrics_argv, str(bad)], "line 2: 5 cells, expected 4"),
+                      "line 2: 5 cells, expected 4"),
             "ensemble": ("state,cycle,metric,mean,sd\nNH,2020,competitive_share,0.2,0.1,3\n",
-                         [*metrics_argv, str(plans), "--ensemble", str(bad)],
                          "line 2: 6 cells, expected 5"),
-            "did": ("".join(did_lines),
-                    ["did", "--input", str(bad), "--output-draws", str(out),
-                     "--output-diagnostics", str(tmp_path / "d.json")],
-                    "line 4: 12 cells, expected 11"),
-            "covariates": (open(cov).read().replace(",0,7\n", ",0,7,9\n", 1),
-                           ["counterfactual", "--template", "mi", "--codebook", small_codebook,
-                            "--seat-model", fitted_model, "--resp-model", fitted_model,
-                            "--covariates", str(bad), "--baseline", base, "--draws", "2",
-                            "--output", str(out)],
+            "did": ("".join(did_lines), "line 4: 12 cells, expected 11"),
+            "covariates": (open(inputs[0]).read().replace(",0,7\n", ",0,7,9\n", 1),
                            "line 2: 9 cells, expected 8"),
         }[reader]
-        bad.write_text(text)
-        assert main(argv) == 1
+        bad = self.rejected(command_argv, tmp_path, reader, text)
         assert f"{bad}, {message}" in capsys.readouterr().err
-        assert not out.exists()
+        assert not any((tmp_path / name).exists() for name in ("a.csv", "b.json", "c.csv"))
 
     def test_header_error_comes_before_cell_counts(self, tmp_path, capsys):
         # A header missing a column names the columns, not the longer rows.
@@ -1178,15 +1200,6 @@ class TestDataErrorsExit1:
                 in capsys.readouterr().err)
         assert solves == []
 
-    def test_did_cell(self, did_input, tmp_path, capsys):
-        lines = open(did_input).read().splitlines(keepends=True)
-        lines[3] = lines[3].replace(",", ",?", 1)
-        bad = tmp_path / "did.csv"
-        bad.write_text("".join(lines))
-        assert main(["did", "--input", str(bad), "--output-draws", str(tmp_path / "d.csv"),
-                     "--output-diagnostics", str(tmp_path / "d.json")]) == 1
-        assert f"{bad}, line 4: dY0='?" in capsys.readouterr().err
-
     def test_did_repeated_state(self, did_input, tmp_path, capsys):
         # The model has one row per state; a repeat would count a state twice.
         lines = open(did_input).read().splitlines(keepends=True)
@@ -1202,12 +1215,8 @@ class TestDataErrorsExit1:
         draws.coefficients[2, 500, COLUMN_NAMES.index("log_seats")] = float("nan")
         path = tmp_path / "nan.csv"
         save_draws_csv(draws, str(path), "# header\n")
-        cov, base = inputs
-        assert main(["counterfactual", "--template", "mi",
-                     "--codebook", small_codebook, "--seat-model", str(path),
-                     "--resp-model", str(path), "--covariates", cov,
-                     "--baseline", base, "--draws", "2", "--seed", "3",
-                     "--output", str(tmp_path / "o.json")]) == 1
+        assert main(counterfactual_argv(small_codebook, str(path), inputs,
+                                        tmp_path / "o.json")) == 1
         err = capsys.readouterr().err
         # two header lines, then chain 2's draw 500 after 2 x 1,000 rows
         assert str(path) in err and "line 2503: log_seats='nan' is not finite" in err
@@ -1241,7 +1250,7 @@ class TestDataErrorsExit1:
         pytest.param(None, '\ufeff{"dem_seats": 213.5}',
                      "base.json: baseline is missing key 'slope_seats_per_pp'", id="bom"),
     ])
-    def test_counterfactual_inputs(self, small_codebook, fitted_model, inputs, tmp_path,
+    def test_counterfactual_inputs(self, small_codebook, small_model, inputs, tmp_path,
                                    capsys, covariates, baseline, message):
         cov, base = inputs
         if covariates is not None:
@@ -1251,85 +1260,49 @@ class TestDataErrorsExit1:
         if baseline is not None:
             base = tmp_path / "base.json"
             base.write_bytes(baseline.encode("utf-8", "surrogateescape"))
-        assert main(["counterfactual", "--template", "mi",
-                     "--codebook", small_codebook, "--seat-model", fitted_model,
-                     "--resp-model", fitted_model, "--covariates", str(cov),
-                     "--baseline", str(base), "--draws", "2", "--seed", "3",
-                     "--output", str(tmp_path / "o.json")]) == 1
+        assert main(counterfactual_argv(small_codebook, small_model, (str(cov), str(base)),
+                                        tmp_path / "o.json")) == 1
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("reader", ["plans", "ensemble", "did", "covariates", "baseline"])
-    def test_non_finite_number(self, small_codebook, did_input, fitted_model, inputs,
-                               tmp_path, capsys, reader):
-        cov, base = inputs
-        bad = tmp_path / "bad"
-        plans = tmp_path / "plans.csv"
-        plans.write_text("state,cycle,district,rep_share\nNH,2020,1,0.5\n")
-        metrics_argv = ["metrics", "--output", str(tmp_path / "m.csv"), "--plans"]
-        cf_argv = ["counterfactual", "--template", "mi", "--codebook", small_codebook,
-                   "--seat-model", fitted_model, "--resp-model", fitted_model,
-                   "--draws", "2", "--output", str(tmp_path / "o.json")]
+    def test_non_finite_number(self, did_input, inputs, command_argv, tmp_path, capsys, reader):
         did_lines = open(did_input).read().splitlines(keepends=True)
         did_lines[3] = did_lines[3].replace(",0.0,", ",inf,", 1)  # dY0 is 0.0 on every row
-        text, argv, message = {
+        text, message = {
             "plans": ("state,cycle,district,rep_share,turnout\nNH,2020,1,0.5,nan\n",
-                      [*metrics_argv, str(bad)], "line 2: turnout='nan' is not finite"),
+                      "line 2: turnout='nan' is not finite"),
             "ensemble": ("state,cycle,metric,mean,sd\nNH,2020,competitive_share,0.2,nan\n",
-                         [*metrics_argv, str(plans), "--ensemble", str(bad)],
                          "line 2: sd='nan' is not finite"),
-            "did": ("".join(did_lines),
-                    ["did", "--input", str(bad), "--output-draws", str(tmp_path / "d.csv"),
-                     "--output-diagnostics", str(tmp_path / "d.json")],
-                    "line 4: dY0='inf' is not finite"),
-            "covariates": (open(cov).read().replace(",1.95,", ",-inf,"),
-                           [*cf_argv, "--covariates", str(bad), "--baseline", base],
+            "did": ("".join(did_lines), "line 4: dY0='inf' is not finite"),
+            "covariates": (open(inputs[0]).read().replace(",1.95,", ",-inf,"),
                            "line 2: log_seats='-inf' is not finite"),
             "baseline": ('{"dem_seats": NaN, "slope_seats_per_pp": 7.8}',
-                         [*cf_argv, "--covariates", cov, "--baseline", str(bad)],
                          "dem_seats and slope_seats_per_pp must be finite"),
         }[reader]
-        bad.write_text(text)
-        assert main(argv) == 1
+        bad = self.rejected(command_argv, tmp_path, reader, text)
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
 
-    def test_zero_chains(self, did_input, tmp_path, capsys):
-        assert main(["did", "--input", did_input, "--chains", "0",
-                     "--output-draws", str(tmp_path / "d.csv"),
-                     "--output-diagnostics", str(tmp_path / "d.json")]) == 1
+    def test_zero_chains(self, command_argv, capsys):
+        assert main([*command_argv["did"], "--chains", "0"]) == 1
         assert capsys.readouterr().err == "error: 0 chains; a fit needs at least 1\n"
 
-    def test_nan_grid_step(self, small_codebook, tmp_path, capsys):
-        assert main(["leeway", "--codebook", small_codebook, "--grid-step", "nan",
-                     "--output", str(tmp_path / "l.csv")]) == 1
+    def test_nan_grid_step(self, command_argv, capsys):
+        assert main([*command_argv["leeway"], "--grid-step", "nan"]) == 1
         assert "grid step nan out of range" in capsys.readouterr().err
 
-    def test_zero_draws(self, small_codebook, tmp_path, capsys):
-        assert main(["leeway", "--codebook", small_codebook, "--draws", "0",
-                     "--output", str(tmp_path / "l.csv")]) == 1
+    def test_zero_draws(self, command_argv, capsys):
+        assert main([*command_argv["leeway"], "--draws", "0"]) == 1
         assert capsys.readouterr().err == "error: n_draws must be at least 1\n"
 
-    def test_tiny_grid_step(self, small_codebook, tmp_path, capsys):
+    def test_tiny_grid_step(self, command_argv, capsys):
         # A step of 1e-9 would ask for a grid of 8 billion points.
-        assert main(["leeway", "--codebook", small_codebook, "--grid-step", "1e-9",
-                     "--output", str(tmp_path / "l.csv")]) == 1
+        assert main([*command_argv["leeway"], "--grid-step", "1e-9"]) == 1
         assert "grid step 1e-09 out of range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["leeway", "paths", "did", "counterfactual"])
-    def test_negative_seed(self, command, small_codebook, did_input, fitted_model, inputs,
-                           tmp_path, capsys):
-        cov, base = inputs
-        argv = {
-            "leeway": ["--codebook", small_codebook, "--output", str(tmp_path / "l.csv")],
-            "paths": ["--codebook", small_codebook, "--output", str(tmp_path / "p.csv")],
-            "did": ["--input", did_input, "--output-draws", str(tmp_path / "d.csv"),
-                    "--output-diagnostics", str(tmp_path / "d.json")],
-            "counterfactual": ["--template", "mi", "--codebook", small_codebook,
-                               "--seat-model", fitted_model, "--resp-model", fitted_model,
-                               "--covariates", cov, "--baseline", base,
-                               "--output", str(tmp_path / "cf.json")],
-        }[command]
-        assert main([command, *argv, "--seed", "-1"]) == 1
+    def test_negative_seed(self, command, command_argv, capsys):
+        assert main([*command_argv[command], "--seed", "-1"]) == 1
         assert "seed -1 is negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
@@ -1379,7 +1352,7 @@ class TestDataErrorsExit1:
         ("1e308", None, "seat effect of AL"),
         ("-1e308", None, "seat effect of AL"),
     ], ids=["dem_seats", "slope", "both", "dem08-plus", "dem08-minus"])
-    def test_overflow_exits_1(self, small_codebook, fitted_model, inputs, tmp_path, capsys,
+    def test_overflow_exits_1(self, small_codebook, small_model, inputs, tmp_path, capsys,
                               dem08, baseline, quantity):
         # Each value is finite, so it passes the input checks; the national
         # sums or a state's effect used to overflow into "Infinity" or "NaN"
@@ -1393,11 +1366,9 @@ class TestDataErrorsExit1:
             base = tmp_path / "base.json"
             base.write_text(baseline)
         outputs = [tmp_path / name for name in ("cf.json", "doses.csv", "lines.csv")]
-        assert main(["counterfactual", "--template", "mi", "--codebook", small_codebook,
-                     "--seat-model", fitted_model, "--resp-model", fitted_model,
-                     "--covariates", str(cov), "--baseline", str(base), "--draws", "2",
-                     "--output", str(outputs[0]), "--doses-csv", str(outputs[1]),
-                     "--line-samples", str(outputs[2])]) == 1
+        assert main(counterfactual_argv(small_codebook, small_model, (str(cov), str(base)),
+                                        outputs[0], "--doses-csv", str(outputs[1]),
+                                        "--line-samples", str(outputs[2]))) == 1
         err = capsys.readouterr().err
         assert err == (f"error: {quantity} overflows: a draw, the mean or the spread "
                        "is not finite\n")
@@ -1431,7 +1402,7 @@ _TABLE_EDITS = {
 @pytest.mark.parametrize("edit", _TABLE_EDITS)
 @pytest.mark.parametrize("reader", ["codebook", "plans", "ensemble", "did", "covariates"])
 def test_table_readers_share_one_set_of_rules(reader, edit, small_codebook, did_input,
-                                              fitted_model, inputs, tmp_path, capsys):
+                                              small_model, inputs, tmp_path, capsys):
     # Line 3 of each table holds a row whose state no other input needs.
     cov, base = inputs
     table, out = tmp_path / "table.csv", tmp_path / "out"
@@ -1451,10 +1422,8 @@ def test_table_readers_share_one_set_of_rules(reader, edit, small_codebook, did_
                 ["did", "--input", str(table), "--draws", "1000", "--output-draws", str(out),
                  "--output-diagnostics", str(tmp_path / "diag.json")]),
         "covariates": ("".join([*cov_lines[:2], "ZZ,0.5,0,1.0,0,1.0,0,3\n", *cov_lines[2:]]),
-                       ["counterfactual", "--template", "mi", "--codebook", small_codebook,
-                        "--seat-model", fitted_model, "--resp-model", fitted_model,
-                        "--covariates", str(table), "--baseline", base, "--draws", "2",
-                        "--output", str(out)]),
+                       counterfactual_argv(small_codebook, small_model, inputs, out,
+                                           "--covariates", str(table))),
     }[reader]
     table.write_bytes("".join(_TABLE_EDITS[edit](text.splitlines(keepends=True)))
                       .encode("utf-8", "surrogateescape"))

@@ -56,12 +56,14 @@ class TestSampling:
     def test_substreams_differ(self):
         assert sample_parameters(PRIOR, 99, 0) != sample_parameters(PRIOR, 99, 1)
 
+    # sample_draws(prior, seed, n) stacks sample_parameters(prior, seed, i) for
+    # i < n bit for bit (test_solver's test_bitwise_equal_to_stacked_single_draws).
     def test_beta_mean_matches_closed_form(self):
-        draws = [sample_parameters(PRIOR, 7, i).chal_poss_conf for i in range(10000)]
+        draws = sample_draws(PRIOR, 7, 10000).chal_poss_conf
         assert np.mean(draws) == pytest.approx(19 / 20, abs=0.01)
 
     def test_folded_normal_mean_matches_closed_form(self):
-        draws = [sample_parameters(PRIOR, 7, i).out_nonp_part_adv for i in range(10000)]
+        draws = sample_draws(PRIOR, 7, 10000).out_nonp_part_adv
         assert np.mean(draws) == pytest.approx(0.4 * math.sqrt(2 / math.pi), abs=0.01)
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.5), (1.0, 0.5), (-1.0, 0.5), (0.3, 2.0),
@@ -450,15 +452,17 @@ class TestPartyMirror:
                 -round2_nonpartisan_proposal(-GRID, (PartyControl.REPUBLICANS, None), theta))
 
     def test_probability_outputs_in_unit_interval(self):
-        for i in range(10000):
-            theta = sample_parameters(PRIOR, 29, i)
-            for values in (
-                pr_chal_if_poss(GRID, theta),
-                pr_intervene(GRID, ctx(court=PartyControl.DEMOCRATS), theta),
-                pr_veto_nonpartisan(GRID, theta),
-                vra_process(GRID, ctx(preclearance=True), theta)[0],
-            ):
-                assert np.all((values >= 0.0) & (values <= 1.0))
+        # The draws of sample_parameters(PRIOR, 29, i), i < 10,000, one per row;
+        # a batch row equals its single draw bit for bit.
+        theta, grid = sample_draws(PRIOR, 29, 10000), GRID[None, :]
+        for values in (
+            pr_chal_if_poss(grid, theta),
+            pr_intervene(grid, ctx(court=PartyControl.DEMOCRATS), theta),
+            pr_veto_nonpartisan(grid, theta),
+            vra_process(grid, ctx(preclearance=True), theta)[0],
+        ):
+            assert values.shape == (10000, GRID.size)
+            assert np.all((values >= 0.0) & (values <= 1.0))
 
 
 def _primitive_calls():
