@@ -755,11 +755,16 @@ def _check_clashes(parser, args) -> None:
 
 
 def _check_directories(args) -> None:
-    """DomainError, naming the flag, where an output's directory does not exist."""
+    """DomainError, naming the flag, for an output path that cannot name a file to write.
+
+    The path's directory must exist, and the path must not be a directory itself.
+    """
     for flag, path in _paths(args, _OUTPUTS):
         directory = os.path.dirname(path) or os.curdir
         if not os.path.isdir(directory):
             raise DomainError(f"{flag} {path}: no such directory: {directory}")
+        if os.path.isdir(path):
+            raise DomainError(f"{flag} {path}: is a directory")
 
 
 # Exit code of a run that ends in an uncaught exception: a bug, not a data

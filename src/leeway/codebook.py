@@ -300,19 +300,19 @@ def _parse_row(record: dict[str, str], where: str) -> StateProcess:
     return StateProcess(**kwargs)
 
 
-def read_table(name: str, text=None, error: type = DomainError):
+def read_table(name: str, text: str | None = None, error: type = DomainError):
     """The header's line, the header and the records, each with its line, of a CSV table.
 
     The package's one CSV reader, and the one statement of the rules every
     CSV input follows: the codebook and every table and draw file of
-    ``leeway.cli`` come through it. The table is ``text``, as str or UTF-8
-    bytes, or else the file ``name``, read as far as the caller iterates.
-    A leading byte-order mark is dropped, '#' lines before the header are
-    comments, blank records are skipped, header names are trimmed, and a
-    missing header is []. The caller checks the header before it iterates:
-    a longer record raises ``error`` as "<name>, line N: K cells, expected
-    M", and a short one's missing cells are ''. Bytes that are not UTF-8
-    and text that is not well-formed CSV raise ``error`` naming the line.
+    ``leeway.cli`` come through it. The table is ``text``, or else the file
+    ``name``, read as far as the caller iterates. A leading byte-order mark
+    is dropped, '#' lines before the header are comments, blank records are
+    skipped, header names are trimmed, and a missing header is []. The
+    caller checks the header before it iterates: a longer record raises
+    ``error`` as "<name>, line N: K cells, expected M", and a short one's
+    missing cells are ''. Bytes that are not UTF-8 and text that is not
+    well-formed CSV raise ``error`` naming the line.
     """
     line = 0
 
@@ -321,8 +321,7 @@ def read_table(name: str, text=None, error: type = DomainError):
         if text is None:
             fh = open(name, encoding="utf-8", errors="surrogateescape", newline="")
         else:
-            fh = io.StringIO(text if isinstance(text, str)
-                             else text.decode("utf-8", "surrogateescape"), newline="")
+            fh = io.StringIO(text, newline="")
         with fh:
             comments = True  # until the header
             for line, ln in enumerate(fh, 1):
@@ -365,13 +364,12 @@ def first_line(name: str, seen: dict, key: tuple, line: int, what: str, error=Do
     seen[key] = line
 
 
-def _read_records(source):
+def _read_records(source: Path | str):
     """Each record of a codebook by canonical column, after its file name and line."""
     if isinstance(source, Path):
         name, text = str(source), None
-    else:  # bytes and text have no name
-        name = getattr(source, "name", "<codebook>")
-        text = source if isinstance(source, (bytes, str)) else source.read()
+    else:  # text has no name
+        name, text = "<codebook>", source
     line, header, records = read_table(name, text, CodebookError)
     if tuple(header) != COLUMNS:
         raise UnknownColumn(f"{name}, line {line}: header does not match canonical "
@@ -379,13 +377,13 @@ def _read_records(source):
     return ((name, line, record) for line, record in records)
 
 
-def parse_codebook(source) -> Codebook:
-    """Parse a canonical codebook CSV (bytes, str, path, or file object).
+def parse_codebook(source: Path | str) -> Codebook:
+    """Parse a canonical codebook CSV: the file at a Path, or the CSV text of a str.
 
     Row order is preserved. The first offending row raises a CodebookError
-    whose message starts with "<file>, line N: ": the file is the path or
-    ``fh.name`` of the source, or "<codebook>" for bytes and text. A repeated
-    (state, cycle) raises DuplicateKey as "<file>, lines M and N: ".
+    whose message starts with "<file>, line N: ": the file is the path, or
+    "<codebook>" for text. A repeated (state, cycle) raises DuplicateKey as
+    "<file>, lines M and N: ".
     """
     rows, lines = [], {}
     for name, line, record in _read_records(source):
@@ -400,8 +398,8 @@ def parse_codebook(source) -> Codebook:
     return Codebook(tuple(rows))
 
 
-def lint_codebook(source) -> list[tuple[tuple[str, str], str, str]]:
-    """Collect every issue in a codebook file instead of failing fast.
+def lint_codebook(source: Path | str) -> list[tuple[tuple[str, str], str, str]]:
+    """Collect every issue in a codebook, a Path or CSV text, instead of failing fast.
 
     Returns a list of ((state, cycle), description, "<file>, line N")
     triples. The set of (key, description) pairs does not depend on row

@@ -75,14 +75,14 @@ class DidRow:
         return self.dy1 - self.dy0
 
 
-def design_row(dose_change: float, baseline_dose: float, covariates) -> np.ndarray:
-    """One design-matrix row in the fixed column order."""
+def design_row(dose_change: float, d0: float, covariates) -> np.ndarray:
+    """One design-matrix row in the fixed column order; d0 is the baseline (first-period) dose."""
     covariates = np.asarray(covariates, dtype=float)
     if covariates.shape != (len(COVARIATE_NAMES),):
         raise DomainError(f"expected {len(COVARIATE_NAMES)} covariates")
     return np.concatenate([
-        [1.0, dose_change, baseline_dose], covariates,
-        [dose_change * baseline_dose], dose_change * covariates,
+        [1.0, dose_change, d0], covariates,
+        [dose_change * d0], dose_change * covariates,
     ])
 
 
@@ -326,16 +326,15 @@ def _diagnostics(coefficients: np.ndarray, sigma: np.ndarray) -> Diagnostics:
 
 
 def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000,
-                  n_chains: int = 4, seed: int = 0,
-                  enforce_diagnostics: bool = True) -> PosteriorDraws:
+                  n_chains: int = 4, seed: int = 0) -> PosteriorDraws:
     """Sample the posterior; deterministic in (seed, n_chains, n_draws).
 
     Every draw is independent, with no warm-up and no acceptance step: sigma
     from its marginal posterior, then the coefficients given sigma. Raises
     ConvergenceError when split R-hat >= RHAT_MAX or ESS <= ESS_MIN for any
-    parameter, unless ``enforce_diagnostics`` is off; production fits should
-    use at least 1000 draws on 2 or more chains. Fewer than 4 draws per
-    chain raise DomainError: split R-hat needs 2 draws in each half.
+    parameter; production fits should use at least 1000 draws on 2 or more
+    chains. Fewer than 4 draws per chain raise DomainError: split R-hat
+    needs 2 draws in each half.
     """
     if n_chains < 1:
         raise DomainError(f"{n_chains} chains; a fit needs at least 1")
@@ -350,7 +349,7 @@ def fit_posterior(design: DesignMatrix, prior: PriorConfig, n_draws: int = 10000
         _sample(design.X, design.y, prior, seed, coefficients, sigma)
     diagnostics = _diagnostics(coefficients, sigma)
     draws = PosteriorDraws(coefficients=coefficients, sigma=sigma, diagnostics=diagnostics)
-    if enforce_diagnostics and not diagnostics.passes():
+    if not diagnostics.passes():
         worst_rhat, worst_ess = diagnostics.worst()
         raise ConvergenceError(
             f"sampler did not converge: max R-hat {worst_rhat:.3f}, min ESS {worst_ess:.0f}",
@@ -386,27 +385,21 @@ class EffectSummary:
         return self._quantiles[0], self._quantiles[3]
 
 
-def cate_draws(draws: PosteriorDraws, covariates, d: float, d_prime: float,
-               baseline_dose: float | None = None) -> np.ndarray:
+def cate_draws(draws: PosteriorDraws, covariates, d: float, d_prime: float) -> np.ndarray:
     """Per-draw effect of moving the dose from d to d_prime at covariates x.
 
     The first-period dose enters the model through its interaction with the
-    dose change; by default it is taken to be d (the from-dose), matching a
-    state observed at dose d and counterfactually moved to d_prime. Pass
-    ``baseline_dose`` to hold it fixed instead; effects chain additively
-    (d to d' plus d' to d'' equals d to d'') only at a fixed baseline.
+    dose change; it is taken to be d (the from-dose), matching a state
+    observed at dose d and counterfactually moved to d_prime.
     """
     covariates = np.asarray(covariates, dtype=float)
-    b = d if baseline_dose is None else baseline_dose
-    delta = design_row(d_prime - d, b, covariates) - design_row(0.0, b, covariates)
-    return draws.flat @ delta
+    return draws.flat @ (design_row(d_prime - d, d, covariates)
+                         - design_row(0.0, d, covariates))
 
 
-def cate(draws: PosteriorDraws, covariates, d: float, d_prime: float,
-         baseline_dose: float | None = None) -> EffectSummary:
+def cate(draws: PosteriorDraws, covariates, d: float, d_prime: float) -> EffectSummary:
     """Conditional average treatment effect of a dose change, summarized."""
-    return EffectSummary.from_draws(cate_draws(draws, covariates, d, d_prime,
-                                               baseline_dose))
+    return EffectSummary.from_draws(cate_draws(draws, covariates, d, d_prime))
 
 
 def _mean_dose_gradient(rows: list[DidRow]) -> np.ndarray:

@@ -76,12 +76,6 @@ def cauchy_quantile(p):
     return np.tan(np.pi * (p - 0.5))
 
 
-def _cauchy_curve(p0, p_span, span: float):
-    """(a, b) such that F(a + b h) is p0 at h = 0 and p_span at h = span."""
-    a = cauchy_quantile(p0)
-    return a, (cauchy_quantile(p_span) - a) / span
-
-
 @dataclass(frozen=True)
 class GameParameters:
     """One draw of the 19 move-by-nature parameters.
@@ -123,23 +117,38 @@ class GameParameters:
                 raise DomainError(f"{name}={value} outside {support}")
 
     # Bias-independent terms, kept in the instance __dict__ on first read. No
-    # exception is cached, so a probability outside (0, 1) raises DomainError
+    # exception is cached, so a curve probability of 0 or 1 raises DomainError
     # on every read; the VRA curve is read only for precleared states.
+
+    def _cauchy_curve(self, p0: str, p_span: str, span: float):
+        """(a, b) such that F(a + b h) is field p0 at h = 0 and field p_span at h = span.
+
+        A probability of exactly 0 or 1 has no Cauchy quantile: DomainError
+        names the field and its first such draw.
+        """
+        for name in (p0, p_span):
+            p = np.asarray(getattr(self, name))
+            outside = np.flatnonzero((p <= 0.0) | (p >= 1.0))
+            if outside.size:
+                raise DomainError(f"{name}={p.flat[outside[0]]} at draw {outside[0]}: a curve "
+                                  "probability must lie strictly inside (0, 1)")
+        a = cauchy_quantile(getattr(self, p0))
+        return a, (cauchy_quantile(getattr(self, p_span)) - a) / span
 
     @functools.cached_property
     def chal_curve(self):
         """(a, b) of the challenge curve of :func:`pr_chal_if_poss`."""
-        return _cauchy_curve(self.chal_prob_bias0, self.chal_prob_bias2, 4.0)
+        return self._cauchy_curve("chal_prob_bias0", "chal_prob_bias2", 4.0)
 
     @functools.cached_property
     def interv_curve(self):
         """(a, b) of the intervention curve of :func:`pr_intervene`."""
-        return _cauchy_curve(self.interv_prob_bias0, self.interv_prob_bias2, 4.0)
+        return self._cauchy_curve("interv_prob_bias0", "interv_prob_bias2", 4.0)
 
     @functools.cached_property
     def vra_curve(self):
         """(a, b) of the VRA challenge curve of :func:`vra_process`."""
-        return _cauchy_curve(self.vra_chal_prob_bias0, self.vra_chal_prob_bias2, 2.0)
+        return self._cauchy_curve("vra_chal_prob_bias0", "vra_chal_prob_bias2", 2.0)
 
     @functools.cached_property
     def remedy_scale(self):

@@ -707,24 +707,23 @@ class PathTable:
 
 def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
                seed: int = 0, grid: OptimizationGrid | None = None) -> PathTable:
-    """Pooled final-drawer path probabilities for every codebook row.
+    """Pooled final-drawer path probabilities for every solvable row, in codebook order.
 
     A surviving enacted plan counts toward its proposing institution;
     court redraws, VRA remedies, and court or unclear stalemate
     resolutions count toward the court; commission and legislative
-    stalemate resolvers count toward their institution.
+    stalemate resolvers count toward their institution. Single-district
+    rows have no game and are left out, of ``actual`` too.
     """
-    for row in codebook:
-        if row.drawer is Drawer.NA:
-            raise NotApplicable(f"{row.key}: cannot build path table over single-district rows")
+    solvable = [row for row in codebook if row.drawer is not Drawer.NA]
     batch = BatchContext(prior, seed, n_draws, grid)
     state_probs = {}
-    for row in codebook:
+    for row in solvable:
         pooled = batch.solve(row).path_probs.sum(axis=0)  # row by row, as a per-draw loop adds
         state_probs[row.key] = {b: float(p) / n_draws for b, p in zip(_BUCKETS, pooled)}
     return PathTable(
         state_probs=state_probs,
-        actual={r.key: _ACTUAL_BUCKET[r.final_drawer] for r in codebook},
+        actual={r.key: _ACTUAL_BUCKET[r.final_drawer] for r in solvable},
     )
 
 
@@ -747,9 +746,11 @@ def pairwise_spearman_mean(matrix: np.ndarray) -> float:
     n = matrix.shape[0]
     if n < 2:
         raise DomainError("need at least 2 draws")
-    rho = stats.spearmanr(matrix, axis=1).statistic
-    if np.ndim(rho) == 0:  # spearmanr collapses the 2-row case to a scalar
-        rho = np.array([[1.0, rho], [rho, 1.0]])
+    # What stats.spearmanr computes, except that spearmanr answers a single
+    # NaN for the whole matrix when any row is constant; here only that
+    # row's pairs are NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.corrcoef(stats.rankdata(matrix, axis=1))
     upper = rho[np.triu_indices(n, k=1)]
     valid = upper[~np.isnan(upper)]
     if valid.size == 0:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +211,18 @@ class TestLeewayCommand:
         assert ("error: 2305843009213693952 prior draws (--draws): "
                 "350,488,137,400,481,480,704 bytes cannot be allocated") in capsys.readouterr().err
 
+    def test_single_district_row_skipped_by_paths(self, small_codebook, tmp_path):
+        # As leeway does: the row has no game, so no path and no actual bucket.
+        book = tmp_path / "book.csv"
+        book.write_text(open(small_codebook).read() + "WY,2020," + "NA," * 13 + "no\n")
+        outputs = []
+        for codebook in (small_codebook, book):
+            out, per_state = tmp_path / "x.csv", tmp_path / "p.csv"
+            assert main(["paths", "--codebook", str(codebook), "--draws", "2", "--seed", "3",
+                         "--output", str(out), "--per-state", str(per_state)]) == 0
+            outputs.append(_body(out) + _body(per_state))
+        assert outputs[0] == outputs[1]
+
     def test_json_format(self, small_codebook, tmp_path):
         out = tmp_path / "l.json"
         main(["leeway", "--codebook", small_codebook, "--draws", "2",
@@ -235,8 +248,7 @@ class TestLeewayCommand:
         # party control: the diagnostics are written from the realized solve
         # the scores already made, and each realized tree's fields are
         # formatted once, however many rows share it. AL_T is a twin of AL.
-        with open(small_codebook, "rb") as fh:
-            rows = list(parse_codebook(fh))
+        rows = list(parse_codebook(Path(small_codebook)))
         al = next(row for row in rows if row.state_id == "AL")
         book = tmp_path / "twin.csv"
         book.write_text(serialize_codebook(Codebook((*rows, replace(al, state_id="AL_T")))))
@@ -1019,11 +1031,15 @@ def _forbid_work(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *args, **kwargs: pytest.fail("work done"))
 
 
-@pytest.mark.parametrize("command, flag", [
+# Each subcommand's flags that name an output file.
+_OUTPUT_FLAGS = [
     ("codebook", "--output"), ("leeway", "--output"), ("leeway", "--emit-diagnostics"),
     ("paths", "--output"), ("paths", "--per-state"), ("metrics", "--output"),
     ("did", "--output-draws"), ("did", "--output-diagnostics"), ("counterfactual", "--output"),
-    ("counterfactual", "--doses-csv"), ("counterfactual", "--line-samples")])
+    ("counterfactual", "--doses-csv"), ("counterfactual", "--line-samples")]
+
+
+@pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
 def test_missing_output_directory_exits_1_first(command, flag, command_argv, tmp_path,
                                                 capsys, monkeypatch):
     _forbid_work(monkeypatch)
@@ -1032,6 +1048,19 @@ def test_missing_output_directory_exits_1_first(command, flag, command_argv, tmp
     assert main([*command_argv[command], flag, str(missing)]) == 1
     assert capsys.readouterr().err == (f"error: {flag} {missing}: no such directory: "
                                        f"{missing.parent}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
+def test_output_that_is_a_directory_exits_1_first(command, flag, command_argv, tmp_path,
+                                                  capsys, monkeypatch):
+    # Found only on writing, it left the outputs written before it behind.
+    _forbid_work(monkeypatch)
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*command_argv[command], flag, str(directory)]) == 1
+    assert capsys.readouterr().err == f"error: {flag} {directory}: is a directory\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -1187,18 +1216,6 @@ class TestDataErrorsExit1:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_single_district_row_fails_paths_before_any_solve(self, tmp_path, capsys,
-                                                             monkeypatch):
-        solves = []
-        monkeypatch.setattr(cli.solver._TreeEvaluator, "solve", lambda tree: solves.append(tree))
-        book = tmp_path / "book.csv"
-        book.write_text(serialize_codebook(load_fixture_codebook())
-                        + "WY,2020," + "NA," * 13 + "no\n")
-        assert main(["paths", "--codebook", str(book), "--draws", "2",
-                     "--output", str(tmp_path / "p.csv")]) == 1
-        assert ("('WY', 2020): cannot build path table over single-district rows"
-                in capsys.readouterr().err)
-        assert solves == []
 
     def test_did_repeated_state(self, did_input, tmp_path, capsys):
         # The model has one row per state; a repeat would count a state twice.
@@ -1343,6 +1360,19 @@ class TestDataErrorsExit1:
         assert main([command, "--codebook", str(book), "--priors", str(priors),
                      "--draws", "20", "--seed", "1", "--output", str(out)]) == 1
         assert re.fullmatch(rf"error: {name}=-?inf is not finite\n", capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_curve_probability_at_zero_names_parameter_and_draw(self, small_codebook, tmp_path,
+                                                                capsys):
+        # Beta(0.001, 1) draws underflow to exactly 0, which has no Cauchy quantile.
+        priors = tmp_path / "priors.json"
+        priors.write_text(json.dumps({"chal_prob_bias0": {"dist": "beta",
+                                                          "params": [0.001, 1]}}))
+        out = tmp_path / "out.csv"
+        assert main(["leeway", "--codebook", small_codebook, "--priors", str(priors),
+                     "--draws", "5", "--seed", "1", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: chal_prob_bias0=0.0 at draw 1: a curve "
+                                           "probability must lie strictly inside (0, 1)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("dem08,baseline,quantity", [

@@ -183,6 +183,11 @@ class TestPredictNational:
         assert np.all(gains[0] < gains[1])
         assert np.all(gains[1] < gains[2])
 
+    def test_no_pairs_rejected(self):
+        model = slope_only_model([0.1, 0.2])
+        with pytest.raises(DomainError, match="no dose pairs supplied"):
+            predict_national([], model, model, COVS, Baseline(210.0, 7.5))
+
     @staticmethod
     def _many_states(n_states, seed=46):
         rng = np.random.default_rng(seed)

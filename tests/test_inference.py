@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,38 @@ class TestDesign:
             build_design([])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: design_row(1.0, 0.0, [0.5] * 5), "expected 6 covariates"),
+    (lambda: DesignMatrix(np.ones((3, 15)), np.ones(3)), "design must have 16 columns"),
+    (lambda: DesignMatrix(np.ones((3, 16)), np.ones(2)), "response length must match"),
+    (lambda: build_design([dataclasses.replace(row, dy1=np.nan) for row in synth_rows(
+        5, constant_effect_beta(), 0.05, np.random.default_rng(29))]), "non-finite values"),
+    (lambda: PriorConfig(sigma_y=1.0, coefficient_sds=(1.0,) * 15, residual_rate=1.0),
+     "need 16 coefficient sds"),
+    (lambda: acr(manual_draws(np.ones((3, 16))), []), "acr needs at least one row"),
+], ids=["covariate-count", "design-columns", "response-length", "non-finite", "sd-count",
+        "acr-no-rows"])
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_zero_spreads_fall_back_to_one():
+    # Every state has the same response and none is southern, so the response
+    # sd and the sds of the south columns are 0: each scale falls back to 1.
+    rows = [dataclasses.replace(row, dy0=0.0, dy1=1.0, south=0.0) for row in synth_rows(
+        10, constant_effect_beta(), 0.05, np.random.default_rng(30))]
+    with pytest.warns(SingularDesign, match="response has no variation"):
+        design = build_design(rows)
+    with pytest.warns(SingularDesign, match="response sd is zero; using 1.0"):
+        prior = PriorConfig.from_design(design)
+    assert prior.sigma_y == 1.0
+    assert prior.coefficient_sds[COLUMN_NAMES.index("south")] == 0.75
+    assert prior.coefficient_sds[COLUMN_NAMES.index("dose_change:south")] == 0.25 * 0.75
+    estimate = acr(manual_draws(np.random.default_rng(31).normal(size=(20, 16))), rows)
+    assert np.array_equal(estimate.standardized.draws, estimate.effect.draws)
+
+
 class TestPriorConfig:
     def test_scales_follow_the_rules(self):
         rows = synth_rows(50, constant_effect_beta(), 0.05, np.random.default_rng(3))
@@ -144,10 +178,8 @@ class TestSampler:
         rows = synth_rows(20, constant_effect_beta(), 0.05, np.random.default_rng(9))
         design = build_design(rows)
         prior = PriorConfig.from_design(design)
-        a = fit_posterior(design, prior, n_draws=300, n_chains=2, seed=4,
-                          enforce_diagnostics=False)
-        b = fit_posterior(design, prior, n_draws=300, n_chains=2, seed=4,
-                          enforce_diagnostics=False)
+        a = fit_posterior(design, prior, n_draws=300, n_chains=2, seed=4)
+        b = fit_posterior(design, prior, n_draws=300, n_chains=2, seed=4)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.sigma, b.sigma)
 
@@ -166,8 +198,7 @@ class TestSampler:
         design = build_design(rows)
         prior = PriorConfig.from_design(design)
         with pytest.raises(DomainError, match="at least 4"):
-            fit_posterior(design, prior, n_draws=n_draws, n_chains=2, seed=0,
-                          enforce_diagnostics=False)
+            fit_posterior(design, prior, n_draws=n_draws, n_chains=2, seed=0)
 
     def test_scales_out_of_float_range_rejected(self):
         # sigma^2 underflows on the whole grid, so sigma's density has no finite point.
@@ -175,7 +206,7 @@ class TestSampler:
         design = build_design(rows)
         with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite on"):
             fit_posterior(design, PriorConfig.from_design(design, sigma_y=1e-300), n_draws=8,
-                          n_chains=2, enforce_diagnostics=False)
+                          n_chains=2)
 
     def test_negative_seed_rejected(self):
         rows = synth_rows(20, constant_effect_beta(), 0.05, np.random.default_rng(11))
@@ -190,10 +221,10 @@ class TestSampler:
         large = build_design(synth_rows(348, beta, 0.05, np.random.default_rng(12)))
         prior_small = PriorConfig.from_design(small)
         prior_large = PriorConfig.from_design(large)
-        sd_small = fit_posterior(small, prior_small, n_draws=4000, n_chains=2, seed=2,
-                                 enforce_diagnostics=False).flat[:, 1].std()
-        sd_large = fit_posterior(large, prior_large, n_draws=4000, n_chains=2, seed=2,
-                                 enforce_diagnostics=False).flat[:, 1].std()
+        sd_small = fit_posterior(small, prior_small, n_draws=4000, n_chains=2,
+                                 seed=2).flat[:, 1].std()
+        sd_large = fit_posterior(large, prior_large, n_draws=4000, n_chains=2,
+                                 seed=2).flat[:, 1].std()
         assert 0.4 <= sd_large / sd_small <= 0.6
 
 
@@ -397,17 +428,6 @@ class TestQueries:
         values = cate_draws(draws, [0.5, 0, 1, 0, 0, 0], 2.0, 2.0)
         assert np.all(values == 0.0)
 
-    def test_cate_additivity_per_draw(self):
-        # exact chaining requires a common baseline dose, since the change
-        # interacts with the baseline in the model
-        rng = np.random.default_rng(14)
-        draws = manual_draws(rng.normal(size=(50, 16)))
-        x = [0.5, 1.0, 2.0, 0.0, 0.7, 1.0]
-        ab = cate_draws(draws, x, 0.0, 1.5, baseline_dose=0.0)
-        bc = cate_draws(draws, x, 1.5, 3.5, baseline_dose=0.0)
-        ac = cate_draws(draws, x, 0.0, 3.5, baseline_dose=0.0)
-        assert np.allclose(ab + bc, ac, atol=1e-12)
-
     def test_cate_summary_intervals_nested(self):
         rng = np.random.default_rng(15)
         draws = manual_draws(rng.normal(size=(500, 16)))
@@ -451,8 +471,7 @@ class TestQueries:
         rows = synth_rows(87, constant_effect_beta(0.3), 0.01, rng)
         design = build_design(rows)
         prior = PriorConfig.from_design(design)
-        draws = fit_posterior(design, prior, n_draws=4000, n_chains=2, seed=44,
-                              enforce_diagnostics=False)
+        draws = fit_posterior(design, prior, n_draws=4000, n_chains=2, seed=44)
         estimate = acr(draws, rows)
         assert estimate.effect.mean == pytest.approx(0.3, rel=0.10)
         sd_y = np.std([r.response for r in rows], ddof=1)

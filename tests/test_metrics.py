@@ -53,6 +53,21 @@ def same_bits(a, b):
             and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: expected_seats(PlanProfile((0.4, 0.6)), CAL, method="quadrature",
+                            quadrature_points=1), "quadrature needs at least 2 points"),
+    (lambda: expected_seats(PlanProfile((0.4, 0.6)), CAL, method="simpson"),
+     "unknown method 'simpson'"),
+    (lambda: seat_share_at_vote(PlanProfile((0.4, 0.6)), CAL, 1.0),
+     r"vote share must lie in \(0, 1\)"),
+    # Half of the least positive float rounds to 0: neither party has a vote.
+    (lambda: dilution_asymmetry(PlanProfile((0.5,), (5e-324,))), "a party has no votes"),
+], ids=["quadrature-points", "method", "vote-share", "no-votes"])
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 class TestNdtr:
     # scipy.special.ndtr is the oracle: the port must reproduce it bit for
     # bit, or the metrics output bytes would move.

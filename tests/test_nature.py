@@ -47,6 +47,17 @@ class TestCauchy:
         assert np.all((values > 0) & (values < 1))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Dist("gamma", 1.0, 1.0).mean(), "unknown distribution kind 'gamma'"),
+    (lambda: Dist("gamma", 1.0, 1.0).draw(np.random.default_rng(0)),
+     "unknown distribution kind 'gamma'"),
+    (lambda: sample_parameters(PRIOR, 0, -1), "draw_index must be nonnegative"),
+], ids=["mean", "draw", "draw-index"])
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 class TestSampling:
     def test_deterministic(self):
         a = sample_parameters(PRIOR, 99, 3)

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from leeway import cli, nature, solver
 from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer, PartyControl,
@@ -24,6 +25,9 @@ from test_codebook import make_process
 PRIOR = PriorSpec.default()
 MEAN = PRIOR.mean()
 FIXTURE = load_fixture_codebook()
+SINGLE_DISTRICT = make_process(state_id="WY", drawer=Drawer.NA, drawer_control=PartyControl.NA,
+                               court_review=CourtReview.NA, court_control=PartyControl.NA,
+                               stalemate1=Stalemate1.NA, final_drawer=FinalDrawer.NA)
 COARSE = OptimizationGrid(step=2.0, refine=False)
 
 
@@ -112,13 +116,8 @@ class TestSolveExamples:
             assert w == -v
 
     def test_single_district_not_applicable(self):
-        process = make_process(drawer=Drawer.NA, drawer_control=PartyControl.NA,
-                               court_review=CourtReview.NA,
-                               court_control=PartyControl.NA,
-                               stalemate1=Stalemate1.NA,
-                               final_drawer=FinalDrawer.NA)
         with pytest.raises(NotApplicable):
-            solve(process, MEAN)
+            solve(SINGLE_DISTRICT, MEAN)
 
     def test_value_bounds_and_path_mass(self):
         for row in FIXTURE:
@@ -237,11 +236,12 @@ class TestBatch:
         draws = sample_draws(PRIOR, 66, 3)
         batch = dataclasses.replace(draws, vra_chal_prob_bias0=np.zeros((3, 1)))
         precleared, exempt = FIXTURE.get("AL", 2020), FIXTURE.get("WI", 2020)
-        with pytest.raises(DomainError, match="cauchy_quantile"):
+        message = r"vra_chal_prob_bias0=0\.0 at draw 0: a curve probability must lie strictly"
+        with pytest.raises(DomainError, match=message):
             solve_batch(precleared, batch)
         solved = solve_batch(exempt, batch)
         assert np.array_equal(solved.values, solve_batch(exempt, draws).values)
-        with pytest.raises(DomainError, match="cauchy_quantile"):
+        with pytest.raises(DomainError, match=message):
             solve_batch(precleared, batch)
 
     def test_diagnostic_fields_equal_per_draw_results(self):
@@ -471,13 +471,8 @@ class TestLeeway:
         assert a == b
 
     def test_single_district_raises(self):
-        process = make_process(drawer=Drawer.NA, drawer_control=PartyControl.NA,
-                               court_review=CourtReview.NA,
-                               court_control=PartyControl.NA,
-                               stalemate1=Stalemate1.NA,
-                               final_drawer=FinalDrawer.NA)
         with pytest.raises(NotApplicable):
-            leeway(process, PRIOR, n_draws=1)
+            leeway(SINGLE_DISTRICT, PRIOR, n_draws=1)
 
 
 class TestPathTable:
@@ -700,14 +695,26 @@ class TestBatchContext:
         calls = []
         monkeypatch.setattr(solver, "sample_draws", lambda *args: calls.append("sample_draws"))
         monkeypatch.setattr(_TreeEvaluator, "solve", lambda tree: calls.append("solve"))
-        single = make_process(state_id="WY", drawer=Drawer.NA, drawer_control=PartyControl.NA,
-                              court_review=CourtReview.NA, court_control=PartyControl.NA,
-                              stalemate1=Stalemate1.NA, final_drawer=FinalDrawer.NA)
-        with pytest.raises(NotApplicable, match="cannot build path table over single-district"):
-            path_table(Codebook((*FIXTURE, single)), PRIOR, n_draws=2)
         with pytest.raises(NotApplicable, match="single-district state has no leeway score"):
-            leeway(single, PRIOR, n_draws=2)
+            leeway(SINGLE_DISTRICT, PRIOR, n_draws=2)
         assert calls == []
+
+    def test_path_table_skips_single_district_rows(self):
+        # As leeway_table does: the row has no game, so no path and no actual bucket.
+        with_single = path_table(Codebook((*FIXTURE, SINGLE_DISTRICT)), PRIOR, n_draws=2, seed=3)
+        without = path_table(FIXTURE, PRIOR, n_draws=2, seed=3)
+        assert SINGLE_DISTRICT.key not in with_single.state_probs
+        assert with_single == without
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: brute_force_solve(SINGLE_DISTRICT, MEAN, COARSE), NotApplicable,
+     "single-district state has no game"),
+    (lambda: pairwise_spearman_mean(np.ones((1, 5))), DomainError, "need at least 2 draws"),
+], ids=["brute-force-single-district", "spearman-one-draw"])
+def test_malformed_input_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestSpearman:
@@ -720,6 +727,22 @@ class TestSpearman:
         matrix = np.stack([base, base[::-1]])
         assert pairwise_spearman_mean(matrix) == pytest.approx(-1.0)
 
+    def test_pairs_with_a_constant_row_skipped(self):
+        base = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        matrix = np.stack([base, np.ones(5), base[::-1]])
+        assert pairwise_spearman_mean(matrix) == pytest.approx(-1.0)
+        for n in (2, 3):
+            with pytest.raises(DomainError, match="no draw pair had rankable variation"):
+                pairwise_spearman_mean(np.stack([base, *[np.ones(5)] * (n - 1)]))
+
+    @pytest.mark.parametrize("shape", [(2, 5), (3, 7), (25, 41)])
+    def test_equals_scipy_spearmanr_bitwise(self, shape):
+        # Ties included: the values are small integers.
+        matrix = np.random.default_rng(shape).integers(0, 4, shape).astype(float)
+        rho = stats.spearmanr(matrix, axis=1).statistic
+        upper = np.atleast_2d(rho)[np.triu_indices(shape[0], k=1)] if shape[0] > 2 else rho
+        assert pairwise_spearman_mean(matrix) == float(np.mean(upper))
+
     def test_fixture_stability(self):
         rho = spearman_stability(FIXTURE, PRIOR, n_draws=25, seed=51)
         assert rho >= 0.95
@@ -729,13 +752,7 @@ class TestSpearman:
             spearman_stability(FIXTURE, PRIOR, n_draws=1)
 
     def test_codebook_without_solvable_rows(self):
-        from leeway.codebook import Codebook
-        process = make_process(drawer=Drawer.NA, drawer_control=PartyControl.NA,
-                               court_review=CourtReview.NA,
-                               court_control=PartyControl.NA,
-                               stalemate1=Stalemate1.NA,
-                               final_drawer=FinalDrawer.NA)
-        book = Codebook((process,))
+        book = Codebook((SINGLE_DISTRICT,))
         assert equilibrium_matrix(book, PRIOR, n_draws=3).shape == (3, 0)
         with pytest.raises(DomainError, match="at least 5 states"):
             spearman_stability(book, PRIOR, n_draws=3)
