@@ -20,8 +20,8 @@ from .metrics import (EnsembleSummary, PlanProfile, SwingModel, competitive_shar
                       dilution_asymmetry, efficiency_gap, expected_seats,
                       partisan_bias, responsiveness, simulation_adjust)
 from .nature import CourtContext, GameParameters, PriorSpec, sample_parameters
-from .solver import (EquilibriumResult, LeewayScores, OptimizationGrid,
-                     brute_force_solve, leeway, leeway_table, path_table, solve,
-                     solve_batch, spearman_stability, uniform_control)
+from .solver import (BatchContext, EquilibriumResult, LeewayScores, OptimizationGrid,
+                     brute_force_solve, leeway, leeway_table, path_table, sample_draws,
+                     solve, spearman_stability, uniform_control)
 
 __version__ = "0.1.0"

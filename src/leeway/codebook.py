@@ -231,6 +231,11 @@ def validate(process: StateProcess) -> list[RuleViolation]:
         v.append(RuleViolation("court-review-missing",
                                "drawer present but court_review is NA"))
 
+    # The path table sorts each row with a game by the institution that drew its map.
+    if process.drawer is not Drawer.NA and process.final_drawer is FinalDrawer.NA:
+        v.append(RuleViolation("final-drawer-missing",
+                               "drawer present but final_drawer is NA"))
+
     return v
 
 

@@ -21,7 +21,7 @@ from .codebook import (Codebook, CourtReview, Drawer, PartyControl, StateProcess
 from .errors import DomainError
 from .inference import COVARIATE_NAMES, EffectSummary, PosteriorDraws, cate_draws
 from .nature import PriorSpec
-from .solver import BatchContext, OptimizationGrid
+from .solver import BatchContext, OptimizationGrid, sample_draws
 
 
 class TemplateError(DomainError):
@@ -161,18 +161,15 @@ def counterfactual_doses(codebook: Codebook, template: ReformTemplate,
     """Realized leeway before and after reform for every state in :data:`REFORM_CYCLE`.
 
     Each dose is the ``realized`` leeway score of :func:`~leeway.solver.leeway`.
-    One per-call :class:`~leeway.solver.BatchContext` solves each distinct
-    tree once over the same prior draws, so a reformed row whose tree
-    matches a row already solved (every row under ``identity``) reuses that
-    solve. Single-district rows carry no dose and are skipped.
+    One ``BatchContext(sample_draws(prior, seed, n_draws), grid)`` solves each
+    distinct tree once, so a reformed row whose tree matches a row already
+    solved (every row under ``identity``) reuses that solve. Its ``games``
+    walks the rows and skips single-district rows, which carry no dose.
     """
-    batch = BatchContext(prior, seed, n_draws, grid)
-
-    def dose(process: StateProcess) -> float:
-        return float(batch.solve(process).values.mean())
-
-    return [DosePair(row.state_id, dose(row), dose(apply_template(row, template)))
-            for row in codebook.for_cycle(REFORM_CYCLE) if row.drawer is not Drawer.NA]
+    batch = BatchContext(sample_draws(prior, seed, n_draws), grid)
+    return [DosePair(row.state_id, float(current.values.mean()),
+                     float(batch.solve(apply_template(row, template)).values.mean()))
+            for row, current in batch.games(codebook.for_cycle(REFORM_CYCLE))]
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,10 @@ class PriorConfig:
 
     sigma_y: float
     coefficient_sds: tuple
-    residual_rate: float
+
+    @property
+    def residual_rate(self) -> float:
+        return 1.0 / self.sigma_y
 
     def __post_init__(self):
         if len(self.coefficient_sds) != _N_COLUMNS:
@@ -162,8 +165,7 @@ class PriorConfig:
                 sigma_x = 1.0
             scale = 0.25 if j >= _INTERACTION_START else 1.0
             sds.append(scale * 0.75 * sigma_y / sigma_x)
-        return cls(sigma_y=sigma_y, coefficient_sds=tuple(sds),
-                   residual_rate=1.0 / sigma_y)
+        return cls(sigma_y=sigma_y, coefficient_sds=tuple(sds))
 
 
 @dataclass(frozen=True)
@@ -193,10 +195,6 @@ class PosteriorDraws:
     def flat(self) -> np.ndarray:
         chains, draws, p = self.coefficients.shape
         return self.coefficients.reshape(chains * draws, p)
-
-    @property
-    def sigma_flat(self) -> np.ndarray:
-        return self.sigma.reshape(-1)
 
     @property
     def n_total(self) -> int:

@@ -14,14 +14,14 @@ The refinement grid and all tie-breaking rules are mirror-symmetric, so
 relabeling the parties and negating biases negates the equilibrium value
 exactly (in floating point) for states without VRA exposure.
 
-All prior draws of one process are solved as one batch:
-:func:`solve_batch` carries the draws as (D, 1) parameter columns through a
-single vectorized backward induction, with grid optima and tie-breaking
-taken per draw, and returns the solved tree as per-draw arrays; its
-``result(d)`` is bitwise equal to :func:`solve` on draw d alone. The tree
-reads only a :class:`TreeKey` of the process, and many rows share one. Each
-table builder opens one per-call :class:`BatchContext`, which samples the
-draws once and solves each distinct tree once.
+All prior draws of a call are solved as one batch, through a
+:class:`BatchContext` of the draws (:func:`sample_draws`) and a grid: it
+carries the draws as (D, 1) parameter columns through a single vectorized
+backward induction, with grid optima and tie-breaking taken per draw, and
+solves each distinct tree once, since a tree reads only a :class:`TreeKey`
+of the process. :meth:`BatchContext.games` is the one place that skips
+single-district rows. :func:`solve` is the one-draw case; a solved tree's
+``result(d)`` is bitwise equal to it on draw d alone.
 
 The tree is written once, as one method per node kind: the drawer, the
 veto players, the stalemate chain. The drawer node serves both rounds, and
@@ -223,19 +223,20 @@ def _carries(mass) -> bool:
 class _TreeEvaluator:
     """The game tree of one :class:`TreeKey`, evaluated over D draws at once.
 
-    The fields of ``theta`` are (D, 1) columns, so every bias argument
-    broadcasts against them: the base grid is a (1, G) row, refinement
-    points are (D, n) with one row per draw, and a per-draw bias is a
-    (D, 1) column. Every value comes back with one row per draw.
+    The draws of its :class:`BatchContext` are (D, 1) columns, so every bias
+    argument broadcasts against them: the base grid is a (1, G) row,
+    refinement points are (D, n) with one row per draw, and a per-draw bias
+    is a (D, 1) column. Every value comes back with one row per draw.
     """
 
-    def __init__(self, key: TreeKey, theta: GameParameters, grid: OptimizationGrid, courts: dict):
+    def __init__(self, key: TreeKey, batch: "BatchContext"):
         self.key = key
-        self.theta = theta
-        self.grid = grid
-        self.courts = courts  # court machinery by (CourtContext, shape, bytes), filled on use
-        self.n_draws = len(theta.chal_poss_conf)
-        self.base = grid.base
+        # The batch's parts, not the batch: a reference cycle would outlive the call.
+        self.theta = batch.thetas
+        self.grid = batch.grid
+        self.courts = batch.courts
+        self.n_draws = len(self.theta.chal_poss_conf)
+        self.base = self.grid.base
         self.can_veto = any(mode in ("partisan", "prob") for mode, _ in key.vetoes)
         self.veto_parties = tuple(control for _, control in key.vetoes)
 
@@ -466,32 +467,17 @@ class _TreeEvaluator:
                              in zip(_THRESHOLD_KEYS, self.veto_thresholds[d].tolist())})
 
 
-def solve_batch(process: StateProcess, thetas: GameParameters,
-                grid: OptimizationGrid | None = None) -> _TreeEvaluator:
-    """Solve one state's game for a batch of draws in one vectorized pass.
-
-    ``thetas`` holds D draws as (D, 1) columns (see
-    :func:`~leeway.nature.stack_parameters`). The solved tree holds
-    ``values`` (D,), ``path_probs`` (D, 3) in bucket order,
-    ``round2_proposal`` (D,), NaN where no veto node exists, and
-    ``stalemates`` (D,); ``veto_thresholds`` (D, 4), NaN where there is no
-    threshold, is worked out on first read. ``result(d)`` is :func:`solve`
-    on draw d alone.
-    """
-    return _TreeEvaluator(TreeKey.of(process), thetas, grid or OptimizationGrid(), {}).solve()
-
-
 def solve(process: StateProcess, theta: GameParameters,
           grid: OptimizationGrid | None = None) -> EquilibriumResult:
     """Solve one state's game by backward induction for one draw.
 
-    The one-draw case of :func:`solve_batch`. Raises NotApplicable for
+    The one-draw case of :class:`BatchContext`. Raises NotApplicable for
     single-district (drawer=NA) processes and DomainError for a drawer
     with no controlling coding. Use a grid of at least 81 points for production results
     (the default has 161); coarser grids serve verification against the
     brute-force oracle.
     """
-    return solve_batch(process, nature.stack_parameters([theta]), grid).result(0)
+    return BatchContext(nature.stack_parameters([theta]), grid).solve(process).result(0)
 
 
 def brute_force_solve(process: StateProcess, theta: GameParameters,
@@ -591,7 +577,7 @@ def brute_force_solve(process: StateProcess, theta: GameParameters,
 
 
 def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
-    """Draws 0 .. n_draws-1 of the prior as one batch for :func:`solve_batch`.
+    """Draws 0 .. n_draws-1 of the prior as one batch for :class:`BatchContext`.
 
     Bitwise equal to stacking :func:`~leeway.nature.sample_parameters` for
     each draw, but the values go straight into (D, 1) columns, allocated
@@ -607,28 +593,41 @@ def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
 
 
 class BatchContext:
-    """One library call's prior draws and grid, solving each distinct tree once.
+    """One call's prior draws and grid, solving each distinct tree once.
 
+    ``thetas`` holds D draws as (D, 1) columns (see :func:`sample_draws`).
     Processes that share a :class:`TreeKey` share one solved tree, and the
-    per-row checks of :meth:`TreeKey.of` run on every row. ``courts`` keeps
-    each court evaluation of the call by (:class:`CourtContext`, shape, raw
-    bytes of the bias), so each distinct one, the base row included, runs
-    once and every tree reads the kept, read-only arrays (see
-    :meth:`_TreeEvaluator.exp_court`).
+    per-row checks of :meth:`TreeKey.of` run on every row. A solved tree
+    holds ``values`` (D,), ``path_probs`` (D, 3) in bucket order,
+    ``round2_proposal`` (D,), NaN where no veto node exists, and
+    ``stalemates`` (D,); ``veto_thresholds`` (D, 4), NaN where there is no
+    threshold, is worked out on first read, and ``result(d)`` is
+    :func:`solve` on draw d alone. ``courts`` keeps each court evaluation
+    of the call by (:class:`CourtContext`, shape, raw bytes of the bias), so
+    each distinct one, the base row included, runs once and every tree reads
+    the kept, read-only arrays (see :meth:`_TreeEvaluator.exp_court`).
     """
 
-    def __init__(self, prior: PriorSpec, seed: int, n_draws: int,
-                 grid: OptimizationGrid | None):
+    def __init__(self, thetas: GameParameters, grid: OptimizationGrid | None = None):
+        self.thetas = thetas
         self.grid = grid or OptimizationGrid()
-        self.thetas = sample_draws(prior, seed, n_draws)
         self.trees: dict[TreeKey, _TreeEvaluator] = {}
         self.courts: dict[tuple, nature.ExpCourt] = {}
 
     def solve(self, process: StateProcess) -> _TreeEvaluator:
         key = TreeKey.of(process)
         if key not in self.trees:
-            self.trees[key] = _TreeEvaluator(key, self.thetas, self.grid, self.courts).solve()
+            self.trees[key] = _TreeEvaluator(key, self).solve()
         return self.trees[key]
+
+    def games(self, rows):
+        """Yield (row, solved tree) for each row with a game, in order.
+
+        The one place that skips single-district rows (drawer NA).
+        """
+        for row in rows:
+            if row.drawer is not Drawer.NA:
+                yield row, self.solve(row)
 
 
 def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,
@@ -653,14 +652,12 @@ def _scored_rows(codebook: Codebook, prior: PriorSpec, n_draws: int, seed: int,
     All rows share one batch context, and the ``realized`` score averages
     the realized solve.
     """
-    batch = BatchContext(prior, seed, n_draws, grid)
-    for row in codebook:
-        if row.drawer is not Drawer.NA:
-            realized = batch.solve(row)
-            uniform = batch.solve(uniform_control(row, PartyControl.DEMOCRATS))
-            yield row, LeewayScores(realized=float(realized.values.mean()),
-                                    maximum=abs(float(uniform.values.mean())),
-                                    n_draws=n_draws), realized
+    batch = BatchContext(sample_draws(prior, seed, n_draws), grid)
+    for row, realized in batch.games(codebook):
+        uniform = batch.solve(uniform_control(row, PartyControl.DEMOCRATS))
+        yield row, LeewayScores(realized=float(realized.values.mean()),
+                                maximum=abs(float(uniform.values.mean())),
+                                n_draws=n_draws), realized
 
 
 def leeway_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
@@ -715,23 +712,20 @@ def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
     stalemate resolvers count toward their institution. Single-district
     rows have no game and are left out, of ``actual`` too.
     """
-    solvable = [row for row in codebook if row.drawer is not Drawer.NA]
-    batch = BatchContext(prior, seed, n_draws, grid)
-    state_probs = {}
-    for row in solvable:
-        pooled = batch.solve(row).path_probs.sum(axis=0)  # row by row, as a per-draw loop adds
+    batch = BatchContext(sample_draws(prior, seed, n_draws), grid)
+    state_probs, actual = {}, {}
+    for row, tree in batch.games(codebook):
+        pooled = tree.path_probs.sum(axis=0)  # row by row, as a per-draw loop adds
         state_probs[row.key] = {b: float(p) / n_draws for b, p in zip(_BUCKETS, pooled)}
-    return PathTable(
-        state_probs=state_probs,
-        actual={r.key: _ACTUAL_BUCKET[r.final_drawer] for r in solvable},
-    )
+        actual[row.key] = _ACTUAL_BUCKET[row.final_drawer]
+    return PathTable(state_probs=state_probs, actual=actual)
 
 
 def equilibrium_matrix(codebook: Codebook, prior: PriorSpec, n_draws: int,
                        seed: int = 0, grid: OptimizationGrid | None = None) -> np.ndarray:
     """Realized equilibrium values, shape (n_draws, n_states)."""
-    batch = BatchContext(prior, seed, n_draws, grid)
-    columns = [batch.solve(row).values for row in codebook if row.drawer is not Drawer.NA]
+    batch = BatchContext(sample_draws(prior, seed, n_draws), grid)
+    columns = [tree.values for _, tree in batch.games(codebook)]
     return np.array(columns, dtype=float).reshape(len(columns), n_draws).T
 
 

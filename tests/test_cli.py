@@ -223,6 +223,23 @@ class TestLeewayCommand:
             outputs.append(_body(out) + _body(per_state))
         assert outputs[0] == outputs[1]
 
+    def test_final_drawer_missing_rejected_before_sampling(self, small_codebook, tmp_path,
+                                                           capsys, monkeypatch):
+        # A row with a game but no final drawer has no actual bucket in the path table.
+        book = tmp_path / "book.csv"
+        book.write_text(open(small_codebook).read() + "ZZ,2020,Legislature,Republicans,Governor,"
+                        "Republicans,NA,NA,No,Republicans,Unclear,NA,NA,NA,NA,no\n")
+        monkeypatch.setattr(solver, "sample_draws", lambda *args: pytest.fail("sampled"))
+        out = tmp_path / "p.csv"
+        assert main(["paths", "--codebook", str(book), "--draws", "2", "--output", str(out)]) == 1
+        message = "drawer present but final_drawer is NA"
+        assert capsys.readouterr().err == (f"error: {book}, line 7: [final-drawer-missing] "
+                                           f"{message}\n")
+        assert not out.exists()
+        assert main(["codebook", "--input", str(book), "--validate"]) == 1
+        assert capsys.readouterr().err == (f"{book}, line 7: ZZ,2020: final-drawer-missing: "
+                                           f"{message}\n")
+
     def test_json_format(self, small_codebook, tmp_path):
         out = tmp_path / "l.json"
         main(["leeway", "--codebook", small_codebook, "--draws", "2",
@@ -294,7 +311,7 @@ def oracle_diagnostics(codebook: Codebook, argv: list) -> str:
     args = cli.build_parser().parse_args(argv)
     thetas = solver.sample_draws(PriorSpec.default(), args.seed, args.draws)
     records = [{"state": row.state_id, "cycle": row.cycle, "draw": d,
-                **asdict(solver.solve_batch(row, thetas).result(d))}
+                **asdict(solver.BatchContext(thetas).solve(row).result(d))}
                for row in codebook if row.drawer is not Drawer.NA for d in range(args.draws)]
     return json.dumps({"draws": records, "meta": cli._meta(args, args.seed)},
                       sort_keys=True, allow_nan=False) + "\n"
@@ -516,10 +533,12 @@ class TestDidCommand:
                                             ("1e100", "sigma_y=1e+100"),
                                             ("1e150", "sigma_y=1e+150"),
                                             ("1e200", "sigma_y=1e+200"),
-                                            ("1e300", "sigma_y=1e+300")])
+                                            ("1e300", "sigma_y=1e+300"),
+                                            ("1e-320", "residual_rate=inf")])
     def test_non_finite_prior_scale_exits_1(self, did_input, tmp_path, capsys, value, bad):
         # 2.5 x 1e308, the intercept's prior sd, overflows to inf. From 1e100 on,
-        # sigma_y is finite but overflows the posterior draws or S X'X S.
+        # sigma_y is finite but overflows the posterior draws or S X'X S. The
+        # residual rate 1 / sigma_y of a subnormal sigma_y overflows to inf.
         assert self.did(did_input, tmp_path, "--sigma-y", value) == 1
         assert f"prior scale {bad} must be finite and positive" in capsys.readouterr().err
 

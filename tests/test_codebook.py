@@ -162,6 +162,14 @@ class TestValidate:
         assert err.value.rule == "court-review-missing"
         assert err.value.row == ("ZZ", 2020)
 
+    def test_final_drawer_required_when_drawn(self):
+        process = make_process(final_drawer=FinalDrawer.NA)
+        assert [v.rule for v in validate(process)] == ["final-drawer-missing"]
+        with pytest.raises(InvariantViolation) as err:
+            parse_codebook(serialize_codebook(Codebook((process,))))
+        assert err.value.rule == "final-drawer-missing"
+        assert err.value.row == ("ZZ", 2020)
+
     def test_single_district_row_valid(self):
         process = make_process(
             drawer=Drawer.NA, drawer_control=PartyControl.NA,

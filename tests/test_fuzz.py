@@ -19,8 +19,8 @@ from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer,
                              Stalemate1, Stalemate2, Veto1, Veto2, parse_codebook,
                              serialize_codebook, validate)
 from leeway.nature import PriorSpec, sample_parameters
-from leeway.solver import (OptimizationGrid, TreeKey, brute_force_solve, sample_draws, solve,
-                           solve_batch, uniform_control)
+from leeway.solver import (BatchContext, OptimizationGrid, TreeKey, brute_force_solve,
+                           path_table, sample_draws, solve, uniform_control)
 
 PRIOR = PriorSpec.default()
 COARSE = OptimizationGrid(step=2.0, refine=False)
@@ -125,15 +125,19 @@ def test_missing_court_review_rejected_at_parse(processes):
 def test_every_row_that_validates_solves(processes):
     rng = np.random.default_rng(782)
     candidates = [*processes, *(unconstrained_process(rng, i) for i in range(2000))]
+    valid = [p for p in candidates if validate(p) == []]
     # Single-district rows (drawer=NA) validate but have no game by design.
-    accepted = [p for p in candidates if validate(p) == [] and p.drawer is not Drawer.NA]
+    accepted = [p for p in valid if p.drawer is not Drawer.NA]
     assert len(accepted) >= len(processes) + 100  # the loose generator reaches valid rows
-    thetas = sample_draws(PRIOR, 782, 3)
+    batch = BatchContext(sample_draws(PRIOR, 782, 3))
     for process in accepted:
         for controlled in (process, uniform_control(process, PartyControl.DEMOCRATS),
                            uniform_control(process, PartyControl.REPUBLICANS)):
-            values = solve_batch(controlled, thetas).values
+            values = batch.solve(controlled).values
             assert len(values) == 3 and all(-4.0 <= v <= 4.0 for v in values), controlled
+    # The path table reads final_drawer too, so every accepted row must have one.
+    table = path_table(Codebook(tuple(valid)), PRIOR, n_draws=3, seed=782)
+    assert list(table.state_probs) == list(table.actual) == [p.key for p in accepted]
 
 
 def test_solver_bounds_and_mass_conservation(processes):
@@ -254,7 +258,7 @@ def test_equal_tree_keys_solve_bitwise_equal(processes):
     for members in shared:
         want = None
         for process in members:
-            solved = solve_batch(process, thetas)
+            solved = BatchContext(thetas).solve(process)
             got = [a.tobytes() for a in (solved.values, solved.path_probs,
                                          solved.round2_proposal, solved.stalemates,
                                          solved.veto_thresholds)]

@@ -17,6 +17,10 @@ no other code refers to ``csv.reader`` or ``csv.DictReader``, so every
 table input follows one set of rules. It is also the one function that
 decides what a comment is: no other code tests a line for ``"#"`` or calls
 ``np.loadtxt`` with ``comments`` other than ``None``.
+
+One method in the package skips rows without a game, ``BatchContext.games``:
+no other code filters rows on ``Drawer.NA``, so every table builder leaves
+out the same rows. A check on one row that raises is not a filter.
 """
 
 import ast
@@ -248,3 +252,58 @@ def test_one_function_decides_what_a_comment_is():
 ])
 def test_scan_finds_comment_rules(source, expected):
     assert comment_rules(source) == expected
+
+
+def _reads_drawer_na(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "NA" and "Drawer" in (
+        getattr(n.value, "id", None), getattr(n.value, "attr", None)) for n in ast.walk(node))
+
+
+def drawer_na_filters(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing definition or "<module>") of each row filter on ``Drawer.NA``.
+
+    A filter is a comprehension ``if``, or an ``if`` statement in the body of
+    a ``for`` or ``while`` loop of the same function, whose test reads
+    ``Drawer.NA``. A definition inside a class is named ``Class.method``.
+    """
+    found = []
+
+    def visit(node, owner, in_loop):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+            in_loop = False
+        elif isinstance(node, ast.comprehension):
+            found.extend((test.lineno, owner) for test in node.ifs if _reads_drawer_na(test))
+        elif isinstance(node, ast.If) and in_loop and _reads_drawer_na(node.test):
+            found.append((node.lineno, owner))
+        loop = isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, in_loop or (loop and child in node.body))
+
+    visit(ast.parse(source), "<module>", False)
+    return sorted(found)
+
+
+def test_one_method_skips_rows_without_a_game():
+    uses = {f"{path.name}:{owner}" for path in PACKAGE
+            for _, owner in drawer_na_filters(path.read_text(encoding="utf-8"))}
+    assert uses == {"solver.py:BatchContext.games"}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def path_table(codebook):\n"
+     "    solvable = [row for row in codebook if row.drawer is not Drawer.NA]\n",
+     [(2, "path_table")]),
+    ("class B:\n    def games(self, rows):\n        for row in rows:\n"
+     "            if row.drawer is not Drawer.NA:\n                yield row\n",
+     [(4, "B.games")]),
+    ("for row in rows:\n    if row.drawer is codebook.Drawer.NA:\n        continue\n",
+     [(2, "<module>")]),
+    ("def leeway(p):\n    if p.drawer is Drawer.NA:\n        raise NotApplicable(p.key)\n", []),
+    ("for row in rows:\n    def f(p):\n        if p.drawer is Drawer.NA:\n            raise E\n",
+     []),
+    ("[row.drawer is Drawer.NA for row in rows]\n", []),
+    ("for row in rows:\n    if row.veto1 is Veto1.NA:\n        continue\n", []),
+])
+def test_scan_finds_drawer_na_filters(source, expected):
+    assert drawer_na_filters(source) == expected

@@ -87,7 +87,7 @@ class TestDesign:
     (lambda: DesignMatrix(np.ones((3, 16)), np.ones(2)), "response length must match"),
     (lambda: build_design([dataclasses.replace(row, dy1=np.nan) for row in synth_rows(
         5, constant_effect_beta(), 0.05, np.random.default_rng(29))]), "non-finite values"),
-    (lambda: PriorConfig(sigma_y=1.0, coefficient_sds=(1.0,) * 15, residual_rate=1.0),
+    (lambda: PriorConfig(sigma_y=1.0, coefficient_sds=(1.0,) * 15),
      "need 16 coefficient sds"),
     (lambda: acr(manual_draws(np.ones((3, 16))), []), "acr needs at least one row"),
 ], ids=["covariate-count", "design-columns", "response-length", "non-finite", "sd-count",
@@ -143,10 +143,11 @@ class TestPriorConfig:
             PriorConfig.from_design(build_design(rows), sigma_y=sigma_y)
 
     @pytest.mark.parametrize("field, bad", [
-        ({"residual_rate": float("nan")}, "residual_rate=nan"),
+        ({"sigma_y": float("nan")}, "sigma_y=nan"),
         ({"coefficient_sds": (1.0,) * 15 + (float("inf"),)}, "dose_change:initiative sd=inf")])
     def test_non_finite_field_rejected(self, field, bad):
-        fields = {"sigma_y": 1.0, "coefficient_sds": (1.0,) * 16, "residual_rate": 1.0, **field}
+        # residual_rate is 1 / sigma_y; test_cli reaches its check with a subnormal sigma_y.
+        fields = {"sigma_y": 1.0, "coefficient_sds": (1.0,) * 16, **field}
         with pytest.raises(DomainError, match=f"prior scale {bad} must be finite"):
             PriorConfig(**fields)
 
@@ -155,7 +156,7 @@ class TestSampler:
     def test_prior_only_fit_reproduces_prior(self):
         empty = DesignMatrix(X=np.empty((0, 16)), y=np.empty(0))
         sds = tuple([2.5] + [0.75] * 8 + [0.1875] * 7)
-        prior = PriorConfig(sigma_y=1.0, coefficient_sds=sds, residual_rate=1.0)
+        prior = PriorConfig(sigma_y=1.0, coefficient_sds=sds)
         draws = fit_posterior(empty, prior, n_draws=8000, n_chains=4, seed=5)
         means = draws.flat.mean(axis=0)
         spreads = draws.flat.std(axis=0)
@@ -259,8 +260,8 @@ class TestOracle:
         draws = fit_posterior(design, prior, n_draws=5000, n_chains=4, seed=3)
         sigma_mean, beta_mean = quadrature_posterior(design, prior)
         ess = draws.diagnostics.ess
-        mcse = draws.sigma_flat.std() / np.sqrt(ess["sigma"])
-        assert abs(draws.sigma_flat.mean() - sigma_mean) < 4 * mcse
+        mcse = draws.sigma.ravel().std() / np.sqrt(ess["sigma"])
+        assert abs(draws.sigma.ravel().mean() - sigma_mean) < 4 * mcse
         for j, name in enumerate(COLUMN_NAMES):
             mcse = draws.flat[:, j].std() / np.sqrt(ess[name])
             assert abs(draws.flat[:, j].mean() - beta_mean[j]) < 4 * mcse, name
@@ -289,7 +290,7 @@ class TestIndependentDraws:
     def test_matches_gibbs_moments(self, design):
         draws = fit_posterior(design, PriorConfig.from_design(design), n_draws=5000,
                               n_chains=4, seed=3)
-        flat = np.column_stack([draws.flat, draws.sigma_flat])
+        flat = np.column_stack([draws.flat, draws.sigma.ravel()])
         assert np.all(np.abs(flat.mean(axis=0) - GIBBS_MEANS) < 0.05 * GIBBS_SDS)
         assert flat.std(axis=0) == pytest.approx(GIBBS_SDS, rel=0.02)
 
@@ -310,10 +311,10 @@ class TestIndependentDraws:
         prior = PriorConfig.from_design(design)
         q = [0.001, 0.5, 0.999]
         coarse = np.quantile(fit_posterior(design, prior, n_draws=5000, n_chains=2,
-                                           seed=6).sigma_flat, q)
+                                           seed=6).sigma.ravel(), q)
         monkeypatch.setattr(inference, "_SIGMA_GRID", 2 * inference._SIGMA_GRID - 1)
         fine = np.quantile(fit_posterior(design, prior, n_draws=5000, n_chains=2,
-                                         seed=6).sigma_flat, q)
+                                         seed=6).sigma.ravel(), q)
         assert np.all(np.abs(fine / coarse - 1.0) < 1e-5)
 
 

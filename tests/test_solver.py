@@ -18,7 +18,7 @@ from leeway.nature import (GameParameters, PriorSpec, exp_court, CourtContext,
 from leeway.solver import (STALEMATE, BatchContext, OptimizationGrid, TreeKey, _argopt,
                            _TreeEvaluator, brute_force_solve, equilibrium_matrix, leeway,
                            leeway_table, pairwise_spearman_mean, path_table, sample_draws,
-                           solve, solve_batch, spearman_stability, uniform_control)
+                           solve, spearman_stability, uniform_control)
 
 from test_codebook import make_process
 
@@ -138,7 +138,7 @@ class TestBatch:
                 continue
             for process in (row, uniform_control(row, PartyControl.DEMOCRATS),
                             uniform_control(row, PartyControl.REPUBLICANS)):
-                solved = solve_batch(process, batch)
+                solved = BatchContext(batch).solve(process)
                 assert solved.values.shape == (len(thetas),)
                 for d, theta in enumerate(thetas):
                     got, want = solved.result(d), solve(process, theta)
@@ -153,7 +153,7 @@ class TestBatch:
         # the thresholds.
         row = FIXTURE.get("IA", 2020)
         batch = stack_parameters([sample_parameters(PRIOR, 63, i) for i in range(4)])
-        solved = solve_batch(row, batch)
+        solved = BatchContext(batch).solve(row)
         assert solved.decisions == {}
         thresholds = solved.veto_thresholds
         assert thresholds.shape == (4, 4)
@@ -181,9 +181,9 @@ class TestBatch:
             if row.drawer is Drawer.NA:
                 continue
             for process in (row, uniform_control(row, PartyControl.DEMOCRATS)):
-                if _TreeEvaluator(TreeKey.of(process), batch, OptimizationGrid(), {}).can_veto:
+                if _TreeEvaluator(TreeKey.of(process), BatchContext(batch)).can_veto:
                     continue
-                solve_batch(process, batch)
+                BatchContext(batch).solve(process)
                 solved += 1
         assert solved > 0
         assert calls == []
@@ -197,11 +197,11 @@ class TestBatch:
         monkeypatch.setattr(nature, "cauchy_quantile", lambda p: calls.append(p) or real(p))
         batch = sample_draws(PRIOR, 64, 5)
         row = FIXTURE.get("AL", 2020)  # precleared, so the VRA curve is read
-        solve_batch(row, batch)
+        BatchContext(batch).solve(row)
         assert len(calls) == 6
         for row in FIXTURE:
             if row.drawer is not Drawer.NA:
-                solve_batch(uniform_control(row, PartyControl.DEMOCRATS), batch)
+                BatchContext(batch).solve(uniform_control(row, PartyControl.DEMOCRATS))
         assert len(calls) == 6
 
     def test_base_grid_court_evaluated_once_per_tree(self, monkeypatch):
@@ -225,7 +225,7 @@ class TestBatch:
                 continue
             for process in (row, uniform_control(row, PartyControl.DEMOCRATS)):
                 calls.clear()
-                solve_batch(process, batch).veto_thresholds
+                BatchContext(batch).solve(process).veto_thresholds
                 per_tree[process] = sum(calls)
         assert per_tree[FIXTURE.get("IN", 2020)] == 1
         assert max(per_tree.values()) == 1
@@ -238,11 +238,11 @@ class TestBatch:
         precleared, exempt = FIXTURE.get("AL", 2020), FIXTURE.get("WI", 2020)
         message = r"vra_chal_prob_bias0=0\.0 at draw 0: a curve probability must lie strictly"
         with pytest.raises(DomainError, match=message):
-            solve_batch(precleared, batch)
-        solved = solve_batch(exempt, batch)
-        assert np.array_equal(solved.values, solve_batch(exempt, draws).values)
+            BatchContext(batch).solve(precleared)
+        solved = BatchContext(batch).solve(exempt)
+        assert np.array_equal(solved.values, BatchContext(draws).solve(exempt).values)
         with pytest.raises(DomainError, match=message):
-            solve_batch(precleared, batch)
+            BatchContext(batch).solve(precleared)
 
     def test_diagnostic_fields_equal_per_draw_results(self):
         # result(d) must equal the arrays read one draw at a time, with NaN as
@@ -265,7 +265,7 @@ class TestBatch:
         for row in (*rows, *(row.mirrored() for row in rows)):
             for process in (row, uniform_control(row, PartyControl.DEMOCRATS),
                             uniform_control(row, PartyControl.REPUBLICANS)):
-                solved = solve_batch(process, batch)
+                solved = BatchContext(batch).solve(process)
                 fields = cli._diagnostic_fields(solved)
                 assert len(fields) == 6
                 for d, (head, tail) in enumerate(fields):
@@ -379,7 +379,7 @@ class TestBruteForce:
         thetas = [sample_parameters(PRIOR, 5, d) for d in range(3)]
         for row in rows:
             assert validate(row) == [], row.key
-            fast = solve_batch(row, sample_draws(PRIOR, 5, 3), COARSE)
+            fast = BatchContext(sample_draws(PRIOR, 5, 3), COARSE).solve(row)
             for d, theta in enumerate(thetas):
                 slow = brute_force_solve(row, theta, COARSE)
                 assert fast.result(d).value == pytest.approx(slow, abs=1e-9), (row.key, d)
@@ -546,7 +546,7 @@ class TestRootStalemate:
                                veto2_control=other, court_review=CourtReview.MAYBE,
                                court_control=other, stalemate1=Stalemate1.COMMISSION,
                                stalemate1_control=party)
-        tree = BatchContext(PRIOR, 5, 50, None).solve(process)
+        tree = BatchContext(sample_draws(PRIOR, 5, 50)).solve(process)
         stale, propose = tree.stalemate(np.zeros((50, 1))), tree._optima[("drawer", 1)][1]
         assert np.sum(nature.party_sign(party) * (stale - propose) > 0.0) == 10
         sha = hashlib.sha256()
@@ -611,7 +611,7 @@ class TestBatchContext:
         # only in fields the tree does not read.
         ia = FIXTURE.get("IA", 2020)
         twin = dataclasses.replace(ia, state_id="IA_T", final_drawer=FinalDrawer.COURT_MASTER)
-        batch = BatchContext(PRIOR, 67, 4, None)
+        batch = BatchContext(sample_draws(PRIOR, 67, 4))
         owners = {}
         for row in (*self.BOOK, twin):
             for process in (row, uniform_control(row, PartyControl.DEMOCRATS)):
@@ -677,7 +677,7 @@ class TestBatchContext:
         # The batch keeps the base row, the (D, 41) refinement grids and the
         # (D, 1) columns, not the per-draw (D, G) grids built from the base
         # row. Their arrays are shared between trees, so none can be written.
-        batch = BatchContext(PRIOR, 101, 100, None)
+        batch = BatchContext(sample_draws(PRIOR, 101, 100))
         for row in self.BOOK:
             cli._diagnostic_fields(batch.solve(row))
             batch.solve(uniform_control(row, PartyControl.DEMOCRATS))
