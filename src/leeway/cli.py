@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -59,14 +60,39 @@ def _header_comment(args, seed) -> str:
     return "# leeway v{version} seed={seed} config={config}\n".format(**_meta(args, seed))
 
 
-def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write(path: str, chunks) -> None:
+    """Write the bytes ``chunks`` to ``path``: the one place an output file is opened.
+
+    The file appears whole or not at all. The chunks go to a new sibling
+    file, which replaces the target only once the last chunk is written; on
+    any exception the sibling is removed and the exception re-raised, so an
+    existing output keeps its bytes. The target is ``path`` with symlinks
+    resolved, so a link stays a link. An existing target that is not a
+    regular file, such as a FIFO or /dev/stdout, is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+    try:  # a new file, with the umask's permissions as open(path, "wb") gives
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        exc.filename = path  # the error names the output, not its sibling
+        raise
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_json(path: str, payload: dict):
     """Write ``payload`` as JSON with sorted keys; a NaN or an infinity is a bug: ValueError."""
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    _write(path, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False).encode() + b"\n"])
 
 
 def _write_csv(path: str, header: str, columns, rows):
@@ -76,7 +102,7 @@ def _write_csv(path: str, header: str, columns, rows):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
-    _write_text(path, out.getvalue())
+    _write(path, [out.getvalue().encode()])
 
 
 def _fmt(x: float) -> str:
@@ -138,7 +164,7 @@ def _cmd_codebook(args) -> int:
     book = cb.parse_codebook(Path(args.input))
     print(f"parsed {len(book)} rows")
     if args.output:
-        _write_text(args.output, _header_comment(args, "-") + cb.serialize_codebook(book))
+        _write(args.output, [(_header_comment(args, "-") + cb.serialize_codebook(book)).encode()])
     return 0
 
 
@@ -213,8 +239,8 @@ def _cmd_leeway(args) -> int:
 
     if args.emit_diagnostics:  # as json.dumps(sort_keys=True) writes {"draws", "meta"}
         meta = json.dumps(_meta(args, args.seed), sort_keys=True)
-        _write_text(args.emit_diagnostics,
-                    f'{{"draws": [{", ".join(records)}], "meta": {meta}}}\n')
+        _write(args.emit_diagnostics,
+               [f'{{"draws": [{", ".join(records)}], "meta": {meta}}}\n'.encode()])
     return 0
 
 
@@ -438,7 +464,7 @@ class _Forked:
 
 
 def _draw_rows(draws: PosteriorDraws, start: int, stop: int):
-    """Text of the chain-major draw rows ``start`` to ``stop - 1``, a piece at a time."""
+    """Bytes of the chain-major draw rows ``start`` to ``stop - 1``, a piece at a time."""
     n = draws.sigma.shape[1]
     while start < stop:
         c, t = divmod(start, n)
@@ -446,7 +472,7 @@ def _draw_rows(draws: PosteriorDraws, start: int, stop: int):
         rows = np.column_stack([draws.coefficients[c, t:t + k],
                                 draws.sigma[c, t:t + k]]).tolist()
         yield "".join(f"{c},{i},{','.join(map(repr, row))}\n"
-                      for i, row in enumerate(rows, t))
+                      for i, row in enumerate(rows, t)).encode()
         start += k
 
 
@@ -458,14 +484,9 @@ def save_draws_csv(draws: PosteriorDraws, path: str, header: str = ""):
     """
     total = draws.sigma.size
     half = total // 2
-    with _Forked(path, lambda: b"".join(text.encode() for text in
-                                        _draw_rows(draws, half, total))) as tail, \
-            open(path, "wb") as fh:
-        fh.write((header + ",".join(_DRAW_COLUMNS) + "\n").encode())
-        for text in _draw_rows(draws, 0, half):
-            fh.write(text.encode())
-        for chunk in tail:
-            fh.write(chunk)
+    with _Forked(path, lambda: b"".join(_draw_rows(draws, half, total))) as tail:
+        _write(path, itertools.chain([(header + ",".join(_DRAW_COLUMNS) + "\n").encode()],
+                                     _draw_rows(draws, 0, half), tail))
 
 
 def load_draws_csv(path: str) -> PosteriorDraws:

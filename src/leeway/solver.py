@@ -11,8 +11,9 @@ nature parametrized by :class:`~leeway.nature.GameParameters`.
 Continuous proposal choices are optimized on a uniform grid over the bias
 scale with one symmetric local refinement pass around the best grid point.
 The refinement grid and all tie-breaking rules are mirror-symmetric, so
-relabeling the parties and negating biases negates the equilibrium value
-exactly (in floating point) for states without VRA exposure.
+for states without VRA exposure, relabeling the parties negates the
+equilibrium value and the round-2 proposal exactly up to the sign of zero,
+and leaves the path mass unchanged bit for bit.
 
 All prior draws of a call are solved as one batch, through a
 :class:`BatchContext` of the draws (:func:`sample_draws`) and a grid: it
@@ -50,8 +51,8 @@ from typing import Union
 import numpy as np
 
 from . import nature
-from .codebook import (Codebook, Drawer, FinalDrawer, PartyControl,
-                       StateProcess, Stalemate1, Stalemate2, Veto1, Veto2)
+from .codebook import (Codebook, Drawer, FinalDrawer, InvariantViolation, PartyControl,
+                       StateProcess, Stalemate1, Stalemate2, Veto1, Veto2, validate)
 from .errors import DomainError, NotApplicable, allocate
 from .nature import BIAS_MAX, BIAS_MIN, CourtContext, GameParameters, PriorSpec
 
@@ -710,8 +711,17 @@ def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
     court redraws, VRA remedies, and court or unclear stalemate
     resolutions count toward the court; commission and legislative
     stalemate resolvers count toward their institution. Single-district
-    rows have no game and are left out, of ``actual`` too.
+    rows have no game and are left out, of ``actual`` too. A row with a
+    game but no final drawer, which ``parse_codebook`` rejects but a
+    Codebook built in code may hold, raises InvariantViolation
+    (``final-drawer-missing``) before any draw is sampled.
     """
+    for row in codebook:
+        if row.final_drawer is FinalDrawer.NA:
+            for violation in validate(row):
+                if violation.rule == "final-drawer-missing":
+                    raise InvariantViolation(row.key, violation.rule, violation.message,
+                                             str(row.key))
     batch = BatchContext(sample_draws(prior, seed, n_draws), grid)
     state_probs, actual = {}, {}
     for row, tree in batch.games(codebook):

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -1023,6 +1024,80 @@ class TestForkedCodec:
             with pytest.raises(RuntimeError, match="d.csv: the child process"):
                 list(chunks)
         assert_no_children()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_child_leaves_no_draw_file(self, tmp_path, monkeypatch, fork_mode, existing):
+        # The child's half fails after this process has written its own.
+        original = cli._draw_rows
+
+        def rows(draws, start, stop):
+            if start > 0:
+                raise KeyError("child half")
+            return original(draws, start, stop)
+
+        monkeypatch.setattr(cli, "_draw_rows", rows)
+        path = tmp_path / "d.csv"
+        if existing:
+            path.write_bytes(b"an earlier run\n")
+        with pytest.raises(KeyError, match="child half"):
+            save_draws_csv(random_draws(2, 10), str(path))
+        assert os.listdir(tmp_path) == (["d.csv"] if existing else [])
+        assert not existing or read(path) == b"an earlier run\n"
+        assert_no_children()
+
+
+class TestWrite:
+    """``cli._write``, which writes every output file whole or not at all."""
+
+    @staticmethod
+    def failing_chunks():
+        yield b"first\n"
+        raise KeyError("partway")
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_partway_leaves_no_trace(self, tmp_path, existing):
+        path = tmp_path / "out.csv"
+        if existing:
+            path.write_bytes(b"old\n")
+        with pytest.raises(KeyError, match="partway"):
+            cli._write(str(path), self.failing_chunks())
+        assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
+        assert not existing or read(path) == b"old\n"
+
+    def test_error_names_the_output(self, tmp_path):
+        link = tmp_path / "out.csv"
+        link.symlink_to(tmp_path / "nodir" / "x.csv")
+        with pytest.raises(FileNotFoundError) as err:
+            cli._write(str(link), [b"x"])
+        assert err.value.filename == str(link) and os.listdir(tmp_path) == ["out.csv"]
+
+    def test_new_file_gets_umask_permissions(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            cli._write(str(tmp_path / "out.csv"), [b"a", b"b"])
+        finally:
+            os.umask(old)
+        assert read(tmp_path / "out.csv") == b"ab"
+        assert os.stat(tmp_path / "out.csv").st_mode & 0o777 == 0o640
+
+    def test_symlink_keeps_its_link(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old\n")
+        link.symlink_to(target)
+        cli._write(str(link), [b"new\n"])
+        assert link.is_symlink() and read(target) == b"new\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+    def test_fifo_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write never blocks
+        try:
+            cli._write(str(fifo), [b"a\n", b"b\n"])
+            assert os.read(reader, 100) == b"a\nb\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.listdir(tmp_path) == ["pipe"]
 
 
 @pytest.fixture

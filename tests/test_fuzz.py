@@ -159,16 +159,32 @@ def test_brute_force_agreement_everywhere(processes):
         assert fast == pytest.approx(slow, abs=1e-9), process
 
 
-def test_mirror_exactness_without_preclearance(processes):
-    rng = np.random.default_rng(780)
-    for process in processes:
-        if process.preclearance:
-            continue
-        theta = sample_parameters(PRIOR, 780, int(rng.integers(10**6)))
-        mirrored = process.mirrored()
-        v = solve(process, theta).value
-        w = solve(mirrored, theta).value
-        assert v == -w, process
+def test_mirror_exactness_without_preclearance():
+    # Mirroring negates the values and round-2 proposals exactly up to the
+    # sign of zero (== reads -0.0 as 0.0), and keeps the drawer's stalemates,
+    # the path mass and the base-grid veto decisions, reversed along the
+    # symmetric grid, bit for bit.
+    pairs, signed_zeros = 0, 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        thetas = sample_draws(PRIOR, seed, 30)
+        for process in (random_process(rng, i) for i in range(100)):
+            if process.preclearance:
+                continue
+            tree, mirror = (BatchContext(thetas).solve(p) for p in (process, process.mirrored()))
+            for solved in (tree, mirror):  # reading the thresholds fills every decision
+                assert solved.veto_thresholds.shape == (30, 4)
+            assert np.array_equal(tree.values, -mirror.values), process
+            assert np.array_equal(tree.round2_proposal, -mirror.round2_proposal,
+                                  equal_nan=True), process
+            assert np.array_equal(tree.stalemates, mirror.stalemates), process
+            assert tree.path_probs.tobytes() == mirror.path_probs.tobytes(), process
+            assert tree.decisions.keys() == mirror.decisions.keys(), process
+            for key, decided in tree.decisions.items():
+                assert np.array_equal(decided, mirror.decisions[key][:, ::-1]), (process, key)
+            pairs += 1
+            signed_zeros += tree.values.tobytes() != (-mirror.values).tobytes()
+    assert pairs >= 250 and signed_zeros > 0  # the sign of a zero does differ
 
 
 def test_control_monotonicity(processes):

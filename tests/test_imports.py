@@ -21,6 +21,10 @@ decides what a comment is: no other code tests a line for ``"#"`` or calls
 One method in the package skips rows without a game, ``BatchContext.games``:
 no other code filters rows on ``Drawer.NA``, so every table builder leaves
 out the same rows. A check on one row that raises is not a filter.
+
+One function in the package opens an output file, ``cli._write``: no other
+code opens a file to write, except the forked child's pipe, so every output
+is encoded and replaced the same way.
 """
 
 import ast
@@ -307,3 +311,60 @@ def test_one_method_skips_rows_without_a_game():
 ])
 def test_scan_finds_drawer_na_filters(source, expected):
     assert drawer_na_filters(source) == expected
+
+
+_WRITERS = {"write_text", "write_bytes"}
+
+
+def _write_mode(node: ast.AST) -> bool:
+    """Whether ``node`` is a string constant made of mode letters that include a write."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value != ""
+            and set(node.value) <= set("rwxabt+") and bool(set(node.value) & set("wax+")))
+
+
+def write_opens(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing definition or "<module>") of each call that opens a file to write.
+
+    Such a call is ``open``, ``fdopen`` or an ``open`` method given a write
+    mode ("w", "a", "x" or "+") as a positional argument or ``mode=``, or a
+    ``write_text`` or ``write_bytes`` method. A definition inside a class is
+    named ``Class.method``.
+    """
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            modes = [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]
+            if name in _WRITERS or (name in ("open", "fdopen") and any(map(_write_mode, modes))):
+                found.append((node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_one_function_opens_output_files():
+    uses = {f"{path.name}:{owner}" for path in PACKAGE
+            for _, owner in write_opens(path.read_text(encoding="utf-8"))}
+    assert uses == {"cli.py:_write", "cli.py:_Forked._child"}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ('def _write_text(path, text):\n'
+     '    with open(path, "w", encoding="utf-8", newline="") as fh:\n        fh.write(text)\n',
+     [(2, "_write_text")]),
+    ('def save(path):\n    with _Forked(path, f) as tail, open(path, "wb") as fh:\n'
+     '        fh.write(b"")\n', [(2, "save")]),
+    ('open(p)\nopen(p, "rb")\nopen(p, encoding="utf-8", newline="")\nopen("w.csv")\n', []),
+    ('from pathlib import Path\nPath(p).open("a")\n', [(2, "<module>")]),
+    ('class A:\n    def m(self, p):\n        p.write_text("x")\n', [(3, "A.m")]),
+    ('import os\ndef f(p, fd):\n    open(p, mode="r+b")\n    return os.fdopen(fd, "wb")\n',
+     [(3, "f"), (4, "f")]),
+    ('with open(p, "xb") as fh:\n    pass\n', [(1, "<module>")]),
+])
+def test_scan_finds_write_opens(source, expected):
+    assert write_opens(source) == expected

@@ -2,14 +2,15 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from leeway import cli, nature, solver
-from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer, PartyControl,
-                             Stalemate1, Veto1, Veto2,
+from leeway.codebook import (Codebook, CourtReview, Drawer, FinalDrawer, InvariantViolation,
+                             PartyControl, Stalemate1, Veto1, Veto2,
                              load_fixture_codebook, validate)
 from leeway.counterfactual import TEMPLATES, apply_template, counterfactual_doses
 from leeway.errors import DomainError, NotApplicable
@@ -705,6 +706,15 @@ class TestBatchContext:
         without = path_table(FIXTURE, PRIOR, n_draws=2, seed=3)
         assert SINGLE_DISTRICT.key not in with_single.state_probs
         assert with_single == without
+
+    def test_path_table_rejects_missing_final_drawer_before_sampling(self, monkeypatch):
+        # parse_codebook rejects the row; a Codebook built in code may hold it.
+        calls = []
+        monkeypatch.setattr(solver, "sample_draws", lambda *args: calls.append("sample_draws"))
+        with pytest.raises(InvariantViolation, match=re.escape(
+                "('ZZ', 2020): [final-drawer-missing] drawer present but final_drawer is NA")):
+            path_table(Codebook((make_process(final_drawer=FinalDrawer.NA),)), PRIOR, n_draws=2)
+        assert calls == []
 
 
 @pytest.mark.parametrize("call, error, message", [
