@@ -7,7 +7,7 @@ Bayesian two-period design, and project nationwide reform counterfactuals.
 """
 
 from .codebook import (Codebook, CourtReview, Drawer, FinalDrawer, PartyControl,
-                       StateProcess, Stalemate1, Stalemate2, Veto1, Veto2,
+                       StateProcess, Stalemate1, Stalemate2, Veto1, Veto2, check,
                        load_fixture_codebook, parse_codebook, serialize_codebook,
                        validate)
 from .counterfactual import (Baseline, DosePair, NationalPrediction, ReformTemplate,

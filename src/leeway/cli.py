@@ -778,10 +778,10 @@ def _check_clashes(parser, args) -> None:
 def _check_directories(args) -> None:
     """DomainError, naming the flag, for an output path that cannot name a file to write.
 
-    The path's directory must exist, and the path must not be a directory itself.
+    The real directory ``_write`` writes into must exist; the path must not be a directory.
     """
     for flag, path in _paths(args, _OUTPUTS):
-        directory = os.path.dirname(path) or os.curdir
+        directory = os.path.dirname(os.path.realpath(path))
         if not os.path.isdir(directory):
             raise DomainError(f"{flag} {path}: no such directory: {directory}")
         if os.path.isdir(path):

@@ -177,6 +177,12 @@ class StateProcess:
         return replace(self, **updates)
 
 
+# (body, its NA, its control column) for the drawer, vetoes and stalemate links.
+_BODY_CONTROLS = tuple((name, enum_cls.NA, f"{name}_control")
+                       for name, enum_cls in _ENUM_BY_COLUMN.items()
+                       if f"{name}_control" in _ENUM_BY_COLUMN)
+
+
 def validate(process: StateProcess) -> list[RuleViolation]:
     """Check one row against the structural rules.
 
@@ -185,14 +191,8 @@ def validate(process: StateProcess) -> list[RuleViolation]:
     """
     v: list[RuleViolation] = []
 
-    # The bodies coded beside a "<body>_control" column: drawer, vetoes, stalemate links.
-    body_control_pairs = [
-        (name, getattr(process, name), enum_cls.NA, getattr(process, f"{name}_control"))
-        for name, enum_cls in _ENUM_BY_COLUMN.items() if f"{name}_control" in _ENUM_BY_COLUMN
-    ]
-
     if process.drawer is Drawer.NA:
-        others = [name for name, body, na, _ in body_control_pairs[1:] if body is not na]
+        others = [name for name, na, _ in _BODY_CONTROLS[1:] if getattr(process, name) is not na]
         if process.court_review is not CourtReview.NA:
             others.append("court_review")
         if others:
@@ -204,12 +204,11 @@ def validate(process: StateProcess) -> list[RuleViolation]:
     if process.veto2 is not Veto2.NA and process.veto1 is Veto1.NA:
         v.append(RuleViolation("veto-ordering", "veto2 present without veto1"))
 
-    for name, body, na, control in body_control_pairs:
-        if body is na and control is not PartyControl.NA:
-            v.append(RuleViolation(
-                "control-without-body",
-                f"{name} is NA but {name}_control is {control.value}",
-            ))
+    for name, na, control_name in _BODY_CONTROLS:
+        control = getattr(process, control_name)
+        if getattr(process, name) is na and control is not PartyControl.NA:
+            v.append(RuleViolation("control-without-body",
+                                   f"{name} is NA but {control_name} is {control.value}"))
 
     if process.stalemate2 is not Stalemate2.NA and process.stalemate1 is Stalemate1.NA:
         v.append(RuleViolation("stalemate-ordering", "stalemate2 present without stalemate1"))
@@ -221,33 +220,40 @@ def validate(process: StateProcess) -> list[RuleViolation]:
             f"court_review is {process.court_review.value} but court_control is NA",
         ))
 
-    if process.drawer is not Drawer.NA and process.drawer_control is PartyControl.NA:
-        v.append(RuleViolation("drawer-control-missing",
-                               "drawer present but drawer_control is NA"))
-
-    # The post-enactment court machinery conditions on court_review, so a
-    # row with a game has no defined value without it.
-    if process.drawer is not Drawer.NA and process.court_review is CourtReview.NA:
-        v.append(RuleViolation("court-review-missing",
-                               "drawer present but court_review is NA"))
-
-    # The path table sorts each row with a game by the institution that drew its map.
-    if process.drawer is not Drawer.NA and process.final_drawer is FinalDrawer.NA:
-        v.append(RuleViolation("final-drawer-missing",
-                               "drawer present but final_drawer is NA"))
+    # A row with a game must code its drawer's control, its court review (the
+    # post-enactment court machinery conditions on it) and its final drawer
+    # (the path table sorts each row with a game by it).
+    if process.drawer is not Drawer.NA:
+        for rule, column in (("drawer-control-missing", "drawer_control"),
+                             ("court-review-missing", "court_review"),
+                             ("final-drawer-missing", "final_drawer")):
+            if getattr(process, column) is _ENUM_BY_COLUMN[column].NA:
+                v.append(RuleViolation(rule, f"drawer present but {column} is NA"))
 
     return v
 
 
+def check(process: StateProcess, where: str | None = None) -> None:
+    """Raise InvariantViolation, at ``where`` or else the row's key, for the first rule broken.
+
+    The one test of whether a row can be solved: parsing, Codebook and the solver run it.
+    """
+    violations = validate(process)
+    if violations:
+        raise InvariantViolation(process.key, violations[0].rule, violations[0].message,
+                                 where or str(process.key))
+
+
 @dataclass(frozen=True)
 class Codebook:
-    """An ordered collection of StateProcess rows, keyed by (state, cycle)."""
+    """Ordered StateProcess rows, keyed by (state, cycle), each passing :func:`check`."""
 
     rows: tuple[StateProcess, ...]
 
     def __post_init__(self):
         seen = set()
         for row in self.rows:
+            check(row)
             if row.key in seen:
                 raise DuplicateKey(f"duplicate (state, cycle) key {row.key!r}")
             seen.add(row.key)
@@ -394,10 +400,7 @@ def parse_codebook(source: Path | str) -> Codebook:
     for name, line, record in _read_records(source):
         where = f"{name}, line {line}"
         process = _parse_row(record, where)
-        violations = validate(process)
-        if violations:
-            first = violations[0]
-            raise InvariantViolation(process.key, first.rule, first.message, where)
+        check(process, where)
         first_line(name, lines, process.key, line, "(state, cycle) key", DuplicateKey)
         rows.append(process)
     return Codebook(tuple(rows))

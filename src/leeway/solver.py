@@ -51,8 +51,8 @@ from typing import Union
 import numpy as np
 
 from . import nature
-from .codebook import (Codebook, Drawer, FinalDrawer, InvariantViolation, PartyControl,
-                       StateProcess, Stalemate1, Stalemate2, Veto1, Veto2, validate)
+from .codebook import (Codebook, Drawer, FinalDrawer, PartyControl, StateProcess, Stalemate1,
+                       Stalemate2, Veto1, Veto2, check)
 from .errors import DomainError, NotApplicable, allocate
 from .nature import BIAS_MAX, BIAS_MIN, CourtContext, GameParameters, PriorSpec
 
@@ -128,11 +128,10 @@ class TreeKey:
 
     @classmethod
     def of(cls, process: StateProcess) -> "TreeKey":
-        """The key of a process; raises for a row with no game."""
+        """The key of a process; raises for a row with no game or one that fails ``check``."""
         if process.drawer is Drawer.NA:
             raise NotApplicable(f"{process.key}: single-district state has no game")
-        if process.drawer_control is PartyControl.NA:
-            raise DomainError(f"{process.key}: drawer node has no controlling coding")
+        check(process)
         chain = []
         for body, na, control in ((process.stalemate1, Stalemate1.NA, process.stalemate1_control),
                                   (process.stalemate2, Stalemate2.NA, process.stalemate2_control)):
@@ -473,10 +472,9 @@ def solve(process: StateProcess, theta: GameParameters,
     """Solve one state's game by backward induction for one draw.
 
     The one-draw case of :class:`BatchContext`. Raises NotApplicable for
-    single-district (drawer=NA) processes and DomainError for a drawer
-    with no controlling coding. Use a grid of at least 81 points for production results
-    (the default has 161); coarser grids serve verification against the
-    brute-force oracle.
+    single-district (drawer=NA) processes. Use a grid of at least 81 points
+    for production results (the default has 161); coarser grids serve
+    verification against the brute-force oracle.
     """
     return BatchContext(nature.stack_parameters([theta]), grid).solve(process).result(0)
 
@@ -598,7 +596,7 @@ class BatchContext:
 
     ``thetas`` holds D draws as (D, 1) columns (see :func:`sample_draws`).
     Processes that share a :class:`TreeKey` share one solved tree, and the
-    per-row checks of :meth:`TreeKey.of` run on every row. A solved tree
+    per-row check, ``codebook.check``, runs on every row. A solved tree
     holds ``values`` (D,), ``path_probs`` (D, 3) in bucket order,
     ``round2_proposal`` (D,), NaN where no veto node exists, and
     ``stalemates`` (D,); ``veto_thresholds`` (D, 4), NaN where there is no
@@ -711,17 +709,8 @@ def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
     court redraws, VRA remedies, and court or unclear stalemate
     resolutions count toward the court; commission and legislative
     stalemate resolvers count toward their institution. Single-district
-    rows have no game and are left out, of ``actual`` too. A row with a
-    game but no final drawer, which ``parse_codebook`` rejects but a
-    Codebook built in code may hold, raises InvariantViolation
-    (``final-drawer-missing``) before any draw is sampled.
+    rows have no game and are left out, of ``actual`` too.
     """
-    for row in codebook:
-        if row.final_drawer is FinalDrawer.NA:
-            for violation in validate(row):
-                if violation.rule == "final-drawer-missing":
-                    raise InvariantViolation(row.key, violation.rule, violation.message,
-                                             str(row.key))
     batch = BatchContext(sample_draws(prior, seed, n_draws), grid)
     state_probs, actual = {}, {}
     for row, tree in batch.games(codebook):
@@ -739,22 +728,26 @@ def equilibrium_matrix(codebook: Codebook, prior: PriorSpec, n_draws: int,
     return np.array(columns, dtype=float).reshape(len(columns), n_draws).T
 
 
+def _average_ranks(matrix: np.ndarray) -> np.ndarray:
+    """Each row's 1-based ranks, ties at their mean: scipy's ``rankdata(axis=1)``, bit for bit."""
+    return np.array([(np.searchsorted(s, row, "left") + np.searchsorted(s, row, "right") + 1) / 2
+                     for s, row in zip(np.sort(matrix, axis=1), matrix)])
+
+
 def pairwise_spearman_mean(matrix: np.ndarray) -> float:
     """Average Spearman correlation over all pairs of rows.
 
     Ties are handled by average ranks. Rows with no variation carry no
     ranking information; pairs involving them are skipped.
     """
-    from scipy import stats  # deferred: importing scipy.stats costs about a second
-
     n = matrix.shape[0]
     if n < 2:
         raise DomainError("need at least 2 draws")
-    # What stats.spearmanr computes, except that spearmanr answers a single
+    # What scipy's spearmanr computes, except that spearmanr answers a single
     # NaN for the whole matrix when any row is constant; here only that
     # row's pairs are NaN.
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.corrcoef(stats.rankdata(matrix, axis=1))
+        rho = np.corrcoef(_average_ranks(matrix))
     upper = rho[np.triu_indices(n, k=1)]
     valid = upper[~np.isnan(upper)]
     if valid.size == 0:

@@ -120,8 +120,7 @@ _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second to import and only rank stability
-    # needs it, so it is loaded on first use; nothing else imports scipy.
+    # The package ranks with numpy; scipy is an oracle of the tests only.
     out = _python("-c", f"import sys, leeway.cli; print({_SCIPY_MODULES})", check=True)
     assert out.stdout.strip() == "[]"
 
@@ -1142,6 +1141,20 @@ def test_missing_output_directory_exits_1_first(command, flag, command_argv, tmp
     assert main([*command_argv[command], flag, str(missing)]) == 1
     assert capsys.readouterr().err == (f"error: {flag} {missing}: no such directory: "
                                        f"{missing.parent}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
+def test_dangling_symlink_output_exits_1_first(command, flag, command_argv, tmp_path,
+                                               capsys, monkeypatch):
+    # The link's own directory exists; the one _write resolves it into does not.
+    _forbid_work(monkeypatch)
+    link = tmp_path / "out.csv"
+    link.symlink_to(tmp_path / "nodir" / "x.csv")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*command_argv[command], flag, str(link)]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} {link}: no such directory: "
+                                       f"{tmp_path / 'nodir'}\n")
     assert sorted(tmp_path.rglob("*")) == before
 
 

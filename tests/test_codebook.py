@@ -1,4 +1,6 @@
+import inspect
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,7 +11,7 @@ from leeway.codebook import (_ENUM_BY_COLUMN, Codebook, CodebookError, CourtRevi
                              StateProcess, Stalemate1, Stalemate2,
                              UnknownColumn, UnknownEnumLiteral, Veto1, Veto2,
                              lint_codebook, load_fixture_codebook, parse_codebook,
-                             serialize_codebook, validate)
+                             check, serialize_codebook, validate)
 
 HEADER = ("state,cycle,drawer,drawer_control,veto1,veto1_control,veto2,veto2_control,"
           "court_review,court_control,stalemate1,stalemate1_control,"
@@ -245,6 +247,54 @@ def test_parse_enum_ignores_case_and_padding():
         with pytest.raises(UnknownEnumLiteral) as err:
             _parse_enum(Drawer, raw, key, "drawer")
         assert (err.value.row, err.value.column, err.value.value) == (key, "drawer", raw)
+
+
+# One row per rule in validate(), breaking that rule first.
+_BREAKS = {
+    "drawer-na-cascades": dict(drawer=Drawer.NA, drawer_control=PartyControl.NA),
+    "veto-ordering": dict(veto2=Veto2.GOVERNOR, veto2_control=PartyControl.REPUBLICANS),
+    "control-without-body": dict(veto1_control=PartyControl.DEMOCRATS),
+    "stalemate-ordering": dict(stalemate1=Stalemate1.NA, stalemate2=Stalemate2.COURT),
+    "court-control-missing": dict(court_review=CourtReview.YES, court_control=PartyControl.NA),
+    "drawer-control-missing": dict(drawer_control=PartyControl.NA),
+    "court-review-missing": dict(court_review=CourtReview.NA),
+    "final-drawer-missing": dict(final_drawer=FinalDrawer.NA),
+}
+
+
+def test_every_rule_has_a_breaking_row():
+    # Every hyphenated string in validate() is a rule identifier.
+    rules = re.findall(r'"([a-z]+(?:-[a-z]+)+)"', inspect.getsource(validate))
+    assert sorted(rules) == sorted(_BREAKS)
+
+
+def csv_text(*rows: StateProcess) -> str:
+    """A codebook's CSV text holding ``rows``, whether they validate or not."""
+    return "".join([HEADER, "\n"] + [
+        ",".join([row.state_id, str(row.cycle),
+                  *(getattr(row, column).value for column in _ENUM_BY_COLUMN),
+                  "yes" if row.preclearance else "no"]) + "\n" for row in rows])
+
+
+@pytest.mark.parametrize("rule", _BREAKS)
+class TestOneBoundary:
+    """Every invalid row is rejected by codebook.check, however the codebook is built."""
+
+    def test_codebook_built_in_code(self, rule):
+        valid = load_fixture_codebook().rows[0]
+        with pytest.raises(InvariantViolation, match=re.escape(f"('ZZ', 2020): [{rule}] ")) as err:
+            Codebook((valid, make_process(**_BREAKS[rule])))
+        assert (err.value.rule, err.value.row) == (rule, ("ZZ", 2020))
+
+    def test_parsed_codebook_names_the_line(self, rule):
+        text = csv_text(load_fixture_codebook().rows[0], make_process(**_BREAKS[rule]))
+        with pytest.raises(InvariantViolation, match=re.escape(f"<codebook>, line 3: [{rule}] ")):
+            parse_codebook(text)
+
+    def test_check_names_the_given_place(self, rule):
+        with pytest.raises(InvariantViolation, match=re.escape(f"here: [{rule}] ")) as err:
+            check(make_process(**_BREAKS[rule]), "here")
+        assert (err.value.rule, err.value.row) == (rule, ("ZZ", 2020))
 
 
 def test_codebook_rejects_duplicates_directly():

@@ -1,12 +1,12 @@
-"""No module imports a name it never uses, and the package never imports scipy eagerly.
+"""No module imports a name it never uses, and the package never imports scipy.
 
 Every ``.py`` file under ``src/leeway``, ``tests`` and ``demos`` is parsed
 with ``ast``; a name bound by an import must appear somewhere else in the
 file. ``from __future__`` imports and the re-exports of ``__init__.py``
 files are exempt.
 
-No file under ``src/leeway`` imports scipy outside a function body: only
-rank stability needs scipy, and it imports ``scipy.stats`` when called.
+No file under ``src/leeway`` imports scipy, at module level or in a
+function body: scipy is an oracle of the tests only.
 
 Every private name the package defines is read somewhere in the package:
 a function, method, class, module constant or ``self._attr`` whose name
@@ -25,6 +25,12 @@ out the same rows. A check on one row that raises is not a filter.
 One function in the package opens an output file, ``cli._write``: no other
 code opens a file to write, except the forked child's pipe, so every output
 is encoded and replaced the same way.
+
+One function in the package decides whether a row can be solved,
+``codebook.check``: it alone constructs ``InvariantViolation``, and only
+it, ``lint_codebook`` (which lists every violation) and
+``counterfactual.apply_template`` (which raises its own ``TemplateError``)
+call ``validate``.
 """
 
 import ast
@@ -75,16 +81,17 @@ def test_scan_finds_unused_names(source, expected):
     assert unused_imports(source) == expected
 
 
-def eager_imports(source: str) -> list[tuple[int, str]]:
-    """(line, module) of each absolute import that runs when ``source`` is imported.
+def imports(source: str, lazy: bool = True) -> list[tuple[int, str]]:
+    """(line, module) of each absolute import in ``source``.
 
-    Imports inside a function body run only when it is called and are skipped.
+    With ``lazy=False`` only those that run when ``source`` is imported:
+    imports inside a function body run only when it is called and are skipped.
     """
     found = []
     stack = list(ast.parse(source).body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if not lazy and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         if isinstance(node, ast.Import):
             found += [(node.lineno, alias.name) for alias in node.names]
@@ -97,10 +104,20 @@ def eager_imports(source: str) -> list[tuple[int, str]]:
 PACKAGE = sorted((ROOT / "src/leeway").rglob("*.py"))
 
 
+def scipy_imports(path, lazy=True) -> list[str]:
+    return [f"line {line}: {module}" for line, module in
+            imports(path.read_text(encoding="utf-8"), lazy) if module.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_scipy_import(path):
+    found = scipy_imports(path)
+    assert not found, f"{path.relative_to(ROOT)}: scipy import, {'; '.join(found)}"
+
+
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_module_level_scipy_import(path):
-    eager = [f"line {line}: {module}" for line, module in
-             eager_imports(path.read_text(encoding="utf-8")) if module.split(".")[0] == "scipy"]
+    eager = scipy_imports(path, lazy=False)
     assert not eager, f"{path.relative_to(ROOT)}: module-level scipy import, {'; '.join(eager)}"
 
 
@@ -113,7 +130,16 @@ def test_no_module_level_scipy_import(path):
     ("from . import metrics\n", []),
 ])
 def test_scan_finds_eager_imports(source, expected):
-    assert eager_imports(source) == expected
+    assert imports(source, lazy=False) == expected
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def f():\n    from scipy import stats\n", [(2, "scipy")]),
+    ("class A:\n    def m(self):\n        import scipy.stats\n", [(3, "scipy.stats")]),
+    ("def f():\n    from . import metrics\n    import numpy\n", [(3, "numpy")]),
+])
+def test_scan_finds_lazy_imports(source, expected):
+    assert imports(source) == expected
 
 
 def _private(name: str) -> bool:
@@ -368,3 +394,46 @@ def test_one_function_opens_output_files():
 ])
 def test_scan_finds_write_opens(source, expected):
     assert write_opens(source) == expected
+
+
+def calls_of(source: str, name: str) -> list[tuple[int, str]]:
+    """(line, top-level definition or "<module>") of each call of ``name``.
+
+    A call is ``name(...)`` or ``module.name(...)`` through any attribute.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def _callers(name: str) -> set[str]:
+    return {f"{path.name}:{owner}" for path in PACKAGE
+            for _, owner in calls_of(path.read_text(encoding="utf-8"), name)}
+
+
+def test_one_function_raises_invariant_violation():
+    assert _callers("InvariantViolation") == {"codebook.py:check"}
+
+
+def test_validate_called_only_by_the_row_check_lint_and_templates():
+    assert _callers("validate") == {"codebook.py:check", "codebook.py:lint_codebook",
+                                    "counterfactual.py:apply_template"}
+
+
+@pytest.mark.parametrize("source,name,expected", [
+    ("def path_table(book):\n    for row in book:\n        validate(row)\n", "validate",
+     [(3, "path_table")]),
+    ("class TreeKey:\n    def of(cls, p):\n"
+     "        raise codebook.InvariantViolation(p.key, r, m, w)\n", "InvariantViolation",
+     [(3, "TreeKey")]),
+    ("checks = [validate]\nvalidated(row)\n", "validate", []),
+    ("class InvariantViolation(CodebookError):\n    pass\n", "InvariantViolation", []),
+    ("rows = [validate(r) for r in book]\n", "validate", [(1, "<module>")]),
+])
+def test_scan_finds_calls(source, name, expected):
+    assert calls_of(source, name) == expected

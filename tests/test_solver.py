@@ -17,9 +17,9 @@ from leeway.errors import DomainError, NotApplicable
 from leeway.nature import (GameParameters, PriorSpec, exp_court, CourtContext,
                            sample_parameters, stack_parameters)
 from leeway.solver import (STALEMATE, BatchContext, OptimizationGrid, TreeKey, _argopt,
-                           _TreeEvaluator, brute_force_solve, equilibrium_matrix, leeway,
-                           leeway_table, pairwise_spearman_mean, path_table, sample_draws,
-                           solve, spearman_stability, uniform_control)
+                           _average_ranks, _TreeEvaluator, brute_force_solve,
+                           equilibrium_matrix, leeway, leeway_table, pairwise_spearman_mean,
+                           path_table, sample_draws, solve, spearman_stability, uniform_control)
 
 from test_codebook import make_process
 
@@ -561,9 +561,36 @@ class TestTreeKey:
     def test_drawer_without_control_rejected(self):
         # validate() rejects this row; one built in the library reaches the key.
         row = make_process(drawer_control=PartyControl.NA)
-        with pytest.raises(DomainError, match=r"\('ZZ', 2020\): drawer node has no "
-                                              "controlling coding"):
+        with pytest.raises(InvariantViolation, match=re.escape(
+                "('ZZ', 2020): [drawer-control-missing] drawer present but drawer_control is NA")
+                ) as err:
             TreeKey.of(row)
+        assert isinstance(err.value, DomainError)  # so the CLI still exits 1
+
+
+# The fixture's first row with a game, broken three ways that validate() rejects.
+_GAME_ROW = next(row for row in FIXTURE if row.drawer is not Drawer.NA)
+_INVALID_ROWS = {
+    "court-control-missing": dataclasses.replace(_GAME_ROW, court_review=CourtReview.YES,
+                                                 court_control=PartyControl.NA),
+    "veto-ordering": dataclasses.replace(_GAME_ROW, veto1=Veto1.NA, veto1_control=PartyControl.NA,
+                                         veto2=Veto2.GOVERNOR,
+                                         veto2_control=PartyControl.REPUBLICANS),
+    "court-review-missing": dataclasses.replace(_GAME_ROW, court_review=CourtReview.NA),
+}
+
+
+@pytest.mark.parametrize("rule", _INVALID_ROWS)
+@pytest.mark.parametrize("call", [
+    lambda row: Codebook((row,)),
+    lambda row: solve(row, MEAN),
+    lambda row: BatchContext(sample_draws(PRIOR, 0, 2)).solve(row),
+], ids=["Codebook", "solve", "BatchContext.solve"])
+def test_invalid_row_rejected_naming_row_and_rule(call, rule):
+    row = _INVALID_ROWS[rule]
+    with pytest.raises(InvariantViolation, match=re.escape(f"{row.key}: [{rule}] ")) as err:
+        call(row)
+    assert (err.value.rule, err.value.row) == (rule, row.key)
 
 
 class TestBatchContext:
@@ -752,6 +779,15 @@ class TestSpearman:
         rho = stats.spearmanr(matrix, axis=1).statistic
         upper = np.atleast_2d(rho)[np.triu_indices(shape[0], k=1)] if shape[0] > 2 else rho
         assert pairwise_spearman_mean(matrix) == float(np.mean(upper))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ranks_equal_scipy_rankdata_bitwise(self, seed):
+        # Tie-heavy: a few distinct values per row, with zeros of both signs.
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 60)))
+        matrix = rng.integers(-2, int(rng.integers(1, 6)), shape) * 0.5
+        matrix[matrix == 0] = rng.choice([0.0, -0.0], int((matrix == 0).sum()))
+        assert _average_ranks(matrix).tobytes() == stats.rankdata(matrix, axis=1).tobytes()
 
     def test_fixture_stability(self):
         rho = spearman_stability(FIXTURE, PRIOR, n_draws=25, seed=51)
