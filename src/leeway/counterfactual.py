@@ -161,15 +161,16 @@ def counterfactual_doses(codebook: Codebook, template: ReformTemplate,
     """Realized leeway before and after reform for every state in :data:`REFORM_CYCLE`.
 
     Each dose is the ``realized`` leeway score of :func:`~leeway.solver.leeway`.
-    One ``BatchContext(sample_draws(prior, seed, n_draws), grid)`` solves each
-    distinct tree once, so a reformed row whose tree matches a row already
-    solved (every row under ``identity``) reuses that solve. Its ``games``
-    walks the rows and skips single-district rows, which carry no dose.
+    One ``BatchContext(sample_draws(prior, seed, n_draws), grid)`` solves the
+    current and reformed trees of every row together, each distinct tree
+    once, so a reformed row whose tree matches a current one (every row
+    under ``identity``) reuses that solve. Its ``games`` walks the rows and
+    skips single-district rows, which carry no dose.
     """
     batch = BatchContext(sample_draws(prior, seed, n_draws), grid)
-    return [DosePair(row.state_id, float(current.values.mean()),
-                     float(batch.solve(apply_template(row, template)).values.mean()))
-            for row, current in batch.games(codebook.for_cycle(REFORM_CYCLE))]
+    return [DosePair(row.state_id, float(current.values.mean()), float(reformed.values.mean()))
+            for row, current, reformed in batch.games(
+                codebook.for_cycle(REFORM_CYCLE), lambda row: apply_template(row, template))]
 
 
 @dataclass(frozen=True)

@@ -52,15 +52,19 @@ def clamp_bias(x):
     return np.minimum(np.maximum(x, BIAS_MIN), BIAS_MAX)
 
 
-def party_sign(control) -> float:
+def party_sign(control):
     """+1 for Republicans and -1 for Democrats, the direction each pushes the bias.
 
     0 for anything else: nonpartisan, split, uncontrolled, or absent (None).
+    A sign already worked out, a float or an array of one sign per row, is
+    returned as it is.
     """
     if control is PartyControl.REPUBLICANS:
         return 1.0
     if control is PartyControl.DEMOCRATS:
         return -1.0
+    if isinstance(control, (float, np.ndarray)):
+        return control
     return 0.0
 
 
@@ -115,6 +119,20 @@ class GameParameters:
                 raise DomainError(f"{name}={np.asarray(value)[~finite][0]} is not finite")
             if dist.kind != "normal" and not np.all((value >= low) & (value <= high)):
                 raise DomainError(f"{name}={value} outside {support}")
+
+    def tiled(self, m: int) -> "GameParameters":
+        """The batch of draws repeated m times along the draws, one copy per stacked tree.
+
+        Kept in the instance __dict__ like the terms below, so every pass of
+        m trees reads one copy and its terms are worked out once. The fields
+        are already checked, so they are not checked again.
+        """
+        kept = self.__dict__.setdefault("tiled_by_count", {})
+        if m not in kept:
+            kept[m] = object.__new__(GameParameters)
+            kept[m].__dict__.update({name: np.concatenate([getattr(self, name)] * m)
+                                     for name in PARAM_NAMES})
+        return kept[m]
 
     # Bias-independent terms, kept in the instance __dict__ on first read. No
     # exception is cached, so a curve probability of 0 or 1 raises DomainError
@@ -440,16 +458,20 @@ def exp_court(x, ctx: CourtContext, theta: GameParameters) -> ExpCourt:
     return ExpCourt(redrawn + via_vra * vra_remedy + survive * x, p_int + via_vra, survive)
 
 
-def stalemate_default(x, resolver_control: PartyControl, drawer_party: PartyControl,
-                      theta: GameParameters):
+def stalemate_default(x, resolver_control, drawer_party, theta: GameParameters):
     """Outcome when no partisan body gets to resolve a stalemate outright.
 
     A status-quo rescaling stale_slope * x of the most recent proposal,
     with a partisan offset keyed to the resolving court when that court is
     partisan, otherwise to the partisan initial drawer, otherwise zero.
+    Either party may be given as its :func:`party_sign`, row by row.
     """
-    lean = party_sign(resolver_control) or party_sign(drawer_party)
-    return clamp_bias(theta.stale_slope * x + theta.party_lean[lean])
+    resolver, drawer = party_sign(resolver_control), party_sign(drawer_party)
+    if isinstance(resolver, np.ndarray) or isinstance(drawer, np.ndarray):
+        lean = np.where(resolver != 0.0, resolver, drawer) * theta.out_nonp_part_adv
+    else:
+        lean = theta.party_lean[resolver or drawer]
+    return clamp_bias(theta.stale_slope * x + lean)
 
 
 def pr_veto_nonpartisan(x, theta: GameParameters):
@@ -463,7 +485,8 @@ def round2_nonpartisan_proposal(x_prev, veto_parties, theta: GameParameters):
     Shifts the previous proposal toward the average partisanship of the
     veto players: by the full veto_nonp_shift when both lean the same way,
     half when only one does, not at all when they cancel or neither is
-    partisan. Clamped to the bias scale.
+    partisan. Clamped to the bias scale. Either veto party may be given as
+    its :func:`party_sign`, row by row.
     """
     first, second = veto_parties
     weight = (party_sign(first) + party_sign(second)) / 2.0

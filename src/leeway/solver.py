@@ -17,12 +17,22 @@ and leaves the path mass unchanged bit for bit.
 
 All prior draws of a call are solved as one batch, through a
 :class:`BatchContext` of the draws (:func:`sample_draws`) and a grid: it
-carries the draws as (D, 1) parameter columns through a single vectorized
-backward induction, with grid optima and tie-breaking taken per draw, and
-solves each distinct tree once, since a tree reads only a :class:`TreeKey`
-of the process. :meth:`BatchContext.games` is the one place that skips
-single-district rows. :func:`solve` is the one-draw case; a solved tree's
-``result(d)`` is bitwise equal to it on draw d alone.
+carries the draws as (D, 1) parameter columns through vectorized backward
+induction, with grid optima and tie-breaking taken per draw. A tree reads
+only a :class:`TreeKey` of the process, so each distinct tree is solved
+once. Trees whose keys differ only in which party holds each partisan node
+and in the court context share a shape (:meth:`TreeKey.shape`), and the
+batch solves the keys of one shape that it is asked for together in one
+traversal over their stacked rows, members x draws: each row carries its
+member's party signs, read element by element wherever a step depends on
+party, and each member's block of rows is evaluated in its own court
+context. A pass holds at most ``_PASS_CELLS`` cells per array, members x
+draws x grid points; a larger group takes several passes, and a tree that
+alone exceeds the budget takes one of its own. Every step works row by
+row, so a tree solved in a pass is bitwise equal to the tree solved alone.
+:meth:`BatchContext.games` is the one place that skips single-district
+rows. :func:`solve` is the one-draw case; a solved tree's ``result(d)`` is
+bitwise equal to it on draw d alone.
 
 The tree is written once, as one method per node kind: the drawer, the
 veto players, the stalemate chain. The drawer node serves both rounds, and
@@ -32,14 +42,17 @@ same call also routes that mass to the final-drawer buckets. The grid
 optimizer calls the nodes for values; one walk from the root along the
 chosen actions then yields the path probabilities. Partisan veto
 decisions are recorded wherever a proposal is evaluated on the base grid,
-which gives the veto thresholds; they are worked out when first read.
+which gives the veto thresholds; they are worked out when first read. A
+drawer that is not partisan never visits the base grid, so each such tree
+walks it for its thresholds alone, and only when they are read.
 
 The court machinery depends only on the :class:`CourtContext` and the bias
 it is evaluated at, so each :class:`BatchContext` runs each distinct court
 evaluation once, the base row included, and every tree of the call reads
-that copy: trees that share a context reach the same per-draw optima. The
-per-draw grids that a stalemate default or a nonpartisan round-2 proposal
-builds from the base row are evaluated afresh each time.
+that copy: trees that share a context reach the same per-draw optima, and
+a pass stacks its members' kept blocks. The per-draw grids that a
+stalemate default or a nonpartisan round-2 proposal builds from the base
+row are evaluated afresh each time.
 """
 
 from __future__ import annotations
@@ -69,6 +82,14 @@ MIN_GRID_STEP = 0.001
 
 # Points per grid step in the local refinement around a grid optimum.
 _REFINE_FACTOR = 20
+
+# Cells, members x draws x grid points, that one array of a stacked pass may
+# hold: 128 KiB of float64, under glibc malloc's default mmap threshold, so
+# freed arrays are reused from the heap. Larger passes measured slower than
+# trees alone at 100 draws. So at 20 draws on the default grid a pass stacks
+# up to 5 trees, and at 100 draws each tree runs alone, as does a tree on the
+# finest grid.
+_PASS_CELLS = 1 << 14
 
 
 # The node controls that :func:`uniform_control` may hand to one party.
@@ -151,6 +172,20 @@ class TreeKey:
             court=CourtContext(process.court_review, process.court_control, process.preclearance),
         )
 
+    def shape(self) -> "TreeKey":
+        """The key with each Democratic or Republican control as "partisan" and no court.
+
+        Keys of one shape build the same tree; they differ only in which
+        party holds each partisan node and in the court context, which a
+        stacked pass carries per member.
+        """
+        def role(control):
+            return "partisan" if control in _PARTISAN else control
+
+        return TreeKey(self.drawer, role(self.drawer_control),
+                       tuple((mode, role(control)) for mode, control in self.vetoes),
+                       tuple((kind, role(control)) for kind, control in self.chain), None)
+
 
 @dataclass(frozen=True)
 class OptimizationGrid:
@@ -201,78 +236,145 @@ class LeewayScores:
     n_draws: int
 
 
-def _argopt(values: np.ndarray, party: PartyControl) -> np.ndarray:
+def _argopt(values: np.ndarray, sign) -> np.ndarray:
     """Per-row index of the player's best value; ties go to the most favorable bias.
 
-    ``values`` has one row per draw. Republicans take the largest bias
-    among exact ties, Democrats the smallest, which keeps tie-breaking
+    ``values`` has one row per draw, and ``sign`` is the player's
+    :func:`~leeway.nature.party_sign`: one float for every row, or a column
+    of one sign per row. Republican rows take the largest bias among exact
+    ties, Democratic rows the smallest, which keeps tie-breaking
     mirror-symmetric.
     """
-    signed = nature.party_sign(party) * values
+    signed = sign * values
     ties = signed == signed.max(axis=1, keepdims=True)
-    if party is PartyControl.REPUBLICANS:
-        return ties.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
-    return np.argmax(ties, axis=1)
+    if isinstance(sign, float):
+        return _last(ties) if sign > 0.0 else np.argmax(ties, axis=1)
+    return np.where(sign[:, 0] > 0.0, _last(ties), np.argmax(ties, axis=1))
+
+
+def _last(ties: np.ndarray) -> np.ndarray:
+    """Per-row index of the last True."""
+    return ties.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
 
 
 def _carries(mass) -> bool:
-    """Whether any draw carries path mass; the value-only walk passes the float 0.0."""
+    """Whether any row carries path mass; the value-only walk passes the float 0.0."""
     return mass != 0.0 if isinstance(mass, float) else mass.any()
 
 
-class _TreeEvaluator:
-    """The game tree of one :class:`TreeKey`, evaluated over D draws at once.
+class _Courts:
+    """The court evaluations of a pass's members at one bias, one ExpCourt block of D rows each.
 
-    The draws of its :class:`BatchContext` are (D, 1) columns, so every bias
-    argument broadcasts against them: the base grid is a (1, G) row,
-    refinement points are (D, n) with one row per draw, and a per-draw bias
-    is a (D, 1) column. Every value comes back with one row per draw.
+    Read like one ExpCourt of all the pass's rows: ``value`` is stacked at
+    once, the path-mass fields only when mass is routed through them.
     """
 
-    def __init__(self, key: TreeKey, batch: "BatchContext"):
-        self.key = key
-        # The batch's parts, not the batch: a reference cycle would outlive the call.
-        self.theta = batch.thetas
-        self.grid = batch.grid
-        self.courts = batch.courts
-        self.n_draws = len(self.theta.chal_poss_conf)
-        self.base = self.grid.base
-        self.can_veto = any(mode in ("partisan", "prob") for mode, _ in key.vetoes)
-        self.veto_parties = tuple(control for _, control in key.vetoes)
+    __slots__ = ("blocks", "value")
 
-        # Per-draw grid optimum of each optimizing node, ("stalemate", k) or
-        # ("drawer", round), as (D, 1) columns: (proposal, value).
+    def __init__(self, blocks: list):
+        self.blocks = blocks
+        self.value = np.concatenate([block.value for block in blocks])
+
+    pr_redraw = property(lambda self: np.concatenate([block.pr_redraw for block in self.blocks]))
+    pr_survive = property(lambda self: np.concatenate([block.pr_survive for block in self.blocks]))
+
+
+class _TreeEvaluator:
+    """The game trees of M keys of one shape, evaluated over their M x D rows at once.
+
+    The rows stack one block of D draws per member, so every array has M x D
+    rows: the draws are (M x D, 1) columns, the batch's (D, 1) columns
+    repeated once per member, and every bias argument broadcasts against
+    them: the base grid is a (1, G) row, refinement points are (M x D, n)
+    with one row per draw, and a per-draw bias is a column. The tree's
+    structure is the shape's (:meth:`TreeKey.shape`). What the shape leaves
+    out is carried per member: the party sign of each node, read row by row
+    wherever a step depends on party (:meth:`_signs`), and the court
+    context, in which each member's block is evaluated on its own.
+    """
+
+    def __init__(self, keys: list[TreeKey], shape: TreeKey, thetas: GameParameters,
+                 grid: OptimizationGrid, courts: dict):
+        self.keys, self.shape = keys, shape
+        # The batch's parts, not the batch: a reference cycle would outlive the call.
+        self.draws = thetas
+        self.grid = grid
+        self.courts = courts
+        self.n_draws = len(thetas.chal_poss_conf)
+        self.n_rows = len(keys) * self.n_draws
+        self.theta = thetas if len(keys) == 1 else thetas.tiled(len(keys))
+        self.base = self.grid.base
+        self.can_veto = any(mode in ("partisan", "prob") for mode, _ in self.shape.vetoes)
+        # A drawer that is not partisan never visits the base grid, so the
+        # veto thresholds take base-grid walks of their own.
+        self.threshold_walks = (self.shape.drawer_control != "partisan"
+                                and any(mode == "partisan" for mode, _ in self.shape.vetoes))
+        # Party signs, one per node and member: drawer, court, both vetoes, each link.
+        controls = [(key.drawer_control, key.court.court_control,
+                     *[control for _, control in key.vetoes + key.chain]) for key in keys]
+        self.drawer_sign, self.court_sign, veto1, veto2, *self.chain_signs = map(
+            self._signs, zip(*controls))
+        self.veto_signs = (veto1, veto2)
+
+        # Per-row grid optimum of each optimizing node, ("stalemate", k) or
+        # ("drawer", round), as columns: (proposal, value).
         self._optima: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         # Partisan veto decisions on the base grid, for the threshold diagnostics.
         self.decisions: dict[str, np.ndarray] = {}
         # Equilibrium-path mass per final-drawer bucket.
-        self.acc = {b: np.zeros((self.n_draws, 1)) for b in _BUCKETS}
+        self.acc = {b: np.zeros((self.n_rows, 1)) for b in _BUCKETS}
+        # The first row of each member's block.
+        self.starts = range(0, self.n_rows, self.n_draws)
+
+    def _signs(self, controls):
+        """The :func:`~leeway.nature.party_sign` of each member's control.
+
+        One float where every member has the same sign, else a column of
+        each member's sign repeated over its draws.
+        """
+        signs = [nature.party_sign(control) for control in controls]
+        if signs.count(signs[0]) == len(signs):
+            return signs[0]
+        return np.repeat(signs, self.n_draws)[:, None]
 
     # -- game-tree nodes -----------------------------------------------------
     #
-    # Each node method returns the node's value with one row per draw. Given
-    # a ``mass`` column, it also adds the draws' equilibrium-path mass to the
-    # final-drawer buckets in ``self.acc``, in play order; the default mass
-    # of 0.0 evaluates the value alone, and a subtree with no mass is not
-    # walked. A branch a draw does not take carries +0.0 mass for that
-    # draw, so one walk over all draws leaves each draw's sums as a walk of
-    # that draw alone would.
+    # Each node method returns the node's value with one row per draw of each
+    # member. Given a ``mass`` column, it also adds the rows' equilibrium-path
+    # mass to the final-drawer buckets in ``self.acc``, in play order; the
+    # default mass of 0.0 evaluates the value alone, and a subtree where no
+    # row has mass is not walked. A branch a row does not take carries +0.0
+    # mass for that row, so one walk over all rows leaves each row's sums as
+    # a walk of that member's draw alone would.
 
     def exp_court(self, x):
-        """The court machinery at x, read from the batch's ``courts`` where it is kept.
+        """The court machinery at x, each member's block of rows in its own court context.
 
-        Every argument but a per-draw (D, G) grid built from the base row is
-        kept, keyed by court context, shape and raw bytes (so -0.0 and 0.0
-        are distinct keys), and its arrays are made read-only: a hit hands
-        the same arrays to every tree of the batch that asks.
+        Every block but a per-draw (D, G) grid built from the base row is
+        kept in the batch's ``courts``, keyed by court context, shape and
+        raw bytes (so -0.0 and 0.0 are distinct keys), and its arrays are
+        made read-only: a hit hands the same arrays to every tree of the
+        batch that asks. Every member evaluates the base row, whose blocks
+        are stacked once per pass.
         """
-        ctx = self.key.court
+        if len(self.keys) == 1:
+            return self._court(x, self.keys[0].court)
+        if x is self.base:
+            return self._base_courts
+        return _Courts([self._court(x[start:start + self.n_draws], key.court)
+                        for start, key in zip(self.starts, self.keys)])
+
+    @functools.cached_property
+    def _base_courts(self) -> _Courts:
+        return _Courts([self._court(self.base, key.court) for key in self.keys])
+
+    def _court(self, x, ctx: CourtContext) -> nature.ExpCourt:
         if x is not self.base and x.shape[1] == self.base.shape[1]:
-            return nature.exp_court(x, ctx, self.theta)
+            return nature.exp_court(x, ctx, self.draws)
         key = (ctx, x.shape, x.tobytes())
         court = self.courts.get(key)
         if court is None:
-            court = self.courts[key] = nature.exp_court(x, ctx, self.theta)
+            court = self.courts[key] = nature.exp_court(x, ctx, self.draws)
             for array in court:
                 array.flags.writeable = False
         return court
@@ -288,21 +390,23 @@ class _TreeEvaluator:
 
         A split link goes on down the chain with the split probability,
         and that mass is routed before the mass of its own enactment.
+        Past the last link the court resolves, leaning by its own party.
         """
-        if k >= len(self.key.chain):
+        if k >= len(self.shape.chain):
             if _carries(mass):
                 self.acc["court"] += mass
-            return nature.stalemate_default(anchor, self.key.court.court_control,
-                                            self.key.drawer_control, self.theta)
-        kind, control = self.key.chain[k]
+            return nature.stalemate_default(anchor, self.court_sign, self.drawer_sign,
+                                            self.theta)
+        kind, control = self.shape.chain[k]
         bucket = "commission" if kind == "commission" else "legislature"
-        if control in _PARTISAN:
+        if control == "partisan":
             x_opt, value = self._optimum(("stalemate", k), lambda y: self.exp_court(y).value,
-                                         control)
+                                         self.chain_signs[k])
             if _carries(mass):
                 self._settle(self.exp_court(x_opt), mass, bucket)
             return value
-        proposal = nature.stalemate_default(anchor, control, self.key.drawer_control, self.theta)
+        proposal = nature.stalemate_default(anchor, self.chain_signs[k], self.drawer_sign,
+                                            self.theta)
         if control is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
             rest = self.stalemate(anchor, mass * p, k + 1)
@@ -326,16 +430,16 @@ class _TreeEvaluator:
         """
         court = self.exp_court(x)
         if not self.can_veto:
-            self._settle(court, mass, self.key.drawer)
+            self._settle(court, mass, self.shape.drawer)
             return court.value
         subgame = functools.partial(self.drawer, 2) if round_ == 1 else self.stalemate
         veto_value = subgame(x)
         stage = court.value
         decided, q = {}, None
         for index in (1, 0):
-            mode, control = self.key.vetoes[index]
+            mode = self.shape.vetoes[index][0]
             if mode == "partisan":
-                decided[index] = nature.party_sign(control) * (veto_value - stage) > 0.0
+                decided[index] = self.veto_signs[index] * (veto_value - stage) > 0.0
                 stage = np.where(decided[index], veto_value, stage)
                 if x is self.base:
                     self.decisions[f"round{round_}_veto{index + 1}"] = decided[index]
@@ -345,7 +449,7 @@ class _TreeEvaluator:
                 stage = q * veto_value + (1.0 - q) * stage
         if _carries(mass):
             for index in (0, 1):
-                mode = self.key.vetoes[index][0]
+                mode = self.shape.vetoes[index][0]
                 if mode == "partisan":
                     vetoed = np.where(decided[index], mass, 0.0)
                     mass = np.where(decided[index], 0.0, mass)
@@ -355,18 +459,18 @@ class _TreeEvaluator:
                     continue
                 if _carries(vetoed):
                     subgame(x, vetoed)
-            self._settle(court, mass, self.key.drawer)
+            self._settle(court, mass, self.shape.drawer)
         return stage
 
     def _partisan_move(self, round_: int, anchor):
-        """A partisan drawer's best proposal, the draws where it stalemates instead, and the value.
+        """A partisan drawer's best proposal, the rows where it stalemates instead, and the value.
 
         It stalemates only where that strictly improves its side.
         """
-        control = self.key.drawer_control
-        x, propose = self._optimum(("drawer", round_), lambda y: self.plan(y, round_), control)
+        x, propose = self._optimum(("drawer", round_), lambda y: self.plan(y, round_),
+                                   self.drawer_sign)
         stale = self.stalemate(anchor)
-        stalemates = nature.party_sign(control) * (stale - propose) > 0.0
+        stalemates = self.drawer_sign * (stale - propose) > 0.0
         return x, stalemates, np.where(stalemates, stale, propose)
 
     def drawer(self, round_: int, anchor, mass=0.0):
@@ -381,8 +485,8 @@ class _TreeEvaluator:
         proposal with 0.0 where it stalemates, which anchors the round-2
         diagnostics.
         """
-        control = self.key.drawer_control
-        if control in _PARTISAN:
+        control = self.shape.drawer_control
+        if control == "partisan":
             x, stalemates, value = self._partisan_move(round_, anchor)
             if _carries(mass):
                 self.stalemate(anchor, np.where(stalemates, mass, 0.0))
@@ -391,29 +495,29 @@ class _TreeEvaluator:
                     self.action = np.where(stalemates, 0.0, x)
             return value
         proposal = anchor if round_ == 1 else nature.round2_nonpartisan_proposal(
-            anchor, self.veto_parties, self.theta)
+            anchor, self.veto_signs, self.theta)
         if control is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
             stale = self.stalemate(anchor, mass * p)
             return p * stale + (1.0 - p) * self.plan(proposal, round_, mass * (1.0 - p))
         return self.plan(proposal, round_, mass)
 
-    def _optimum(self, node: tuple, fn, party: PartyControl) -> tuple[np.ndarray, np.ndarray]:
-        """Per-draw grid optimum of fn for the given party, with local refinement.
+    def _optimum(self, node: tuple, fn, sign) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row grid optimum of fn for the player of the given sign, with local refinement.
 
-        Worked out once per node and tree; returns the optimal proposals and
-        values as (D, 1) columns.
+        Worked out once per node and pass; returns the optimal proposals and
+        values as columns.
         """
         if node in self._optima:
             return self._optima[node]
-        rows = np.arange(self.n_draws)
+        rows = np.arange(self.n_rows)
         values = fn(self.base)
-        i = _argopt(values, party)
+        i = _argopt(values, sign)
         best_x, best_v = self.base[0, i], values[rows, i]
         if self.grid.refine:
             fine = self.grid.refine_points(best_x[:, None])
             fine_values = fn(fine)
-            j = _argopt(fine_values, party)
+            j = _argopt(fine_values, sign)
             best_x, best_v = fine[rows, j], fine_values[rows, j]
         self._optima[node] = best_x[:, None], best_v[:, None]
         return self._optima[node]
@@ -421,37 +525,79 @@ class _TreeEvaluator:
     # -- top level ------------------------------------------------------------
 
     def solve(self) -> "_TreeEvaluator":
-        """Solve every draw and fill the per-draw arrays; returns self."""
-        zero = np.zeros((self.n_draws, 1))
+        """Solve every row and fill the per-row arrays; returns self."""
+        zero = np.zeros((self.n_rows, 1))
         self.values = self.drawer(1, zero, 1.0)[:, 0]
         self.path_probs = np.hstack([self.acc[b] for b in _BUCKETS])
         x2, stalemates = np.full_like(zero, np.nan), np.zeros_like(zero, dtype=bool)
-        if any(m != "absent" for m, _ in self.key.vetoes):
-            if self.key.drawer_control in _PARTISAN:
+        if any(m != "absent" for m, _ in self.shape.vetoes):
+            if self.shape.drawer_control == "partisan":
                 x2, stalemates, _ = self._partisan_move(2, self.action)
             else:
-                x2 = nature.round2_nonpartisan_proposal(zero, self.veto_parties, self.theta)
+                x2 = nature.round2_nonpartisan_proposal(zero, self.veto_signs, self.theta)
         self.round2_proposal, self.stalemates = x2[:, 0], stalemates[:, 0]
         return self
 
     @functools.cached_property
     def veto_thresholds(self) -> np.ndarray:
-        """(D, 4) midpoint of the first base-grid cell where each partisan veto flips.
+        """(M x D, 4) midpoint of the first base-grid cell where each partisan veto flips.
 
-        Columns in ``_THRESHOLD_KEYS`` order, NaN where none. A drawer that is
-        not partisan never visits the base grid, so its passes run here.
+        Columns in ``_THRESHOLD_KEYS`` order, NaN where none. The walks of
+        ``threshold_walks`` run here.
         """
-        if (self.key.drawer_control not in _PARTISAN
-                and any(m == "partisan" for m, _ in self.key.vetoes)):
+        if self.threshold_walks:
             self.plan(self.base, 2)
             self.plan(self.base, 1)
-        out = np.full((self.n_draws, len(_THRESHOLD_KEYS)), np.nan)
+        out = np.full((self.n_rows, len(_THRESHOLD_KEYS)), np.nan)
         mids = (self.base[0, :-1] + self.base[0, 1:]) / 2.0
         for col, key in enumerate(_THRESHOLD_KEYS):
             if key in self.decisions:
                 flips = self.decisions[key][:, :-1] != self.decisions[key][:, 1:]
                 out[:, col] = np.where(flips.any(axis=1), mids[np.argmax(flips, axis=1)], np.nan)
         return out
+
+
+class SolvedTree:
+    """The solved tree of one :class:`TreeKey`: its member's rows of a stacked pass.
+
+    ``values`` (D,), ``path_probs`` (D, 3) in bucket order,
+    ``round2_proposal`` (D,), NaN where no veto node exists, and
+    ``stalemates`` (D,) are views of the pass's arrays. ``veto_thresholds``
+    (D, 4), NaN where there is no threshold, and the base-grid veto
+    ``decisions`` behind them are worked out on first read.
+    """
+
+    def __init__(self, key: TreeKey, tree: _TreeEvaluator, first: int):
+        self.key = key
+        self._tree, self._rows = tree, slice(first, first + tree.n_draws)
+        self.values = tree.values[self._rows]
+        self.path_probs = tree.path_probs[self._rows]
+        self.round2_proposal = tree.round2_proposal[self._rows]
+        self.stalemates = tree.stalemates[self._rows]
+
+    @functools.cached_property
+    def _walked(self) -> tuple[_TreeEvaluator, slice]:
+        """The pass whose base-grid walks give this tree's veto decisions, and its rows there.
+
+        A drawer that is not partisan walks the base grid only for the
+        thresholds. Those walks measured no faster stacked than alone, and
+        the other trees of a pass may never be read (those of the
+        all-Democratic control, say), so a tree of a larger pass walks alone.
+        """
+        if self._tree.threshold_walks and len(self._tree.keys) > 1:
+            return BatchContext.alone(self.key, self._tree), slice(None)
+        return self._tree, self._rows
+
+    @property
+    def veto_thresholds(self) -> np.ndarray:
+        tree, rows = self._walked
+        return tree.veto_thresholds[rows]
+
+    @property
+    def decisions(self) -> dict[str, np.ndarray]:
+        """The (D, G) partisan veto decisions on the base grid, by threshold key."""
+        tree, rows = self._walked
+        return {key: decided[rows] for key, decided in tree.decisions.items()}
 
     def result(self, d: int) -> EquilibriumResult:
         """Draw d of a solved tree, with NaN as None and a drawer stalemate as STALEMATE."""
@@ -592,41 +738,72 @@ def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
 
 
 class BatchContext:
-    """One call's prior draws and grid, solving each distinct tree once.
+    """One call's prior draws and grid, solving each shape of tree in one stacked pass.
 
     ``thetas`` holds D draws as (D, 1) columns (see :func:`sample_draws`).
-    Processes that share a :class:`TreeKey` share one solved tree, and the
-    per-row check, ``codebook.check``, runs on every row. A solved tree
-    holds ``values`` (D,), ``path_probs`` (D, 3) in bucket order,
-    ``round2_proposal`` (D,), NaN where no veto node exists, and
-    ``stalemates`` (D,); ``veto_thresholds`` (D, 4), NaN where there is no
-    threshold, is worked out on first read, and ``result(d)`` is
-    :func:`solve` on draw d alone. ``courts`` keeps each court evaluation
-    of the call by (:class:`CourtContext`, shape, raw bytes of the bias), so
-    each distinct one, the base row included, runs once and every tree reads
-    the kept, read-only arrays (see :meth:`_TreeEvaluator.exp_court`).
+    Processes that share a :class:`TreeKey` share one :class:`SolvedTree`,
+    and the per-row check, ``codebook.check``, runs on every row. The keys
+    asked for together that are not solved yet are grouped by
+    :meth:`TreeKey.shape`, and each group is solved in one traversal over
+    its stacked rows, with each member's party signs and court context
+    carried per row (see :class:`_TreeEvaluator`). A pass holds at most
+    ``_PASS_CELLS`` (2**14) cells, members x draws x grid points, per array,
+    128 KiB of float64, so a larger group takes several passes and a member
+    that alone exceeds the budget takes one of its own. ``trees`` maps each
+    key to its solved tree, and ``passes`` lists the keys of each traversal
+    in order. ``courts`` keeps each court evaluation of the call by
+    (:class:`CourtContext`, shape, raw bytes of the bias), so each distinct
+    one, the base row included, runs once and every tree reads the kept,
+    read-only arrays (see :meth:`_TreeEvaluator.exp_court`).
     """
 
     def __init__(self, thetas: GameParameters, grid: OptimizationGrid | None = None):
         self.thetas = thetas
         self.grid = grid or OptimizationGrid()
-        self.trees: dict[TreeKey, _TreeEvaluator] = {}
+        self.trees: dict[TreeKey, SolvedTree] = {}
         self.courts: dict[tuple, nature.ExpCourt] = {}
+        self.passes: list[tuple[TreeKey, ...]] = []
 
-    def solve(self, process: StateProcess) -> _TreeEvaluator:
-        key = TreeKey.of(process)
-        if key not in self.trees:
-            self.trees[key] = _TreeEvaluator(key, self).solve()
-        return self.trees[key]
+    def solve(self, process: StateProcess) -> SolvedTree:
+        """The solved tree of one process; a key not solved yet is a group of one."""
+        return self._solved([TreeKey.of(process)])[0]
 
-    def games(self, rows):
-        """Yield (row, solved tree) for each row with a game, in order.
+    def games(self, rows, *variants):
+        """Yield (row, its solved tree, one per variant) for each row with a game, in order.
 
+        Each variant maps a row to another process to solve with it, such as
+        :func:`uniform_control` or a reform. Every key is solved before the
+        first yield, so the rows' trees are grouped into passes together.
         The one place that skips single-district rows (drawer NA).
         """
-        for row in rows:
-            if row.drawer is not Drawer.NA:
-                yield row, self.solve(row)
+        rows = [row for row in rows if row.drawer is not Drawer.NA]
+        width = 1 + len(variants)
+        solved = self._solved([TreeKey.of(process) for row in rows
+                               for process in (row, *(variant(row) for variant in variants))])
+        for i, row in enumerate(rows):
+            yield (row, *solved[width * i:width * (i + 1)])
+
+    def _solved(self, keys: list[TreeKey]) -> list[SolvedTree]:
+        """The solved tree of each key; the new keys of each shape take as few passes as fit."""
+        shapes: dict[TreeKey, list[TreeKey]] = {}
+        for key in dict.fromkeys(keys):
+            if key not in self.trees:
+                shapes.setdefault(key.shape(), []).append(key)
+        member_cells = len(self.thetas.chal_poss_conf) * self.grid.base.size
+        per_pass = max(1, _PASS_CELLS // member_cells)
+        for shape, group in shapes.items():
+            for start in range(0, len(group), per_pass):
+                members = group[start:start + per_pass]
+                tree = _TreeEvaluator(members, shape, self.thetas, self.grid, self.courts).solve()
+                self.passes.append(tuple(members))
+                self.trees.update((key, SolvedTree(key, tree, first))
+                                  for key, first in zip(members, tree.starts))
+        return [self.trees[key] for key in keys]
+
+    @staticmethod
+    def alone(key: TreeKey, tree: _TreeEvaluator) -> _TreeEvaluator:
+        """An unsolved pass of one key, on the draws, grid and kept courts of another pass."""
+        return _TreeEvaluator([key], tree.shape, tree.draws, tree.grid, tree.courts)
 
 
 def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,
@@ -648,12 +825,13 @@ def _scored_rows(codebook: Codebook, prior: PriorSpec, n_draws: int, seed: int,
                  grid: OptimizationGrid | None):
     """Yield (row, scores, realized solve) for every solvable row, in codebook order.
 
-    All rows share one batch context, and the ``realized`` score averages
-    the realized solve.
+    All rows share one batch context, which solves each row's realized and
+    all-Democratic trees together, and the ``realized`` score averages the
+    realized solve.
     """
     batch = BatchContext(sample_draws(prior, seed, n_draws), grid)
-    for row, realized in batch.games(codebook):
-        uniform = batch.solve(uniform_control(row, PartyControl.DEMOCRATS))
+    for row, realized, uniform in batch.games(
+            codebook, lambda row: uniform_control(row, PartyControl.DEMOCRATS)):
         yield row, LeewayScores(realized=float(realized.values.mean()),
                                 maximum=abs(float(uniform.values.mean())),
                                 n_draws=n_draws), realized

@@ -262,25 +262,26 @@ class TestLeewayCommand:
     def test_diagnostics_reuse_the_realized_solve(self, small_codebook, tmp_path,
                                                   monkeypatch):
         # One solve per distinct tree of the realized and all-Democratic
-        # party control: the diagnostics are written from the realized solve
-        # the scores already made, and each realized tree's fields are
-        # formatted once, however many rows share it. AL_T is a twin of AL.
+        # party control, each in exactly one of the batch's passes: the
+        # diagnostics are written from the realized solve the scores already
+        # made, and each realized tree's fields are formatted once, however
+        # many rows share it. AL_T is a twin of AL.
         rows = list(parse_codebook(Path(small_codebook)))
         al = next(row for row in rows if row.state_id == "AL")
         book = tmp_path / "twin.csv"
         book.write_text(serialize_codebook(Codebook((*rows, replace(al, state_id="AL_T")))))
-        calls, formatted = [], []
-        real_solve, real_fields = solver._TreeEvaluator.solve, cli._diagnostic_fields
+        batches, formatted = [], []
+        real_init, real_fields = solver.BatchContext.__init__, cli._diagnostic_fields
 
-        def counting(tree):
-            calls.append(tree.key)
-            return real_solve(tree)
+        def recording(batch, *args):
+            real_init(batch, *args)
+            batches.append(batch)
 
         def formatting(tree):
             formatted.append(tree.key)
             return real_fields(tree)
 
-        monkeypatch.setattr(solver._TreeEvaluator, "solve", counting)
+        monkeypatch.setattr(solver.BatchContext, "__init__", recording)
         monkeypatch.setattr(cli, "_diagnostic_fields", formatting)
         assert main(["leeway", "--codebook", str(book), "--draws", "2", "--seed", "2",
                      "--output", str(tmp_path / "l.csv"),
@@ -288,6 +289,8 @@ class TestLeewayCommand:
         solvable = [r for r in parse_codebook(book) if r.drawer is not Drawer.NA]
         trees = {solver.TreeKey.of(process) for row in solvable for process in (
             row, solver.uniform_control(row, PartyControl.DEMOCRATS))}
+        [batch] = batches
+        calls = [key for members in batch.passes for key in members]
         assert len(calls) == len(trees) and set(calls) == trees
         realized = {solver.TreeKey.of(row) for row in solvable}
         assert len(formatted) == len(realized) < len(solvable)
@@ -299,7 +302,7 @@ class TestLeewayCommand:
         def result(self, d):
             raise AssertionError("result() called")
 
-        monkeypatch.setattr(solver._TreeEvaluator, "result", result)
+        monkeypatch.setattr(solver.SolvedTree, "result", result)
         assert main(["leeway", "--codebook", small_codebook, "--draws", "3", "--seed", "2",
                      "--output", str(tmp_path / "l.csv"),
                      "--emit-diagnostics", str(tmp_path / "d.json")]) == 0

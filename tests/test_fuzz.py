@@ -187,6 +187,33 @@ def test_mirror_exactness_without_preclearance():
     assert pairs >= 250 and signed_zeros > 0  # the sign of a zero does differ
 
 
+@pytest.mark.parametrize("n_draws", [1, 3])
+def test_stacked_solve_equals_solve_alone(processes, n_draws):
+    # One batch solves every row, its party mirror and both uniform controls
+    # of each, grouped by shape into stacked passes. Each tree must equal its
+    # key solved alone, bit for bit, the signs of zeros included.
+    rows = [*processes, *(dataclasses.replace(p.mirrored(), state_id=f"M{p.state_id}")
+                          for p in processes)]
+    assert any(row.preclearance for row in rows)
+    thetas = sample_draws(PRIOR, 784, n_draws)
+    batch = BatchContext(thetas)
+    alone = {}
+    for row, *trees in batch.games(Codebook(tuple(rows)),
+                                   lambda p: uniform_control(p, PartyControl.DEMOCRATS),
+                                   lambda p: uniform_control(p, PartyControl.REPUBLICANS)):
+        for process, tree in zip((row, uniform_control(row, PartyControl.DEMOCRATS),
+                                  uniform_control(row, PartyControl.REPUBLICANS)), trees):
+            alone.setdefault(tree.key, process)
+    assert len(alone) == len(batch.trees)
+    assert sum(len(members) for members in batch.passes if len(members) > 1) >= 100
+    names = ("values", "path_probs", "round2_proposal", "stalemates", "veto_thresholds")
+    for key, process in alone.items():
+        stacked, single = batch.trees[key], BatchContext(thetas).solve(process)
+        for name in names:
+            assert getattr(stacked, name).tobytes() == getattr(single, name).tobytes(), \
+                (process, name)
+
+
 def test_control_monotonicity(processes):
     rng = np.random.default_rng(781)
     for process in processes:

@@ -31,6 +31,9 @@ One function in the package decides whether a row can be solved,
 it, ``lint_codebook`` (which lists every violation) and
 ``counterfactual.apply_template`` (which raises its own ``TemplateError``)
 call ``validate``.
+
+Only ``solver.BatchContext`` constructs the tree evaluator,
+``_TreeEvaluator``, so every tree is solved in a pass of its shape's group.
 """
 
 import ast
@@ -425,6 +428,10 @@ def test_validate_called_only_by_the_row_check_lint_and_templates():
                                     "counterfactual.py:apply_template"}
 
 
+def test_only_the_batch_builds_tree_evaluators():
+    assert _callers("_TreeEvaluator") == {"solver.py:BatchContext"}
+
+
 @pytest.mark.parametrize("source,name,expected", [
     ("def path_table(book):\n    for row in book:\n        validate(row)\n", "validate",
      [(3, "path_table")]),
@@ -434,6 +441,10 @@ def test_validate_called_only_by_the_row_check_lint_and_templates():
     ("checks = [validate]\nvalidated(row)\n", "validate", []),
     ("class InvariantViolation(CodebookError):\n    pass\n", "InvariantViolation", []),
     ("rows = [validate(r) for r in book]\n", "validate", [(1, "<module>")]),
+    ("def solve(process, batch):\n    return _TreeEvaluator([TreeKey.of(process)], batch)\n",
+     "_TreeEvaluator", [(2, "solve")]),
+    ("class SolvedTree:\n    def alone(self):\n        return solver._TreeEvaluator(k, t, g, c)\n",
+     "_TreeEvaluator", [(3, "SolvedTree")]),
 ])
 def test_scan_finds_calls(source, name, expected):
     assert calls_of(source, name) == expected

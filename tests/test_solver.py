@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import json
 import re
 
@@ -182,7 +183,8 @@ class TestBatch:
             if row.drawer is Drawer.NA:
                 continue
             for process in (row, uniform_control(row, PartyControl.DEMOCRATS)):
-                if _TreeEvaluator(TreeKey.of(process), BatchContext(batch)).can_veto:
+                key = TreeKey.of(process)
+                if _TreeEvaluator([key], key.shape(), batch, OptimizationGrid(), {}).can_veto:
                     continue
                 BatchContext(batch).solve(process)
                 solved += 1
@@ -289,15 +291,17 @@ class TestBatch:
 
     def test_argopt_breaks_ties_per_row(self):
         # Row 0 ties at its maximum (indices 1 and 3), row 1 at its
-        # minimum (indices 0 and 2).
+        # minimum (indices 0 and 2). A sign is one float for every row or
+        # one per row.
         values = np.array([[0.0, 2.0, 1.0, 2.0, -1.0],
                            [-3.0, 1.0, -3.0, 0.5, 2.0]])
-        rep = _argopt(values, PartyControl.REPUBLICANS)
-        dem = _argopt(values, PartyControl.DEMOCRATS)
-        assert rep.tolist() == [3, 4]  # last among ties at the maximum
-        assert dem.tolist() == [4, 0]  # first among ties at the minimum
-        assert _argopt(-values, PartyControl.DEMOCRATS).tolist() == [1, 4]
-        assert _argopt(-values, PartyControl.REPUBLICANS).tolist() == [4, 2]
+        rep, dem = nature.party_sign(PartyControl.REPUBLICANS), -1.0
+        assert _argopt(values, rep).tolist() == [3, 4]  # last among ties at the maximum
+        assert _argopt(values, dem).tolist() == [4, 0]  # first among ties at the minimum
+        assert _argopt(-values, dem).tolist() == [1, 4]
+        assert _argopt(-values, rep).tolist() == [4, 2]
+        assert _argopt(values, np.array([[rep], [dem]])).tolist() == [3, 0]
+        assert _argopt(-values, np.array([[dem], [rep]])).tolist() == [1, 2]
 
 
 class TestSampleDraws:
@@ -548,7 +552,9 @@ class TestRootStalemate:
                                court_control=other, stalemate1=Stalemate1.COMMISSION,
                                stalemate1_control=party)
         tree = BatchContext(sample_draws(PRIOR, 5, 50)).solve(process)
-        stale, propose = tree.stalemate(np.zeros((50, 1))), tree._optima[("drawer", 1)][1]
+        evaluator = tree._tree  # the stacked pass, here of this tree alone
+        stale = evaluator.stalemate(np.zeros((50, 1)))
+        propose = evaluator._optima[("drawer", 1)][1]
         assert np.sum(nature.party_sign(party) * (stale - propose) > 0.0) == 10
         sha = hashlib.sha256()
         for array in (tree.values, tree.path_probs, tree.round2_proposal, tree.stalemates,
@@ -602,35 +608,53 @@ class TestBatchContext:
                                  for row in FIXTURE if not row.preclearance)))
 
     @staticmethod
-    def count_solves(monkeypatch) -> list:
-        keys, real = [], _TreeEvaluator.solve
+    def batches(monkeypatch) -> list:
+        """Every BatchContext made while the test runs, in order."""
+        made, init = [], BatchContext.__init__
 
-        def counting(tree):
-            keys.append(tree.key)
-            return real(tree)
+        def recording(batch, *args, **kwargs):
+            init(batch, *args, **kwargs)
+            made.append(batch)
 
-        monkeypatch.setattr(_TreeEvaluator, "solve", counting)
-        return keys
+        monkeypatch.setattr(BatchContext, "__init__", recording)
+        return made
+
+    @staticmethod
+    def passes(batch: BatchContext, keys: set) -> int:
+        """The batch's passes, after checking that each key is solved in exactly one.
+
+        Every pass stacks keys of one shape, and at 2 draws each shape's
+        keys fit in one pass.
+        """
+        solved = [key for members in batch.passes for key in members]
+        assert len(solved) == len(set(solved)) == len(keys)
+        assert set(solved) == set(batch.trees) == keys
+        shapes = [{key.shape() for key in members} for members in batch.passes]
+        assert all(len(shape) == 1 for shape in shapes)
+        assert len(batch.passes) == len({key.shape() for key in keys})
+        return len(batch.passes)
 
     def test_one_solve_per_distinct_tree(self, monkeypatch):
-        keys = self.count_solves(monkeypatch)
+        made = self.batches(monkeypatch)
         leeway_table(self.BOOK, PRIOR, n_draws=2, seed=101)
-        assert set(keys) == {TreeKey.of(process) for row in self.BOOK
-                             for process in (row, uniform_control(row, PartyControl.DEMOCRATS))}
-        assert len(keys) == len(set(keys)) == 41  # of 88 (row, party control) pairs
+        keys = {TreeKey.of(process) for row in self.BOOK
+                for process in (row, uniform_control(row, PartyControl.DEMOCRATS))}
+        assert len(keys) == 41  # of 88 (row, party control) pairs
+        assert self.passes(made.pop(), keys) == 11
 
-        keys.clear()
         path_table(self.BOOK, PRIOR, n_draws=2, seed=101)
-        assert set(keys) == {TreeKey.of(row) for row in self.BOOK}
-        assert len(keys) == len(set(keys)) == 30  # of 44 rows
+        keys = {TreeKey.of(row) for row in self.BOOK}
+        assert len(keys) == 30  # of 44 rows
+        assert self.passes(made.pop(), keys) == 11
 
-        for name, count in {"mi": 16, "ny": 28, "oh": 27, "identity": 15}.items():
-            keys.clear()
+        for name, (trees, passes) in {"mi": (16, 11), "ny": (28, 15), "oh": (27, 14),
+                                      "identity": (15, 11)}.items():
             counterfactual_doses(FIXTURE, TEMPLATES[name], PRIOR, n_draws=2, seed=101)
-            assert set(keys) == {TreeKey.of(process)
-                                 for row in FIXTURE.for_cycle(2020)
-                                 for process in (row, apply_template(row, TEMPLATES[name]))}
-            assert len(keys) == len(set(keys)) == count, name
+            keys = {TreeKey.of(process) for row in FIXTURE.for_cycle(2020)
+                    for process in (row, apply_template(row, TEMPLATES[name]))}
+            assert len(keys) == trees, name
+            assert self.passes(made.pop(), keys) == passes, name
+        assert made == []
 
     def test_shared_tree_equals_per_draw_solves(self):
         # In IA 2020 a nonpartisan commission draws behind partisan vetoes and
@@ -742,6 +766,62 @@ class TestBatchContext:
                 "('ZZ', 2020): [final-drawer-missing] drawer present but final_drawer is NA")):
             path_table(Codebook((make_process(final_drawer=FinalDrawer.NA),)), PRIOR, n_draws=2)
         assert calls == []
+
+
+class TestPassBudget:
+    """No array of a stacked pass holds more than solver._PASS_CELLS cells."""
+
+    # 36 rows of one shape: a partisan legislature behind a partisan
+    # governor's veto, under every party control and court context.
+    PARTIES = (PartyControl.DEMOCRATS, PartyControl.REPUBLICANS)
+    ROWS = Codebook(tuple(
+        make_process(state_id=f"S{i:02d}", drawer_control=drawer, veto1=Veto1.GOVERNOR,
+                     veto1_control=veto, court_review=review, court_control=court,
+                     preclearance=precleared)
+        for i, (drawer, veto, review, (court, precleared)) in enumerate(itertools.product(
+            PARTIES, PARTIES, (CourtReview.YES, CourtReview.NO, CourtReview.MAYBE),
+            ((PartyControl.DEMOCRATS, False), (PartyControl.NONPARTISANS, False),
+             (PartyControl.REPUBLICANS, True))))))
+
+    @staticmethod
+    def solved(rows, grid: OptimizationGrid, n_draws: int = 100) -> BatchContext:
+        batch = BatchContext(sample_draws(PRIOR, 71, n_draws), grid)
+        for _, tree in batch.games(rows):
+            tree.veto_thresholds
+        return batch
+
+    @staticmethod
+    def cells(batch: BatchContext) -> list[int]:
+        """Cells of one (members, draws, grid points) array of each pass."""
+        return [len(members) * len(batch.thetas.stale_slope) * batch.grid.base.size
+                for members in batch.passes]
+
+    def test_rows_share_one_shape(self):
+        keys = {TreeKey.of(row) for row in self.ROWS}
+        assert len(keys) == 36 and len({key.shape() for key in keys}) == 1
+
+    def test_member_over_the_budget_runs_alone(self):
+        # On the finest grid one tree of 100 draws alone exceeds the budget.
+        finest = OptimizationGrid(step=solver.MIN_GRID_STEP)
+        batch = self.solved(Codebook(self.ROWS.rows[:4]), finest)
+        assert [len(members) for members in batch.passes] == [1, 1, 1, 1]
+        assert min(self.cells(batch)) > solver._PASS_CELLS
+
+    @pytest.mark.parametrize("n_draws, per_pass", [(20, 5), (100, 1)])
+    def test_split_group_equals_one_pass(self, monkeypatch, n_draws, per_pass):
+        split = self.solved(self.ROWS, OptimizationGrid(), n_draws)
+        sizes = [len(members) for members in split.passes]
+        assert max(sizes) == per_pass and len(sizes) == -(-36 // per_pass)
+        assert max(self.cells(split)) <= solver._PASS_CELLS
+        monkeypatch.setattr(solver, "_PASS_CELLS", 36 * n_draws * 161)
+        whole = self.solved(self.ROWS, OptimizationGrid(), n_draws)
+        assert [len(members) for members in whole.passes] == [36]
+        assert whole.trees.keys() == split.trees.keys()
+        for key, tree in whole.trees.items():
+            other = split.trees[key]
+            for name in ("values", "path_probs", "round2_proposal", "stalemates",
+                         "veto_thresholds"):
+                assert getattr(tree, name).tobytes() == getattr(other, name).tobytes(), name
 
 
 @pytest.mark.parametrize("call, error, message", [
