@@ -52,19 +52,15 @@ def clamp_bias(x):
     return np.minimum(np.maximum(x, BIAS_MIN), BIAS_MAX)
 
 
-def party_sign(control):
+def party_sign(control) -> float:
     """+1 for Republicans and -1 for Democrats, the direction each pushes the bias.
 
     0 for anything else: nonpartisan, split, uncontrolled, or absent (None).
-    A sign already worked out, a float or an array of one sign per row, is
-    returned as it is.
     """
     if control is PartyControl.REPUBLICANS:
         return 1.0
     if control is PartyControl.DEMOCRATS:
         return -1.0
-    if isinstance(control, (float, np.ndarray)):
-        return control
     return 0.0
 
 
@@ -458,20 +454,20 @@ def exp_court(x, ctx: CourtContext, theta: GameParameters) -> ExpCourt:
     return ExpCourt(redrawn + via_vra * vra_remedy + survive * x, p_int + via_vra, survive)
 
 
-def stalemate_default(x, resolver_control, drawer_party, theta: GameParameters):
+def stalemate_default(x, resolver_control: PartyControl, drawer_party: PartyControl,
+                      theta: GameParameters):
     """Outcome when no partisan body gets to resolve a stalemate outright.
 
     A status-quo rescaling stale_slope * x of the most recent proposal,
     with a partisan offset keyed to the resolving court when that court is
     partisan, otherwise to the partisan initial drawer, otherwise zero.
-    Either party may be given as its :func:`party_sign`, row by row.
     """
-    resolver, drawer = party_sign(resolver_control), party_sign(drawer_party)
-    if isinstance(resolver, np.ndarray) or isinstance(drawer, np.ndarray):
-        lean = np.where(resolver != 0.0, resolver, drawer) * theta.out_nonp_part_adv
-    else:
-        lean = theta.party_lean[resolver or drawer]
-    return clamp_bias(theta.stale_slope * x + lean)
+    return stalemate_toward(x, party_sign(resolver_control) or party_sign(drawer_party), theta)
+
+
+def stalemate_toward(x, lean, theta: GameParameters):
+    """:func:`stalemate_default` with the offset's :func:`party_sign` given: a float, or one per row."""
+    return clamp_bias(theta.stale_slope * x + lean * theta.out_nonp_part_adv)
 
 
 def pr_veto_nonpartisan(x, theta: GameParameters):
@@ -485,9 +481,12 @@ def round2_nonpartisan_proposal(x_prev, veto_parties, theta: GameParameters):
     Shifts the previous proposal toward the average partisanship of the
     veto players: by the full veto_nonp_shift when both lean the same way,
     half when only one does, not at all when they cancel or neither is
-    partisan. Clamped to the bias scale. Either veto party may be given as
-    its :func:`party_sign`, row by row.
+    partisan. Clamped to the bias scale.
     """
     first, second = veto_parties
-    weight = (party_sign(first) + party_sign(second)) / 2.0
+    return round2_shift(x_prev, (party_sign(first) + party_sign(second)) / 2.0, theta)
+
+
+def round2_shift(x_prev, weight, theta: GameParameters):
+    """:func:`round2_nonpartisan_proposal` with the veto players' mean sign given: a float, or one per row."""
     return clamp_bias(x_prev + weight * theta.veto_nonp_shift)

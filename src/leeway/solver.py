@@ -28,8 +28,10 @@ member's party signs, read element by element wherever a step depends on
 party, and each member's block of rows is evaluated in its own court
 context. A pass holds at most ``_PASS_CELLS`` cells per array, members x
 draws x grid points; a larger group takes several passes, and a tree that
-alone exceeds the budget takes one of its own. Every step works row by
-row, so a tree solved in a pass is bitwise equal to the tree solved alone.
+alone exceeds the budget takes one of its own. So trees stack only at up to
+50 draws on the default grid; at the command line's default of 100 draws
+every tree is a pass of one. Every step works row by row, so a tree solved
+in a pass is bitwise equal to the tree solved alone.
 :meth:`BatchContext.games` is the one place that skips single-district
 rows. :func:`solve` is the one-draw case; a solved tree's ``result(d)`` is
 bitwise equal to it on draw d alone.
@@ -43,8 +45,8 @@ optimizer calls the nodes for values; one walk from the root along the
 chosen actions then yields the path probabilities. Partisan veto
 decisions are recorded wherever a proposal is evaluated on the base grid,
 which gives the veto thresholds; they are worked out when first read. A
-drawer that is not partisan never visits the base grid, so each such tree
-walks it for its thresholds alone, and only when they are read.
+drawer that is not partisan never visits the base grid, so its pass walks
+it for the thresholds of all its members, and only when they are read.
 
 The court machinery depends only on the :class:`CourtContext` and the bias
 it is evaluated at, so each :class:`BatchContext` runs each distinct court
@@ -86,9 +88,10 @@ _REFINE_FACTOR = 20
 # Cells, members x draws x grid points, that one array of a stacked pass may
 # hold: 128 KiB of float64, under glibc malloc's default mmap threshold, so
 # freed arrays are reused from the heap. Larger passes measured slower than
-# trees alone at 100 draws. So at 20 draws on the default grid a pass stacks
-# up to 5 trees, and at 100 draws each tree runs alone, as does a tree on the
-# finest grid.
+# trees alone at 100 draws. So trees stack only where draws x grid points is
+# at most 8,192: on the default grid of 161 points, up to 50 draws (5 trees a
+# pass at 20 draws). At the command line's default of 100 draws, and on the
+# finest grid, each tree runs alone.
 _PASS_CELLS = 1 << 14
 
 
@@ -172,19 +175,18 @@ class TreeKey:
             court=CourtContext(process.court_review, process.court_control, process.preclearance),
         )
 
-    def shape(self) -> "TreeKey":
-        """The key with each Democratic or Republican control as "partisan" and no court.
+    def shape(self) -> tuple:
+        """The key without its parties and court: keys of one shape build the same tree.
 
-        Keys of one shape build the same tree; they differ only in which
-        party holds each partisan node and in the court context, which a
-        stacked pass carries per member.
+        Each Democratic or Republican control reads "partisan". Keys of one
+        shape differ only in which party holds each partisan node and in the
+        court context, which a stacked pass carries per member.
         """
         def role(control):
             return "partisan" if control in _PARTISAN else control
 
-        return TreeKey(self.drawer, role(self.drawer_control),
-                       tuple((mode, role(control)) for mode, control in self.vetoes),
-                       tuple((kind, role(control)) for kind, control in self.chain), None)
+        return (self.drawer, role(self.drawer_control),
+                *[(mode, role(control)) for mode, control in self.vetoes + self.chain])
 
 
 @dataclass(frozen=True)
@@ -286,16 +288,17 @@ class _TreeEvaluator:
     rows: the draws are (M x D, 1) columns, the batch's (D, 1) columns
     repeated once per member, and every bias argument broadcasts against
     them: the base grid is a (1, G) row, refinement points are (M x D, n)
-    with one row per draw, and a per-draw bias is a column. The tree's
-    structure is the shape's (:meth:`TreeKey.shape`). What the shape leaves
-    out is carried per member: the party sign of each node, read row by row
-    wherever a step depends on party (:meth:`_signs`), and the court
-    context, in which each member's block is evaluated on its own.
+    with one row per draw, and a per-draw bias is a column. The members share
+    a :meth:`TreeKey.shape`, so the first key gives the tree's structure.
+    What the shape leaves out is carried per member: the party sign of each
+    step that depends on party, read row by row (:meth:`_signs`), and the
+    court context, in which each member's block is evaluated on its own.
     """
 
-    def __init__(self, keys: list[TreeKey], shape: TreeKey, thetas: GameParameters,
-                 grid: OptimizationGrid, courts: dict):
-        self.keys, self.shape = keys, shape
+    def __init__(self, keys: list[TreeKey], thetas: GameParameters, grid: OptimizationGrid,
+                 courts: dict):
+        # The tree's structure is the first key's, which every member shares.
+        self.keys, self.key = keys, keys[0]
         # The batch's parts, not the batch: a reference cycle would outlive the call.
         self.draws = thetas
         self.grid = grid
@@ -304,16 +307,13 @@ class _TreeEvaluator:
         self.n_rows = len(keys) * self.n_draws
         self.theta = thetas if len(keys) == 1 else thetas.tiled(len(keys))
         self.base = self.grid.base
-        self.can_veto = any(mode in ("partisan", "prob") for mode, _ in self.shape.vetoes)
-        # A drawer that is not partisan never visits the base grid, so the
-        # veto thresholds take base-grid walks of their own.
-        self.threshold_walks = (self.shape.drawer_control != "partisan"
-                                and any(mode == "partisan" for mode, _ in self.shape.vetoes))
-        # Party signs, one per node and member: drawer, court, both vetoes, each link.
-        controls = [(key.drawer_control, key.court.court_control,
-                     *[control for _, control in key.vetoes + key.chain]) for key in keys]
-        self.drawer_sign, self.court_sign, veto1, veto2, *self.chain_signs = map(
-            self._signs, zip(*controls))
+        self.can_veto = any(mode in ("partisan", "prob") for mode, _ in self.key.vetoes)
+        # Each sign of _signs as one float where every member has the same,
+        # else as a column of each member's sign repeated over its draws.
+        (self.drawer_sign, veto1, veto2, self.round2_weight, self.court_lean,
+         *self.chain_leans) = [column[0] if column.count(column[0]) == len(column)
+                               else np.repeat(column, self.n_draws)[:, None]
+                               for column in zip(*map(self._signs, keys))]
         self.veto_signs = (veto1, veto2)
 
         # Per-row grid optimum of each optimizing node, ("stalemate", k) or
@@ -326,16 +326,20 @@ class _TreeEvaluator:
         # The first row of each member's block.
         self.starts = range(0, self.n_rows, self.n_draws)
 
-    def _signs(self, controls):
-        """The :func:`~leeway.nature.party_sign` of each member's control.
+    @staticmethod
+    def _signs(key: TreeKey) -> tuple:
+        """The :func:`~leeway.nature.party_sign` of each party-dependent step of one key.
 
-        One float where every member has the same sign, else a column of
-        each member's sign repeated over its draws.
+        The drawer's, each veto player's and their mean (a nonpartisan
+        round-2 redraw's weight), then the lean of the court's stalemate
+        default and of each link: the node's own party's, else the drawer's.
+        A partisan link's lean is its own sign.
         """
-        signs = [nature.party_sign(control) for control in controls]
-        if signs.count(signs[0]) == len(signs):
-            return signs[0]
-        return np.repeat(signs, self.n_draws)[:, None]
+        drawer = nature.party_sign(key.drawer_control)
+        veto1, veto2 = [nature.party_sign(control) for _, control in key.vetoes]
+        return (drawer, veto1, veto2, (veto1 + veto2) / 2.0,
+                nature.party_sign(key.court.court_control) or drawer,
+                *[nature.party_sign(control) or drawer for _, control in key.chain])
 
     # -- game-tree nodes -----------------------------------------------------
     #
@@ -355,18 +359,19 @@ class _TreeEvaluator:
         raw bytes (so -0.0 and 0.0 are distinct keys), and its arrays are
         made read-only: a hit hands the same arrays to every tree of the
         batch that asks. Every member evaluates the base row, whose blocks
-        are stacked once per pass.
+        a pass stacks once for its solve and once for its threshold walks.
         """
+        if x is self.base:
+            return self._base_court
         if len(self.keys) == 1:
             return self._court(x, self.keys[0].court)
-        if x is self.base:
-            return self._base_courts
         return _Courts([self._court(x[start:start + self.n_draws], key.court)
                         for start, key in zip(self.starts, self.keys)])
 
     @functools.cached_property
-    def _base_courts(self) -> _Courts:
-        return _Courts([self._court(self.base, key.court) for key in self.keys])
+    def _base_court(self):
+        blocks = [self._court(self.base, key.court) for key in self.keys]
+        return blocks[0] if len(blocks) == 1 else _Courts(blocks)
 
     def _court(self, x, ctx: CourtContext) -> nature.ExpCourt:
         if x is not self.base and x.shape[1] == self.base.shape[1]:
@@ -392,21 +397,19 @@ class _TreeEvaluator:
         and that mass is routed before the mass of its own enactment.
         Past the last link the court resolves, leaning by its own party.
         """
-        if k >= len(self.shape.chain):
+        if k >= len(self.key.chain):
             if _carries(mass):
                 self.acc["court"] += mass
-            return nature.stalemate_default(anchor, self.court_sign, self.drawer_sign,
-                                            self.theta)
-        kind, control = self.shape.chain[k]
+            return nature.stalemate_toward(anchor, self.court_lean, self.theta)
+        kind, control = self.key.chain[k]
         bucket = "commission" if kind == "commission" else "legislature"
-        if control == "partisan":
+        if control in _PARTISAN:
             x_opt, value = self._optimum(("stalemate", k), lambda y: self.exp_court(y).value,
-                                         self.chain_signs[k])
+                                         self.chain_leans[k])
             if _carries(mass):
                 self._settle(self.exp_court(x_opt), mass, bucket)
             return value
-        proposal = nature.stalemate_default(anchor, self.chain_signs[k], self.drawer_sign,
-                                            self.theta)
+        proposal = nature.stalemate_toward(anchor, self.chain_leans[k], self.theta)
         if control is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
             rest = self.stalemate(anchor, mass * p, k + 1)
@@ -430,14 +433,14 @@ class _TreeEvaluator:
         """
         court = self.exp_court(x)
         if not self.can_veto:
-            self._settle(court, mass, self.shape.drawer)
+            self._settle(court, mass, self.key.drawer)
             return court.value
         subgame = functools.partial(self.drawer, 2) if round_ == 1 else self.stalemate
         veto_value = subgame(x)
         stage = court.value
         decided, q = {}, None
         for index in (1, 0):
-            mode = self.shape.vetoes[index][0]
+            mode = self.key.vetoes[index][0]
             if mode == "partisan":
                 decided[index] = self.veto_signs[index] * (veto_value - stage) > 0.0
                 stage = np.where(decided[index], veto_value, stage)
@@ -449,7 +452,7 @@ class _TreeEvaluator:
                 stage = q * veto_value + (1.0 - q) * stage
         if _carries(mass):
             for index in (0, 1):
-                mode = self.shape.vetoes[index][0]
+                mode = self.key.vetoes[index][0]
                 if mode == "partisan":
                     vetoed = np.where(decided[index], mass, 0.0)
                     mass = np.where(decided[index], 0.0, mass)
@@ -459,7 +462,7 @@ class _TreeEvaluator:
                     continue
                 if _carries(vetoed):
                     subgame(x, vetoed)
-            self._settle(court, mass, self.shape.drawer)
+            self._settle(court, mass, self.key.drawer)
         return stage
 
     def _partisan_move(self, round_: int, anchor):
@@ -485,8 +488,8 @@ class _TreeEvaluator:
         proposal with 0.0 where it stalemates, which anchors the round-2
         diagnostics.
         """
-        control = self.shape.drawer_control
-        if control == "partisan":
+        control = self.key.drawer_control
+        if control in _PARTISAN:
             x, stalemates, value = self._partisan_move(round_, anchor)
             if _carries(mass):
                 self.stalemate(anchor, np.where(stalemates, mass, 0.0))
@@ -494,8 +497,8 @@ class _TreeEvaluator:
                 if round_ == 1:
                     self.action = np.where(stalemates, 0.0, x)
             return value
-        proposal = anchor if round_ == 1 else nature.round2_nonpartisan_proposal(
-            anchor, self.veto_signs, self.theta)
+        proposal = anchor if round_ == 1 else nature.round2_shift(
+            anchor, self.round2_weight, self.theta)
         if control is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
             stale = self.stalemate(anchor, mass * p)
@@ -530,24 +533,29 @@ class _TreeEvaluator:
         self.values = self.drawer(1, zero, 1.0)[:, 0]
         self.path_probs = np.hstack([self.acc[b] for b in _BUCKETS])
         x2, stalemates = np.full_like(zero, np.nan), np.zeros_like(zero, dtype=bool)
-        if any(m != "absent" for m, _ in self.shape.vetoes):
-            if self.shape.drawer_control == "partisan":
+        if any(m != "absent" for m, _ in self.key.vetoes):
+            if self.key.drawer_control in _PARTISAN:
                 x2, stalemates, _ = self._partisan_move(2, self.action)
             else:
-                x2 = nature.round2_nonpartisan_proposal(zero, self.veto_signs, self.theta)
+                x2 = nature.round2_shift(zero, self.round2_weight, self.theta)
         self.round2_proposal, self.stalemates = x2[:, 0], stalemates[:, 0]
+        # A stacked base row is as large as any array of the pass and would
+        # live as long as the batch; the threshold walks stack it again.
+        self.__dict__.pop("_base_court", None)
         return self
 
     @functools.cached_property
     def veto_thresholds(self) -> np.ndarray:
         """(M x D, 4) midpoint of the first base-grid cell where each partisan veto flips.
 
-        Columns in ``_THRESHOLD_KEYS`` order, NaN where none. The walks of
-        ``threshold_walks`` run here.
+        Columns in ``_THRESHOLD_KEYS`` order, NaN where none. A drawer that is
+        not partisan never visits the base grid, so its walks run here.
         """
-        if self.threshold_walks:
+        if (self.key.drawer_control not in _PARTISAN
+                and any(m == "partisan" for m, _ in self.key.vetoes)):
             self.plan(self.base, 2)
             self.plan(self.base, 1)
+            self.__dict__.pop("_base_court", None)  # as in solve
         out = np.full((self.n_rows, len(_THRESHOLD_KEYS)), np.nan)
         mids = (self.base[0, :-1] + self.base[0, 1:]) / 2.0
         for col, key in enumerate(_THRESHOLD_KEYS):
@@ -564,7 +572,7 @@ class SolvedTree:
     ``round2_proposal`` (D,), NaN where no veto node exists, and
     ``stalemates`` (D,) are views of the pass's arrays. ``veto_thresholds``
     (D, 4), NaN where there is no threshold, and the base-grid veto
-    ``decisions`` behind them are worked out on first read.
+    ``decisions`` behind them are worked out for the whole pass on first read.
     """
 
     def __init__(self, key: TreeKey, tree: _TreeEvaluator, first: int):
@@ -575,29 +583,14 @@ class SolvedTree:
         self.round2_proposal = tree.round2_proposal[self._rows]
         self.stalemates = tree.stalemates[self._rows]
 
-    @functools.cached_property
-    def _walked(self) -> tuple[_TreeEvaluator, slice]:
-        """The pass whose base-grid walks give this tree's veto decisions, and its rows there.
-
-        A drawer that is not partisan walks the base grid only for the
-        thresholds. Those walks measured no faster stacked than alone, and
-        the other trees of a pass may never be read (those of the
-        all-Democratic control, say), so a tree of a larger pass walks alone.
-        """
-        if self._tree.threshold_walks and len(self._tree.keys) > 1:
-            return BatchContext.alone(self.key, self._tree), slice(None)
-        return self._tree, self._rows
-
     @property
     def veto_thresholds(self) -> np.ndarray:
-        tree, rows = self._walked
-        return tree.veto_thresholds[rows]
+        return self._tree.veto_thresholds[self._rows]
 
     @property
     def decisions(self) -> dict[str, np.ndarray]:
         """The (D, G) partisan veto decisions on the base grid, by threshold key."""
-        tree, rows = self._walked
-        return {key: decided[rows] for key, decided in tree.decisions.items()}
+        return {key: decided[self._rows] for key, decided in self._tree.decisions.items()}
 
     def result(self, d: int) -> EquilibriumResult:
         """Draw d of a solved tree, with NaN as None and a drawer stalemate as STALEMATE."""
@@ -738,7 +731,7 @@ def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
 
 
 class BatchContext:
-    """One call's prior draws and grid, solving each shape of tree in one stacked pass.
+    """One call's prior draws and grid, solving the trees of one shape together in stacked passes.
 
     ``thetas`` holds D draws as (D, 1) columns (see :func:`sample_draws`).
     Processes that share a :class:`TreeKey` share one :class:`SolvedTree`,
@@ -749,7 +742,8 @@ class BatchContext:
     carried per row (see :class:`_TreeEvaluator`). A pass holds at most
     ``_PASS_CELLS`` (2**14) cells, members x draws x grid points, per array,
     128 KiB of float64, so a larger group takes several passes and a member
-    that alone exceeds the budget takes one of its own. ``trees`` maps each
+    that alone exceeds the budget takes one of its own: on the default grid,
+    trees stack only at up to 50 draws. ``trees`` maps each
     key to its solved tree, and ``passes`` lists the keys of each traversal
     in order. ``courts`` keeps each court evaluation of the call by
     (:class:`CourtContext`, shape, raw bytes of the bias), so each distinct
@@ -785,25 +779,20 @@ class BatchContext:
 
     def _solved(self, keys: list[TreeKey]) -> list[SolvedTree]:
         """The solved tree of each key; the new keys of each shape take as few passes as fit."""
-        shapes: dict[TreeKey, list[TreeKey]] = {}
+        shapes: dict[tuple, list[TreeKey]] = {}
         for key in dict.fromkeys(keys):
             if key not in self.trees:
                 shapes.setdefault(key.shape(), []).append(key)
         member_cells = len(self.thetas.chal_poss_conf) * self.grid.base.size
         per_pass = max(1, _PASS_CELLS // member_cells)
-        for shape, group in shapes.items():
+        for group in shapes.values():
             for start in range(0, len(group), per_pass):
                 members = group[start:start + per_pass]
-                tree = _TreeEvaluator(members, shape, self.thetas, self.grid, self.courts).solve()
+                tree = _TreeEvaluator(members, self.thetas, self.grid, self.courts).solve()
                 self.passes.append(tuple(members))
                 self.trees.update((key, SolvedTree(key, tree, first))
                                   for key, first in zip(members, tree.starts))
         return [self.trees[key] for key in keys]
-
-    @staticmethod
-    def alone(key: TreeKey, tree: _TreeEvaluator) -> _TreeEvaluator:
-        """An unsolved pass of one key, on the draws, grid and kept courts of another pass."""
-        return _TreeEvaluator([key], tree.shape, tree.draws, tree.grid, tree.courts)
 
 
 def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,

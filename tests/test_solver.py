@@ -184,7 +184,7 @@ class TestBatch:
                 continue
             for process in (row, uniform_control(row, PartyControl.DEMOCRATS)):
                 key = TreeKey.of(process)
-                if _TreeEvaluator([key], key.shape(), batch, OptimizationGrid(), {}).can_veto:
+                if _TreeEvaluator([key], batch, OptimizationGrid(), {}).can_veto:
                     continue
                 BatchContext(batch).solve(process)
                 solved += 1
