@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -690,6 +691,8 @@ def _add_common_solver_args(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Each command is looked up when it runs: main keeps one parser per process,
+    # and a wrapper set on this module later (a tracer) must be what runs.
     parser = argparse.ArgumentParser(
         prog="leeway",
         description="Redistricting-process game solver and reform analysis pipeline")
@@ -699,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--validate", action="store_true")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_codebook)
+    p.set_defaults(func=lambda args: _cmd_codebook(args))
 
     p = sub.add_parser("leeway", help="solve the game and write leeway scores")
     p.add_argument("--codebook", required=True)
@@ -707,14 +710,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--emit-diagnostics", help="write per state-draw solver JSON here")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_leeway)
+    p.set_defaults(func=lambda args: _cmd_leeway(args))
 
     p = sub.add_parser("paths", help="final-drawer path cross-tab")
     p.add_argument("--codebook", required=True)
     _add_common_solver_args(p)
     p.add_argument("--per-state", help="also write per-state path probabilities")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_paths)
+    p.set_defaults(func=lambda args: _cmd_paths(args))
 
     p = sub.add_parser("metrics", help="plan outcome metrics under the swing model")
     p.add_argument("--plans", required=True)
@@ -722,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-national", type=float, default=0.0)
     p.add_argument("--sigma-district", type=float, default=0.0)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_metrics)
+    p.set_defaults(func=lambda args: _cmd_metrics(args))
 
     p = sub.add_parser("did", help="fit the dose-response outcome model")
     p.add_argument("--input", required=True)
@@ -734,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome-label", default="outcome")
     p.add_argument("--output-draws", required=True)
     p.add_argument("--output-diagnostics", required=True)
-    p.set_defaults(func=_cmd_did)
+    p.set_defaults(func=lambda args: _cmd_did(args))
 
     p = sub.add_parser("counterfactual", help="nationwide reform prediction")
     p.add_argument("--template", choices=sorted(cf.TEMPLATES), required=True)
@@ -747,9 +750,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--doses-csv")
     p.add_argument("--line-samples")
-    p.set_defaults(func=_cmd_counterfactual)
+    p.set_defaults(func=lambda args: _cmd_counterfactual(args))
 
     return parser
+
+
+# main's parser: built on its first call, not at import, and kept for the process.
+_parser = functools.cache(build_parser)
 
 
 def _paths(args, names) -> list[tuple[str, str]]:
@@ -795,7 +802,7 @@ EXIT_BUG = 3
 
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code; an uncaught exception propagates."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         _check_clashes(parser, args)

@@ -462,12 +462,13 @@ def stalemate_default(x, resolver_control: PartyControl, drawer_party: PartyCont
     with a partisan offset keyed to the resolving court when that court is
     partisan, otherwise to the partisan initial drawer, otherwise zero.
     """
-    return stalemate_toward(x, party_sign(resolver_control) or party_sign(drawer_party), theta)
+    return stalemate_toward(x, theta.party_lean[party_sign(resolver_control)
+                                                or party_sign(drawer_party)], theta)
 
 
-def stalemate_toward(x, lean, theta: GameParameters):
-    """:func:`stalemate_default` with the offset's :func:`party_sign` given: a float, or one per row."""
-    return clamp_bias(theta.stale_slope * x + lean * theta.out_nonp_part_adv)
+def stalemate_toward(x, offset, theta: GameParameters):
+    """:func:`stalemate_default` given its offset, the lean's sign x out_nonp_part_adv."""
+    return clamp_bias(theta.stale_slope * x + offset)
 
 
 def pr_veto_nonpartisan(x, theta: GameParameters):
@@ -484,9 +485,10 @@ def round2_nonpartisan_proposal(x_prev, veto_parties, theta: GameParameters):
     partisan. Clamped to the bias scale.
     """
     first, second = veto_parties
-    return round2_shift(x_prev, (party_sign(first) + party_sign(second)) / 2.0, theta)
+    return round2_shift(x_prev, (party_sign(first) + party_sign(second)) / 2.0
+                        * theta.veto_nonp_shift)
 
 
-def round2_shift(x_prev, weight, theta: GameParameters):
-    """:func:`round2_nonpartisan_proposal` with the veto players' mean sign given: a float, or one per row."""
-    return clamp_bias(x_prev + weight * theta.veto_nonp_shift)
+def round2_shift(x_prev, shift):
+    """:func:`round2_nonpartisan_proposal` given its shift, mean veto sign x veto_nonp_shift."""
+    return clamp_bias(x_prev + shift)

@@ -268,13 +268,14 @@ class _Courts:
     """The court evaluations of a pass's members at one bias, one ExpCourt block of D rows each.
 
     Read like one ExpCourt of all the pass's rows: ``value`` is stacked at
-    once, the path-mass fields only when mass is routed through them.
+    once, the path-mass fields on read, from blocks kept only at a column, where mass goes.
     """
 
     __slots__ = ("blocks", "value")
 
-    def __init__(self, blocks: list):
-        self.blocks = blocks
+    def __init__(self, blocks, column: bool):
+        if column:
+            blocks = self.blocks = list(blocks)
         self.value = np.concatenate([block.value for block in blocks])
 
     pr_redraw = property(lambda self: np.concatenate([block.pr_redraw for block in self.blocks]))
@@ -310,10 +311,11 @@ class _TreeEvaluator:
         self.can_veto = any(mode in ("partisan", "prob") for mode, _ in self.key.vetoes)
         # Each sign of _signs as one float where every member has the same,
         # else as a column of each member's sign repeated over its draws.
-        (self.drawer_sign, veto1, veto2, self.round2_weight, self.court_lean,
-         *self.chain_leans) = [column[0] if column.count(column[0]) == len(column)
-                               else np.repeat(column, self.n_draws)[:, None]
-                               for column in zip(*map(self._signs, keys))]
+        signs = self._signs(self.key) if len(keys) == 1 else [
+            column[0] if column.count(column[0]) == len(column)
+            else np.repeat(column, self.n_draws)[:, None]
+            for column in zip(*map(self._signs, keys))]
+        self.drawer_sign, veto1, veto2, self.round2_weight, *self.leans = signs
         self.veto_signs = (veto1, veto2)
 
         # Per-row grid optimum of each optimizing node, ("stalemate", k) or
@@ -331,15 +333,21 @@ class _TreeEvaluator:
         """The :func:`~leeway.nature.party_sign` of each party-dependent step of one key.
 
         The drawer's, each veto player's and their mean (a nonpartisan
-        round-2 redraw's weight), then the lean of the court's stalemate
-        default and of each link: the node's own party's, else the drawer's.
+        round-2 redraw's weight), then the lean of each link and of the
+        court's stalemate default: the node's own party's, else the drawer's.
         A partisan link's lean is its own sign.
         """
         drawer = nature.party_sign(key.drawer_control)
         veto1, veto2 = [nature.party_sign(control) for _, control in key.vetoes]
         return (drawer, veto1, veto2, (veto1 + veto2) / 2.0,
-                nature.party_sign(key.court.court_control) or drawer,
-                *[nature.party_sign(control) or drawer for _, control in key.chain])
+                *[nature.party_sign(control) or drawer for _, control in key.chain],
+                nature.party_sign(key.court.court_control) or drawer)
+
+    # Once per pass: each link's stalemate-default offset (the court's last) and the round-2 shift.
+    offsets = functools.cached_property(
+        lambda self: [lean * self.theta.out_nonp_part_adv for lean in self.leans])
+    round2_offset = functools.cached_property(
+        lambda self: self.round2_weight * self.theta.veto_nonp_shift)
 
     # -- game-tree nodes -----------------------------------------------------
     #
@@ -358,30 +366,33 @@ class _TreeEvaluator:
         kept in the batch's ``courts``, keyed by court context, shape and
         raw bytes (so -0.0 and 0.0 are distinct keys), and its arrays are
         made read-only: a hit hands the same arrays to every tree of the
-        batch that asks. Every member evaluates the base row, whose blocks
-        a pass stacks once for its solve and once for its threshold walks.
+        batch that asks; at a grid, where no mass goes, a block is its value
+        alone. A pass stacks the base row's blocks for its solve and its walks.
         """
         if x is self.base:
             return self._base_court
         if len(self.keys) == 1:
-            return self._court(x, self.keys[0].court)
-        return _Courts([self._court(x[start:start + self.n_draws], key.court)
-                        for start, key in zip(self.starts, self.keys)])
+            return self._court(x, self.key.court)
+        return _Courts((self._court(x[start:start + self.n_draws], key.court)
+                        for start, key in zip(self.starts, self.keys)), x.shape[1] == 1)
 
     @functools.cached_property
     def _base_court(self):
         blocks = [self._court(self.base, key.court) for key in self.keys]
-        return blocks[0] if len(blocks) == 1 else _Courts(blocks)
+        return blocks[0] if len(blocks) == 1 else _Courts(blocks, column=False)
 
     def _court(self, x, ctx: CourtContext) -> nature.ExpCourt:
         if x is not self.base and x.shape[1] == self.base.shape[1]:
-            return nature.exp_court(x, ctx, self.draws)
+            return nature.ExpCourt(nature.exp_court(x, ctx, self.draws).value, None, None)
         key = (ctx, x.shape, x.tobytes())
         court = self.courts.get(key)
         if court is None:
-            court = self.courts[key] = nature.exp_court(x, ctx, self.draws)
+            court = nature.exp_court(x, ctx, self.draws)
             for array in court:
                 array.flags.writeable = False
+            if x.shape[1] > 1:
+                court = nature.ExpCourt(court.value, None, None)
+            self.courts[key] = court
         return court
 
     def _settle(self, court, mass, bucket: str):
@@ -400,16 +411,16 @@ class _TreeEvaluator:
         if k >= len(self.key.chain):
             if _carries(mass):
                 self.acc["court"] += mass
-            return nature.stalemate_toward(anchor, self.court_lean, self.theta)
+            return nature.stalemate_toward(anchor, self.offsets[k], self.theta)
         kind, control = self.key.chain[k]
         bucket = "commission" if kind == "commission" else "legislature"
         if control in _PARTISAN:
             x_opt, value = self._optimum(("stalemate", k), lambda y: self.exp_court(y).value,
-                                         self.chain_leans[k])
+                                         self.leans[k])
             if _carries(mass):
                 self._settle(self.exp_court(x_opt), mass, bucket)
             return value
-        proposal = nature.stalemate_toward(anchor, self.chain_leans[k], self.theta)
+        proposal = nature.stalemate_toward(anchor, self.offsets[k], self.theta)
         if control is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
             rest = self.stalemate(anchor, mass * p, k + 1)
@@ -497,8 +508,7 @@ class _TreeEvaluator:
                 if round_ == 1:
                     self.action = np.where(stalemates, 0.0, x)
             return value
-        proposal = anchor if round_ == 1 else nature.round2_shift(
-            anchor, self.round2_weight, self.theta)
+        proposal = anchor if round_ == 1 else nature.round2_shift(anchor, self.round2_offset)
         if control is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
             stale = self.stalemate(anchor, mass * p)
@@ -537,7 +547,7 @@ class _TreeEvaluator:
             if self.key.drawer_control in _PARTISAN:
                 x2, stalemates, _ = self._partisan_move(2, self.action)
             else:
-                x2 = nature.round2_shift(zero, self.round2_weight, self.theta)
+                x2 = nature.round2_shift(zero, self.round2_offset)
         self.round2_proposal, self.stalemates = x2[:, 0], stalemates[:, 0]
         # A stacked base row is as large as any array of the pass and would
         # live as long as the batch; the threshold walks stack it again.
@@ -743,12 +753,12 @@ class BatchContext:
     ``_PASS_CELLS`` (2**14) cells, members x draws x grid points, per array,
     128 KiB of float64, so a larger group takes several passes and a member
     that alone exceeds the budget takes one of its own: on the default grid,
-    trees stack only at up to 50 draws. ``trees`` maps each
-    key to its solved tree, and ``passes`` lists the keys of each traversal
-    in order. ``courts`` keeps each court evaluation of the call by
-    (:class:`CourtContext`, shape, raw bytes of the bias), so each distinct
-    one, the base row included, runs once and every tree reads the kept,
-    read-only arrays (see :meth:`_TreeEvaluator.exp_court`).
+    trees stack only at up to 50 draws, and where they do not, no key is
+    grouped. ``trees`` maps each key to its solved tree, ``passes`` lists
+    the keys of each traversal in order, and ``courts`` keeps each court
+    evaluation of the call by (:class:`CourtContext`, shape, raw bytes of
+    the bias), so each distinct one, the base row included, runs once and
+    every tree reads the kept, read-only arrays (see :meth:`_TreeEvaluator.exp_court`).
     """
 
     def __init__(self, thetas: GameParameters, grid: OptimizationGrid | None = None):
@@ -759,8 +769,11 @@ class BatchContext:
         self.passes: list[tuple[TreeKey, ...]] = []
 
     def solve(self, process: StateProcess) -> SolvedTree:
-        """The solved tree of one process; a key not solved yet is a group of one."""
-        return self._solved([TreeKey.of(process)])[0]
+        """The solved tree of one process; a key not solved yet is a pass of one."""
+        key = TreeKey.of(process)
+        if key not in self.trees:
+            self._pass([key])
+        return self.trees[key]
 
     def games(self, rows, *variants):
         """Yield (row, its solved tree, one per variant) for each row with a game, in order.
@@ -779,20 +792,23 @@ class BatchContext:
 
     def _solved(self, keys: list[TreeKey]) -> list[SolvedTree]:
         """The solved tree of each key; the new keys of each shape take as few passes as fit."""
-        shapes: dict[tuple, list[TreeKey]] = {}
-        for key in dict.fromkeys(keys):
-            if key not in self.trees:
-                shapes.setdefault(key.shape(), []).append(key)
         member_cells = len(self.thetas.chal_poss_conf) * self.grid.base.size
         per_pass = max(1, _PASS_CELLS // member_cells)
-        for group in shapes.values():
+        groups: dict[tuple, list[TreeKey]] = {}
+        for key in dict.fromkeys(keys):
+            if key not in self.trees:  # by shape where trees stack, else each key alone
+                groups.setdefault(key.shape() if per_pass > 1 else key, []).append(key)
+        for group in groups.values():
             for start in range(0, len(group), per_pass):
-                members = group[start:start + per_pass]
-                tree = _TreeEvaluator(members, self.thetas, self.grid, self.courts).solve()
-                self.passes.append(tuple(members))
-                self.trees.update((key, SolvedTree(key, tree, first))
-                                  for key, first in zip(members, tree.starts))
+                self._pass(group[start:start + per_pass])
         return [self.trees[key] for key in keys]
+
+    def _pass(self, members: list[TreeKey]):
+        """Solve keys of one shape in one traversal over their stacked rows."""
+        tree = _TreeEvaluator(members, self.thetas, self.grid, self.courts).solve()
+        self.passes.append(tuple(members))
+        for key, first in zip(members, tree.starts):
+            self.trees[key] = SolvedTree(key, tree, first)
 
 
 def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import hashlib
@@ -160,6 +161,89 @@ def test_command_exit_codes(small_codebook, tmp_path):
     out = _python("-c", code)
     assert out.returncode == cli.EXIT_BUG == 3
     assert "Traceback" in out.stderr and "KeyError: 'internal'" in out.stderr
+
+
+_SUBCOMMANDS = ("codebook", "leeway", "paths", "metrics", "did", "counterfactual")
+
+
+def test_import_builds_no_parser():
+    # main builds its parser on the first call, so importing the package does
+    # not pay for it. The count after build_parser shows that the spy counts.
+    code = ("import argparse\n"
+            "made, init = [], argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    made.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import leeway.cli\n"
+            "print(len(made))\n"
+            "leeway.cli.build_parser()\n"
+            "print(len(made))\n")
+    imported, built = _python("-c", code, check=True).stdout.split()
+    assert imported == "0" and int(built) == len(_SUBCOMMANDS) + 1
+
+
+class TestParserReuse:
+    """main builds its argparse parser once per process and reuses it."""
+
+    def test_built_once(self, small_codebook, tmp_path, monkeypatch):
+        made, init = [], argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        for i in range(3):
+            assert main(["paths", "--codebook", small_codebook, "--draws", "2",
+                         "--output", str(tmp_path / f"paths{i}.csv")]) == 0
+        assert main(["leeway", "--draws", "x"]) == 2
+        assert len(made) == len(_SUBCOMMANDS) + 1  # the parser and its subparsers, once
+
+    def test_command_wrapped_after_the_build_runs(self, small_codebook, monkeypatch):
+        # The bench tracer wraps cli._cmd_* once the parser may already be kept.
+        assert main(["codebook", "--input", small_codebook, "--validate"]) == 0
+        calls, command = [], cli._cmd_codebook
+
+        def wrapped(args):
+            calls.append(args.input)
+            return command(args)
+
+        monkeypatch.setattr(cli, "_cmd_codebook", wrapped)
+        assert main(["codebook", "--input", small_codebook, "--validate"]) == 0
+        assert calls == [small_codebook]
+
+    def test_usage_error_leaves_next_call_unchanged(self, small_codebook, tmp_path, capsys):
+        def argv(name, *extra):
+            return ["leeway", "--codebook", small_codebook, "--draws", "3", "--seed", "2",
+                    *extra, "--output", str(tmp_path / f"{name}.csv"),
+                    "--emit-diagnostics", str(tmp_path / f"{name}.json")]
+
+        assert main(argv("first")) == 0
+        # A bad value after options that set other fields, then an output clash,
+        # which the kept parser reports after parsing.
+        assert main(argv("bad", "--format", "json", "--seed", "9", "--draws", "x")) == 2
+        clash = str(tmp_path / "clash.csv")
+        assert main(["leeway", "--codebook", small_codebook, "--format", "json",
+                     "--output", clash, "--emit-diagnostics", clash]) == 2
+        capsys.readouterr()
+        assert main(argv("next")) == 0
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / f"next{suffix}").read_bytes()
+                    == (tmp_path / f"first{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("command", [None, *_SUBCOMMANDS])
+    def test_help_equals_a_fresh_parser(self, command, capsys):
+        argv = ["--help"] if command is None else [command, "--help"]
+        assert main(["leeway"]) == 2  # the kept parser has been used before
+        capsys.readouterr()
+        for _ in range(2):
+            assert main(argv) == 0
+            kept = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv)
+            assert kept == capsys.readouterr().out != ""
 
 
 class TestDeterminism:

@@ -728,20 +728,24 @@ class TestBatchContext:
     def test_kept_courts_read_only_and_small(self):
         # The batch keeps the base row, the (D, 41) refinement grids and the
         # (D, 1) columns, not the per-draw (D, G) grids built from the base
-        # row. Their arrays are shared between trees, so none can be written.
+        # row. Mass only reaches a column, so a grid keeps its value alone.
+        # Their arrays are shared between trees, so none can be written.
         batch = BatchContext(sample_draws(PRIOR, 101, 100))
         for row in self.BOOK:
             cli._diagnostic_fields(batch.solve(row))
             batch.solve(uniform_control(row, PartyControl.DEMOCRATS))
         shapes = {shape for _, shape, _ in batch.courts}
         assert shapes == {(1, 161), (100, 41), (100, 1)}
-        for court in batch.courts.values():
-            for array in court:
+        for (_, shape, _), court in batch.courts.items():
+            kept = [array for array in court if array is not None]
+            assert len(kept) == (3 if shape[1] == 1 else 1)
+            for array in kept:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 0.0
         added = [(key, court) for key, court in batch.courts.items() if key[1] != (1, 161)]
-        size = sum(len(key[2]) + sum(array.nbytes for array in court) for key, court in added)
-        assert len(added) == 54 and size <= 2.5e6
+        size = sum(len(key[2]) + sum(array.nbytes for array in court if array is not None)
+                   for key, court in added)
+        assert len(added) == 54 and size <= 1.1e6
 
     def test_single_district_rows_rejected_before_sampling(self, monkeypatch):
         calls = []
