@@ -756,6 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # main's parser: built on its first call, not at import, and kept for the process.
+# Only a caller that runs main many times in one process saves a build by it.
 _parser = functools.cache(build_parser)
 
 

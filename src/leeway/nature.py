@@ -426,11 +426,15 @@ def vra_process(x, ctx: CourtContext, theta: GameParameters):
 
 
 class ExpCourt(NamedTuple):
-    """Expected post-enactment bias and the path split behind it."""
+    """Expected post-enactment bias and the path split behind it.
+
+    The solver keeps a court evaluated at a grid with both masses None:
+    path mass only ever reaches a court at a bias column.
+    """
 
     value: float
-    pr_redraw: float   # mass on a court redraw (partisan challenge or VRA)
-    pr_survive: float  # mass on the enacted plan surviving as-is
+    pr_redraw: float | None   # mass on a court redraw (partisan challenge or VRA)
+    pr_survive: float | None  # mass on the enacted plan surviving as-is
 
 
 def exp_court(x, ctx: CourtContext, theta: GameParameters) -> ExpCourt:
@@ -485,10 +489,5 @@ def round2_nonpartisan_proposal(x_prev, veto_parties, theta: GameParameters):
     partisan. Clamped to the bias scale.
     """
     first, second = veto_parties
-    return round2_shift(x_prev, (party_sign(first) + party_sign(second)) / 2.0
-                        * theta.veto_nonp_shift)
-
-
-def round2_shift(x_prev, shift):
-    """:func:`round2_nonpartisan_proposal` given its shift, mean veto sign x veto_nonp_shift."""
-    return clamp_bias(x_prev + shift)
+    return clamp_bias(x_prev + (party_sign(first) + party_sign(second)) / 2.0
+                      * theta.veto_nonp_shift)

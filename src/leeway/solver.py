@@ -311,11 +311,10 @@ class _TreeEvaluator:
         self.can_veto = any(mode in ("partisan", "prob") for mode, _ in self.key.vetoes)
         # Each sign of _signs as one float where every member has the same,
         # else as a column of each member's sign repeated over its draws.
-        signs = self._signs(self.key) if len(keys) == 1 else [
-            column[0] if column.count(column[0]) == len(column)
-            else np.repeat(column, self.n_draws)[:, None]
-            for column in zip(*map(self._signs, keys))]
-        self.drawer_sign, veto1, veto2, self.round2_weight, *self.leans = signs
+        (self.drawer_sign, veto1, veto2, self.round2_weight,
+         *self.leans) = [column[0] if column.count(column[0]) == len(column)
+                         else np.repeat(column, self.n_draws)[:, None]
+                         for column in zip(*map(self._signs, keys))]
         self.veto_signs = (veto1, veto2)
 
         # Per-row grid optimum of each optimizing node, ("stalemate", k) or
@@ -372,7 +371,7 @@ class _TreeEvaluator:
         if x is self.base:
             return self._base_court
         if len(self.keys) == 1:
-            return self._court(x, self.key.court)
+            return self._court(x, self.keys[0].court)
         return _Courts((self._court(x[start:start + self.n_draws], key.court)
                         for start, key in zip(self.starts, self.keys)), x.shape[1] == 1)
 
@@ -508,7 +507,7 @@ class _TreeEvaluator:
                 if round_ == 1:
                     self.action = np.where(stalemates, 0.0, x)
             return value
-        proposal = anchor if round_ == 1 else nature.round2_shift(anchor, self.round2_offset)
+        proposal = anchor if round_ == 1 else nature.clamp_bias(anchor + self.round2_offset)
         if control is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
             stale = self.stalemate(anchor, mass * p)
@@ -547,7 +546,7 @@ class _TreeEvaluator:
             if self.key.drawer_control in _PARTISAN:
                 x2, stalemates, _ = self._partisan_move(2, self.action)
             else:
-                x2 = nature.round2_shift(zero, self.round2_offset)
+                x2 = nature.clamp_bias(zero + self.round2_offset)
         self.round2_proposal, self.stalemates = x2[:, 0], stalemates[:, 0]
         # A stacked base row is as large as any array of the pass and would
         # live as long as the batch; the threshold walks stack it again.
@@ -753,12 +752,12 @@ class BatchContext:
     ``_PASS_CELLS`` (2**14) cells, members x draws x grid points, per array,
     128 KiB of float64, so a larger group takes several passes and a member
     that alone exceeds the budget takes one of its own: on the default grid,
-    trees stack only at up to 50 draws, and where they do not, no key is
-    grouped. ``trees`` maps each key to its solved tree, ``passes`` lists
-    the keys of each traversal in order, and ``courts`` keeps each court
-    evaluation of the call by (:class:`CourtContext`, shape, raw bytes of
-    the bias), so each distinct one, the base row included, runs once and
-    every tree reads the kept, read-only arrays (see :meth:`_TreeEvaluator.exp_court`).
+    trees stack only at up to 50 draws. ``trees`` maps each
+    key to its solved tree, and ``passes`` lists the keys of each traversal
+    in order. ``courts`` keeps each court evaluation of the call by
+    (:class:`CourtContext`, shape, raw bytes of the bias), so each distinct
+    one, the base row included, runs once and every tree reads the kept,
+    read-only arrays (see :meth:`_TreeEvaluator.exp_court`).
     """
 
     def __init__(self, thetas: GameParameters, grid: OptimizationGrid | None = None):
@@ -769,11 +768,8 @@ class BatchContext:
         self.passes: list[tuple[TreeKey, ...]] = []
 
     def solve(self, process: StateProcess) -> SolvedTree:
-        """The solved tree of one process; a key not solved yet is a pass of one."""
-        key = TreeKey.of(process)
-        if key not in self.trees:
-            self._pass([key])
-        return self.trees[key]
+        """The solved tree of one process; a key not solved yet is a group of one."""
+        return self._solved([TreeKey.of(process)])[0]
 
     def games(self, rows, *variants):
         """Yield (row, its solved tree, one per variant) for each row with a game, in order.
@@ -792,23 +788,20 @@ class BatchContext:
 
     def _solved(self, keys: list[TreeKey]) -> list[SolvedTree]:
         """The solved tree of each key; the new keys of each shape take as few passes as fit."""
+        shapes: dict[tuple, list[TreeKey]] = {}
+        for key in dict.fromkeys(keys):
+            if key not in self.trees:
+                shapes.setdefault(key.shape(), []).append(key)
         member_cells = len(self.thetas.chal_poss_conf) * self.grid.base.size
         per_pass = max(1, _PASS_CELLS // member_cells)
-        groups: dict[tuple, list[TreeKey]] = {}
-        for key in dict.fromkeys(keys):
-            if key not in self.trees:  # by shape where trees stack, else each key alone
-                groups.setdefault(key.shape() if per_pass > 1 else key, []).append(key)
-        for group in groups.values():
+        for group in shapes.values():
             for start in range(0, len(group), per_pass):
-                self._pass(group[start:start + per_pass])
+                members = group[start:start + per_pass]
+                tree = _TreeEvaluator(members, self.thetas, self.grid, self.courts).solve()
+                self.passes.append(tuple(members))
+                self.trees.update((key, SolvedTree(key, tree, first))
+                                  for key, first in zip(members, tree.starts))
         return [self.trees[key] for key in keys]
-
-    def _pass(self, members: list[TreeKey]):
-        """Solve keys of one shape in one traversal over their stacked rows."""
-        tree = _TreeEvaluator(members, self.thetas, self.grid, self.courts).solve()
-        self.passes.append(tuple(members))
-        for key, first in zip(members, tree.starts):
-            self.trees[key] = SolvedTree(key, tree, first)
 
 
 def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,

@@ -6,10 +6,10 @@ import pytest
 
 from leeway.codebook import CourtReview, PartyControl
 from leeway.errors import DomainError
-from leeway.nature import (CourtContext, Dist, PriorSpec, cauchy_cdf,
-                           cauchy_quantile, court_outcome, exp_court, pr_chal_if_poss,
-                           pr_chal_poss, pr_intervene, pr_veto_nonpartisan,
-                           quartic_g, round2_nonpartisan_proposal, round2_shift,
+from leeway.nature import (CourtContext, Dist, PriorSpec, cauchy_cdf, cauchy_quantile,
+                           clamp_bias, court_outcome, exp_court, party_sign,
+                           pr_chal_if_poss, pr_chal_poss, pr_intervene,
+                           pr_veto_nonpartisan, quartic_g, round2_nonpartisan_proposal,
                            sample_parameters, stack_parameters, stalemate_default,
                            stalemate_toward, vra_process)
 from leeway.solver import OptimizationGrid, sample_draws
@@ -386,28 +386,33 @@ def test_primitives_match_inline_formulas_bitwise():
                     assert g.shape == want.shape == (5, 161)
                     assert g.tobytes() == want.tobytes(), (review, court, preclearance)
 
-    # The solver works a pass's offsets out once: the stalemate default's
-    # lean x out_nonp_part_adv and the round-2 redraw's mean veto sign x
-    # veto_nonp_shift. Built from such a product, with one float sign or, in
-    # a stacked pass of three members, one sign per row, the two primitives
-    # equal the formulas written out for each member's float sign.
+    # The solver works a pass's stalemate-default offsets, each lean x
+    # out_nonp_part_adv, and its round-2 shift, the veto players' mean sign x
+    # veto_nonp_shift, out once. Built from such a product, with one float
+    # sign or, in a stacked pass of three members, one sign per row, the
+    # stalemate default equals the formula written out for each member's
+    # sign, and the shifted redraw equals round2_nonpartisan_proposal.
     def stale(s):
         return np.clip(batch.stale_slope * x + s * batch.out_nonp_part_adv, -4.0, 4.0)
-
-    def shift(s):
-        return np.clip(x + s * batch.veto_nonp_shift, -4.0, 4.0)
 
     tiled = batch.tiled(3)
     for signs in ((-1.0, 0.0, 1.0), (-1.0, -0.5, 0.5), (1.0, 1.0, 1.0)):
         for s in signs:
             got = stalemate_toward(x, s * batch.out_nonp_part_adv, batch)
             assert got.tobytes() == stale(s).tobytes(), s
-            assert round2_shift(x, s * batch.veto_nonp_shift).tobytes() == shift(s).tobytes(), s
         rows = np.repeat(signs, 5)[:, None]
         got = stalemate_toward(x, rows * tiled.out_nonp_part_adv, tiled)
         assert got.tobytes() == np.concatenate([stale(s) for s in signs]).tobytes(), signs
-        got = round2_shift(x, rows * tiled.veto_nonp_shift)
-        assert got.tobytes() == np.concatenate([shift(s) for s in signs]).tobytes(), signs
+
+    D, R, N = PartyControl.DEMOCRATS, PartyControl.REPUBLICANS, PartyControl.NONPARTISANS
+    for pairs in (((D, R), (D, N), (R, R)), ((N, N), (D, D), (R, N))):
+        want = [round2_nonpartisan_proposal(x, pair, batch) for pair in pairs]
+        weights = [(party_sign(a) + party_sign(b)) / 2.0 for a, b in pairs]
+        for w, proposal in zip(weights, want):
+            assert clamp_bias(x + w * batch.veto_nonp_shift).tobytes() == proposal.tobytes(), w
+        rows = np.repeat(weights, 5)[:, None]
+        got = clamp_bias(x + rows * tiled.veto_nonp_shift)
+        assert got.tobytes() == np.concatenate(want).tobytes(), pairs
 
 
 class TestStalemateDefault:
