@@ -8,8 +8,8 @@ game backward gives a single number - the equilibrium bias - that summarizes
 how much partisan leeway the process leaves.
 """
 
-from leeway import (PriorSpec, leeway_table, load_fixture_codebook, solve,
-                    spearman_stability)
+from leeway import (BatchContext, PriorSpec, leeway_table, load_fixture_codebook,
+                    sample_draws, solve, spearman_stability)
 
 codebook = load_fixture_codebook()
 prior = PriorSpec.default()
@@ -36,11 +36,13 @@ print()
 # ---------------------------------------------------------------------------
 # 2. Leeway scores for every bundled state-cycle. "Realized" uses the coded
 #    party control; "maximum" hands every partisan node to one party and
-#    reports the magnitude - the worst case the process permits.
+#    reports the magnitude - the worst case the process permits. A batch
+#    holds the prior draws (here 100, seed 0) and solves each distinct game
+#    tree once; every table handed the same batch shares its draws.
 # ---------------------------------------------------------------------------
 print("Leeway scores over 100 prior draws")
 print(f"  {'state':<6} {'cycle':<6} {'realized':>9} {'maximum':>9}")
-rows = leeway_table(codebook, prior, n_draws=100, seed=0)
+rows = leeway_table(codebook, BatchContext(sample_draws(prior, seed=0, n_draws=100)))
 for process, scores in rows:
     print(f"  {process.state_id:<6} {process.cycle:<6} "
           f"{scores.realized:>+9.3f} {scores.maximum:>9.3f}")
@@ -59,5 +61,5 @@ print()
 # 3. The scores barely depend on the exact parameter draw: state rankings
 #    are nearly identical across draws from the prior.
 # ---------------------------------------------------------------------------
-rho = spearman_stability(codebook, prior, n_draws=50, seed=0)
+rho = spearman_stability(codebook, BatchContext(sample_draws(prior, seed=0, n_draws=50)))
 print(f"Average pairwise rank correlation across 50 draws: {rho:.3f}")

@@ -14,8 +14,8 @@ numbers illustrate the machinery rather than any measured effect.
 
 import numpy as np
 
-from leeway import (Baseline, PriorSpec, StateCovariates, counterfactual_doses,
-                    load_fixture_codebook, predict_national)
+from leeway import (BatchContext, Baseline, PriorSpec, StateCovariates, counterfactual_doses,
+                    load_fixture_codebook, predict_national, sample_draws)
 from leeway.counterfactual import TEMPLATES
 from leeway.inference import Diagnostics, PosteriorDraws
 
@@ -48,10 +48,13 @@ covariates = {
 }
 baseline = Baseline(dem_seats=213.0, slope_seats_per_pp=7.8)
 
+# Every template is scored on the same 25 prior draws: one batch solves each
+# state's current game once, and every distinct reformed game once.
+batch = BatchContext(sample_draws(prior, seed=11, n_draws=25))
+
 print(f"{'template':<10} {'mean dose cut':>13} {'dem seats':>10} {'95% CI':>16} {'slope':>7}")
 for name in ("identity", "ny", "oh", "mi"):
-    pairs = counterfactual_doses(codebook, TEMPLATES[name], prior,
-                                 n_draws=25, seed=11)
+    pairs = counterfactual_doses(codebook, TEMPLATES[name], batch)
     prediction = predict_national(pairs, seat_model, resp_model, covariates, baseline)
     cut = np.mean([p.d_current - p.d_reformed for p in pairs])
     effect = prediction.total_dem_seat_change

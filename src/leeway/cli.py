@@ -147,8 +147,10 @@ _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0.0, "must be nonnegative")
 
 
-def _grid(args) -> OptimizationGrid:
-    return OptimizationGrid(step=args.grid_step)
+def _batch(args, prior: PriorSpec) -> solver.BatchContext:
+    """The run's prior draws on its grid; a bad grid step is reported before a bad draw count."""
+    grid = OptimizationGrid(step=args.grid_step)
+    return solver.BatchContext(solver.sample_draws(prior, args.seed, args.draws), grid)
 
 
 # -- codebook ----------------------------------------------------------------
@@ -222,8 +224,7 @@ def _cmd_leeway(args) -> int:
     book = cb.parse_codebook(Path(args.codebook))
     prior = _load_prior(args.priors)
     scored, records, fields = [], [], {}
-    for process, scores, solved in solver._scored_rows(book, prior, args.draws,
-                                                       args.seed, _grid(args)):
+    for process, scores, solved in solver._scored_rows(book, _batch(args, prior)):
         scored.append(dict(zip(_SCORE_COLUMNS, (process.state_id, process.cycle, scores.realized,
                                                 scores.maximum, scores.n_draws, args.seed))))
         if args.emit_diagnostics:
@@ -250,8 +251,7 @@ def _cmd_leeway(args) -> int:
 def _cmd_paths(args) -> int:
     book = cb.parse_codebook(Path(args.codebook))
     prior = _load_prior(args.priors)
-    table = solver.path_table(book, prior, n_draws=args.draws, seed=args.seed,
-                              grid=_grid(args))
+    table = solver.path_table(book, _batch(args, prior))
     cross = table.cross_tab()
     buckets = solver._BUCKETS
     header = _header_comment(args, args.seed)
@@ -623,12 +623,12 @@ def _cmd_counterfactual(args) -> int:
     template = cf.TEMPLATES[args.template]
     covariates = _read_covariates(args.covariates)
     baseline = _read_baseline(args.baseline)
-    # Solved before the draw files are read, while the heap is small: numpy
-    # keeps some of the solver's small blocks for reuse after the call, and
-    # above the draw files' memory they would stop the allocator from
-    # returning it when this call ends.
-    pairs = cf.counterfactual_doses(book, template, prior, n_draws=args.draws,
-                                    seed=args.seed, grid=_grid(args))
+    # Sampled and solved before the draw files are read, while the heap is
+    # small: numpy keeps some of the solver's small blocks for reuse after
+    # the call, and above the draw files' memory they would stop the
+    # allocator from returning it when this call ends. No name holds the
+    # batch, so its trees are freed when the call returns.
+    pairs = cf.counterfactual_doses(book, template, _batch(args, prior))
     if not pairs:
         raise DomainError(f"{args.codebook}: no {cf.REFORM_CYCLE} row has a redistricting game")
     # A forked child reads the responsiveness draws while this process reads

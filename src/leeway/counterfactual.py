@@ -20,8 +20,7 @@ from .codebook import (Codebook, CourtReview, Drawer, PartyControl, StateProcess
                        Stalemate1, Stalemate2, Veto1, Veto2, validate)
 from .errors import DomainError
 from .inference import COVARIATE_NAMES, EffectSummary, PosteriorDraws, cate_draws
-from .nature import PriorSpec
-from .solver import BatchContext, OptimizationGrid, sample_draws
+from .solver import BatchContext
 
 
 class TemplateError(DomainError):
@@ -156,18 +155,17 @@ class DosePair:
 
 
 def counterfactual_doses(codebook: Codebook, template: ReformTemplate,
-                         prior: PriorSpec, n_draws: int = 100, seed: int = 0,
-                         grid: OptimizationGrid | None = None) -> list[DosePair]:
+                         batch: BatchContext) -> list[DosePair]:
     """Realized leeway before and after reform for every state in :data:`REFORM_CYCLE`.
 
-    Each dose is the ``realized`` leeway score of :func:`~leeway.solver.leeway`.
-    One ``BatchContext(sample_draws(prior, seed, n_draws), grid)`` solves the
-    current and reformed trees of every row together, each distinct tree
-    once, so a reformed row whose tree matches a current one (every row
-    under ``identity``) reuses that solve. Its ``games`` walks the rows and
+    Each dose is the ``realized`` leeway score of :func:`~leeway.solver.leeway`
+    over the batch's draws. The batch solves the current and reformed trees
+    of every row together, each distinct tree once, so a reformed row whose
+    tree matches a current one (every row under ``identity``) reuses that
+    solve; templates compared over one batch share their current trees and
+    any reformed tree they have in common. Its ``games`` walks the rows and
     skips single-district rows, which carry no dose.
     """
-    batch = BatchContext(sample_draws(prior, seed, n_draws), grid)
     return [DosePair(row.state_id, float(current.values.mean()), float(reformed.values.mean()))
             for row, current, reformed in batch.games(
                 codebook.for_cycle(REFORM_CYCLE), lambda row: apply_template(row, template))]

@@ -18,23 +18,26 @@ and leaves the path mass unchanged bit for bit.
 All prior draws of a call are solved as one batch, through a
 :class:`BatchContext` of the draws (:func:`sample_draws`) and a grid: it
 carries the draws as (D, 1) parameter columns through vectorized backward
-induction, with grid optima and tie-breaking taken per draw. A tree reads
-only a :class:`TreeKey` of the process, so each distinct tree is solved
-once. Trees whose keys differ only in which party holds each partisan node
-and in the court context share a shape (:meth:`TreeKey.shape`), and the
-batch solves the keys of one shape that it is asked for together in one
-traversal over their stacked rows, members x draws: each row carries its
-member's party signs, read element by element wherever a step depends on
-party, and each member's block of rows is evaluated in its own court
-context. A pass holds at most ``_PASS_CELLS`` cells per array, members x
-draws x grid points; a larger group takes several passes, and a tree that
-alone exceeds the budget takes one of its own. So trees stack only at up to
-50 draws on the default grid; at the command line's default of 100 draws
-every tree is a pass of one. Every step works row by row, so a tree solved
-in a pass is bitwise equal to the tree solved alone.
-:meth:`BatchContext.games` is the one place that skips single-district
-rows. :func:`solve` is the one-draw case; a solved tree's ``result(d)`` is
-bitwise equal to it on draw d alone.
+induction, with grid optima and tie-breaking taken per draw. The caller
+builds the batch and hands it to each consumer (scores, path table, rank
+stability, counterfactual doses), so consumers handed one batch share its
+draws and its solved trees. A tree reads only a :class:`TreeKey` of the
+process, so each distinct tree is solved once. Trees whose keys differ
+only in which party holds each partisan node and in the court context
+share a shape (:meth:`TreeKey.shape`), and the batch solves the keys of
+one shape that it is asked for together in one traversal over their
+stacked rows, members x draws: each row carries its member's party signs,
+read element by element wherever a step depends on party, and each
+member's block of rows is evaluated in its own court context. A pass holds
+at most ``_PASS_CELLS`` cells per array, members x draws x grid points; a
+larger group takes several passes, and a tree that alone exceeds the
+budget takes one of its own. So trees stack only at up to 50 draws on the
+default grid; at the command line's default of 100 draws every tree is a
+pass of one. Every step works row by row, so a tree solved in a pass is
+bitwise equal to the tree solved alone. :meth:`BatchContext.games` is the
+one place that skips single-district rows. :func:`solve` is the one-draw
+case; a solved tree's ``result(d)`` is bitwise equal to it on draw d
+alone.
 
 The tree is written once, as one method per node kind: the drawer, the
 veto players, the stalemate chain. The drawer node serves both rounds, and
@@ -740,28 +743,31 @@ def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
 
 
 class BatchContext:
-    """One call's prior draws and grid, solving the trees of one shape together in stacked passes.
+    """A run's prior draws and grid, solving the trees of one shape together in stacked passes.
 
-    ``thetas`` holds D draws as (D, 1) columns (see :func:`sample_draws`).
-    Processes that share a :class:`TreeKey` share one :class:`SolvedTree`,
-    and the per-row check, ``codebook.check``, runs on every row. The keys
-    asked for together that are not solved yet are grouped by
-    :meth:`TreeKey.shape`, and each group is solved in one traversal over
-    its stacked rows, with each member's party signs and court context
-    carried per row (see :class:`_TreeEvaluator`). A pass holds at most
-    ``_PASS_CELLS`` (2**14) cells, members x draws x grid points, per array,
-    128 KiB of float64, so a larger group takes several passes and a member
-    that alone exceeds the budget takes one of its own: on the default grid,
-    trees stack only at up to 50 draws. ``trees`` maps each
-    key to its solved tree, and ``passes`` lists the keys of each traversal
-    in order. ``courts`` keeps each court evaluation of the call by
-    (:class:`CourtContext`, shape, raw bytes of the bias), so each distinct
-    one, the base row included, runs once and every tree reads the kept,
-    read-only arrays (see :meth:`_TreeEvaluator.exp_court`).
+    ``thetas`` holds D draws as (D, 1) columns (see :func:`sample_draws`), and
+    ``n_draws`` is D. Processes that share a :class:`TreeKey` share one
+    :class:`SolvedTree`, also across the calls handed the batch, such as the
+    templates of one counterfactual comparison, and the per-row check,
+    ``codebook.check``, runs on every row. The keys asked for together that
+    are not solved yet are grouped by :meth:`TreeKey.shape`, and each group
+    is solved in one traversal over its stacked rows, with each member's
+    party signs and court context carried per row (see
+    :class:`_TreeEvaluator`). A pass holds at most ``_PASS_CELLS`` (2**14)
+    cells, members x draws x grid points, per array, 128 KiB of float64, so
+    a larger group takes several passes and a member that alone exceeds the
+    budget takes one of its own: on the default grid, trees stack only at up
+    to 50 draws. ``trees`` maps each key to its solved tree, and ``passes``
+    lists the keys of each traversal in order. ``courts`` keeps each court
+    evaluation of the call by (:class:`CourtContext`, shape, raw bytes of
+    the bias), so each distinct one, the base row included, runs once and
+    every tree reads the kept, read-only arrays (see
+    :meth:`_TreeEvaluator.exp_court`).
     """
 
     def __init__(self, thetas: GameParameters, grid: OptimizationGrid | None = None):
         self.thetas = thetas
+        self.n_draws = len(thetas.chal_poss_conf)
         self.grid = grid or OptimizationGrid()
         self.trees: dict[TreeKey, SolvedTree] = {}
         self.courts: dict[tuple, nature.ExpCourt] = {}
@@ -792,7 +798,7 @@ class BatchContext:
         for key in dict.fromkeys(keys):
             if key not in self.trees:
                 shapes.setdefault(key.shape(), []).append(key)
-        member_cells = len(self.thetas.chal_poss_conf) * self.grid.base.size
+        member_cells = self.n_draws * self.grid.base.size
         per_pass = max(1, _PASS_CELLS // member_cells)
         for group in shapes.values():
             for start in range(0, len(group), per_pass):
@@ -804,46 +810,37 @@ class BatchContext:
         return [self.trees[key] for key in keys]
 
 
-def leeway(process: StateProcess, prior: PriorSpec, n_draws: int = 100,
-           seed: int = 0, grid: OptimizationGrid | None = None) -> LeewayScores:
-    """Prior-averaged equilibrium scores for one process.
+def leeway(process: StateProcess, batch: BatchContext) -> LeewayScores:
+    """Prior-averaged equilibrium scores for one process over the batch's draws.
 
     ``realized`` averages the equilibrium under the coded party control;
     ``maximum`` is the magnitude of the average equilibrium after handing
     every partisan node to the Democrats (:func:`uniform_control`), reported
-    unsigned. Single-district processes raise NotApplicable before any draw
-    is sampled.
+    unsigned. Single-district processes raise NotApplicable before any tree
+    is solved.
     """
     if process.drawer is Drawer.NA:
         raise NotApplicable(f"{process.key}: single-district state has no leeway score")
-    return leeway_table(Codebook((process,)), prior, n_draws, seed, grid)[0][1]
+    return leeway_table(Codebook((process,)), batch)[0][1]
 
 
-def _scored_rows(codebook: Codebook, prior: PriorSpec, n_draws: int, seed: int,
-                 grid: OptimizationGrid | None):
+def _scored_rows(codebook: Codebook, batch: BatchContext):
     """Yield (row, scores, realized solve) for every solvable row, in codebook order.
 
-    All rows share one batch context, which solves each row's realized and
-    all-Democratic trees together, and the ``realized`` score averages the
-    realized solve.
+    The batch solves each row's realized and all-Democratic trees together,
+    and the ``realized`` score averages the realized solve.
     """
-    batch = BatchContext(sample_draws(prior, seed, n_draws), grid)
     for row, realized, uniform in batch.games(
             codebook, lambda row: uniform_control(row, PartyControl.DEMOCRATS)):
         yield row, LeewayScores(realized=float(realized.values.mean()),
                                 maximum=abs(float(uniform.values.mean())),
-                                n_draws=n_draws), realized
+                                n_draws=batch.n_draws), realized
 
 
-def leeway_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
-                 seed: int = 0, grid: OptimizationGrid | None = None
+def leeway_table(codebook: Codebook, batch: BatchContext
                  ) -> list[tuple[StateProcess, LeewayScores]]:
-    """Leeway scores for every solvable row, in codebook order.
-
-    All rows share one batch context.
-    """
-    return [(row, scores)
-            for row, scores, _ in _scored_rows(codebook, prior, n_draws, seed, grid)]
+    """Leeway scores for every solvable row, in codebook order."""
+    return [(row, scores) for row, scores, _ in _scored_rows(codebook, batch)]
 
 
 _ACTUAL_BUCKET = {
@@ -877,8 +874,7 @@ class PathTable:
         return table
 
 
-def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
-               seed: int = 0, grid: OptimizationGrid | None = None) -> PathTable:
+def path_table(codebook: Codebook, batch: BatchContext) -> PathTable:
     """Pooled final-drawer path probabilities for every solvable row, in codebook order.
 
     A surviving enacted plan counts toward its proposing institution;
@@ -887,21 +883,18 @@ def path_table(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
     stalemate resolvers count toward their institution. Single-district
     rows have no game and are left out, of ``actual`` too.
     """
-    batch = BatchContext(sample_draws(prior, seed, n_draws), grid)
     state_probs, actual = {}, {}
     for row, tree in batch.games(codebook):
         pooled = tree.path_probs.sum(axis=0)  # row by row, as a per-draw loop adds
-        state_probs[row.key] = {b: float(p) / n_draws for b, p in zip(_BUCKETS, pooled)}
+        state_probs[row.key] = {b: float(p) / batch.n_draws for b, p in zip(_BUCKETS, pooled)}
         actual[row.key] = _ACTUAL_BUCKET[row.final_drawer]
     return PathTable(state_probs=state_probs, actual=actual)
 
 
-def equilibrium_matrix(codebook: Codebook, prior: PriorSpec, n_draws: int,
-                       seed: int = 0, grid: OptimizationGrid | None = None) -> np.ndarray:
+def equilibrium_matrix(codebook: Codebook, batch: BatchContext) -> np.ndarray:
     """Realized equilibrium values, shape (n_draws, n_states)."""
-    batch = BatchContext(sample_draws(prior, seed, n_draws), grid)
     columns = [tree.values for _, tree in batch.games(codebook)]
-    return np.array(columns, dtype=float).reshape(len(columns), n_draws).T
+    return np.array(columns, dtype=float).reshape(len(columns), batch.n_draws).T
 
 
 def _average_ranks(matrix: np.ndarray) -> np.ndarray:
@@ -931,12 +924,11 @@ def pairwise_spearman_mean(matrix: np.ndarray) -> float:
     return float(valid.mean())
 
 
-def spearman_stability(codebook: Codebook, prior: PriorSpec, n_draws: int = 100,
-                       seed: int = 0, grid: OptimizationGrid | None = None) -> float:
-    """Average pairwise rank correlation of state equilibria across draws."""
-    if n_draws < 2:
+def spearman_stability(codebook: Codebook, batch: BatchContext) -> float:
+    """Average pairwise rank correlation of state equilibria across the batch's draws."""
+    if batch.n_draws < 2:
         raise DomainError("stability requires at least 2 draws")
-    matrix = equilibrium_matrix(codebook, prior, n_draws, seed, grid)
+    matrix = equilibrium_matrix(codebook, batch)
     if matrix.shape[1] < 5:
         raise DomainError("stability requires at least 5 states")
     return pairwise_spearman_mean(matrix)

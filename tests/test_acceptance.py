@@ -18,8 +18,8 @@ from leeway.inference import (Diagnostics, PosteriorDraws, PriorConfig, acr, bui
 from leeway.metrics import (PlanProfile, SwingModel, competitive_share,
                             expected_seats, responsiveness)
 from leeway.nature import PriorSpec, sample_parameters
-from leeway.solver import (OptimizationGrid, brute_force_solve, path_table, solve,
-                           spearman_stability)
+from leeway.solver import (BatchContext, OptimizationGrid, brute_force_solve, path_table,
+                           sample_draws, solve, spearman_stability)
 from leeway.counterfactual import StateCovariates
 
 PRIOR = PriorSpec.default()
@@ -96,13 +96,13 @@ def test_criterion_5_rank_stability():
     with criterion(5, "equilibrium rankings stable across 100 prior draws (>= 0.95)",
                    max_seconds=120.0):
         assert len(FIXTURE) >= 12
-        rho = spearman_stability(FIXTURE, PRIOR, n_draws=100, seed=1005)
+        rho = spearman_stability(FIXTURE, BatchContext(sample_draws(PRIOR, 1005, 100)))
         assert rho >= 0.95
 
 
 def test_criterion_6_path_table():
     with criterion(6, "path probabilities conserve mass and land on the diagonal"):
-        table = path_table(FIXTURE, PRIOR, n_draws=50, seed=1006)
+        table = path_table(FIXTURE, BatchContext(sample_draws(PRIOR, 1006, 50)))
         for key, probs in table.state_probs.items():
             assert abs(sum(probs.values()) - 1.0) < 1e-9, key
         assert table.modal(("MI", 2020)) == "commission"
@@ -176,13 +176,13 @@ def test_criterion_9_counterfactual_properties():
     with criterion(9, "identity reform is a per-draw no-op; nonpartisan reform "
                       "zeroes doses; national change sums state effects"):
         book = FIXTURE.for_cycle(2020)
-        identity = counterfactual_doses(book, TEMPLATES["identity"], PRIOR,
-                                        n_draws=20, seed=1009)
+        identity = counterfactual_doses(book, TEMPLATES["identity"],
+                                        BatchContext(sample_draws(PRIOR, 1009, 20)))
         for pair in identity:
             assert pair.d_reformed == pair.d_current
 
-        mi = counterfactual_doses(book, TEMPLATES["mi"], PRIOR,
-                                  n_draws=20, seed=1009)
+        mi = counterfactual_doses(book, TEMPLATES["mi"],
+                                  BatchContext(sample_draws(PRIOR, 1009, 20)))
         for pair in mi:
             if not book.get(pair.state_id, 2020).preclearance:
                 assert pair.d_reformed == 0.0

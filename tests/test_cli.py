@@ -761,6 +761,19 @@ class TestCounterfactualCommand:
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("command", ["leeway", "paths", "counterfactual"])
+def test_grid_step_reported_before_draw_count(command, small_codebook, small_model, inputs,
+                                              tmp_path, capsys):
+    # The run's batch builds its grid before it samples the draws.
+    out, flags = tmp_path / "o.json", ["--grid-step", "0", "--draws", "0"]
+    argv = (counterfactual_argv(small_codebook, small_model, inputs, out, *flags)
+            if command == "counterfactual"
+            else [command, "--codebook", small_codebook, "--output", str(out), *flags])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: grid step 0.0 out of range\n"
+    assert not out.exists()
+
+
 def random_draws(chains, n, seed=0, decades=5):
     """Draws with full-precision floats spread over +-``decades`` powers of ten."""
     rng = np.random.default_rng(seed)

@@ -13,7 +13,7 @@ from leeway.counterfactual import (TEMPLATES, Baseline, DosePair, ReformTemplate
 from leeway.errors import DomainError
 from leeway.inference import Diagnostics, PosteriorDraws, cate_draws
 from leeway.nature import PriorSpec
-from leeway.solver import leeway
+from leeway.solver import BatchContext, TreeKey, leeway, sample_draws
 
 from test_codebook import make_process
 
@@ -86,12 +86,12 @@ class TestTemplates:
     def test_mi_template_zeroes_maximum_leeway(self):
         for key in (("WV", 2020), ("KS", 2020)):  # no preclearance exposure
             reformed = apply_template(FIXTURE.get(*key), TEMPLATES["mi"])
-            scores = leeway(reformed, PRIOR, n_draws=15, seed=2)
+            scores = leeway(reformed, BatchContext(sample_draws(PRIOR, 2, 15)))
             assert scores.maximum == 0.0
 
     def test_mi_template_on_preclearance_state_keeps_small_vra_residue(self):
         reformed = apply_template(FIXTURE.get("AL", 2020), TEMPLATES["mi"])
-        scores = leeway(reformed, PRIOR, n_draws=15, seed=2)
+        scores = leeway(reformed, BatchContext(sample_draws(PRIOR, 2, 15)))
         assert 0.0 < scores.maximum < 0.05
 
     def test_single_district_rejected(self):
@@ -113,28 +113,26 @@ class TestTemplates:
 class TestDoses:
     def test_identity_doses_equal(self):
         book = Codebook((FIXTURE.get("AL", 2020), FIXTURE.get("MN", 2020)))
-        pairs = counterfactual_doses(book, TEMPLATES["identity"], PRIOR,
-                                     n_draws=8, seed=4)
+        pairs = counterfactual_doses(book, TEMPLATES["identity"],
+                                     BatchContext(sample_draws(PRIOR, 4, 8)))
         for pair in pairs:
             assert pair.d_reformed == pair.d_current
 
     def test_mi_doses_zero_without_preclearance(self):
         book = Codebook((FIXTURE.get("KS", 2020), FIXTURE.get("WI", 2020),
                          FIXTURE.get("OH", 2020)))
-        pairs = counterfactual_doses(book, TEMPLATES["mi"], PRIOR,
-                                     n_draws=8, seed=4)
+        pairs = counterfactual_doses(book, TEMPLATES["mi"],
+                                     BatchContext(sample_draws(PRIOR, 4, 8)))
         for pair in pairs:
             assert pair.d_reformed == 0.0
 
     def test_oh_dose_between_mi_and_current_for_trifectas(self):
         book = Codebook((FIXTURE.get("WV", 2020), FIXTURE.get("IN", 2020),
                          FIXTURE.get("WI", 2010)))
-        current = counterfactual_doses(book, TEMPLATES["identity"], PRIOR,
-                                       n_draws=8, seed=4)
-        oh = counterfactual_doses(book, TEMPLATES["oh"], PRIOR,
-                                  n_draws=8, seed=4)
-        mi = counterfactual_doses(book, TEMPLATES["mi"], PRIOR,
-                                  n_draws=8, seed=4)
+        batch = BatchContext(sample_draws(PRIOR, 4, 8))
+        current = counterfactual_doses(book, TEMPLATES["identity"], batch)
+        oh = counterfactual_doses(book, TEMPLATES["oh"], batch)
+        mi = counterfactual_doses(book, TEMPLATES["mi"], batch)
         for c, o, m in zip(current, oh, mi):
             assert abs(m.d_reformed) < abs(o.d_reformed) < abs(c.d_current)
 
@@ -145,9 +143,36 @@ class TestDoses:
                               court_control=PartyControl.NA,
                               stalemate1=Stalemate1.NA)
         book = Codebook((FIXTURE.get("KS", 2020), single))
-        pairs = counterfactual_doses(book, TEMPLATES["identity"], PRIOR,
-                                     n_draws=3, seed=1)
+        pairs = counterfactual_doses(book, TEMPLATES["identity"],
+                                     BatchContext(sample_draws(PRIOR, 1, 3)))
         assert [p.state_id for p in pairs] == ["KS"]
+
+
+def dose_bytes(pairs) -> tuple:
+    return [p.state_id for p in pairs], np.array([(p.d_current, p.d_reformed)
+                                                  for p in pairs]).tobytes()
+
+
+class TestSharedBatch:
+    """Templates compared over one batch: the same draws, and each distinct tree solved once."""
+
+    BOOK = FIXTURE.for_cycle(2020)
+    NAMES = ("identity", "ny", "oh", "mi")
+
+    def test_shared_batch_equals_one_batch_per_template(self):
+        shared = BatchContext(sample_draws(PRIOR, 11, 25))
+        for name in self.NAMES:
+            alone = counterfactual_doses(self.BOOK, TEMPLATES[name],
+                                         BatchContext(sample_draws(PRIOR, 11, 25)))
+            together = counterfactual_doses(self.BOOK, TEMPLATES[name], shared)
+            assert dose_bytes(together) == dose_bytes(alone), name
+
+        keys = {TreeKey.of(process) for row in self.BOOK if row.drawer is not Drawer.NA
+                for process in (row, *(apply_template(row, TEMPLATES[name])
+                                       for name in self.NAMES))}
+        solved = [key for members in shared.passes for key in members]
+        assert len(solved) == len(set(solved)) == len(keys) == 41
+        assert set(solved) == keys
 
 
 class TestPredictNational:

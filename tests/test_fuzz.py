@@ -136,7 +136,7 @@ def test_every_row_that_validates_solves(processes):
             values = batch.solve(controlled).values
             assert len(values) == 3 and all(-4.0 <= v <= 4.0 for v in values), controlled
     # The path table reads final_drawer too, so every accepted row must have one.
-    table = path_table(Codebook(tuple(valid)), PRIOR, n_draws=3, seed=782)
+    table = path_table(Codebook(tuple(valid)), BatchContext(sample_draws(PRIOR, 782, 3)))
     assert list(table.state_probs) == list(table.actual) == [p.key for p in accepted]
 
 

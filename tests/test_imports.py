@@ -34,6 +34,9 @@ call ``validate``.
 
 Only ``solver.BatchContext`` constructs the tree evaluator,
 ``_TreeEvaluator``, so every tree is solved in a pass of its shape's group.
+
+Only ``cli._batch`` calls ``sample_draws``: every solver consumer takes the
+batch of its caller, so consumers handed one batch share its draws.
 """
 
 import ast
@@ -432,6 +435,10 @@ def test_only_the_batch_builds_tree_evaluators():
     assert _callers("_TreeEvaluator") == {"solver.py:BatchContext"}
 
 
+def test_only_the_cli_samples_draws():
+    assert _callers("sample_draws") == {"cli.py:_batch"}
+
+
 @pytest.mark.parametrize("source,name,expected", [
     ("def path_table(book):\n    for row in book:\n        validate(row)\n", "validate",
      [(3, "path_table")]),
@@ -445,6 +452,9 @@ def test_only_the_batch_builds_tree_evaluators():
      "_TreeEvaluator", [(2, "solve")]),
     ("class SolvedTree:\n    def alone(self):\n        return solver._TreeEvaluator(k, t, g, c)\n",
      "_TreeEvaluator", [(3, "SolvedTree")]),
+    ("def _batch(args, prior):\n"
+     "    return BatchContext(solver.sample_draws(prior, args.seed, args.draws))\n",
+     "sample_draws", [(2, "_batch")]),
 ])
 def test_scan_finds_calls(source, name, expected):
     assert calls_of(source, name) == expected

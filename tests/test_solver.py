@@ -445,21 +445,21 @@ class TestInvariants:
 
 class TestLeeway:
     def test_table_matches_per_row_scores(self):
-        table = leeway_table(FIXTURE, PRIOR, n_draws=3, seed=1)
+        table = leeway_table(FIXTURE, BatchContext(sample_draws(PRIOR, 1, 3)))
         solvable = [row for row in FIXTURE if row.drawer is not Drawer.NA]
         assert [row for row, _ in table] == solvable
         for row, scores in table:
-            assert scores == leeway(row, PRIOR, n_draws=3, seed=1)
+            assert scores == leeway(row, BatchContext(sample_draws(PRIOR, 1, 3)))
 
     def test_michigan_maximum_zero(self):
-        scores = leeway(FIXTURE.get("MI", 2020), PRIOR, n_draws=30, seed=9)
+        scores = leeway(FIXTURE.get("MI", 2020), BatchContext(sample_draws(PRIOR, 9, 30)))
         assert scores.maximum == 0.0
         assert scores.realized == 0.0
 
     def test_republican_trifecta_nearly_unconstrained(self):
         process = FIXTURE.get("WI", 2010)  # legislature+governor R, no review
         grid = OptimizationGrid(refine=False)
-        scores = leeway(process, PRIOR, n_draws=40, seed=13, grid=grid)
+        scores = leeway(process, BatchContext(sample_draws(PRIOR, 13, 40), grid))
         # oracle: per draw, the optimum of the post-enactment expectation
         # over the same grid (no veto or stalemate branch binds)
         ctx = CourtContext(process.court_review, process.court_control, process.preclearance)
@@ -471,18 +471,18 @@ class TestLeeway:
 
     def test_deterministic(self):
         row = FIXTURE.get("OH", 2020)
-        a = leeway(row, PRIOR, n_draws=5, seed=3)
-        b = leeway(row, PRIOR, n_draws=5, seed=3)
+        a = leeway(row, BatchContext(sample_draws(PRIOR, 3, 5)))
+        b = leeway(row, BatchContext(sample_draws(PRIOR, 3, 5)))
         assert a == b
 
     def test_single_district_raises(self):
         with pytest.raises(NotApplicable):
-            leeway(SINGLE_DISTRICT, PRIOR, n_draws=1)
+            leeway(SINGLE_DISTRICT, BatchContext(sample_draws(PRIOR, 0, 1)))
 
 
 class TestPathTable:
     def test_fixture_mass_conservation(self):
-        table = path_table(FIXTURE, PRIOR, n_draws=10, seed=21)
+        table = path_table(FIXTURE, BatchContext(sample_draws(PRIOR, 21, 10)))
         for key, probs in table.state_probs.items():
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9), key
         cross = table.cross_tab()
@@ -497,7 +497,7 @@ class TestPathTable:
         book = Codebook((process,))
         n_draws = 40
         grid = OptimizationGrid(refine=False)
-        table = path_table(book, PRIOR, n_draws=n_draws, seed=33, grid=grid)
+        table = path_table(book, BatchContext(sample_draws(PRIOR, 33, n_draws), grid))
         probs = table.state_probs[("KS", 2020)]
 
         ctx = CourtContext(process.court_review, process.court_control, process.preclearance)
@@ -516,7 +516,7 @@ class TestPathTable:
         # golden digests at 6 draws cannot see: the pooled mass must equal
         # the sequential sum over draws of one-draw solves, bitwise.
         n_draws = 20
-        table = path_table(FIXTURE, PRIOR, n_draws=n_draws, seed=23)
+        table = path_table(FIXTURE, BatchContext(sample_draws(PRIOR, 23, n_draws)))
         thetas = [sample_parameters(PRIOR, 23, i) for i in range(n_draws)]
         for row in FIXTURE:
             pooled = dict.fromkeys(("legislature", "commission", "court"), 0.0)
@@ -527,7 +527,7 @@ class TestPathTable:
             assert table.state_probs[row.key] == want, row.key
 
     def test_modal_buckets(self):
-        table = path_table(FIXTURE, PRIOR, n_draws=10, seed=21)
+        table = path_table(FIXTURE, BatchContext(sample_draws(PRIOR, 21, 10)))
         assert table.modal(("MI", 2020)) == "commission"
         assert table.modal(("IN", 2020)) == "legislature"
         assert table.actual[("NC", 2020)] == "court"
@@ -636,20 +636,21 @@ class TestBatchContext:
 
     def test_one_solve_per_distinct_tree(self, monkeypatch):
         made = self.batches(monkeypatch)
-        leeway_table(self.BOOK, PRIOR, n_draws=2, seed=101)
+        leeway_table(self.BOOK, BatchContext(sample_draws(PRIOR, 101, 2)))
         keys = {TreeKey.of(process) for row in self.BOOK
                 for process in (row, uniform_control(row, PartyControl.DEMOCRATS))}
         assert len(keys) == 41  # of 88 (row, party control) pairs
         assert self.passes(made.pop(), keys) == 11
 
-        path_table(self.BOOK, PRIOR, n_draws=2, seed=101)
+        path_table(self.BOOK, BatchContext(sample_draws(PRIOR, 101, 2)))
         keys = {TreeKey.of(row) for row in self.BOOK}
         assert len(keys) == 30  # of 44 rows
         assert self.passes(made.pop(), keys) == 11
 
         for name, (trees, passes) in {"mi": (16, 11), "ny": (28, 15), "oh": (27, 14),
                                       "identity": (15, 11)}.items():
-            counterfactual_doses(FIXTURE, TEMPLATES[name], PRIOR, n_draws=2, seed=101)
+            counterfactual_doses(FIXTURE, TEMPLATES[name],
+                                 BatchContext(sample_draws(PRIOR, 101, 2)))
             keys = {TreeKey.of(process) for row in FIXTURE.for_cycle(2020)
                     for process in (row, apply_template(row, TEMPLATES[name]))}
             assert len(keys) == trees, name
@@ -714,15 +715,17 @@ class TestBatchContext:
             calls.clear()
             return counted
 
-        for _, _, realized in solver._scored_rows(self.BOOK, PRIOR, 20, 101, None):
+        for _, _, realized in solver._scored_rows(self.BOOK,
+                                                  BatchContext(sample_draws(PRIOR, 101, 20))):
             cli._diagnostic_fields(realized)  # as `leeway --emit-diagnostics` does
         assert counts() == (10, 64)  # of 160 evaluations without the cache
 
-        path_table(self.BOOK, PRIOR, n_draws=20, seed=101)
+        path_table(self.BOOK, BatchContext(sample_draws(PRIOR, 101, 20)))
         assert counts() == (8, 49)  # of 115
 
         for name, count in {"mi": 28, "ny": 33, "oh": 38, "identity": 27}.items():
-            counterfactual_doses(FIXTURE, TEMPLATES[name], PRIOR, n_draws=20, seed=101)
+            counterfactual_doses(FIXTURE, TEMPLATES[name],
+                                 BatchContext(sample_draws(PRIOR, 101, 20)))
             assert counts() == (5, count), name
 
     def test_kept_courts_read_only_and_small(self):
@@ -747,29 +750,32 @@ class TestBatchContext:
                    for key, court in added)
         assert len(added) == 54 and size <= 1.1e6
 
-    def test_single_district_rows_rejected_before_sampling(self, monkeypatch):
+    def test_single_district_rows_rejected_before_any_solve(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(solver, "sample_draws", lambda *args: calls.append("sample_draws"))
+        batch = BatchContext(sample_draws(PRIOR, 0, 2))
         monkeypatch.setattr(_TreeEvaluator, "solve", lambda tree: calls.append("solve"))
         with pytest.raises(NotApplicable, match="single-district state has no leeway score"):
-            leeway(SINGLE_DISTRICT, PRIOR, n_draws=2)
-        assert calls == []
+            leeway(SINGLE_DISTRICT, batch)
+        assert calls == [] and batch.trees == {}
 
     def test_path_table_skips_single_district_rows(self):
         # As leeway_table does: the row has no game, so no path and no actual bucket.
-        with_single = path_table(Codebook((*FIXTURE, SINGLE_DISTRICT)), PRIOR, n_draws=2, seed=3)
-        without = path_table(FIXTURE, PRIOR, n_draws=2, seed=3)
+        with_single = path_table(Codebook((*FIXTURE, SINGLE_DISTRICT)),
+                                 BatchContext(sample_draws(PRIOR, 3, 2)))
+        without = path_table(FIXTURE, BatchContext(sample_draws(PRIOR, 3, 2)))
         assert SINGLE_DISTRICT.key not in with_single.state_probs
         assert with_single == without
 
-    def test_path_table_rejects_missing_final_drawer_before_sampling(self, monkeypatch):
-        # parse_codebook rejects the row; a Codebook built in code may hold it.
+    def test_path_table_rejects_missing_final_drawer_before_any_solve(self, monkeypatch):
+        # parse_codebook and Codebook reject the row; a plain tuple of rows reaches
+        # the batch, whose TreeKey.of checks every row before the first solve.
         calls = []
-        monkeypatch.setattr(solver, "sample_draws", lambda *args: calls.append("sample_draws"))
+        batch = BatchContext(sample_draws(PRIOR, 0, 2))
+        monkeypatch.setattr(_TreeEvaluator, "solve", lambda tree: calls.append("solve"))
         with pytest.raises(InvariantViolation, match=re.escape(
                 "('ZZ', 2020): [final-drawer-missing] drawer present but final_drawer is NA")):
-            path_table(Codebook((make_process(final_drawer=FinalDrawer.NA),)), PRIOR, n_draws=2)
-        assert calls == []
+            path_table((make_process(final_drawer=FinalDrawer.NA),), batch)
+        assert calls == [] and batch.trees == {}
 
 
 class TestPassBudget:
@@ -874,15 +880,15 @@ class TestSpearman:
         assert _average_ranks(matrix).tobytes() == stats.rankdata(matrix, axis=1).tobytes()
 
     def test_fixture_stability(self):
-        rho = spearman_stability(FIXTURE, PRIOR, n_draws=25, seed=51)
+        rho = spearman_stability(FIXTURE, BatchContext(sample_draws(PRIOR, 51, 25)))
         assert rho >= 0.95
 
     def test_requires_enough_draws(self):
         with pytest.raises(DomainError):
-            spearman_stability(FIXTURE, PRIOR, n_draws=1)
+            spearman_stability(FIXTURE, BatchContext(sample_draws(PRIOR, 0, 1)))
 
     def test_codebook_without_solvable_rows(self):
         book = Codebook((SINGLE_DISTRICT,))
-        assert equilibrium_matrix(book, PRIOR, n_draws=3).shape == (3, 0)
+        assert equilibrium_matrix(book, BatchContext(sample_draws(PRIOR, 0, 3))).shape == (3, 0)
         with pytest.raises(DomainError, match="at least 5 states"):
-            spearman_stability(book, PRIOR, n_draws=3)
+            spearman_stability(book, BatchContext(sample_draws(PRIOR, 0, 3)))
