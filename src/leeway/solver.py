@@ -22,22 +22,22 @@ induction, with grid optima and tie-breaking taken per draw. The caller
 builds the batch and hands it to each consumer (scores, path table, rank
 stability, counterfactual doses), so consumers handed one batch share its
 draws and its solved trees. A tree reads only a :class:`TreeKey` of the
-process, so each distinct tree is solved once. Trees whose keys differ
-only in which party holds each partisan node and in the court context
-share a shape (:meth:`TreeKey.shape`), and the batch solves the keys of
-one shape that it is asked for together in one traversal over their
-stacked rows, members x draws: each row carries its member's party signs,
-read element by element wherever a step depends on party, and each
-member's block of rows is evaluated in its own court context. A pass holds
-at most ``_PASS_CELLS`` cells per array, members x draws x grid points; a
-larger group takes several passes, and a tree that alone exceeds the
-budget takes one of its own. So trees stack only at up to 50 draws on the
-default grid; at the command line's default of 100 draws every tree is a
-pass of one. Every step works row by row, so a tree solved in a pass is
-bitwise equal to the tree solved alone. :meth:`BatchContext.games` is the
-one place that skips single-district rows. :func:`solve` is the one-draw
-case; a solved tree's ``result(d)`` is bitwise equal to it on draw d
-alone.
+process, so each distinct tree is solved once. A key is its shape, its
+signs and its court: the node kinds with each Democratic or Republican
+control read as "partisan", the party sign of each step that depends on
+party, and the court context. The batch solves the keys of one shape that
+it is asked for together in one traversal over their stacked rows,
+members x draws: each row carries its member's signs, read element by
+element, and each member's block of rows is evaluated in its own court
+context. A pass holds at most ``_PASS_CELLS`` cells per array, members x
+draws x grid points; a larger group takes several passes, and a tree that
+alone exceeds the budget takes one of its own. So trees stack only at up
+to 50 draws on the default grid; at the command line's default of 100
+draws every tree is a pass of one. Every step works row by row, so a tree
+solved in a pass is bitwise equal to the tree solved alone.
+:meth:`BatchContext.games` is the one place that skips single-district
+rows. :func:`solve` is the one-draw case; a solved tree's ``result(d)`` is
+bitwise equal to it on draw d alone.
 
 The tree is written once, as one method per node kind: the drawer, the
 veto players, the stalemate chain. The drawer node serves both rounds, and
@@ -135,22 +135,30 @@ _LINK_KIND = {
 }
 
 
+def _role(control):
+    """A node's control as its tree reads it: Democrats and Republicans read "partisan"."""
+    return "partisan" if control in _PARTISAN else control
+
+
 @dataclass(frozen=True)
 class TreeKey:
-    """What the game tree of one process reads, and nothing else.
+    """What the game tree of one process reads, and nothing else: its shape, signs and court.
 
     Rows with equal keys have bitwise-equal solves, so a batch solves each
     key once. The key leaves out the state, cycle and final drawer, the
     control of an absent veto node, and every stalemate link from the first
-    court or unclear link on, which ends the chain whatever follows.
+    court or unclear link on, which ends the chain whatever follows. Which
+    party holds a node enters the key only as the
+    :func:`~leeway.nature.party_sign` of each step it pushes, so keys of one
+    shape build the same tree, and a party mirror negates every sign.
     """
 
-    drawer: str        # the drawer's bucket: "legislature" or "commission"
-    drawer_control: PartyControl
-    vetoes: tuple      # (mode, control) per veto node in play order, mode one of
-                       # absent | partisan | split | prob; control None when absent
-    chain: tuple       # (kind, control) per stalemate link that has a body; past
-                       # the last one, the court resolves
+    shape: tuple       # the drawer's bucket and role, then (mode, role) per veto node,
+                       # mode absent | partisan | split | prob, then (kind, role) per
+                       # stalemate link with a body; past the last, the court resolves
+    signs: tuple       # the drawer's, each veto player's and their mean (a nonpartisan
+                       # redraw's weight), then the lean of each link and of the court's
+                       # default: the node's own party's sign, else the drawer's
     court: CourtContext
 
     @classmethod
@@ -159,7 +167,17 @@ class TreeKey:
         if process.drawer is Drawer.NA:
             raise NotApplicable(f"{process.key}: single-district state has no game")
         check(process)
-        chain = []
+        drawer = nature.party_sign(process.drawer_control)
+        shape = ["legislature" if process.drawer is Drawer.LEGISLATURE else "commission",
+                 _role(process.drawer_control)]
+        signs = [drawer]
+        for mode, control in (_veto_node(process.veto1, Veto1.NA, process.veto1_control,
+                                         voters=process.veto1 is Veto1.VOTERS),
+                              _veto_node(process.veto2, Veto2.NA, process.veto2_control,
+                                         voters=False)):
+            shape.append((mode, _role(control)))
+            signs.append(nature.party_sign(control))
+        signs.append((signs[1] + signs[2]) / 2.0)
         for body, na, control in ((process.stalemate1, Stalemate1.NA, process.stalemate1_control),
                                   (process.stalemate2, Stalemate2.NA, process.stalemate2_control)):
             if body is na:
@@ -167,29 +185,11 @@ class TreeKey:
             kind = _LINK_KIND[body]
             if kind in ("court", "unclear"):
                 break
-            chain.append((kind, control))
-        return cls(
-            drawer="legislature" if process.drawer is Drawer.LEGISLATURE else "commission",
-            drawer_control=process.drawer_control,
-            vetoes=(_veto_node(process.veto1, Veto1.NA, process.veto1_control,
-                               voters=process.veto1 is Veto1.VOTERS),
-                    _veto_node(process.veto2, Veto2.NA, process.veto2_control, voters=False)),
-            chain=tuple(chain),
-            court=CourtContext(process.court_review, process.court_control, process.preclearance),
-        )
-
-    def shape(self) -> tuple:
-        """The key without its parties and court: keys of one shape build the same tree.
-
-        Each Democratic or Republican control reads "partisan". Keys of one
-        shape differ only in which party holds each partisan node and in the
-        court context, which a stacked pass carries per member.
-        """
-        def role(control):
-            return "partisan" if control in _PARTISAN else control
-
-        return (self.drawer, role(self.drawer_control),
-                *[(mode, role(control)) for mode, control in self.vetoes + self.chain])
+            shape.append((kind, _role(control)))
+            signs.append(nature.party_sign(control) or drawer)
+        signs.append(nature.party_sign(process.court_control) or drawer)
+        return cls(tuple(shape), tuple(signs),
+                   CourtContext(process.court_review, process.court_control, process.preclearance))
 
 
 @dataclass(frozen=True)
@@ -267,22 +267,12 @@ def _carries(mass) -> bool:
     return mass != 0.0 if isinstance(mass, float) else mass.any()
 
 
-class _Courts:
-    """The court evaluations of a pass's members at one bias, one ExpCourt block of D rows each.
-
-    Read like one ExpCourt of all the pass's rows: ``value`` is stacked at
-    once, the path-mass fields on read, from blocks kept only at a column, where mass goes.
-    """
-
-    __slots__ = ("blocks", "value")
-
-    def __init__(self, blocks, column: bool):
-        if column:
-            blocks = self.blocks = list(blocks)
-        self.value = np.concatenate([block.value for block in blocks])
-
-    pr_redraw = property(lambda self: np.concatenate([block.pr_redraw for block in self.blocks]))
-    pr_survive = property(lambda self: np.concatenate([block.pr_survive for block in self.blocks]))
+def _stacked(blocks: list) -> nature.ExpCourt:
+    """A pass's court blocks, one per member, as one ExpCourt; a field None at a grid stays None."""
+    if len(blocks) == 1:
+        return blocks[0]
+    return nature.ExpCourt(*[None if parts[0] is None else np.concatenate(parts)
+                             for parts in zip(*blocks)])
 
 
 class _TreeEvaluator:
@@ -293,16 +283,17 @@ class _TreeEvaluator:
     repeated once per member, and every bias argument broadcasts against
     them: the base grid is a (1, G) row, refinement points are (M x D, n)
     with one row per draw, and a per-draw bias is a column. The members share
-    a :meth:`TreeKey.shape`, so the first key gives the tree's structure.
-    What the shape leaves out is carried per member: the party sign of each
-    step that depends on party, read row by row (:meth:`_signs`), and the
-    court context, in which each member's block is evaluated on its own.
+    the key's ``shape``, which gives the tree's structure; the rest of the key
+    is carried per member: its ``signs``, read row by row wherever a step
+    depends on party, and its ``court``, in which its block is evaluated.
     """
 
     def __init__(self, keys: list[TreeKey], thetas: GameParameters, grid: OptimizationGrid,
                  courts: dict):
-        # The tree's structure is the first key's, which every member shares.
-        self.keys, self.key = keys, keys[0]
+        self.keys = keys
+        # The tree's structure: the shape every member shares.
+        self.bucket, self.drawer_role, *nodes = keys[0].shape
+        self.vetoes, self.chain = nodes[:2], nodes[2:]
         # The batch's parts, not the batch: a reference cycle would outlive the call.
         self.draws = thetas
         self.grid = grid
@@ -311,13 +302,13 @@ class _TreeEvaluator:
         self.n_rows = len(keys) * self.n_draws
         self.theta = thetas if len(keys) == 1 else thetas.tiled(len(keys))
         self.base = self.grid.base
-        self.can_veto = any(mode in ("partisan", "prob") for mode, _ in self.key.vetoes)
-        # Each sign of _signs as one float where every member has the same,
+        self.can_veto = any(mode in ("partisan", "prob") for mode, _ in self.vetoes)
+        # Each of the keys' signs as one float where every member has the same,
         # else as a column of each member's sign repeated over its draws.
         (self.drawer_sign, veto1, veto2, self.round2_weight,
          *self.leans) = [column[0] if column.count(column[0]) == len(column)
                          else np.repeat(column, self.n_draws)[:, None]
-                         for column in zip(*map(self._signs, keys))]
+                         for column in zip(*(key.signs for key in keys))]
         self.veto_signs = (veto1, veto2)
 
         # Per-row grid optimum of each optimizing node, ("stalemate", k) or
@@ -329,21 +320,6 @@ class _TreeEvaluator:
         self.acc = {b: np.zeros((self.n_rows, 1)) for b in _BUCKETS}
         # The first row of each member's block.
         self.starts = range(0, self.n_rows, self.n_draws)
-
-    @staticmethod
-    def _signs(key: TreeKey) -> tuple:
-        """The :func:`~leeway.nature.party_sign` of each party-dependent step of one key.
-
-        The drawer's, each veto player's and their mean (a nonpartisan
-        round-2 redraw's weight), then the lean of each link and of the
-        court's stalemate default: the node's own party's, else the drawer's.
-        A partisan link's lean is its own sign.
-        """
-        drawer = nature.party_sign(key.drawer_control)
-        veto1, veto2 = [nature.party_sign(control) for _, control in key.vetoes]
-        return (drawer, veto1, veto2, (veto1 + veto2) / 2.0,
-                *[nature.party_sign(control) or drawer for _, control in key.chain],
-                nature.party_sign(key.court.court_control) or drawer)
 
     # Once per pass: each link's stalemate-default offset (the court's last) and the round-2 shift.
     offsets = functools.cached_property(
@@ -369,19 +345,19 @@ class _TreeEvaluator:
         raw bytes (so -0.0 and 0.0 are distinct keys), and its arrays are
         made read-only: a hit hands the same arrays to every tree of the
         batch that asks; at a grid, where no mass goes, a block is its value
-        alone. A pass stacks the base row's blocks for its solve and its walks.
+        alone. A pass of several members stacks their blocks into one ExpCourt
+        of its rows, and stacks the base row's once for its solve and its walks.
         """
         if x is self.base:
             return self._base_court
         if len(self.keys) == 1:
             return self._court(x, self.keys[0].court)
-        return _Courts((self._court(x[start:start + self.n_draws], key.court)
-                        for start, key in zip(self.starts, self.keys)), x.shape[1] == 1)
+        return _stacked([self._court(x[start:start + self.n_draws], key.court)
+                         for start, key in zip(self.starts, self.keys)])
 
     @functools.cached_property
     def _base_court(self):
-        blocks = [self._court(self.base, key.court) for key in self.keys]
-        return blocks[0] if len(blocks) == 1 else _Courts(blocks, column=False)
+        return _stacked([self._court(self.base, key.court) for key in self.keys])
 
     def _court(self, x, ctx: CourtContext) -> nature.ExpCourt:
         if x is not self.base and x.shape[1] == self.base.shape[1]:
@@ -410,20 +386,20 @@ class _TreeEvaluator:
         and that mass is routed before the mass of its own enactment.
         Past the last link the court resolves, leaning by its own party.
         """
-        if k >= len(self.key.chain):
+        if k >= len(self.chain):
             if _carries(mass):
                 self.acc["court"] += mass
             return nature.stalemate_toward(anchor, self.offsets[k], self.theta)
-        kind, control = self.key.chain[k]
+        kind, role = self.chain[k]
         bucket = "commission" if kind == "commission" else "legislature"
-        if control in _PARTISAN:
+        if role == "partisan":
             x_opt, value = self._optimum(("stalemate", k), lambda y: self.exp_court(y).value,
                                          self.leans[k])
             if _carries(mass):
                 self._settle(self.exp_court(x_opt), mass, bucket)
             return value
         proposal = nature.stalemate_toward(anchor, self.offsets[k], self.theta)
-        if control is PartyControl.SPLIT:
+        if role is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
             rest = self.stalemate(anchor, mass * p, k + 1)
             court = self.exp_court(proposal)
@@ -446,14 +422,14 @@ class _TreeEvaluator:
         """
         court = self.exp_court(x)
         if not self.can_veto:
-            self._settle(court, mass, self.key.drawer)
+            self._settle(court, mass, self.bucket)
             return court.value
         subgame = functools.partial(self.drawer, 2) if round_ == 1 else self.stalemate
         veto_value = subgame(x)
         stage = court.value
         decided, q = {}, None
         for index in (1, 0):
-            mode = self.key.vetoes[index][0]
+            mode = self.vetoes[index][0]
             if mode == "partisan":
                 decided[index] = self.veto_signs[index] * (veto_value - stage) > 0.0
                 stage = np.where(decided[index], veto_value, stage)
@@ -465,7 +441,7 @@ class _TreeEvaluator:
                 stage = q * veto_value + (1.0 - q) * stage
         if _carries(mass):
             for index in (0, 1):
-                mode = self.key.vetoes[index][0]
+                mode = self.vetoes[index][0]
                 if mode == "partisan":
                     vetoed = np.where(decided[index], mass, 0.0)
                     mass = np.where(decided[index], 0.0, mass)
@@ -475,7 +451,7 @@ class _TreeEvaluator:
                     continue
                 if _carries(vetoed):
                     subgame(x, vetoed)
-            self._settle(court, mass, self.key.drawer)
+            self._settle(court, mass, self.bucket)
         return stage
 
     def _partisan_move(self, round_: int, anchor):
@@ -501,8 +477,7 @@ class _TreeEvaluator:
         proposal with 0.0 where it stalemates, which anchors the round-2
         diagnostics.
         """
-        control = self.key.drawer_control
-        if control in _PARTISAN:
+        if self.drawer_role == "partisan":
             x, stalemates, value = self._partisan_move(round_, anchor)
             if _carries(mass):
                 self.stalemate(anchor, np.where(stalemates, mass, 0.0))
@@ -511,7 +486,7 @@ class _TreeEvaluator:
                     self.action = np.where(stalemates, 0.0, x)
             return value
         proposal = anchor if round_ == 1 else nature.clamp_bias(anchor + self.round2_offset)
-        if control is PartyControl.SPLIT:
+        if self.drawer_role is PartyControl.SPLIT:
             p = self.theta.stale_split_prob
             stale = self.stalemate(anchor, mass * p)
             return p * stale + (1.0 - p) * self.plan(proposal, round_, mass * (1.0 - p))
@@ -545,8 +520,8 @@ class _TreeEvaluator:
         self.values = self.drawer(1, zero, 1.0)[:, 0]
         self.path_probs = np.hstack([self.acc[b] for b in _BUCKETS])
         x2, stalemates = np.full_like(zero, np.nan), np.zeros_like(zero, dtype=bool)
-        if any(m != "absent" for m, _ in self.key.vetoes):
-            if self.key.drawer_control in _PARTISAN:
+        if any(m != "absent" for m, _ in self.vetoes):
+            if self.drawer_role == "partisan":
                 x2, stalemates, _ = self._partisan_move(2, self.action)
             else:
                 x2 = nature.clamp_bias(zero + self.round2_offset)
@@ -563,8 +538,8 @@ class _TreeEvaluator:
         Columns in ``_THRESHOLD_KEYS`` order, NaN where none. A drawer that is
         not partisan never visits the base grid, so its walks run here.
         """
-        if (self.key.drawer_control not in _PARTISAN
-                and any(m == "partisan" for m, _ in self.key.vetoes)):
+        if (self.drawer_role != "partisan"
+                and any(m == "partisan" for m, _ in self.vetoes)):
             self.plan(self.base, 2)
             self.plan(self.base, 1)
             self.__dict__.pop("_base_court", None)  # as in solve
@@ -750,19 +725,18 @@ class BatchContext:
     :class:`SolvedTree`, also across the calls handed the batch, such as the
     templates of one counterfactual comparison, and the per-row check,
     ``codebook.check``, runs on every row. The keys asked for together that
-    are not solved yet are grouped by :meth:`TreeKey.shape`, and each group
-    is solved in one traversal over its stacked rows, with each member's
-    party signs and court context carried per row (see
-    :class:`_TreeEvaluator`). A pass holds at most ``_PASS_CELLS`` (2**14)
-    cells, members x draws x grid points, per array, 128 KiB of float64, so
-    a larger group takes several passes and a member that alone exceeds the
-    budget takes one of its own: on the default grid, trees stack only at up
-    to 50 draws. ``trees`` maps each key to its solved tree, and ``passes``
-    lists the keys of each traversal in order. ``courts`` keeps each court
-    evaluation of the call by (:class:`CourtContext`, shape, raw bytes of
-    the bias), so each distinct one, the base row included, runs once and
-    every tree reads the kept, read-only arrays (see
-    :meth:`_TreeEvaluator.exp_court`).
+    are not solved yet are grouped by their ``shape``, and each group is
+    solved in one traversal over its stacked rows, with each member's
+    ``signs`` and ``court`` carried per row (see :class:`_TreeEvaluator`). A
+    pass holds at most ``_PASS_CELLS`` (2**14) cells, members x draws x grid
+    points, per array, 128 KiB of float64, so a larger group takes several
+    passes and a member that alone exceeds the budget takes one of its own:
+    on the default grid, trees stack only at up to 50 draws. ``trees`` maps
+    each key to its solved tree, and ``passes`` lists the keys of each
+    traversal in order. ``courts`` keeps each court evaluation of the call
+    by (:class:`CourtContext`, shape, raw bytes of the bias), so each
+    distinct one, the base row included, runs once and every tree reads the
+    kept, read-only arrays (see :meth:`_TreeEvaluator.exp_court`).
     """
 
     def __init__(self, thetas: GameParameters, grid: OptimizationGrid | None = None):
@@ -797,7 +771,7 @@ class BatchContext:
         shapes: dict[tuple, list[TreeKey]] = {}
         for key in dict.fromkeys(keys):
             if key not in self.trees:
-                shapes.setdefault(key.shape(), []).append(key)
+                shapes.setdefault(key.shape, []).append(key)
         member_cells = self.n_draws * self.grid.base.size
         per_pass = max(1, _PASS_CELLS // member_cells)
         for group in shapes.values():

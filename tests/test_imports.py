@@ -37,6 +37,10 @@ Only ``solver.BatchContext`` constructs the tree evaluator,
 
 Only ``cli._batch`` calls ``sample_draws``: every solver consumer takes the
 batch of its caller, so consumers handed one batch share its draws.
+
+Only the nature primitives, ``solver.TreeKey`` and the brute-force oracle
+call ``party_sign``: the tree evaluator reads a party only through the
+signs of its keys, so a party's direction is worked out once per row.
 """
 
 import ast
@@ -439,6 +443,12 @@ def test_only_the_cli_samples_draws():
     assert _callers("sample_draws") == {"cli.py:_batch"}
 
 
+def test_only_keys_read_parties():
+    assert _callers("party_sign") == {
+        "nature.py:court_outcome", "nature.py:round2_nonpartisan_proposal",
+        "nature.py:stalemate_default", "solver.py:TreeKey", "solver.py:brute_force_solve"}
+
+
 @pytest.mark.parametrize("source,name,expected", [
     ("def path_table(book):\n    for row in book:\n        validate(row)\n", "validate",
      [(3, "path_table")]),
@@ -455,6 +465,9 @@ def test_only_the_cli_samples_draws():
     ("def _batch(args, prior):\n"
      "    return BatchContext(solver.sample_draws(prior, args.seed, args.draws))\n",
      "sample_draws", [(2, "_batch")]),
+    ("class _TreeEvaluator:\n    def __init__(self, keys):\n"
+     "        self.sign = nature.party_sign(keys[0].drawer_control)\n",
+     "party_sign", [(3, "_TreeEvaluator")]),
 ])
 def test_scan_finds_calls(source, name, expected):
     assert calls_of(source, name) == expected

@@ -23,6 +23,7 @@ from leeway.solver import (STALEMATE, BatchContext, OptimizationGrid, TreeKey, _
                            path_table, sample_draws, solve, spearman_stability, uniform_control)
 
 from test_codebook import make_process
+from test_fuzz import random_process
 
 PRIOR = PriorSpec.default()
 MEAN = PRIOR.mean()
@@ -573,6 +574,21 @@ class TestTreeKey:
             TreeKey.of(row)
         assert isinstance(err.value, DomainError)  # so the CLI still exits 1
 
+    def test_mirror_negates_the_signs(self):
+        # A party enters the key only through its signs: relabeling the
+        # parties keeps the shape and negates every sign.
+        rng = np.random.default_rng(5)
+        rows = [row for row in (*FIXTURE, *(random_process(rng, i) for i in range(400)))
+                if row.drawer is not Drawer.NA and validate(row) == []]
+        assert len(rows) == 426
+        partisan = 0
+        for row in rows:
+            key, mirror = TreeKey.of(row), TreeKey.of(row.mirrored())
+            assert mirror.shape == key.shape, row.key
+            assert mirror.signs == tuple(-sign for sign in key.signs), row.key
+            partisan += any(key.signs)
+        assert partisan == 385  # rows where some step depends on party
+
 
 # The fixture's first row with a game, broken three ways that validate() rejects.
 _GAME_ROW = next(row for row in FIXTURE if row.drawer is not Drawer.NA)
@@ -629,9 +645,9 @@ class TestBatchContext:
         solved = [key for members in batch.passes for key in members]
         assert len(solved) == len(set(solved)) == len(keys)
         assert set(solved) == set(batch.trees) == keys
-        shapes = [{key.shape() for key in members} for members in batch.passes]
+        shapes = [{key.shape for key in members} for members in batch.passes]
         assert all(len(shape) == 1 for shape in shapes)
-        assert len(batch.passes) == len({key.shape() for key in keys})
+        assert len(batch.passes) == len({key.shape for key in keys})
         return len(batch.passes)
 
     def test_one_solve_per_distinct_tree(self, monkeypatch):
@@ -808,7 +824,7 @@ class TestPassBudget:
 
     def test_rows_share_one_shape(self):
         keys = {TreeKey.of(row) for row in self.ROWS}
-        assert len(keys) == 36 and len({key.shape() for key in keys}) == 1
+        assert len(keys) == 36 and len({key.shape for key in keys}) == 1
 
     def test_member_over_the_budget_runs_alone(self):
         # On the finest grid one tree of 100 draws alone exceeds the budget.
