@@ -388,7 +388,8 @@ class _Forked:
     is the only way onto a second core. ``with _Forked(path, fn) as child``
     forks; iterating over ``child`` yields the child's bytes in 1 MB chunks,
     or raises the child's exception with its type and message. Leaving the
-    block reaps the child on every path. Where ``os.fork`` does not exist or
+    block reaps the child on every path; leaving it by an exception kills the
+    child first, since nothing will read it. Where ``os.fork`` does not exist or
     fails, or another thread is running (the child would inherit the locks
     it holds), ``fn`` runs inline when its bytes are read. ``path`` names the
     draw file in the error raised when the child ends without a result.
@@ -455,12 +456,15 @@ class _Forked:
         self.pid = None
         return os.waitstatus_to_exitcode(status)
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type, *_):
         # Once the pipe is closed, a child that is still writing gets EPIPE and
         # exits, so the wait ends when the child's own work does.
         if self.pipe is not None:
             self.pipe.close()
         if self.pid is not None:
+            if exc_type is not None:
+                import signal  # here, so that a run that kills no child does not import it
+                os.kill(self.pid, signal.SIGKILL)
             self._reap()
 
 
@@ -700,8 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codebook", help="parse or validate a codebook CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--validate", action="store_true")
-    p.add_argument("--output")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--validate", action="store_true")
+    mode.add_argument("--output")
     p.set_defaults(func=lambda args: _cmd_codebook(args))
 
     p = sub.add_parser("leeway", help="solve the game and write leeway scores")

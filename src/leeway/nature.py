@@ -14,14 +14,8 @@ argument against the parameter fields, which are floats for one draw or
 grid row gives one row of values per draw. A scalar bias is the 0-d case of
 the same code: it gives numpy scalars (or a 0-d array), never Python floats.
 
-The terms that do not depend on the bias are properties of
-:class:`GameParameters`, worked out on first read and kept with the draw
-batch: the (a, b) coefficients of the challenge, intervention and VRA
-curves, the remedy scale and the partisan lean. All processes solved over
-one batch share them, so the Cauchy quantiles and their domain checks run
-once per batch rather than on every call. For a state without preclearance
-the VRA channel carries no mass, so :func:`exp_court` leaves out its remedy
-and its terms.
+The terms that do not depend on the bias are cached properties of
+:class:`GameParameters`, so a batch of draws works them out once.
 """
 
 from __future__ import annotations
@@ -119,9 +113,8 @@ class GameParameters:
     def tiled(self, m: int) -> "GameParameters":
         """The batch of draws repeated m times along the draws, one copy per stacked tree.
 
-        Kept in the instance __dict__ like the terms below, so every pass of
-        m trees reads one copy and its terms are worked out once. The fields
-        are already checked, so they are not checked again.
+        Kept like the terms below, so every pass of m trees reads one copy;
+        the fields are not checked again.
         """
         kept = self.__dict__.setdefault("tiled_by_count", {})
         if m not in kept:
@@ -131,8 +124,7 @@ class GameParameters:
         return kept[m]
 
     # Bias-independent terms, kept in the instance __dict__ on first read. No
-    # exception is cached, so a curve probability of 0 or 1 raises DomainError
-    # on every read; the VRA curve is read only for precleared states.
+    # exception is cached, so a curve probability of 0 or 1 raises on every read.
 
     def _cauchy_curve(self, p0: str, p_span: str, span: float):
         """(a, b) such that F(a + b h) is field p0 at h = 0 and field p_span at h = span.
@@ -428,8 +420,7 @@ def vra_process(x, ctx: CourtContext, theta: GameParameters):
 class ExpCourt(NamedTuple):
     """Expected post-enactment bias and the path split behind it.
 
-    The solver keeps a court evaluated at a grid with both masses None:
-    path mass only ever reaches a court at a bias column.
+    Both masses are None in a court that the solver keeps at a grid.
     """
 
     value: float

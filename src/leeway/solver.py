@@ -25,39 +25,52 @@ draws and its solved trees. A tree reads only a :class:`TreeKey` of the
 process, so each distinct tree is solved once. A key is its shape, its
 signs and its court: the node kinds with each Democratic or Republican
 control read as "partisan", the party sign of each step that depends on
-party, and the court context. The batch solves the keys of one shape that
-it is asked for together in one traversal over their stacked rows,
-members x draws: each row carries its member's signs, read element by
-element, and each member's block of rows is evaluated in its own court
-context. A pass holds at most ``_PASS_CELLS`` cells per array, members x
-draws x grid points; a larger group takes several passes, and a tree that
-alone exceeds the budget takes one of its own. So trees stack only at up
-to 50 draws on the default grid; at the command line's default of 100
-draws every tree is a pass of one. Every step works row by row, so a tree
-solved in a pass is bitwise equal to the tree solved alone.
-:meth:`BatchContext.games` is the one place that skips single-district
-rows. :func:`solve` is the one-draw case; a solved tree's ``result(d)`` is
-bitwise equal to it on draw d alone.
+party, and the court context. :func:`solve` is the one-draw case; a solved
+tree's ``result(d)`` is bitwise equal to it on draw d alone.
 
-The tree is written once, as one method per node kind: the drawer, the
-veto players, the stalemate chain. The drawer node serves both rounds, and
-each grid optimum is worked out once per node and tree. Each method
-returns the node's value; handed a column of equilibrium-path mass, the
-same call also routes that mass to the final-drawer buckets. The grid
-optimizer calls the nodes for values; one walk from the root along the
-chosen actions then yields the path probabilities. Partisan veto
-decisions are recorded wherever a proposal is evaluated on the base grid,
-which gives the veto thresholds; they are worked out when first read. A
-drawer that is not partisan never visits the base grid, so its pass walks
-it for the thresholds of all its members, and only when they are read.
+Stacked passes. The keys of one shape that a batch is asked for together
+are solved in one traversal over their stacked rows, members x draws. Each
+row carries its member's signs, read element by element wherever a step
+depends on party (the tie-break of a grid optimum, a partisan veto or
+stalemate, a stalemate default's lean, a nonpartisan redraw's shift; the
+last two as products worked out once per pass), and each member's block of
+rows is evaluated in its own court context. A pass holds at most
+``_PASS_CELLS`` = 2**14 cells per array, members x draws x grid points: a
+larger group takes several passes, and a tree that alone exceeds the budget
+takes one of its own. So trees stack only where draws x grid points is at
+most 8,192: on the default grid of 161 points, up to 50 draws. At the
+command line's default of 100 draws, and on the finest grid, every tree is
+a pass of one. Every step works row by row, so a tree solved in a pass is
+bitwise equal to the tree solved alone.
 
-The court machinery depends only on the :class:`CourtContext` and the bias
-it is evaluated at, so each :class:`BatchContext` runs each distinct court
-evaluation once, the base row included, and every tree of the call reads
-that copy: trees that share a context reach the same per-draw optima, and
-a pass stacks its members' kept blocks. The per-draw grids that a
-stalemate default or a nonpartisan round-2 proposal builds from the base
-row are evaluated afresh each time.
+The path-mass walk. The tree is written once, as one method per node kind:
+the drawer (the same method in both rounds), the veto players, the
+stalemate chain. Each method returns the node's value; handed a column of
+equilibrium-path mass, the same call also routes that mass to the
+final-drawer buckets. The grid optimizer calls the nodes for values, and
+each grid optimum (the drawer's per round, a partisan stalemate resolver's
+per link) is worked out once per pass. One walk from the root along the
+chosen actions then yields the path probabilities.
+
+Veto thresholds. Partisan veto decisions are recorded wherever a proposal
+is evaluated on the base grid, and the thresholds are worked out from them
+when first read. A drawer that is not partisan never visits the base grid,
+so its pass walks the base grid for the thresholds of all its members, and
+only when they are read: consumers that never read them pay nothing.
+
+Kept courts. The court machinery depends only on the :class:`CourtContext`
+and the bias it is evaluated at, so a :class:`BatchContext` runs each
+distinct court evaluation of the call once, the base row, the refinement
+grids and the per-draw columns of the path walk included, and keeps it in
+``courts`` by (context, shape, raw bytes of the bias). Every tree of the
+batch, in all its passes and walks, reads the kept, read-only arrays: trees
+that share a context reach the same per-draw optima (the corners at +-4, a
+nonpartisan drawer's zero anchor). Path mass only ever reaches a bias
+column, so a court kept at a grid holds its value alone, with both masses
+None. A pass stacks its members' kept blocks into one ExpCourt. The
+per-draw (D, G) grids that a stalemate default or a nonpartisan round-2
+proposal builds from the base row are evaluated afresh: they seldom repeat
+and are the largest arguments.
 """
 
 from __future__ import annotations
@@ -88,13 +101,8 @@ MIN_GRID_STEP = 0.001
 # Points per grid step in the local refinement around a grid optimum.
 _REFINE_FACTOR = 20
 
-# Cells, members x draws x grid points, that one array of a stacked pass may
-# hold: 128 KiB of float64, under glibc malloc's default mmap threshold, so
-# freed arrays are reused from the heap. Larger passes measured slower than
-# trees alone at 100 draws. So trees stack only where draws x grid points is
-# at most 8,192: on the default grid of 161 points, up to 50 draws (5 trees a
-# pass at 20 draws). At the command line's default of 100 draws, and on the
-# finest grid, each tree runs alone.
+# Cells per array of a stacked pass: 128 KiB of float64, under glibc malloc's
+# default mmap threshold, so freed arrays are reused from the heap.
 _PASS_CELLS = 1 << 14
 
 
@@ -278,14 +286,10 @@ def _stacked(blocks: list) -> nature.ExpCourt:
 class _TreeEvaluator:
     """The game trees of M keys of one shape, evaluated over their M x D rows at once.
 
-    The rows stack one block of D draws per member, so every array has M x D
-    rows: the draws are (M x D, 1) columns, the batch's (D, 1) columns
-    repeated once per member, and every bias argument broadcasts against
-    them: the base grid is a (1, G) row, refinement points are (M x D, n)
-    with one row per draw, and a per-draw bias is a column. The members share
-    the key's ``shape``, which gives the tree's structure; the rest of the key
-    is carried per member: its ``signs``, read row by row wherever a step
-    depends on party, and its ``court``, in which its block is evaluated.
+    The draws are (M x D, 1) columns, the batch's repeated once per member,
+    and every bias argument broadcasts against them: the base grid is a
+    (1, G) row, refinement points are (M x D, n), and a per-draw bias is a
+    column.
     """
 
     def __init__(self, keys: list[TreeKey], thetas: GameParameters, grid: OptimizationGrid,
@@ -329,24 +333,16 @@ class _TreeEvaluator:
 
     # -- game-tree nodes -----------------------------------------------------
     #
-    # Each node method returns the node's value with one row per draw of each
-    # member. Given a ``mass`` column, it also adds the rows' equilibrium-path
-    # mass to the final-drawer buckets in ``self.acc``, in play order; the
-    # default mass of 0.0 evaluates the value alone, and a subtree where no
-    # row has mass is not walked. A branch a row does not take carries +0.0
-    # mass for that row, so one walk over all rows leaves each row's sums as
-    # a walk of that member's draw alone would.
+    # A node adds its rows' ``mass`` to ``self.acc`` in play order; the default
+    # mass of 0.0 evaluates the value alone, and a subtree where no row has
+    # mass is not walked. A branch a row does not take carries +0.0 mass for
+    # that row, so each row's sums are those of a walk of its draw alone.
 
     def exp_court(self, x):
         """The court machinery at x, each member's block of rows in its own court context.
 
-        Every block but a per-draw (D, G) grid built from the base row is
-        kept in the batch's ``courts``, keyed by court context, shape and
-        raw bytes (so -0.0 and 0.0 are distinct keys), and its arrays are
-        made read-only: a hit hands the same arrays to every tree of the
-        batch that asks; at a grid, where no mass goes, a block is its value
-        alone. A pass of several members stacks their blocks into one ExpCourt
-        of its rows, and stacks the base row's once for its solve and its walks.
+        Read from the batch's kept courts, whose raw-bytes keys tell -0.0
+        from 0.0. The base row's stack is kept for the pass's solve and walks.
         """
         if x is self.base:
             return self._base_court
@@ -415,10 +411,8 @@ class _TreeEvaluator:
         A veto hands the map to the round-2 drawer in round 1 and to the
         stalemate chain in round 2. Partisan players veto only when that
         strictly improves their side; ties pass. Mass goes to veto1's
-        subtree, then to veto2's, then to the enacted plan. Partisan veto
-        decisions on the base grid are kept for the threshold diagnostics.
-        With no node that can veto (each absent or split), the subgame is
-        not evaluated.
+        subtree, then to veto2's, then to the enacted plan. With no node
+        that can veto (each absent or split), the subgame is not evaluated.
         """
         court = self.exp_court(x)
         if not self.can_veto:
@@ -535,8 +529,7 @@ class _TreeEvaluator:
     def veto_thresholds(self) -> np.ndarray:
         """(M x D, 4) midpoint of the first base-grid cell where each partisan veto flips.
 
-        Columns in ``_THRESHOLD_KEYS`` order, NaN where none. A drawer that is
-        not partisan never visits the base grid, so its walks run here.
+        Columns in ``_THRESHOLD_KEYS`` order, NaN where none.
         """
         if (self.drawer_role != "partisan"
                 and any(m == "partisan" for m, _ in self.vetoes)):
@@ -558,8 +551,7 @@ class SolvedTree:
     ``values`` (D,), ``path_probs`` (D, 3) in bucket order,
     ``round2_proposal`` (D,), NaN where no veto node exists, and
     ``stalemates`` (D,) are views of the pass's arrays. ``veto_thresholds``
-    (D, 4), NaN where there is no threshold, and the base-grid veto
-    ``decisions`` behind them are worked out for the whole pass on first read.
+    (D, 4) are NaN where there is no threshold.
     """
 
     def __init__(self, key: TreeKey, tree: _TreeEvaluator, first: int):
@@ -718,25 +710,14 @@ def sample_draws(prior: PriorSpec, seed: int, n_draws: int) -> GameParameters:
 
 
 class BatchContext:
-    """A run's prior draws and grid, solving the trees of one shape together in stacked passes.
+    """A run's prior draws and grid, and every tree solved over them.
 
     ``thetas`` holds D draws as (D, 1) columns (see :func:`sample_draws`), and
-    ``n_draws`` is D. Processes that share a :class:`TreeKey` share one
-    :class:`SolvedTree`, also across the calls handed the batch, such as the
-    templates of one counterfactual comparison, and the per-row check,
-    ``codebook.check``, runs on every row. The keys asked for together that
-    are not solved yet are grouped by their ``shape``, and each group is
-    solved in one traversal over its stacked rows, with each member's
-    ``signs`` and ``court`` carried per row (see :class:`_TreeEvaluator`). A
-    pass holds at most ``_PASS_CELLS`` (2**14) cells, members x draws x grid
-    points, per array, 128 KiB of float64, so a larger group takes several
-    passes and a member that alone exceeds the budget takes one of its own:
-    on the default grid, trees stack only at up to 50 draws. ``trees`` maps
-    each key to its solved tree, and ``passes`` lists the keys of each
-    traversal in order. ``courts`` keeps each court evaluation of the call
-    by (:class:`CourtContext`, shape, raw bytes of the bias), so each
-    distinct one, the base row included, runs once and every tree reads the
-    kept, read-only arrays (see :meth:`_TreeEvaluator.exp_court`).
+    ``n_draws`` is D. ``trees`` maps each :class:`TreeKey` to its
+    :class:`SolvedTree`, shared by every call handed the batch, such as the
+    templates of one counterfactual comparison; ``passes`` lists the keys of
+    each stacked pass in order, and ``courts`` holds the kept court
+    evaluations. Every row is checked with ``codebook.check``.
     """
 
     def __init__(self, thetas: GameParameters, grid: OptimizationGrid | None = None):

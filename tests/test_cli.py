@@ -5,11 +5,13 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -90,6 +92,16 @@ class TestCodebookCommand:
 
     def test_usage_error_exit_2(self):
         assert main(["codebook"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--validate", "--output", "out.csv"],
+                                       ["--output", "out.csv", "--validate"]])
+    def test_validate_refuses_output(self, tmp_path, capsys, monkeypatch, flags):
+        # A usage error before any input is read: the input does not exist,
+        # which would exit 1 once read.
+        monkeypatch.chdir(tmp_path)
+        assert main(["codebook", "--input", "missing.csv", *flags]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [
         ["codebook", "--input"], ["codebook", "--validate", "--input"],
@@ -244,6 +256,46 @@ class TestParserReuse:
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args(argv)
             assert kept == capsys.readouterr().out != ""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands(text: str) -> list[list[str]]:
+    """The argv of each ``leeway`` command in the ``sh`` blocks of README text.
+
+    Continuation lines are joined and every bracketed ``[...]`` option is kept.
+    """
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = [word.strip("[]") for word in shlex.split(line, comments=True)]
+            if words[:1] == ["leeway"]:
+                commands.append(words[1:])
+    return commands
+
+
+def unparsed(commands: list[list[str]]) -> list[str]:
+    """The commands that the command's own parser refuses."""
+    refused = []
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            refused.append(" ".join(argv))
+    return refused
+
+
+def test_readme_commands_parse():
+    commands = readme_commands(README.read_text(encoding="utf-8"))
+    assert {argv[0] for argv in commands} == set(_SUBCOMMANDS)
+    assert unparsed(commands) == []
+
+
+def test_readme_check_sees_a_misspelled_flag(capsys):
+    text = README.read_text(encoding="utf-8").replace("[--grid-step 0.05]", "[--grid-stpe 0.05]")
+    assert len(unparsed(readme_commands(text))) == 1
+    assert "unrecognized arguments: --grid-stpe" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -1122,6 +1174,17 @@ class TestForkedCodec:
             os.kill(child.pid, signal.SIGKILL)
             with pytest.raises(RuntimeError, match="d.csv: the child process"):
                 list(chunks)
+        assert_no_children()
+
+    def test_block_left_by_an_error_stops_the_child(self, fork_mode):
+        # Nothing will read the child's bytes, so it is killed, not waited for.
+        start = time.monotonic()
+        with pytest.raises(DomainError, match="bad seat file"):
+            with cli._Forked("d.csv", lambda: time.sleep(30) or b"") as child:
+                forked = child.pid is not None
+                raise DomainError("bad seat file")
+        assert time.monotonic() - start < 5
+        assert forked == (fork_mode == "fork")
         assert_no_children()
 
     @pytest.mark.parametrize("existing", [False, True])
